@@ -98,26 +98,27 @@ class HarmonicCoefficients:
 
     def scaled_by_degree(self, factors: np.ndarray, radius: float | None = None) -> "HarmonicCoefficients":
         """New container with degree n multiplied by factors[n]."""
-        factors = np.asarray(factors, dtype=float)
-        if factors.shape[0] < self.n_max + 1:
-            raise ValueError("need one factor per degree")
-        out = np.empty_like(self.data)
-        for n in range(self.n_max + 1):
-            out[n * n : (n + 1) * (n + 1)] = factors[n] * self.degree_slice(n)
         return HarmonicCoefficients(
-            self.radius if radius is None else radius, self.n_max, out
+            self.radius if radius is None else radius, self.n_max,
+            _per_coefficient(factors, self.n_max) * self.data,
         )
+
+
+def _per_coefficient(factors, n_max: int) -> np.ndarray:
+    """factors[n] repeated over the 2n+1 flat slots of degree n, n = 0..n_max."""
+    factors = np.asarray(factors, dtype=float)
+    if factors.shape[0] < n_max + 1:
+        raise ValueError("need one factor per degree")
+    return np.repeat(factors[: n_max + 1], 2 * np.arange(n_max + 1) + 1)
 
 
 def sobolev_norm(coeffs: HarmonicCoefficients, s: float) -> float:
     """Norm with degree weights (n + 1/2)^(2s) on squared coefficients."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    total = 0.0
-    for n in range(coeffs.n_max + 1):
-        block = coeffs.degree_slice(n)
-        total += (n + 0.5) ** (2 * s) * float(block @ block)
-    return math.sqrt(total)
+    n = np.arange(coeffs.n_max + 1)
+    weights = _per_coefficient((n + 0.5) ** (2 * s), coeffs.n_max)
+    return math.sqrt(float(weights @ (coeffs.data * coeffs.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,9 @@ class CapGrid:
     """Rotated product rule on the spherical cap 1 - center.xi <= cap_rho.
 
     Exact for restrictions of spherical polynomials of degree <=
-    exact_degree. Weights include radius^2 and sum to the cap area
-    2 pi cap_rho radius^2.
+    exact_degree E: Gauss nodes in t = center.xi times E + 1 uniform
+    azimuths in the cap's own frame. Weights include radius^2 and sum to
+    the cap area 2 pi cap_rho radius^2.
     """
 
     radius: float
@@ -224,8 +226,10 @@ def _rotation_from_north(center: np.ndarray) -> np.ndarray:
 def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGrid:
     """Cap rule: Gauss in t on [1-cap_rho, 1] x uniform azimuth, rotated to center.
 
-    cap_rho may equal 2, in which case the rule covers the full sphere
-    (the degenerate cap).
+    A polynomial of degree E = exact_degree has azimuthal modes |m| <= E in
+    the cap's own frame, so (E+2)//2 Gauss nodes in t times E + 1 uniform
+    azimuths integrate it exactly. cap_rho may equal 2, in which case the
+    rule covers the full sphere (the degenerate cap).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -235,7 +239,7 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
         raise ValueError("exact_degree must be >= 0")
     m_t = (exact_degree + 2) // 2
     t, tw = gauss_rule(max(m_t, 1), 1.0 - cap_rho, 1.0)
-    n_phi = 2 * exact_degree + 1
+    n_phi = exact_degree + 1
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
     rot = _rotation_from_north(center)
@@ -254,16 +258,12 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
 
 
 # ---------------------------------------------------------------------------
-# associated Legendre engine (orthonormal, no Condon-Shortley)
+# per-order Legendre engine (orthonormal, no Condon-Shortley)
 
-
-def _alf_start() -> float:
-    return _INV_SQRT_4PI
-
-
-def _alf_next_diagonal(m: int, st: np.ndarray, amm: np.ndarray) -> np.ndarray:
-    """A_{m+1}^{m+1} from A_m^m."""
-    return math.sqrt((2 * m + 3) / (2 * m + 2)) * st * amm
+# B_1^1 = A_1^1 / sin(theta) is constant; the diagonal and column recurrences
+# for B coincide with those for A because dividing by sin(theta) commutes
+# with both.
+_B11 = math.sqrt(1.5) * _INV_SQRT_4PI
 
 
 def _alf_column(n_max: int, m: int, ct: np.ndarray, amm: np.ndarray) -> np.ndarray:
@@ -287,21 +287,33 @@ def _alf_column(n_max: int, m: int, ct: np.ndarray, amm: np.ndarray) -> np.ndarr
     return rows
 
 
-def _alf_theta_derivative(n_max: int, m: int, ct: np.ndarray, st: np.ndarray,
-                          rows: np.ndarray) -> np.ndarray:
-    """d/dtheta of A_n^m for n = m..n_max given the value rows.
+def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
+    """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j.
 
-    Uses sin(theta) dA_n^m/dtheta = n t A_n^m - e_nm A_{n-1}^m with
-    e_nm = sqrt((n^2 - m^2)(2n+1)/(2n-1)); valid away from the poles
-    (callers handle |t| = 1 separately).
+    m = 0 gives A_n^0; m >= 1 gives the reduced rows B_n^m = A_n^m / sin(theta),
+    which stay finite at the poles and give back A_n^m = sin(theta) B_n^m.
+    Each order's block is built when it is asked for, so no table over all
+    orders is ever held.
     """
-    out = np.empty_like(rows)
-    inv_st = np.where(st > 0, 1.0 / np.where(st > 0, st, 1.0), 0.0)
-    out[0] = m * ct * rows[0] * inv_st  # e_mm = 0
-    for n in range(m + 1, n_max + 1):
-        e = math.sqrt((n * n - m * m) * (2 * n + 1) / (2 * n - 1))
-        out[n - m] = (n * ct * rows[n - m] - e * rows[n - m - 1]) * inv_st
-    return out
+    first = np.full(np.shape(ct), _INV_SQRT_4PI)  # A_0^0, then B_m^m
+    for m in range(n_max + 1):
+        yield m, _alf_column(n_max, m, ct, first)
+        if m == 0:
+            first = np.full(np.shape(ct), _B11)
+        else:
+            first = math.sqrt((2 * m + 3) / (2 * m + 2)) * st * first
+
+
+def _order_index(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees n = m..n_max and the flat indices of their cos- and sin-type
+    coefficients of order m (the sin indices are meaningless for m = 0)."""
+    n = np.arange(m, n_max + 1)
+    return n, n * n + m, n * n + n + m
+
+
+def _theta_factor(n: np.ndarray, m: int) -> np.ndarray:
+    """e_nm in sin(theta) dA_n^m/dtheta = n t A_n^m - e_nm A_{n-1}^m."""
+    return np.sqrt((n * n - m * m) * (2 * n + 1) / (2 * n - 1))
 
 
 def _direction_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -315,45 +327,92 @@ def _direction_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return ct, st, cp, sp
 
 
+def _as_directions(points) -> np.ndarray:
+    """Node directions of a grid, or the given directions as an (n, 3) array."""
+    if isinstance(points, (CapGrid, SphereGrid)):
+        return points.nodes
+    pts = np.asarray(points, dtype=float)
+    return pts[None, :] if pts.ndim == 1 else pts
+
+
+def _leading_shape(points) -> tuple[int, ...]:
+    """Shape of one value per direction in points."""
+    if isinstance(points, (CapGrid, SphereGrid)):
+        return (points.n_nodes,)
+    return np.shape(points)[:-1]
+
+
+def _azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(m phi) and sin(m phi), shape (n_max + 1, len(phis))."""
+    mphi = np.outer(np.arange(n_max + 1), phis)
+    return np.cos(mphi), np.sin(mphi)
+
+
+def _synthesis(orders, coeffs, points):
+    """Sum per-order amplitudes over azimuth, on a product grid or at points.
+
+    orders(coeffs, ct, st) yields (m, a_m, b_m) for m = 0..coeffs.n_max in
+    turn, amplitudes with a last axis over the colatitudes, and the field is
+    sum_m a_m cos(m phi) + b_m sin(m phi). A grid with product structure in
+    the global frame needs the amplitudes only on its colatitude axis and
+    sums them with one matrix product; at other points the azimuth factors
+    advance order by order. Returns the values (last axes over the grid's
+    colatitudes and azimuths, or over the points) and (ct, st, cos phi,
+    sin phi) broadcastable against them.
+    """
+    if isinstance(points, SphereGrid):
+        ct, phis = points.ct, points.phis
+    elif isinstance(points, CapGrid) and np.allclose(points.rotation, np.eye(3), atol=1e-14):
+        ct, phis = points.t_nodes, points.phis
+    else:
+        ct, st, cp, sp = _direction_angles(_as_directions(points).reshape(-1, 3))
+        vals = 0.0
+        cos_m, sin_m = np.ones_like(ct), np.zeros_like(ct)
+        for _, a, b in orders(coeffs, ct, st):
+            vals = vals + a * cos_m + b * sin_m
+            cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
+        return vals, (ct, st, cp, sp)
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    _, a, b = zip(*orders(coeffs, ct, st))
+    cos_m, sin_m = _azimuth(coeffs.n_max, phis)
+    vals = np.stack(a, axis=-1) @ cos_m + np.stack(b, axis=-1) @ sin_m
+    return vals, (ct[:, None], st[:, None], np.cos(phis), np.sin(phis))
+
+
+def _scalar_orders(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray):
+    """Per-order amplitudes of a scalar field for _synthesis."""
+    data = coeffs.data
+    for m, rows in _legendre_orders(coeffs.n_max, ct, st):
+        _, cos_i, sin_i = _order_index(coeffs.n_max, m)
+        if m == 0:
+            a = data[cos_i] @ rows
+            yield 0, a, np.zeros_like(a)
+        else:
+            a, b = _SQRT2 * st * (data[np.stack([cos_i, sin_i])] @ rows)
+            yield m, a, b
+
+
+def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature-weighted sums of grid samples against cos(m phi), sin(m phi).
+
+    values has last axes (colatitude, azimuth); the sums have last axes
+    (colatitude, m). The weights carry radius^2 and one 1/radius for the
+    basis factor. This is the transpose of the grid step of _synthesis.
+    """
+    cos_m, sin_m = _azimuth(n_max, grid.phis)
+    w = (grid.ct_weights * (2.0 * np.pi / grid.phis.size) * grid.radius)[:, None]
+    return w * (values @ cos_m.T), w * (values @ sin_m.T)
+
+
 def ynk(n: int, k: int, xi) -> float | np.ndarray:
     """Real orthonormal spherical harmonic Y_{n,k} at unit direction(s) xi."""
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if not (1 <= k <= 2 * n + 1):
         raise ValueError(f"order k={k} outside 1..{2 * n + 1}")
-    xi = np.asarray(xi, dtype=float)
-    scalar_input = xi.ndim == 1
-    pts = xi[None, :] if scalar_input else xi
-    ct, st, cp, sp = _direction_angles(pts)
-
-    if k == 1:
-        m = 0
-    elif k <= n + 1:
-        m = k - 1
-    else:
-        m = k - n - 1
-
-    amm = np.full(ct.shape, _alf_start())
-    for mm in range(m):
-        amm = _alf_next_diagonal(mm, st, amm)
-    rows = _alf_column(n, m, ct, amm)
-    a = rows[n - m]
-
-    if m == 0:
-        vals = a
-    else:
-        cos_m, sin_m = _azimuth_harmonics(m, cp, sp)
-        vals = _SQRT2 * a * (cos_m if k <= n + 1 else sin_m)
-    return float(vals[0]) if scalar_input else vals
-
-
-def _azimuth_harmonics(m: int, cp: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(m phi), sin(m phi) from cos phi, sin phi by angle addition."""
-    cos_m = np.ones_like(cp)
-    sin_m = np.zeros_like(sp)
-    for _ in range(m):
-        cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
-    return cos_m, sin_m
+    single = HarmonicCoefficients(1.0, n)
+    single.set_coeff(n, k, 1.0)
+    return synthesize(single, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -363,81 +422,17 @@ def _azimuth_harmonics(m: int, cp: np.ndarray, sp: np.ndarray) -> tuple[np.ndarr
 def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Evaluate the field at unit directions, a SphereGrid, or a CapGrid.
 
-    Grid arguments with product structure in the global frame use the
-    separated colatitude/azimuth path; anything else falls back to direct
-    pointwise accumulation over orders m.
+    Runs the per-order Legendre engine: each order's degree sum is one
+    matrix product of the coefficients with that order's Legendre rows.
+    Grids with product structure in the global frame (sphere grids, polar
+    caps) evaluate the rows on their colatitude axis only and sum the
+    orders with one azimuth matrix product; rotated caps and loose
+    directions multiply by cos(m phi), sin(m phi) point by point. A single
+    direction gives a float, a grid one value per node.
     """
-    if isinstance(points, SphereGrid):
-        return _synthesize_product(coeffs, points.ct, points.phis).ravel()
-    if isinstance(points, CapGrid):
-        if np.allclose(points.rotation, np.eye(3), atol=1e-14):
-            return _synthesize_product(coeffs, points.t_nodes, points.phis).ravel()
-        return _synthesize_points(coeffs, points.nodes)
-    return _synthesize_points(coeffs, np.asarray(points, dtype=float))
-
-
-def _synthesize_product(coeffs: HarmonicCoefficients, ct: np.ndarray,
-                        phis: np.ndarray) -> np.ndarray:
-    """Values on the product grid (len(ct), len(phis))."""
-    n_max = coeffs.n_max
-    inv_r = 1.0 / coeffs.radius
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    out = np.zeros((ct.size, phis.size))
-    amm = np.full(ct.shape, _alf_start())
-    for m in range(n_max + 1):
-        rows = _alf_column(n_max, m, ct, amm)
-        if m == 0:
-            g = np.zeros(ct.size)
-            for n in range(n_max + 1):
-                g += coeffs.data[n * n] * rows[n]
-            out += g[:, None]
-        else:
-            gc = np.zeros(ct.size)
-            gs = np.zeros(ct.size)
-            for n in range(m, n_max + 1):
-                base = n * n
-                gc += coeffs.data[base + m] * rows[n - m]
-                gs += coeffs.data[base + n + m] * rows[n - m]
-            out += _SQRT2 * (
-                np.outer(gc, np.cos(m * phis)) + np.outer(gs, np.sin(m * phis))
-            )
-        if m < n_max:
-            amm = _alf_next_diagonal(m, st, amm)
-    return inv_r * out
-
-
-def _synthesize_points(coeffs: HarmonicCoefficients, points: np.ndarray) -> np.ndarray:
-    """Direct evaluation at arbitrary unit directions (last axis = 3)."""
-    scalar_input = points.ndim == 1
-    pts = points[None, :] if scalar_input else points.reshape(-1, 3)
-    ct, st, cp, sp = _direction_angles(pts)
-    n_max = coeffs.n_max
-    out = np.zeros(ct.shape)
-    amm = np.full(ct.shape, _alf_start())
-    cos_m = np.ones_like(ct)
-    sin_m = np.zeros_like(ct)
-    for m in range(n_max + 1):
-        rows = _alf_column(n_max, m, ct, amm)
-        if m == 0:
-            g = np.zeros_like(ct)
-            for n in range(n_max + 1):
-                g += coeffs.data[n * n] * rows[n]
-            out += g
-        else:
-            gc = np.zeros_like(ct)
-            gs = np.zeros_like(ct)
-            for n in range(m, n_max + 1):
-                base = n * n
-                gc += coeffs.data[base + m] * rows[n - m]
-                gs += coeffs.data[base + n + m] * rows[n - m]
-            out += _SQRT2 * (gc * cos_m + gs * sin_m)
-        if m < n_max:
-            amm = _alf_next_diagonal(m, st, amm)
-            cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
-    out /= coeffs.radius
-    if scalar_input:
-        return float(out[0])
-    return out.reshape(points.shape[:-1])
+    vals, _ = _synthesis(_scalar_orders, coeffs, points)
+    out = np.reshape(vals / coeffs.radius, _leading_shape(points))
+    return float(out) if out.ndim == 0 else out
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoefficients:
@@ -445,7 +440,8 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
 
     Requires grid.exact_degree >= 2 * n_max so products of the field with any
     basis function of degree <= n_max integrate exactly when the field itself
-    is bandlimited to n_max.
+    is bandlimited to n_max. The transpose of grid synthesis: azimuth sums
+    first, then one product of each order's Legendre rows with them.
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("analyze needs samples on a SphereGrid")
@@ -456,35 +452,16 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     values = np.asarray(samples, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError("samples must match the grid node count")
-    n_theta = grid.ct.size
-    n_phi = grid.phis.size
-    vals = values.reshape(n_theta, n_phi)
-
-    # azimuth sums for every order at once
-    mphi = np.outer(np.arange(n_max + 1), grid.phis)
-    tc = vals @ np.cos(mphi).T        # (n_theta, n_max+1)
-    ts = vals @ np.sin(mphi).T
-
-    r = grid.radius
-    azw = 2.0 * np.pi / n_phi
-    wt = grid.ct_weights * azw * r * r / r   # one 1/r for the basis factor
-
+    tc, ts = _azimuth_sums(values.reshape(grid.ct.size, grid.phis.size), grid, n_max)
     st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    out = HarmonicCoefficients(r, n_max)
-    amm = np.full(grid.ct.shape, _alf_start())
-    for m in range(n_max + 1):
-        rows = _alf_column(n_max, m, grid.ct, amm)
+    out = HarmonicCoefficients(grid.radius, n_max)
+    for m, rows in _legendre_orders(n_max, grid.ct, st):
+        _, cos_i, sin_i = _order_index(n_max, m)
         if m == 0:
-            for n in range(n_max + 1):
-                out.data[n * n] = (wt * rows[n]) @ tc[:, 0]
+            out.data[cos_i] = rows @ tc[:, 0]
         else:
-            for n in range(m, n_max + 1):
-                base = n * n
-                wrow = wt * rows[n - m] * _SQRT2
-                out.data[base + m] = wrow @ tc[:, m]
-                out.data[base + n + m] = wrow @ ts[:, m]
-        if m < n_max:
-            amm = _alf_next_diagonal(m, st, amm)
+            q = rows @ (_SQRT2 * st[:, None] * np.stack([tc[:, m], ts[:, m]], axis=1))
+            out.data[cos_i], out.data[sin_i] = q.T
     return out
 
 
@@ -501,45 +478,62 @@ def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
                 fh.write(f"{n} {k} {coeffs.data[n * n + k - 1]:.17g}\n")
 
 
+def _read_coefficient_file(path, header: str, keys: tuple[str, ...],
+                           columns: tuple[str, ...]):
+    """Header fields and data lines of a coefficient text file.
+
+    header is the expected header line quoted in errors; keys are the
+    integer header fields besides radius_km; columns name the fields of a
+    data line, all integer indices except the final value. Returns
+    (radius, key values, [(line number, indices, value)]) skipping blank
+    and comment lines; malformed lines are reported with their number.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ValueError(f"{path}: empty coefficient file")
+    text = lines[0].strip()
+    if not text.startswith("#"):
+        raise ValueError(f"{path}: line 1: missing `{header}` header")
+    fields = dict()
+    for token in text[1:].split():
+        if "=" not in token:
+            raise ValueError(f"{path}: line 1: bad header token {token!r}")
+        key, _, val = token.partition("=")
+        fields[key] = val
+    names = ("radius_km",) + keys
+    try:
+        radius = float(fields["radius_km"])
+        values = tuple(int(fields[key]) for key in keys)
+    except (KeyError, ValueError) as exc:
+        needs = ", ".join(names[:-1]) + " and " + names[-1]
+        raise ValueError(f"{path}: line 1: header needs {needs}") from exc
+
+    rows = []
+    for idx, line in enumerate(lines[1:], start=2):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}: line {idx}: expected `{' '.join(columns)}`")
+        try:
+            rows.append((idx, tuple(int(p) for p in parts[:-1]), float(parts[-1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {idx}: unparsable entry") from exc
+    return radius, values, rows
+
+
 def load_coefficients(path) -> HarmonicCoefficients:
     """Read the text format written by save_coefficients.
 
     Missing (n, k) entries default to zero; malformed lines are reported
     with their line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{path}: empty coefficient file")
-    header = lines[0].strip()
-    fields = dict()
-    if not header.startswith("#"):
-        raise ValueError(f"{path}: line 1: missing `# radius_km=... n_max=...` header")
-    for token in header[1:].split():
-        if "=" not in token:
-            raise ValueError(f"{path}: line 1: bad header token {token!r}")
-        key, _, val = token.partition("=")
-        fields[key] = val
-    try:
-        radius = float(fields["radius_km"])
-        n_max = int(fields["n_max"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: line 1: header needs radius_km and n_max") from exc
-
+    radius, (n_max,), rows = _read_coefficient_file(
+        path, "# radius_km=... n_max=...", ("n_max",), ("n", "k", "value"))
     out = HarmonicCoefficients(radius, n_max)
-    for idx, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {idx}: expected `n k value`")
-        try:
-            n = int(parts[0])
-            k = int(parts[1])
-            value = float(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {idx}: unparsable entry") from exc
+    for idx, (n, k), value in rows:
         if not (0 <= n <= n_max) or not (1 <= k <= 2 * n + 1):
             raise ValueError(f"{path}: line {idx}: index (n={n}, k={k}) out of range")
         out.data[n * n + k - 1] = value

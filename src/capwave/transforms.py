@@ -21,6 +21,7 @@ from .harmonics import (
     CapGrid,
     HarmonicCoefficients,
     SphereGrid,
+    _as_directions,
     cap_grid,
     sphere_grid,
     synthesize,
@@ -175,17 +176,6 @@ def upward_continue(u_plus: HarmonicCoefficients, R: float) -> HarmonicCoefficie
         raise ValueError("upward continuation needs R > r")
     n = np.arange(u_plus.n_max + 1, dtype=float)
     return u_plus.scaled_by_degree((r / R) ** n, radius=R)
-
-
-def _as_directions(points) -> np.ndarray:
-    if isinstance(points, CapGrid):
-        return points.nodes
-    if isinstance(points, SphereGrid):
-        return points.nodes
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
 
 
 def scaling_transform(pair: KernelPair, f1, points, *,

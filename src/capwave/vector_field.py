@@ -8,10 +8,14 @@ tensor-kernel convolutions built from the same symbol sets as the scalar
 case, and the diagnostics (tensor kernel values, Frobenius-profile moments)
 the localization analysis needs.
 
-Pole handling: all tangential formulas are written in terms of the reduced
-functions B_n^m = A_n^m / sin(theta), which satisfy the same recurrences as
-the associated Legendre functions A_n^m and stay finite at the poles, so
-basis values at |xi_3| = 1 are the correct limits without a special branch.
+Pole handling: synthesis and analysis run on the per-order Legendre engine
+of the harmonics module, whose rows for m >= 1 are the reduced functions
+B_n^m = A_n^m / sin(theta). Every channel comes from those rows and stays
+finite at the poles: the radial values are sin(theta) B_n^m, the colatitude
+derivative is n t B_n^m - e_nm B_{n-1}^m, the azimuthal one m B_n^m, and
+for m = 0 the colatitude derivative of A_n^0 is
+-sqrt(n(n+1)) sin(theta) B_n^1. Basis values at |xi_3| = 1 are therefore the
+correct limits without a special branch.
 """
 
 from __future__ import annotations
@@ -22,13 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import (
-    CapGrid,
+    _SQRT2,
     SphereGrid,
-    _alf_column,
-    _alf_next_diagonal,
-    _alf_start,
-    _direction_angles,
-    analyze,
+    _as_directions,
+    _azimuth_sums,
+    _leading_shape,
+    _legendre_orders,
+    _order_index,
+    _per_coefficient,
+    _read_coefficient_file,
+    _synthesis,
+    _theta_factor,
     cap_grid,
     sphere_grid,
 )
@@ -56,8 +64,6 @@ __all__ = [
     "save_vector_coefficients",
     "load_vector_coefficients",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 # The coupled symbols behave identically for scalar and tensor kernels; the
 # tensor structure enters only through evaluation, so the pair type is shared.
@@ -140,18 +146,10 @@ class VectorCoefficients:
     def scaled_by_degree(self, factors: np.ndarray,
                          radius: float | None = None) -> "VectorCoefficients":
         """New container with degree n of both types multiplied by factors[n]."""
-        factors = np.asarray(factors, dtype=float)
-        if factors.shape[0] < self.n_max + 1:
-            raise ValueError("need one factor per degree")
-        out = np.empty_like(self.data)
-        off = (self.n_max + 1) ** 2
-        for n in range(self.n_max + 1):
-            out[n * n : (n + 1) * (n + 1)] = factors[n] * self.data[n * n : (n + 1) * (n + 1)]
-            if n >= 1:
-                lo, hi = off + n * n - 1, off + (n + 1) * (n + 1) - 1
-                out[lo:hi] = factors[n] * self.data[lo:hi]
+        scale = _per_coefficient(factors, self.n_max)
         return VectorCoefficients(
-            self.radius if radius is None else radius, self.n_max, out
+            self.radius if radius is None else radius, self.n_max,
+            np.concatenate([scale, scale[1:]]) * self.data,
         )
 
 
@@ -183,52 +181,6 @@ def vector_field_samples(coeffs: VectorCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# reduced Legendre engine for the tangential basis
-
-# B_1^1 = A_1^1 / sin(theta) is constant; the diagonal and column recurrences
-# for B coincide with those for A because dividing by sin(theta) commutes
-# with both.
-_B11 = math.sqrt(1.5) * _alf_start()
-
-
-def _b_columns(n_max: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Rows B_n^m for n = m..n_max at the points (ct, st), m >= 1."""
-    bmm = np.full(np.shape(ct), _B11)
-    for mm in range(1, m):
-        bmm = _alf_next_diagonal(mm, st, bmm)
-    return _alf_column(n_max, m, ct, bmm)
-
-
-def _theta_derivative_from_b(n_max: int, m: int, ct: np.ndarray,
-                             brows: np.ndarray) -> np.ndarray:
-    """d/dtheta of A_n^m from the reduced rows, finite at the poles.
-
-    sin(theta) dA/dtheta = n t A_n - e_nm A_{n-1} divided by sin(theta)
-    turns into n t B_n - e_nm B_{n-1}.
-    """
-    out = np.empty_like(brows)
-    out[0] = m * ct * brows[0]
-    for n in range(m + 1, n_max + 1):
-        e = math.sqrt((n * n - m * m) * (2 * n + 1) / (2 * n - 1))
-        out[n - m] = n * ct * brows[n - m] - e * brows[n - m - 1]
-    return out
-
-
-def _m0_theta_rows(n_max: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """d/dtheta of A_n^0 = -sin(theta) sqrt((2n+1)/4pi) P_n'(t), all degrees."""
-    _, dp, _ = legendre_all(n_max, ct)
-    norm = np.sqrt(np.arange(1, 2 * n_max + 2, 2) / (4.0 * math.pi))
-    return -st * norm[:, None] * dp
-
-
-def _m0_value_rows(n_max: int, ct: np.ndarray) -> np.ndarray:
-    """A_n^0 = sqrt((2n+1)/4pi) P_n(t), all degrees."""
-    p, _, _ = legendre_all(n_max, ct)
-    norm = np.sqrt(np.arange(1, 2 * n_max + 2, 2) / (4.0 * math.pi))
-    return norm[:, None] * p
-
-
-# ---------------------------------------------------------------------------
 # basis functions
 
 
@@ -247,13 +199,9 @@ def vsh(i: int, n: int, k: int, xi) -> np.ndarray:
         raise ValueError("degree n must be >= 0")
     if not (1 <= k <= 2 * n + 1):
         raise ValueError(f"order k={k} outside 1..{2 * n + 1}")
-    xi = np.asarray(xi, dtype=float)
-    scalar_input = xi.ndim == 1
     single = VectorCoefficients(1.0, n)
     single.set_coeff(i, n, k, 1.0)
-    pts = xi[None, :] if scalar_input else xi
-    out = _vector_synthesize_points(single, pts)
-    return out[0] if scalar_input else out
+    return vector_synthesize(single, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -264,147 +212,47 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     """Cartesian field values at unit directions, a SphereGrid, or a CapGrid.
 
     Returns one 3-vector per point (shape (3,) for a single direction).
-    Product grids in the global frame use the separated path.
+    Runs the per-order Legendre engine of the harmonics module on three
+    channels at once: the radial, colatitude and azimuth components of each
+    order come from one matrix product of the coefficients with that
+    order's reduced Legendre rows, and product grids in the global frame
+    sum the orders with one azimuth matrix product.
     """
-    if isinstance(points, SphereGrid):
-        return _vector_synthesize_product(coeffs, points.ct, points.phis)
-    if isinstance(points, CapGrid):
-        if np.allclose(points.rotation, np.eye(3), atol=1e-14):
-            return _vector_synthesize_product(coeffs, points.t_nodes, points.phis)
-        return _vector_synthesize_points(coeffs, points.nodes)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        return _vector_synthesize_points(coeffs, pts[None, :])[0]
-    return _vector_synthesize_points(coeffs, pts)
-
-
-def _channel_views(coeffs: VectorCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """(c1, c2n) with c2n the type-2 data rescaled by 1/sqrt(n(n+1)).
-
-    Both come back in the scalar flat layout (degree-0 slot of c2n is zero)
-    so the synthesis loops can index them uniformly.
-    """
-    n_max = coeffs.n_max
-    size = (n_max + 1) ** 2
-    c1 = coeffs.data[:size]
-    c2n = np.zeros(size)
-    c2n[1:] = coeffs.data[size:]
-    for n in range(1, n_max + 1):
-        c2n[n * n : (n + 1) * (n + 1)] /= math.sqrt(n * (n + 1.0))
-    return c1, c2n
-
-
-def _vector_synthesize_product(coeffs: VectorCoefficients, ct: np.ndarray,
-                               phis: np.ndarray) -> np.ndarray:
-    """Values on the product grid, flattened colatitude-major, shape (n, 3)."""
-    n_max = coeffs.n_max
-    inv_r = 1.0 / coeffs.radius
-    ct = np.asarray(ct, dtype=float)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    c1, c2n = _channel_views(coeffs)
-
-    f_r = np.zeros((ct.size, phis.size))
-    f_t = np.zeros_like(f_r)
-    f_p = np.zeros_like(f_r)
-
-    rows0 = _m0_value_rows(n_max, ct)
-    drows0 = _m0_theta_rows(n_max, ct, st)
-    g_r = np.zeros(ct.size)
-    g_t = np.zeros(ct.size)
-    for n in range(n_max + 1):
-        g_r += c1[n * n] * rows0[n]
-        g_t += c2n[n * n] * drows0[n]
-    f_r += g_r[:, None]
-    f_t += g_t[:, None]
-
-    for m in range(1, n_max + 1):
-        brows = _b_columns(n_max, m, ct, st)
-        drows = _theta_derivative_from_b(n_max, m, ct, brows)
-        gr_c = np.zeros(ct.size)
-        gr_s = np.zeros(ct.size)
-        gt_c = np.zeros(ct.size)
-        gt_s = np.zeros(ct.size)
-        gp_c = np.zeros(ct.size)
-        gp_s = np.zeros(ct.size)
-        for n in range(m, n_max + 1):
-            base = n * n
-            arow = st * brows[n - m]
-            gr_c += c1[base + m] * arow
-            gr_s += c1[base + n + m] * arow
-            gt_c += c2n[base + m] * drows[n - m]
-            gt_s += c2n[base + n + m] * drows[n - m]
-            gp_c += c2n[base + m] * m * brows[n - m]
-            gp_s += c2n[base + n + m] * m * brows[n - m]
-        cos_m = np.cos(m * phis)
-        sin_m = np.sin(m * phis)
-        f_r += _SQRT2 * (np.outer(gr_c, cos_m) + np.outer(gr_s, sin_m))
-        f_t += _SQRT2 * (np.outer(gt_c, cos_m) + np.outer(gt_s, sin_m))
-        # d/dphi swaps the azimuth factors: cos-type picks -sin, sin-type +cos
-        f_p += _SQRT2 * (np.outer(gp_s, cos_m) - np.outer(gp_c, sin_m))
-
-    cp = np.cos(phis)
-    sp = np.sin(phis)
-    horiz = f_r * st[:, None] + f_t * ct[:, None]
-    out = np.empty((ct.size * phis.size, 3))
-    out[:, 0] = (horiz * cp[None, :] - f_p * sp[None, :]).ravel()
-    out[:, 1] = (horiz * sp[None, :] + f_p * cp[None, :]).ravel()
-    out[:, 2] = (f_r * ct[:, None] - f_t * st[:, None]).ravel()
-    return inv_r * out
-
-
-def _vector_synthesize_points(coeffs: VectorCoefficients,
-                              points: np.ndarray) -> np.ndarray:
-    """Direct evaluation at arbitrary unit directions, shape (n, 3)."""
-    pts = points.reshape(-1, 3)
-    ct, st, cp, sp = _direction_angles(pts)
-    n_max = coeffs.n_max
-    c1, c2n = _channel_views(coeffs)
-
-    f_r = np.zeros(ct.shape)
-    f_t = np.zeros(ct.shape)
-    f_p = np.zeros(ct.shape)
-
-    rows0 = _m0_value_rows(n_max, ct)
-    drows0 = _m0_theta_rows(n_max, ct, st)
-    for n in range(n_max + 1):
-        f_r += c1[n * n] * rows0[n]
-        f_t += c2n[n * n] * drows0[n]
-
-    cos_m = cp.copy()
-    sin_m = sp.copy()
-    bmm = np.full(ct.shape, _B11)
-    for m in range(1, n_max + 1):
-        brows = _alf_column(n_max, m, ct, bmm)
-        drows = _theta_derivative_from_b(n_max, m, ct, brows)
-        gr_c = np.zeros_like(ct)
-        gr_s = np.zeros_like(ct)
-        gt_c = np.zeros_like(ct)
-        gt_s = np.zeros_like(ct)
-        gp_c = np.zeros_like(ct)
-        gp_s = np.zeros_like(ct)
-        for n in range(m, n_max + 1):
-            base = n * n
-            arow = st * brows[n - m]
-            gr_c += c1[base + m] * arow
-            gr_s += c1[base + n + m] * arow
-            gt_c += c2n[base + m] * drows[n - m]
-            gt_s += c2n[base + n + m] * drows[n - m]
-            gp_c += c2n[base + m] * m * brows[n - m]
-            gp_s += c2n[base + n + m] * m * brows[n - m]
-        f_r += _SQRT2 * (gr_c * cos_m + gr_s * sin_m)
-        f_t += _SQRT2 * (gt_c * cos_m + gt_s * sin_m)
-        f_p += _SQRT2 * (gp_s * cos_m - gp_c * sin_m)
-        if m < n_max:
-            bmm = _alf_next_diagonal(m, st, bmm)
-            cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
-
+    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_orders, coeffs, points)
     horiz = f_r * st + f_t * ct
-    out = np.empty((ct.size, 3))
-    out[:, 0] = horiz * cp - f_p * sp
-    out[:, 1] = horiz * sp + f_p * cp
-    out[:, 2] = f_r * ct - f_t * st
-    out /= coeffs.radius
-    return out.reshape(points.shape[:-1] + (3,)) if points.ndim > 2 else out
+    out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
+                    f_r * ct - f_t * st], axis=-1)
+    return np.reshape(out / coeffs.radius, _leading_shape(points) + (3,))
+
+
+def _vector_orders(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
+    """Per-order (radial, colatitude, azimuth) amplitudes for _synthesis.
+
+    The m = 0 colatitude channel needs the B_n^1 rows, so order 0 is
+    yielded once order 1 has been seen.
+    """
+    n_max = coeffs.n_max
+    c1, c2 = coeffs.channel(1), coeffs.channel(2)
+    zero = np.zeros_like(ct)
+    for m, rows in _legendre_orders(n_max, ct, st):
+        n, cos_i, sin_i = _order_index(n_max, m)
+        if m == 0:
+            radial = c1[cos_i] @ rows
+            if n_max == 0:
+                yield 0, np.stack([radial, zero, zero]), np.zeros((3,) + ct.shape)
+            continue
+        # d @ dA/dtheta = t (n d) @ B - (e d shifted one degree down) @ B
+        d = c2[np.stack([cos_i, sin_i])] / np.sqrt(n * (n + 1.0))
+        down = np.zeros_like(d)
+        down[:, :-1] = (_theta_factor(n, m) * d)[:, 1:]
+        stack = [c1[cos_i], c1[sin_i], n * d[0], n * d[1], down[0], down[1], d[0], d[1]]
+        if m == 1:
+            stack.append(c2[cos_i - 1])  # order-0 type-2 coefficients, n >= 1
+        p = np.stack(stack) @ rows
+        if m == 1:
+            yield 0, np.stack([radial, -st * p[8], zero]), np.zeros((3,) + ct.shape)
+        yield m, _SQRT2 * np.stack([st * p[0], ct * p[2] - p[4], m * p[7]]), \
+            _SQRT2 * np.stack([st * p[1], ct * p[3] - p[5], -m * p[6]])
 
 
 def vector_analyze(samples: np.ndarray, grid: SphereGrid,
@@ -414,6 +262,9 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     Requires grid.exact_degree >= 2 n_max + 2: basis components carry one
     polynomial degree more than the scalar harmonics, so products of a
     degree-n_max field with any basis function reach degree 2 n_max + 2.
+    The transpose of vector_synthesize on the grid: azimuth sums of the
+    three spherical components, then one product per order with the
+    reduced Legendre rows.
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("vector_analyze needs samples on a SphereGrid")
@@ -424,49 +275,40 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     values = np.asarray(samples, dtype=float)
     if values.shape != (grid.n_nodes, 3):
         raise ValueError("samples must be one 3-vector per grid node")
-    n_theta = grid.ct.size
-    n_phi = grid.phis.size
     ct = grid.ct
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     cp = np.cos(grid.phis)
     sp = np.sin(grid.phis)
 
-    vx = values[:, 0].reshape(n_theta, n_phi)
-    vy = values[:, 1].reshape(n_theta, n_phi)
-    vz = values[:, 2].reshape(n_theta, n_phi)
+    vx, vy, vz = values.T.reshape(3, ct.size, grid.phis.size)
     f_r = vx * np.outer(st, cp) + vy * np.outer(st, sp) + vz * ct[:, None]
     f_t = vx * np.outer(ct, cp) + vy * np.outer(ct, sp) - vz * st[:, None]
     f_p = -vx * sp[None, :] + vy * cp[None, :]
+    (rc, tc, pc), (rs, ts, ps) = _azimuth_sums(np.stack([f_r, f_t, f_p]), grid, n_max)
 
-    out = VectorCoefficients(grid.radius, n_max)
-    out.data[: (n_max + 1) ** 2] = analyze(f_r.ravel(), grid, n_max).data
-
-    mphi = np.outer(np.arange(n_max + 1), grid.phis)
-    cosT = np.cos(mphi).T
-    sinT = np.sin(mphi).T
-    tc_th = f_t @ cosT
-    ts_th = f_t @ sinT
-    tc_ph = f_p @ cosT
-    ts_ph = f_p @ sinT
-
-    azw = 2.0 * np.pi / n_phi
-    wt = grid.ct_weights * azw * grid.radius
-
-    drows0 = _m0_theta_rows(n_max, ct, st)
-    for n in range(1, n_max + 1):
-        scale = 1.0 / math.sqrt(n * (n + 1.0))
-        out.set_coeff(2, n, 1, scale * float((wt * drows0[n]) @ tc_th[:, 0]))
-
-    for m in range(1, n_max + 1):
-        brows = _b_columns(n_max, m, ct, st)
-        drows = _theta_derivative_from_b(n_max, m, ct, brows)
-        for n in range(max(m, 1), n_max + 1):
-            scale = _SQRT2 / math.sqrt(n * (n + 1.0))
-            wd = wt * drows[n - m]
-            wb = wt * m * brows[n - m]
-            out.set_coeff(2, n, 1 + m, scale * float(wd @ tc_th[:, m] - wb @ ts_ph[:, m]))
-            out.set_coeff(2, n, 1 + n + m, scale * float(wd @ ts_th[:, m] + wb @ tc_ph[:, m]))
-    return out
+    c1 = np.empty((n_max + 1) ** 2)
+    c2 = np.zeros_like(c1)
+    for m, rows in _legendre_orders(n_max, ct, st):
+        n, cos_i, sin_i = _order_index(n_max, m)
+        if m == 0:
+            c1[cos_i] = rows @ rc[:, 0]
+            continue
+        cols = [st * rc[:, m], st * rs[:, m], ct * tc[:, m], ct * ts[:, m],
+                tc[:, m], ts[:, m], ps[:, m], pc[:, m]]
+        if m == 1:
+            cols.append(st * tc[:, 0])
+        q = rows @ np.stack(cols, axis=1)
+        # transpose of the shift in _vector_orders: degree n reads row n - 1
+        below = np.zeros((q.shape[0], 2))
+        below[1:] = q[:-1, 4:6]
+        below *= _theta_factor(n, m)[:, None]
+        scale = _SQRT2 / np.sqrt(n * (n + 1.0))
+        c1[cos_i], c1[sin_i] = _SQRT2 * q[:, 0], _SQRT2 * q[:, 1]
+        c2[cos_i] = scale * (n * q[:, 2] - below[:, 0] - m * q[:, 6])
+        c2[sin_i] = scale * (n * q[:, 3] - below[:, 1] + m * q[:, 7])
+        if m == 1:
+            c2[cos_i - 1] = -q[:, 8]
+    return VectorCoefficients(grid.radius, n_max, np.concatenate([c1, c2[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +503,6 @@ def _scaling_spectral(pair: TensorKernelPair,
     return f1.scaled_by_degree(factors, radius=g.r)
 
 
-def _as_directions(points) -> np.ndarray:
-    if isinstance(points, (CapGrid, SphereGrid)):
-        return points.nodes
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
-
-
 def vector_wavelet_transform_local(pair: TensorKernelPair,
                                    f2: VectorCoefficients, x,
                                    region: RegionSpec, *,
@@ -815,47 +648,14 @@ def load_vector_coefficients(path) -> VectorCoefficients:
     Missing (i, n, k) entries default to zero; malformed lines are reported
     with their line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{path}: empty coefficient file")
-    header = lines[0].strip()
-    fields = dict()
-    if not header.startswith("#"):
-        raise ValueError(
-            f"{path}: line 1: missing `# radius_km=... n_max=... channels=2` header"
-        )
-    for token in header[1:].split():
-        if "=" not in token:
-            raise ValueError(f"{path}: line 1: bad header token {token!r}")
-        key, _, val = token.partition("=")
-        fields[key] = val
-    try:
-        radius = float(fields["radius_km"])
-        n_max = int(fields["n_max"])
-        channels = int(fields["channels"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(
-            f"{path}: line 1: header needs radius_km, n_max and channels"
-        ) from exc
+    radius, (n_max, channels), rows = _read_coefficient_file(
+        path, "# radius_km=... n_max=... channels=2", ("n_max", "channels"),
+        ("i", "n", "k", "value"))
     if channels != 2:
         raise ValueError(f"{path}: line 1: expected channels=2, got {channels}")
 
     out = VectorCoefficients(radius, n_max)
-    for idx, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {idx}: expected `i n k value`")
-        try:
-            i = int(parts[0])
-            n = int(parts[1])
-            k = int(parts[2])
-            value = float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {idx}: unparsable entry") from exc
+    for idx, (i, n, k), value in rows:
         try:
             out.set_coeff(i, n, k, value)
         except ValueError as exc:

@@ -154,6 +154,19 @@ class TestGrids:
         fs = synthesize(c, sg)
         assert g.integrate(f * f) == pytest.approx(sg.integrate(fs * fs), rel=1e-9)
 
+    def test_cap_rule_needs_only_e_plus_one_azimuths(self):
+        # a degree-E product has azimuthal modes |m| <= E in the cap frame
+        center = np.array([0.3, -0.6, 0.74])
+        center /= np.linalg.norm(center)
+        E = 12
+        g = cap_grid(1.0, center, 0.9, E)
+        fine = cap_grid(1.0, center, 0.9, 2 * E)
+        assert g.n_nodes == ((E + 2) // 2) * (E + 1)
+        for a, ka, kb in ((5, 4, 12), (0, 1, 24), (9, 17, 3)):
+            def product_integral(grid):
+                return grid.integrate(ynk(a, ka, grid.nodes) * ynk(E - a, kb, grid.nodes))
+            assert product_integral(g) == pytest.approx(product_integral(fine), abs=1e-13)
+
     def test_cap_rho_bounds(self):
         with pytest.raises(ValueError):
             cap_grid(1.0, [0, 0, 1], 0.0, 5)
