@@ -1,4 +1,4 @@
-"""Property-based invariants of scalar and vector synthesis and analysis.
+"""Property-based invariants of synthesis, analysis and the estimator.
 
 Each property holds for every bandlimited field, so hypothesis draws the
 degree, radius, coefficients (through an RNG seed) and geometry.
@@ -16,7 +16,11 @@ from capwave.harmonics import (
     cap_grid,
     sphere_grid,
     synthesize,
+    ynk,
 )
+from capwave.kernels import Geometry, PenaltyWeights, optimize
+from capwave.legendre import gauss_rule, legendre_all
+from capwave.transforms import RegionSpec, approximate_coefficients
 from capwave.vector_field import VectorCoefficients, vector_analyze, vector_synthesize
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -134,3 +138,86 @@ class TestParseval:
         g = vector_synthesize(v, vgrid)
         assert math.isclose(math.sqrt(vgrid.integrate(np.einsum("ij,ij->i", g, g))),
                             v.l2_norm(), rel_tol=1e-11)
+
+
+def random_weights(geometry, seed):
+    """Log-uniform weights: fidelity in [1e-2, 1e3], beta in [1e-3, 1e2]."""
+    rng = np.random.default_rng(seed)
+    return PenaltyWeights(10.0 ** rng.uniform(-2.0, 3.0, geometry.N + 1),
+                          10.0 ** rng.uniform(-2.0, 3.0, geometry.kN + 1),
+                          10.0 ** rng.uniform(-3.0, 2.0))
+
+
+@st.composite
+def geometries(draw):
+    """Small geometries of either case with kN = N + extra > N."""
+    N = draw(st.integers(1, 12))
+    extra = draw(st.integers(1, N))
+    return Geometry(1.0, 1.1, N, kappa=(N + extra + 0.5) / N,
+                    rho=draw(st.floats(0.05, 1.5)),
+                    case=draw(st.sampled_from(["scalar", "vector"])))
+
+
+class TestApproximationLinearity:
+    @PROPERTY
+    @given(n_max=st.integers(0, 14), seed=seeds, a=st.floats(-3.0, 3.0),
+           b=st.floats(-3.0, 3.0))
+    def test_linear_in_both_data_sets(self, n_max, seed, a, b):
+        g = Geometry(1.0, 1.1, 6, kappa=1.5, rho=0.5)
+        pair = optimize(g, random_weights(g, seed))
+        region = RegionSpec((0.0, 0.0, 1.0), 1.0, 0.5)
+        f1, g1 = scalar_field(g.R, n_max, seed), scalar_field(g.R, n_max, seed + 1)
+        f2, g2 = scalar_field(g.r, n_max, seed + 2), scalar_field(g.r, n_max, seed + 3)
+
+        def mix(u, v):
+            return HarmonicCoefficients(u.radius, n_max, a * u.data + b * v.data)
+
+        first = approximate_coefficients(pair, f1, f2, region)
+        second = approximate_coefficients(pair, g1, g2, region)
+        combined = approximate_coefficients(pair, mix(f1, g1), mix(f2, g2), region)
+        scale = abs(a) * first.l2_norm() + abs(b) * second.l2_norm()
+        np.testing.assert_allclose(combined.data, a * first.data + b * second.data,
+                                   rtol=0.0, atol=1e-12 * max(scale, 1e-300))
+
+
+class TestCouplingIdentity:
+    @PROPERTY
+    @given(geometry=geometries(), seed=seeds)
+    def test_optimized_pair(self, geometry, seed):
+        pair = optimize(geometry, random_weights(geometry, seed))
+        N = geometry.N
+        expected = pair.phi_tilde.values.copy()
+        expected[: N + 1] -= pair.phi.values * geometry.sigmas(N)
+        np.testing.assert_allclose(
+            pair.psi_tilde.values, expected, rtol=0.0,
+            atol=1e-12 * max(1.0, float(np.max(np.abs(pair.phi_tilde.values)))))
+
+
+class TestZonalCapIntegral:
+    # a_n P_n(c.x) has coefficients radius a_n 4 pi / (2n+1) Y_{n,k}(c) by
+    # the addition theorem; its integral over the cap about c is
+    # 2 pi radius^2 sum_n a_n times the integral of P_n over [1 - rho, 1]
+    @PROPERTY
+    @given(n_max=st.integers(0, 10), seed=seeds, center=centers(),
+           cap_rho=st.floats(0.05, 2.0), radius=radii)
+    def test_independent_of_centre(self, n_max, seed, center, cap_rho, radius):
+        a = np.random.default_rng(seed).standard_normal(n_max + 1)
+        moved = HarmonicCoefficients(radius, n_max)
+        polar = HarmonicCoefficients(radius, n_max)
+        for n in range(n_max + 1):
+            factor = radius * a[n] * 4.0 * math.pi / (2 * n + 1)
+            moved.degree_slice(n)[:] = [factor * ynk(n, k, center)
+                                        for k in range(1, 2 * n + 2)]
+            polar.set_coeff(n, 1, factor * math.sqrt((2 * n + 1) / (4.0 * math.pi)))
+
+        def cap_integral(coeffs, c):
+            grid = cap_grid(radius, c, cap_rho, n_max)
+            return grid.integrate(synthesize(coeffs, grid))
+
+        t, w = gauss_rule(n_max // 2 + 1, 1.0 - cap_rho, 1.0)
+        p, _, _ = legendre_all(n_max, t)
+        exact = 2.0 * math.pi * radius**2 * float(a @ (p @ w))
+        tol = 1e-12 * 4.0 * math.pi * radius**2 * float(np.sum(np.abs(a)))
+        at_centre = cap_integral(moved, center)
+        assert abs(at_centre - cap_integral(polar, np.array([0.0, 0.0, 1.0]))) <= tol
+        assert abs(at_centre - exact) <= tol
