@@ -25,8 +25,7 @@ from .harmonics import save_coefficients
 from .kernels import (
     NumericalFailure,
     PenaltyWeights,
-    gram_scalar,
-    gram_vector,
+    _gram_for,
     optimize,
     save_pair_csv,
     shannon_pair,
@@ -167,8 +166,7 @@ def _require_scalar(config: ExperimentConfig, command: str) -> None:
 
 def _cmd_gram(config: ExperimentConfig) -> int:
     geometry = config.geometry
-    builder = gram_scalar if config.case == "scalar" else gram_vector
-    gram = builder(geometry.kN, geometry.rho)
+    gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
     with open(config.out, "w", encoding="ascii", newline="") as fh:
         fh.write("n,m,value\n")
         for n in range(gram.n_max + 1):

@@ -15,6 +15,13 @@ sweep lists permutes nothing; rows always come out sorted by their numeric
 coordinates and the written CSV is byte-identical across runs. Wall-clock
 timings are kept on the in-memory rows for diagnostics but never written to
 the file, since they would break that guarantee.
+
+Everything that depends only on the run is built once: the cap-exterior
+Gram, each method's kernel pair, localization ratio and wavelet multipliers,
+and the Legendre rows of the evaluation grid. A row's wall_time_s therefore
+times only its own assembly and scoring. Each candidate still goes through
+the same per-order products as synthesize, so the errors, bit for bit, do
+not depend on this reuse.
 """
 
 from __future__ import annotations
@@ -26,7 +33,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .harmonics import HarmonicCoefficients, load_coefficients, synthesize
+from .harmonics import (
+    HarmonicCoefficients,
+    _grid_synthesis,
+    load_coefficients,
+    synthesize,
+)
 from .kernels import (
     Geometry,
     GramMatrix,
@@ -42,9 +54,10 @@ from .kernels import (
 from .transforms import (
     NoiseSpec,
     RegionSpec,
+    _assemble,
     add_noise,
-    approximate_coefficients,
     upward_continue,
+    wavelet_multipliers,
 )
 from .vector_field import VectorCoefficients, load_vector_coefficients
 
@@ -286,45 +299,65 @@ class _Method:
     pair: KernelPair | None
     localization: float | None
     status: str
+    # wavelet_multipliers(pair, kernel_rho, n) for the run's data degree n
+    multipliers: np.ndarray | None = None
 
 
-def _optimized_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
+def _run_gram(geometry: Geometry) -> GramMatrix:
+    """The cap-exterior Gram shared by every method of a run."""
     if geometry.rho >= 2.0:
         # Full-sphere cap: the exterior [-1, 1-rho] is empty, the
         # localization penalty vanishes and the optimizer decouples.
         size = geometry.kN + 1
-        gram = GramMatrix(geometry.kN, geometry.rho, geometry.case,
+        return GramMatrix(geometry.kN, geometry.rho, geometry.case,
                           np.zeros((size, size)))
-    else:
-        gram = gram_scalar(geometry.kN, geometry.rho)
+    return gram_scalar(geometry.kN, geometry.rho)
+
+
+def _scored_method(tag: str, pair: KernelPair, gram: GramMatrix,
+                   region: RegionSpec, degree: int, **weights) -> _Method:
+    g = pair.geometry
+    return _Method(tag, pair=pair, status="ok",
+                   localization=localization_ratio(pair.psi_tilde, g.rho, g, gram),
+                   multipliers=wavelet_multipliers(pair, region.kernel_rho, degree),
+                   **weights)
+
+
+def _optimized_methods(config: ExperimentConfig, geometry: Geometry,
+                       gram: GramMatrix, degree: int) -> list[_Method]:
     out = []
     for beta in config.beta:
         for alpha_tilde in config.alpha_tilde:
             for ratio in config.alpha_ratio:
+                weights = dict(beta=beta, alpha_tilde=alpha_tilde, alpha_ratio=ratio)
                 w = PenaltyWeights.uniform(
                     geometry, alpha_tilde / ratio, alpha_tilde, beta)
                 try:
                     pair = optimize(geometry, w, gram=gram)
-                    loc = localization_ratio(pair.psi_tilde, geometry.rho, geometry)
-                    out.append(_Method("optimized", beta, alpha_tilde, ratio,
-                                       pair, loc, "ok"))
                 except NumericalFailure as exc:
-                    out.append(_Method("optimized", beta, alpha_tilde, ratio,
-                                       None, None, f"numerical-failure: {exc}"))
+                    out.append(_Method("optimized", pair=None, localization=None,
+                                       status=f"numerical-failure: {exc}", **weights))
+                    continue
+                out.append(_scored_method("optimized", pair, gram, config.region,
+                                          degree, **weights))
     return out
 
 
-def _shannon_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
-    out = []
-    for M in config.shannon_degrees:
-        pair = shannon_reference_pair(geometry, M)
-        loc = localization_ratio(pair.psi_tilde, geometry.rho, geometry)
-        out.append(_Method(f"shannon-{M}", None, None, None, pair, loc, "ok"))
-    return out
+def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
+                     gram: GramMatrix, degree: int) -> list[_Method]:
+    return [_scored_method(f"shannon-{M}", shannon_reference_pair(geometry, M),
+                           gram, config.region, degree,
+                           beta=None, alpha_tilde=None, alpha_ratio=None)
+            for M in config.shannon_degrees]
 
 
 class _ErrorMeter:
-    """Shared evaluation grid: truth synthesized once, error per candidate."""
+    """Shared evaluation grid: truth synthesized once, error per candidate.
+
+    Candidates are synthesized through _grid_synthesis, which on a polar
+    evaluation cap keeps the Legendre rows of every order for the run's
+    degree; each error is the same arithmetic as relative_error.
+    """
 
     def __init__(self, model, region: RegionSpec, radius: float, max_degree: int):
         self.grid = region.eval_grid(radius, 2 * max_degree)
@@ -333,9 +366,10 @@ class _ErrorMeter:
         if den <= 0.0 or not np.isfinite(den):
             raise ValueError("model field vanishes on the evaluation region")
         self.den = den
+        self.synthesize = _grid_synthesis(self.grid, max_degree)
 
     def error(self, candidate: HarmonicCoefficients) -> float:
-        diff = synthesize(candidate, self.grid) - self.truth
+        diff = self.synthesize(candidate) - self.truth
         return math.sqrt(self.grid.integrate(diff * diff) / self.den)
 
 
@@ -361,9 +395,11 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     region = config.region
     model = build_model(config)
     f1_clean = upward_continue(model, geometry.R)
-    methods = _optimized_methods(config, geometry) + _shannon_methods(config, geometry)
-    meter = _ErrorMeter(model, region, geometry.r,
-                        max(model.n_max, config.noise_degree))
+    degree = max(model.n_max, config.noise_degree)
+    gram = _run_gram(geometry)
+    methods = (_optimized_methods(config, geometry, gram, degree)
+               + _shannon_methods(config, geometry, gram, degree))
+    meter = _ErrorMeter(model, region, geometry.r, degree)
 
     common = dict(case=config.case, rho=geometry.rho,
                   region_rho=config.region_rho,
@@ -381,8 +417,11 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
                     err, status = None, m.status
                     if m.pair is not None:
                         try:
-                            u = approximate_coefficients(m.pair, f1, f2, region)
-                            err = meter.error(u)
+                            lam = m.multipliers
+                            if lam.size != f2.n_max + 1:  # noise-free ground data
+                                lam = wavelet_multipliers(m.pair, region.kernel_rho,
+                                                          f2.n_max)
+                            err = meter.error(_assemble(m.pair, f1, f2, lam))
                         except (ValueError, NumericalFailure) as exc:
                             status = f"evaluation-failure: {exc}"
                     rows.append(ResultRow(

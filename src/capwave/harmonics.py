@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -348,23 +349,31 @@ def _azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(mphi), np.sin(mphi)
 
 
-def _synthesis(orders, coeffs, points):
+def _product_axes(points):
+    """(colatitude cosines, azimuths) of a grid with product structure in
+    the global frame (sphere grids, polar caps), or None."""
+    if isinstance(points, SphereGrid):
+        return points.ct, points.phis
+    if isinstance(points, CapGrid) and np.allclose(points.rotation, np.eye(3), atol=1e-14):
+        return points.t_nodes, points.phis
+    return None
+
+
+def _synthesis(orders, coeffs, points, azimuth=None):
     """Sum per-order amplitudes over azimuth, on a product grid or at points.
 
     orders(coeffs, ct, st) yields (m, a_m, b_m) for m = 0..coeffs.n_max in
     turn, amplitudes with a last axis over the colatitudes, and the field is
     sum_m a_m cos(m phi) + b_m sin(m phi). A grid with product structure in
     the global frame needs the amplitudes only on its colatitude axis and
-    sums them with one matrix product; at other points the azimuth factors
-    advance order by order. Returns the values (last axes over the grid's
-    colatitudes and azimuths, or over the points) and (ct, st, cos phi,
-    sin phi) broadcastable against them.
+    sums them with one matrix product against the azimuth factors (built
+    here unless given as _azimuth(coeffs.n_max, phis)); at other points the
+    azimuth factors advance order by order. Returns the values (last axes
+    over the grid's colatitudes and azimuths, or over the points) and (ct,
+    st, cos phi, sin phi) broadcastable against them.
     """
-    if isinstance(points, SphereGrid):
-        ct, phis = points.ct, points.phis
-    elif isinstance(points, CapGrid) and np.allclose(points.rotation, np.eye(3), atol=1e-14):
-        ct, phis = points.t_nodes, points.phis
-    else:
+    axes = _product_axes(points)
+    if axes is None:
         ct, st, cp, sp = _direction_angles(_as_directions(points).reshape(-1, 3))
         vals = 0.0
         cos_m, sin_m = np.ones_like(ct), np.zeros_like(ct)
@@ -372,23 +381,41 @@ def _synthesis(orders, coeffs, points):
             vals = vals + a * cos_m + b * sin_m
             cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
         return vals, (ct, st, cp, sp)
+    ct, phis = axes
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     _, a, b = zip(*orders(coeffs, ct, st))
-    cos_m, sin_m = _azimuth(coeffs.n_max, phis)
+    cos_m, sin_m = _azimuth(coeffs.n_max, phis) if azimuth is None else azimuth
     vals = np.stack(a, axis=-1) @ cos_m + np.stack(b, axis=-1) @ sin_m
     return vals, (ct[:, None], st[:, None], np.cos(phis), np.sin(phis))
 
 
-def _scalar_orders(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray):
-    """Per-order amplitudes of a scalar field for _synthesis."""
+@functools.lru_cache(maxsize=512)
+def _scalar_index(n_max: int, m: int) -> np.ndarray:
+    """Flat indices of the order-m coefficients of a degree-n_max field: the
+    cos-type ones for m = 0, cos-type over sin-type for m >= 1. Every
+    synthesis of that degree asks for the same ones, so they are memoized
+    and read-only."""
+    _, cos_i, sin_i = _order_index(n_max, m)
+    index = cos_i if m == 0 else np.stack([cos_i, sin_i])
+    index.flags.writeable = False
+    return index
+
+
+def _scalar_orders(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
+                   table=None):
+    """Per-order amplitudes of a scalar field for _synthesis.
+
+    table, when given, holds the (m, rows) pairs that _legendre_orders
+    yields for coeffs.n_max at ct, read instead of running the recurrence.
+    """
     data = coeffs.data
-    for m, rows in _legendre_orders(coeffs.n_max, ct, st):
-        _, cos_i, sin_i = _order_index(coeffs.n_max, m)
+    for m, rows in _legendre_orders(coeffs.n_max, ct, st) if table is None else table:
+        index = _scalar_index(coeffs.n_max, m)
         if m == 0:
-            a = data[cos_i] @ rows
+            a = data[index] @ rows
             yield 0, a, np.zeros_like(a)
         else:
-            a, b = _SQRT2 * st * (data[np.stack([cos_i, sin_i])] @ rows)
+            a, b = _SQRT2 * st * (data[index] @ rows)
             yield m, a, b
 
 
@@ -433,6 +460,36 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     vals, _ = _synthesis(_scalar_orders, coeffs, points)
     out = np.reshape(vals / coeffs.radius, _leading_shape(points))
     return float(out) if out.ndim == 0 else out
+
+
+def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
+    """synthesize on one grid for many fields, with the order table built once.
+
+    Returns a function of the coefficients that gives synthesize(coeffs,
+    grid) bit for bit. On a grid with product structure in the global
+    frame, the Legendre rows of every order (on the colatitude axis only)
+    and the azimuth factors are built here for degree n_max, and a field of
+    that degree runs the same per-order products as synthesize on them. Rotated caps would need rows at every node, so on
+    those, and for fields of another degree, the function calls synthesize.
+    """
+    axes = _product_axes(grid)
+    if axes is None:
+        return lambda coeffs: synthesize(coeffs, grid)
+    ct, phis = axes
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    table = tuple(_legendre_orders(n_max, ct, st))
+    azimuth = _azimuth(n_max, phis)
+
+    def stored_orders(coeffs, ct, st):
+        return _scalar_orders(coeffs, ct, st, table)
+
+    def run(coeffs: HarmonicCoefficients) -> np.ndarray:
+        if coeffs.n_max != n_max:
+            return synthesize(coeffs, grid)
+        vals, _ = _synthesis(stored_orders, coeffs, grid, azimuth)
+        return np.reshape(vals / coeffs.radius, (grid.n_nodes,))
+
+    return run
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoefficients:

@@ -264,9 +264,10 @@ def gram_vector(n_max: int, rho: float) -> GramMatrix:
     return GramMatrix(n_max, rho, "vector", g)
 
 
-def _gram_for(geometry: Geometry) -> GramMatrix:
-    builder = gram_scalar if geometry.case == "scalar" else gram_vector
-    return builder(geometry.kN, geometry.rho)
+def _gram_for(case: str, n_max: int, rho: float) -> GramMatrix:
+    """The Gram builder of the field case: gram_scalar or gram_vector."""
+    builder = gram_scalar if case == "scalar" else gram_vector
+    return builder(n_max, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     silently regularized.
     """
     if gram is None:
-        gram = _gram_for(geometry)
+        gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
     n_x = geometry.N + 1
     n_y = geometry.kN + 1
     probe = KernelPair(geometry, SymbolSet.zeros(geometry.N),
@@ -474,19 +475,26 @@ def kernel_eval(symbols: SymbolSet, t) -> float | np.ndarray:
     return float(acc[0]) if scalar_input else acc
 
 
-def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry) -> float:
+def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry,
+                       gram: GramMatrix | None = None) -> float:
     """Fraction of the wavelet kernel's energy lying outside the cap.
 
     Ratio of the squared L2 norm of the kernel profile over [-1, 1-rho] to
     the squared norm over the whole interval; near 0 for a well-localized
-    kernel, near 1 as rho shrinks to nothing.
+    kernel, near 1 as rho shrinks to nothing. gram, when given, must be the
+    Gram matrix of the geometry's case for psi_tilde's degree and rho; it
+    saves rebuilding the same matrix for many symbol sets.
     """
     if not np.any(psi_tilde.values):
         raise ValueError("localization ratio of an all-zero symbol set is undefined")
     if rho >= 2.0:
         return 0.0
-    builder = gram_scalar if geometry.case == "scalar" else gram_vector
-    gram = builder(psi_tilde.n_max, rho)
+    if gram is None:
+        gram = _gram_for(geometry.case, psi_tilde.n_max, rho)
+    elif (gram.n_max, gram.rho, gram.case) != (psi_tilde.n_max, rho, geometry.case):
+        raise ValueError(
+            f"gram is for (n_max, rho, case) = {(gram.n_max, gram.rho, gram.case)}, "
+            f"need {(psi_tilde.n_max, rho, geometry.case)}")
     num = gram.quadratic_form(psi_tilde.values)
     den = full_interval_energy(psi_tilde, geometry.case)
     return float(min(max(num / den, 0.0), 1.0))

@@ -7,6 +7,8 @@ module keeps those two jobs in one place.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["legendre_all", "gauss_rule"]
@@ -32,28 +34,39 @@ def legendre_all(n_max: int, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is differentiated once and twice to propagate the derivatives with
     the same coefficients.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    p = _legendre_values(n_max, t)
     t = np.asarray(t, dtype=float)
-    shape = (n_max + 1,) + t.shape
-    p = np.empty(shape)
-    dp = np.empty(shape)
-    d2p = np.empty(shape)
-    p[0] = 1.0
+    dp = np.empty_like(p)
+    d2p = np.empty_like(p)
     dp[0] = 0.0
     d2p[0] = 0.0
     if n_max == 0:
         return p, dp, d2p
-    p[1] = t
     dp[1] = 1.0
     d2p[1] = 0.0
     for n in range(2, n_max + 1):
         c1 = (2.0 * n - 1.0) / n
         c2 = (n - 1.0) / n
-        p[n] = c1 * t * p[n - 1] - c2 * p[n - 2]
         dp[n] = c1 * (p[n - 1] + t * dp[n - 1]) - c2 * dp[n - 2]
         d2p[n] = c1 * (2.0 * dp[n - 1] + t * d2p[n - 1]) - c2 * d2p[n - 2]
     return p, dp, d2p
+
+
+def _legendre_values(n_max: int, t) -> np.ndarray:
+    """P_n for n = 0..n_max, shape (n_max + 1,) + t.shape; the rows of legendre_all."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    t = np.asarray(t, dtype=float)
+    p = np.empty((n_max + 1,) + t.shape)
+    p[0] = 1.0
+    if n_max == 0:
+        return p
+    p[1] = t
+    for n in range(2, n_max + 1):
+        c1 = (2.0 * n - 1.0) / n
+        c2 = (n - 1.0) / n
+        p[n] = c1 * t * p[n - 1] - c2 * p[n - 2]
+    return p
 
 
 def gauss_rule(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +78,8 @@ def gauss_rule(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.
     Integrates polynomials of degree <= 2m - 1 exactly.
 
     Returns (nodes, weights) in ascending node order with
-    sum(weights) == b - a up to rounding.
+    sum(weights) == b - a up to rounding. Rules are memoized, so both
+    arrays are read-only and shared between callers.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -73,7 +87,11 @@ def gauss_rule(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.
     b = float(b)
     if not np.isfinite(a) or not np.isfinite(b) or a >= b:
         raise ValueError("need finite a < b")
+    return _gauss_rule(int(m), a, b)
 
+
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, m + 1, dtype=float)
     x = np.cos(np.pi * (k - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -98,7 +116,10 @@ def gauss_rule(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.
 
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return mid + half * x, half * w
+    nodes, weights = mid + half * x, half * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _legendre_with_derivative(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from .harmonics import (
     analyze,
 )
 from .kernels import KernelPair, kernel_eval
-from .legendre import gauss_rule, legendre_all
+from .legendre import _legendre_values, gauss_rule
 
 __all__ = [
     "RegionSpec",
@@ -258,8 +258,7 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     m = (g.kN + n_max) // 2 + 1
     t, w = gauss_rule(m, 1.0 - kernel_rho, 1.0)
     prof = kernel_eval(pair.psi_tilde, t)
-    p, _, _ = legendre_all(n_max, t)
-    return 2.0 * math.pi * (p @ (w * prof))
+    return 2.0 * math.pi * (_legendre_values(n_max, t) @ (w * prof))
 
 
 def wavelet_transform_local(pair: KernelPair, f2: HarmonicCoefficients, x,
@@ -308,9 +307,19 @@ def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
         f1 = analyze(f1.values, f1.grid, f1.degree)
     elif not isinstance(f1, HarmonicCoefficients):
         raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
+    lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
+    return _assemble(pair, f1, f2, lam)
+
+
+def _assemble(pair: KernelPair, f1: HarmonicCoefficients,
+             f2: HarmonicCoefficients, lam: np.ndarray) -> HarmonicCoefficients:
+    """Scaling part of f1 plus f2 times the wavelet multipliers lam.
+
+    lam must be wavelet_multipliers(pair, kernel_rho, f2.n_max); callers
+    that combine many data sets with one pair compute it once.
+    """
     g = pair.geometry
     t_part = _scaling_spectral_coefficients(pair, f1)
-    lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
     w_part = f2.scaled_by_degree(lam)
     n_out = max(t_part.n_max, w_part.n_max)
     out = HarmonicCoefficients(g.r, n_out)

@@ -17,6 +17,7 @@ from capwave.experiments import (
     run_tsvd_table,
     shannon_reference_pair,
     write_table,
+    _tsvd_apply,
 )
 from capwave.harmonics import HarmonicCoefficients, save_coefficients
 from capwave.kernels import (
@@ -297,6 +298,48 @@ class TestRunTable:
         opt = statistics.median(best(s, "optimized") for s in (0, 1, 2))
         sha = statistics.median(best(s, "shannon") for s in (0, 1, 2))
         assert opt <= sha
+
+
+class TestScoringMatchesLibrary:
+    """Sweep rows reuse the run's Gram, multipliers and Legendre rows, yet
+    every error must equal the library pipeline's bit for bit."""
+
+    @staticmethod
+    def _pair(cfg, row):
+        g = cfg.geometry
+        if row.method == "optimized":
+            w = PenaltyWeights.uniform(g, row.alpha_tilde / row.alpha_ratio,
+                                       row.alpha_tilde, row.beta)
+            return optimize(g, w)
+        return shannon_reference_pair(g, int(row.method.split("-")[1]))
+
+    def _check(self, cfg):
+        g = cfg.geometry
+        region = cfg.region
+        model = build_model(cfg)
+        f1_clean = upward_continue(model, g.R)
+        rows = run_table(cfg)
+        assert len({(r.epsilon1, r.seed) for r in rows}) == 2
+        for row in rows:
+            spec = NoiseSpec(row.epsilon1, row.gamma * row.epsilon1,
+                             cfg.noise_degree, row.seed)
+            f1 = add_noise(f1_clean, spec, "sphere")
+            f2 = add_noise(model, spec, region)
+            u = approximate_coefficients(self._pair(cfg, row), f1, f2, region)
+            assert row.relative_error == relative_error(model, u, region)
+        for row in run_tsvd_table(cfg):
+            spec = NoiseSpec(row.epsilon1, 0.0, cfg.noise_degree, row.seed)
+            f1 = add_noise(f1_clean, spec, "sphere")
+            M = int(row.method.split("-")[1])
+            assert row.relative_error == relative_error(
+                model, _tsvd_apply(g, f1, M), region)
+
+    def test_polar_region(self):
+        self._check(tiny_config(epsilon1=(0.01, 0.1), beta=(0.1, 10.0)))
+
+    def test_off_pole_region(self):
+        self._check(tiny_config(epsilon1=(0.01,), seeds=(0, 5),
+                                region_center=(0.3, 0.4, 0.8)))
 
 
 class TestTsvdTable:

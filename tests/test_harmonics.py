@@ -9,6 +9,7 @@ from scipy.special import sph_harm_y
 from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
+    _grid_synthesis,
     analyze,
     cap_grid,
     load_coefficients,
@@ -229,6 +230,19 @@ class TestSynthesizeAnalyze:
         center /= np.linalg.norm(center)
         g = cap_grid(1.0, center, 0.7, 16)
         assert np.allclose(synthesize(c, g), synthesize(c, g.nodes), atol=1e-12)
+
+
+class TestGridSynthesis:
+    def test_same_bits_as_synthesize(self):
+        rng = np.random.default_rng(5)
+        r = 6371.2
+        grids = [sphere_grid(r, 24), cap_grid(r, [0, 0, 1], 0.6, 24),
+                 cap_grid(r, random_unit(rng), 0.6, 24)]
+        for grid in grids:
+            run = _grid_synthesis(grid, 12)
+            for n_max in (12, 7):
+                c = random_coeffs(rng, r, n_max)
+                assert np.array_equal(run(c), synthesize(c, grid))
 
 
 class TestSobolevNorm:

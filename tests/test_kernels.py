@@ -499,6 +499,22 @@ class TestLocalizationRatio:
         with pytest.raises(ValueError):
             localization_ratio(SymbolSet.zeros(5), 0.5, g)
 
+    def test_given_gram_gives_same_ratio(self):
+        g = reduced_geometry()
+        psi = optimize(g, PenaltyWeights.uniform(g, 10.0, 10.0, 1.0)).psi_tilde
+        for rho in (0.3, 0.5):
+            gram = gram_scalar(g.kN, rho)
+            assert localization_ratio(psi, rho, g, gram=gram) == \
+                localization_ratio(psi, rho, g)
+
+    def test_mismatched_gram_rejected(self):
+        g = reduced_geometry()
+        psi = shannon_pair(g).psi_tilde
+        for gram in (gram_scalar(g.kN, 0.7), gram_scalar(g.kN - 1, 0.5),
+                     gram_vector(g.kN, 0.5)):
+            with pytest.raises(ValueError):
+                localization_ratio(psi, 0.5, g, gram=gram)
+
 
 class TestMonotoneLocalization:
     @pytest.mark.parametrize("case", ["scalar", "vector"])

@@ -93,3 +93,12 @@ class TestGaussRule:
             gauss_rule(4, 1.0, -1.0)
         with pytest.raises(ValueError):
             gauss_rule(0)
+
+    def test_rules_are_read_only_and_repeatable(self):
+        x, w = gauss_rule(7, -0.5, 1.0)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        x2, w2 = gauss_rule(7, -0.5, 1.0)
+        assert np.array_equal(x, x2) and np.array_equal(w, w2)
