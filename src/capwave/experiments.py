@@ -315,11 +315,11 @@ def _run_gram(geometry: Geometry) -> GramMatrix:
 
 
 def _scored_method(tag: str, pair: KernelPair, gram: GramMatrix,
-                   region: RegionSpec, degree: int, **weights) -> _Method:
+                   kernel_rho: float, degree: int, **weights) -> _Method:
     g = pair.geometry
     return _Method(tag, pair=pair, status="ok",
                    localization=localization_ratio(pair.psi_tilde, g.rho, g, gram),
-                   multipliers=wavelet_multipliers(pair, region.kernel_rho, degree),
+                   multipliers=wavelet_multipliers(pair, kernel_rho, degree),
                    **weights)
 
 
@@ -338,7 +338,7 @@ def _optimized_methods(config: ExperimentConfig, geometry: Geometry,
                     out.append(_Method("optimized", pair=None, localization=None,
                                        status=f"numerical-failure: {exc}", **weights))
                     continue
-                out.append(_scored_method("optimized", pair, gram, config.region,
+                out.append(_scored_method("optimized", pair, gram, config.kernel_rho,
                                           degree, **weights))
     return out
 
@@ -346,7 +346,7 @@ def _optimized_methods(config: ExperimentConfig, geometry: Geometry,
 def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
                      gram: GramMatrix, degree: int) -> list[_Method]:
     return [_scored_method(f"shannon-{M}", shannon_reference_pair(geometry, M),
-                           gram, config.region, degree,
+                           gram, config.kernel_rho, degree,
                            beta=None, alpha_tilde=None, alpha_ratio=None)
             for M in config.shannon_degrees]
 

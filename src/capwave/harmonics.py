@@ -469,19 +469,18 @@ def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
     grid) bit for bit. On a grid with product structure in the global
     frame, the Legendre rows of every order (on the colatitude axis only)
     and the azimuth factors are built here for degree n_max, and a field of
-    that degree runs the same per-order products as synthesize on them. Rotated caps would need rows at every node, so on
-    those, and for fields of another degree, the function calls synthesize.
+    that degree runs the same per-order products as synthesize on them.
+    Rotated caps would need rows at every node, so on those, and for fields
+    of another degree, the function calls synthesize.
     """
     axes = _product_axes(grid)
     if axes is None:
         return lambda coeffs: synthesize(coeffs, grid)
     ct, phis = axes
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    table = tuple(_legendre_orders(n_max, ct, st))
+    stored_orders = functools.partial(
+        _scalar_orders, table=tuple(_legendre_orders(n_max, ct, st)))
     azimuth = _azimuth(n_max, phis)
-
-    def stored_orders(coeffs, ct, st):
-        return _scalar_orders(coeffs, ct, st, table)
 
     def run(coeffs: HarmonicCoefficients) -> np.ndarray:
         if coeffs.n_max != n_max:
