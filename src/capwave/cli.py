@@ -28,7 +28,7 @@ from .kernels import (
     _gram_for,
     optimize,
     save_pair_csv,
-    shannon_pair,
+    shannon_reference_pair,
     tsvd_symbols,
 )
 from .transforms import NoiseSpec, add_noise, approximate_coefficients, \
@@ -45,30 +45,18 @@ class ConfigError(ValueError):
 # config file parsing
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
+def _parse_list(item):
+    """Parser of a nonempty whitespace-separated list of item values."""
+    def parse(text: str) -> tuple:
+        items = text.split()
+        if not items:
+            raise ValueError("expected at least one value")
+        return tuple(item(x) for x in items)
+    return parse
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = text.split()
-    if not items:
-        raise ValueError("expected at least one value")
-    return tuple(float(x) for x in items)
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = text.split()
-    if not items:
-        raise ValueError("expected at least one value")
-    return tuple(int(x) for x in items)
+_FLOATS = _parse_list(float)
+_INTS = _parse_list(int)
 
 
 def _parse_center(text: str) -> tuple[float, float, float]:
@@ -79,27 +67,27 @@ def _parse_center(text: str) -> tuple[float, float, float]:
 
 
 _PARSERS = {
-    "case": _parse_str,
-    "r_km": _parse_float,
-    "R_km": _parse_float,
-    "scaling_degree": _parse_int,
-    "kappa": _parse_float,
-    "kernel_rho": _parse_float,
+    "case": str,
+    "r_km": float,
+    "R_km": float,
+    "scaling_degree": int,
+    "kappa": float,
+    "kernel_rho": float,
     "region_center": _parse_center,
-    "region_rho": _parse_float,
-    "model_file": _parse_str,
-    "model_degree": _parse_int,
-    "model_seed": _parse_int,
-    "noise_degree": _parse_int,
-    "beta": _parse_float_list,
-    "alpha_tilde": _parse_float_list,
-    "alpha_ratio": _parse_float_list,
-    "epsilon1": _parse_float_list,
-    "gamma": _parse_float_list,
-    "seeds": _parse_int_list,
-    "shannon_degrees": _parse_int_list,
-    "tsvd_degrees": _parse_int_list,
-    "out": _parse_str,
+    "region_rho": float,
+    "model_file": str,
+    "model_degree": int,
+    "model_seed": int,
+    "noise_degree": int,
+    "beta": _FLOATS,
+    "alpha_tilde": _FLOATS,
+    "alpha_ratio": _FLOATS,
+    "epsilon1": _FLOATS,
+    "gamma": _FLOATS,
+    "seeds": _INTS,
+    "shannon_degrees": _INTS,
+    "tsvd_degrees": _INTS,
+    "out": str,
 }
 
 
@@ -184,7 +172,8 @@ def _cmd_optimize(config: ExperimentConfig) -> int:
 
 
 def _cmd_shannon(config: ExperimentConfig) -> int:
-    save_pair_csv(shannon_pair(config.geometry), config.out)
+    geometry = config.geometry
+    save_pair_csv(shannon_reference_pair(geometry, geometry.N), config.out)
     print(f"wrote Shannon kernel pair to {config.out}")
     return 0
 

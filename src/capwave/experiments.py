@@ -45,10 +45,10 @@ from .kernels import (
     KernelPair,
     NumericalFailure,
     PenaltyWeights,
-    SymbolSet,
     gram_scalar,
     localization_ratio,
     optimize,
+    shannon_reference_pair,
     tsvd_symbols,
 )
 from .transforms import (
@@ -259,22 +259,6 @@ def build_model(config: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # reference methods
-
-
-def shannon_reference_pair(geometry: Geometry, M: int) -> KernelPair:
-    """Shannon pair with scaling cut M and wavelet band (M, kN].
-
-    The scaling symbols invert the continuation up to degree M and drop the
-    rest; the derived wavelet band then starts right above M while still
-    ending at the configured band degree, so varying M trades satellite
-    against ground information at a fixed overall bandwidth.
-    """
-    if M < 0 or M > geometry.N:
-        raise ValueError("scaling cut M must lie in [0, N]")
-    values = np.zeros(geometry.N + 1)
-    values[: M + 1] = 1.0 / geometry.sigmas(M)
-    phi = SymbolSet(geometry.N, values)
-    return KernelPair(geometry, phi, SymbolSet.ones(geometry.kN))
 
 
 def _tsvd_apply(geometry: Geometry, f1: HarmonicCoefficients,

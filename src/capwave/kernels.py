@@ -32,7 +32,7 @@ __all__ = [
     "functional_value",
     "stationarity_residual",
     "optimize",
-    "shannon_pair",
+    "shannon_reference_pair",
     "tsvd_symbols",
     "kernel_eval",
     "localization_ratio",
@@ -412,14 +412,22 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
 # reference kernels
 
 
-def shannon_pair(geometry: Geometry) -> KernelPair:
-    """Sharp-cutoff pair: phi = 1/sigma up to N, phi_tilde = 1 up to kN.
+def shannon_reference_pair(geometry: Geometry, M: int) -> KernelPair:
+    """Shannon pair with scaling cut M and wavelet band (M, kN].
 
-    The coupled wavelet symbols come out as the indicator of N+1..kN.
+    The scaling symbols invert the continuation up to degree M and drop the
+    rest; the derived wavelet band then starts right above M while still
+    ending at the configured band degree, so varying M trades satellite
+    against ground information at a fixed overall bandwidth. M = N gives
+    the sharp-cutoff pair whose wavelet symbols are the indicator of
+    N+1..kN.
     """
-    phi = SymbolSet(geometry.N, 1.0 / geometry.sigmas(geometry.N))
-    phi_tilde = SymbolSet.ones(geometry.kN)
-    return KernelPair(geometry, phi, phi_tilde)
+    if M < 0 or M > geometry.N:
+        raise ValueError("scaling cut M must lie in [0, N]")
+    values = np.zeros(geometry.N + 1)
+    values[: M + 1] = 1.0 / geometry.sigmas(M)
+    phi = SymbolSet(geometry.N, values)
+    return KernelPair(geometry, phi, SymbolSet.ones(geometry.kN))
 
 
 def tsvd_symbols(geometry: Geometry, M: int) -> SymbolSet:

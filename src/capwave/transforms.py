@@ -178,6 +178,20 @@ def upward_continue(u_plus: HarmonicCoefficients, R: float) -> HarmonicCoefficie
     return u_plus.scaled_by_degree((r / R) ** n, radius=R)
 
 
+def _outer_coefficients(f1) -> HarmonicCoefficients:
+    """Outer-sphere data as coefficients, analyzed first if given as samples."""
+    if isinstance(f1, HarmonicCoefficients):
+        return f1
+    if not isinstance(f1, FieldSamples):
+        raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
+    if f1.grid.exact_degree < 2 * f1.degree:
+        raise ValueError(
+            "spectral path needs grid exactness >= 2 * field degree "
+            f"({f1.grid.exact_degree} < {2 * f1.degree})"
+        )
+    return analyze(f1.values, f1.grid, f1.degree)
+
+
 def scaling_transform(pair: KernelPair, f1, points, *,
                       method: str = "quadrature") -> np.ndarray:
     """Regularized downward continuation of outer-sphere data.
@@ -191,29 +205,16 @@ def scaling_transform(pair: KernelPair, f1, points, *,
     g = pair.geometry
     if method not in ("quadrature", "spectral"):
         raise ValueError("method must be 'quadrature' or 'spectral'")
+    if method == "spectral":
+        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1))
+        return synthesize(out, points)
 
     if isinstance(f1, HarmonicCoefficients):
-        coeffs = f1
-        samples = None
+        samples = field_samples(f1, g.N + f1.n_max)
     elif isinstance(f1, FieldSamples):
-        coeffs = None
         samples = f1
     else:
         raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
-
-    if method == "spectral":
-        if coeffs is None:
-            if samples.grid.exact_degree < 2 * samples.degree:
-                raise ValueError(
-                    "spectral path needs grid exactness >= 2 * field degree "
-                    f"({samples.grid.exact_degree} < {2 * samples.degree})"
-                )
-            coeffs = analyze(samples.values, samples.grid, samples.degree)
-        out = _scaling_spectral_coefficients(pair, coeffs)
-        return synthesize(out, points)
-
-    if samples is None:
-        samples = field_samples(coeffs, g.N + coeffs.n_max)
     if samples.grid.exact_degree < g.N + samples.degree:
         raise ValueError(
             "scaling transform needs grid exactness >= N + field degree "
@@ -257,8 +258,10 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     g = pair.geometry
     m = (g.kN + n_max) // 2 + 1
     t, w = gauss_rule(m, 1.0 - kernel_rho, 1.0)
-    prof = kernel_eval(pair.psi_tilde, t)
-    return 2.0 * math.pi * (_legendre_values(n_max, t) @ (w * prof))
+    rows = _legendre_values(max(g.kN, n_max), t)
+    j = np.arange(g.kN + 1, dtype=float)
+    prof = ((j + 0.5) * pair.psi_tilde.values) @ rows[: g.kN + 1]
+    return rows[: n_max + 1] @ (w * prof)
 
 
 def wavelet_transform_local(pair: KernelPair, f2: HarmonicCoefficients, x,
@@ -298,15 +301,7 @@ def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
     Exact for bandlimited data. f1 may be FieldSamples (analyzed first,
     needing grid exactness >= 2 * degree) or HarmonicCoefficients at R.
     """
-    if isinstance(f1, FieldSamples):
-        if f1.grid.exact_degree < 2 * f1.degree:
-            raise ValueError(
-                "spectral path needs grid exactness >= 2 * field degree "
-                f"({f1.grid.exact_degree} < {2 * f1.degree})"
-            )
-        f1 = analyze(f1.values, f1.grid, f1.degree)
-    elif not isinstance(f1, HarmonicCoefficients):
-        raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
+    f1 = _outer_coefficients(f1)
     lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
     return _assemble(pair, f1, f2, lam)
 

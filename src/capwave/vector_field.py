@@ -41,8 +41,8 @@ from .harmonics import (
     sphere_grid,
 )
 from .kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
-from .legendre import legendre_all
-from .transforms import RegionSpec
+from .legendre import gauss_rule, legendre_all
+from .transforms import RegionSpec, _scaling_spectral_coefficients, wavelet_multipliers
 
 __all__ = [
     "VectorCoefficients",
@@ -442,10 +442,19 @@ def tensor_first_moment(symbols: SymbolSet) -> float:
 # ---------------------------------------------------------------------------
 # transforms
 
-_NO_SPECTRAL_CAP = (
-    "the cap-restricted tensor convolution has no degree-wise spectral form "
-    "for kernel_rho < 2; use the quadrature path"
-)
+
+def _outer_coefficients(f1) -> VectorCoefficients:
+    """Outer-sphere data as coefficients, analyzed first if given as samples."""
+    if isinstance(f1, VectorCoefficients):
+        return f1
+    if not isinstance(f1, VectorFieldSamples):
+        raise TypeError("f1 must be VectorFieldSamples or VectorCoefficients")
+    if f1.grid.exact_degree < 2 * f1.degree + 2:
+        raise ValueError(
+            "spectral path needs grid exactness >= 2*degree+2 "
+            f"({f1.grid.exact_degree} < {2 * f1.degree + 2})"
+        )
+    return vector_analyze(f1.values, f1.grid, f1.degree)
 
 
 def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
@@ -460,29 +469,16 @@ def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
     g = _require_vector(pair)
     if method not in ("quadrature", "spectral"):
         raise ValueError("method must be 'quadrature' or 'spectral'")
+    if method == "spectral":
+        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1))
+        return vector_synthesize(out, points)
 
     if isinstance(f1, VectorCoefficients):
-        coeffs = f1
-        samples = None
+        samples = vector_field_samples(f1, g.N + f1.n_max + 2)
     elif isinstance(f1, VectorFieldSamples):
-        coeffs = None
         samples = f1
     else:
         raise TypeError("f1 must be VectorFieldSamples or VectorCoefficients")
-
-    if method == "spectral":
-        if coeffs is None:
-            if samples.grid.exact_degree < 2 * samples.degree + 2:
-                raise ValueError(
-                    "spectral path needs grid exactness >= 2*degree+2 "
-                    f"({samples.grid.exact_degree} < {2 * samples.degree + 2})"
-                )
-            coeffs = vector_analyze(samples.values, samples.grid, samples.degree)
-        out = _scaling_spectral(pair, coeffs)
-        return vector_synthesize(out, points)
-
-    if samples is None:
-        samples = vector_field_samples(coeffs, g.N + coeffs.n_max + 2)
     if samples.grid.exact_degree < g.N + samples.degree + 2:
         raise ValueError(
             "tensor scaling transform needs grid exactness >= N + degree + 2 "
@@ -493,14 +489,42 @@ def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
     return _tensor_apply(pair.phi, pts, samples.grid.nodes, weighted, g.r * g.R)
 
 
-def _scaling_spectral(pair: TensorKernelPair,
-                      f1: VectorCoefficients) -> VectorCoefficients:
-    """Coefficient-space action of the tensor scaling transform, at radius r."""
+def _cap_wavelet_coefficients(pair: TensorKernelPair, f2: VectorCoefficients,
+                              kernel_rho: float) -> VectorCoefficients:
+    """Coefficient-space action of the cap-restricted tensor wavelet convolution.
+
+    Restricting the zonal tensor kernel to a cap keeps it equivariant under
+    rotations and reflections, so it still acts degree by degree and type
+    by type (a tensor Funk-Hecke formula). Type 1 is the radial channel,
+    whose profile is the scalar one, so it takes wavelet_multipliers. By
+    Schur's lemma the type-2 multiplier of degree n is the trace of the
+    restricted operator over that space divided by its dimension:
+
+        mu_n = 1/(n(n+1)) * integral over [1-kernel_rho, 1] of
+               P_n' ((1+t^2) K' - t(1-t^2) K'')
+               + P_n'' ((1-t^2)^2 K'' - t(1-t^2) K')
+
+    with K = sum_j (j+1/2) psi_tilde(j) / (j(j+1)) P_j, the tangential
+    Frobenius product that gram_vector integrates over the cap exterior.
+    The integrand has degree at most kN + n_max, so the Gauss rule of
+    wavelet_multipliers is exact. On the full-sphere cap mu_n = psi_tilde(n).
+    """
     g = pair.geometry
-    n_keep = min(g.N, f1.n_max)
-    factors = np.zeros(f1.n_max + 1)
-    factors[: n_keep + 1] = pair.phi.values[: n_keep + 1]
-    return f1.scaled_by_degree(factors, radius=g.r)
+    n_max = f2.n_max
+    t, w = gauss_rule((g.kN + n_max) // 2 + 1, 1.0 - kernel_rho, 1.0)
+    _, dp, d2p = legendre_all(max(g.kN, n_max), t)
+    j = np.arange(1, g.kN + 1, dtype=float)
+    k = (j + 0.5) * pair.psi_tilde.values[1:] / (j * (j + 1.0))
+    dk, d2k = k @ dp[1 : g.kN + 1], k @ d2p[1 : g.kN + 1]
+    s = 1.0 - t * t
+    first = w * ((1.0 + t * t) * dk - t * s * d2k)
+    second = w * (s * s * d2k - t * s * dk)
+    n = np.arange(1, n_max + 1, dtype=float)
+    mu = np.zeros(n_max + 1)
+    mu[1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
+    lam = _per_coefficient(wavelet_multipliers(pair, kernel_rho, n_max), n_max)
+    mu = _per_coefficient(mu, n_max)[1:]
+    return VectorCoefficients(f2.radius, n_max, np.concatenate([lam, mu]) * f2.data)
 
 
 def vector_wavelet_transform_local(pair: TensorKernelPair,
@@ -510,10 +534,9 @@ def vector_wavelet_transform_local(pair: TensorKernelPair,
     """Wavelet refinement 3-vector at one point from cap-local ground data.
 
     Integrates the tensor wavelet kernel against the field over the cap of
-    radius region.kernel_rho around x. Unlike the scalar case there is no
-    degree-wise multiplier for a true cap: the truncated tensor kernel
-    couples types and degrees, so the spectral path exists only for the
-    degenerate full-sphere cap kernel_rho = 2.
+    radius region.kernel_rho around x. As in the scalar case, the spectral
+    path multiplies each degree and type by the cap multipliers; the
+    quadrature path integrates node-wise over the cap.
     """
     g = _require_vector(pair)
     x = np.asarray(x, dtype=float)
@@ -523,9 +546,7 @@ def vector_wavelet_transform_local(pair: TensorKernelPair,
     if method not in ("quadrature", "spectral"):
         raise ValueError("method must be 'quadrature' or 'spectral'")
     if method == "spectral":
-        if region.kernel_rho < 2.0:
-            raise ValueError(_NO_SPECTRAL_CAP)
-        out = _wavelet_spectral(pair, f2)
+        out = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)
         return vector_synthesize(out, x)
     cap = cap_grid(g.r, x, region.kernel_rho, g.kN + f2.n_max + 2)
     vals = vector_synthesize(f2, cap)
@@ -534,40 +555,21 @@ def vector_wavelet_transform_local(pair: TensorKernelPair,
                          g.r * g.r)[0]
 
 
-def _wavelet_spectral(pair: TensorKernelPair,
-                      f2: VectorCoefficients) -> VectorCoefficients:
-    """Full-sphere wavelet action: psi_tilde symbols degree-wise."""
-    g = pair.geometry
-    n_keep = min(g.kN, f2.n_max)
-    factors = np.zeros(f2.n_max + 1)
-    factors[: n_keep + 1] = pair.psi_tilde.values[: n_keep + 1]
-    return f2.scaled_by_degree(factors)
-
-
 def vector_approximate_coefficients(pair: TensorKernelPair, f1,
                                     f2: VectorCoefficients,
                                     region: RegionSpec) -> VectorCoefficients:
-    """Coefficient field of the combined vector approximation.
+    """Coefficient field of the combined vector approximation, on any cap.
 
-    Only available for the degenerate cap kernel_rho = 2, where the wavelet
-    convolution acts degree-wise; a true cap has no spectral form in the
-    tensor case. f1 may be VectorFieldSamples (analyzed first) or
-    VectorCoefficients at R.
+    The scaling part contributes phi(n) times the outer-data coefficients
+    of both types for n <= N; the wavelet part contributes the cap
+    multipliers times the ground-data coefficients, per degree and type.
+    f1 may be VectorFieldSamples (analyzed first, needing grid exactness
+    >= 2 * degree + 2) or VectorCoefficients at R.
     """
-    if region.kernel_rho < 2.0:
-        raise ValueError(_NO_SPECTRAL_CAP)
-    if isinstance(f1, VectorFieldSamples):
-        if f1.grid.exact_degree < 2 * f1.degree + 2:
-            raise ValueError(
-                "spectral path needs grid exactness >= 2*degree+2 "
-                f"({f1.grid.exact_degree} < {2 * f1.degree + 2})"
-            )
-        f1 = vector_analyze(f1.values, f1.grid, f1.degree)
-    elif not isinstance(f1, VectorCoefficients):
-        raise TypeError("f1 must be VectorFieldSamples or VectorCoefficients")
+    f1 = _outer_coefficients(f1)
     g = _require_vector(pair)
-    t_part = _scaling_spectral(pair, f1)
-    w_part = _wavelet_spectral(pair, f2)
+    t_part = _scaling_spectral_coefficients(pair, f1)
+    w_part = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)
     n_out = max(t_part.n_max, w_part.n_max)
     out = VectorCoefficients(g.r, n_out)
     for part in (t_part, w_part):
@@ -584,9 +586,10 @@ def vector_approximate(pair: TensorKernelPair, f1, f2: VectorCoefficients,
     """Combined two-step vector approximation at the given points.
 
     Sum of the regularized downward continuation of outer-sphere gradient
-    data and the cap-local tensor wavelet refinement of ground data. The
-    quadrature path (default) works for any cap; the spectral path requires
-    kernel_rho = 2.
+    data and the cap-local tensor wavelet refinement of ground data. Both
+    paths work for any cap: the quadrature path (default) evaluates the
+    convolutions node-wise, the spectral path synthesizes
+    vector_approximate_coefficients.
     """
     if region.kernel_rho > pair.geometry.rho + 1e-12:
         raise ValueError("region.kernel_rho exceeds the geometry's cap radius")

@@ -34,7 +34,7 @@ from capwave.kernels import (
     localization_ratio,
     optimize,
     shannon_bound,
-    shannon_pair,
+    shannon_reference_pair,
     stationarity_residual,
 )
 from capwave.transforms import (
@@ -146,7 +146,7 @@ def test_optimizer_matches_decoupled_oracle_and_is_stationary():
         residual = stationarity_residual(pair, w, gram)
         assert residual < 1e-8 * (1.0 + np.linalg.norm(w.alpha))
         f_opt = functional_value(pair, w, gram)
-        f_shannon = functional_value(shannon_pair(g), w, gram)
+        f_shannon = functional_value(shannon_reference_pair(g, g.N), w, gram)
         assert f_opt < f_shannon
 
 
@@ -156,7 +156,7 @@ def test_shannon_functional_within_closed_form_bound():
         beta = 0.5
         w = PenaltyWeights.uniform(geometry, 1.0, 1.0, beta)
         gram = gram_scalar(geometry.kN, geometry.rho)
-        value = functional_value(shannon_pair(geometry), w, gram)
+        value = functional_value(shannon_reference_pair(geometry, geometry.N), w, gram)
         assert value <= shannon_bound(geometry, beta)
         kn = geometry.kN
         assert sum(2 * n + 1 for n in range(kn + 1)) == (kn + 1) ** 2
@@ -171,7 +171,7 @@ def test_noise_free_full_cap_recovery_scalar_and_vector():
         model_degree=40, model_seed=7, shannon_degrees=(0,),
         tsvd_degrees=(40,)))
     f1 = upward_continue(model, g.R)
-    approx = approximate_coefficients(shannon_pair(g), f1, model, region)
+    approx = approximate_coefficients(shannon_reference_pair(g, g.N), f1, model, region)
     assert relative_error(model, approx, region) < 1e-8
 
     gv = Geometry(6371.2, 7071.2, 20, kappa=1.5, rho=2.0, case="vector")
@@ -181,7 +181,7 @@ def test_noise_free_full_cap_recovery_scalar_and_vector():
         tsvd_degrees=(30,)))
     f1_v = vector_upward_continue(model_v, gv.R)
     approx_v = vector_approximate_coefficients(
-        shannon_pair(gv), f1_v, model_v, region)
+        shannon_reference_pair(gv, gv.N), f1_v, model_v, region)
     assert vector_relative_error(model_v, approx_v, region) < 1e-8
 
 

@@ -1,6 +1,7 @@
 """Tests for config parsing, subcommands, output files, and exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import capwave
 from capwave.cli import ConfigError, load_config, main, parse_config
 from capwave.experiments import read_spectra
 from capwave.harmonics import load_coefficients
@@ -228,9 +230,13 @@ class TestCommands:
 
     def test_module_entry_point(self, tiny_cfg, tmp_path):
         out = tmp_path / "pair.csv"
+        # the child imports the same capwave as this test, installed or not
+        src = str(Path(capwave.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "capwave", "shannon", str(tiny_cfg),
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert out.exists()

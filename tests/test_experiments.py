@@ -25,7 +25,6 @@ from capwave.kernels import (
     NumericalFailure,
     PenaltyWeights,
     optimize,
-    shannon_pair,
 )
 from capwave.transforms import (
     NoiseSpec,
@@ -164,12 +163,14 @@ class TestBuildModel:
 class TestShannonReference:
     def test_full_cut_matches_shannon_pair(self):
         g = tiny_config().geometry
+        # the sharp-cutoff pair: phi = 1/sigma up to N, phi_tilde = 1 up to
+        # kN, so the wavelet symbols are the indicator of N+1..kN
         ref = shannon_reference_pair(g, g.N)
-        std = shannon_pair(g)
-        assert np.allclose(ref.phi.values, std.phi.values, rtol=1e-15)
-        assert np.array_equal(ref.phi_tilde.values, std.phi_tilde.values)
-        assert np.allclose(ref.psi_tilde.values, std.psi_tilde.values,
-                           rtol=0, atol=1e-12)
+        band = np.zeros(g.kN + 1)
+        band[g.N + 1 :] = 1.0
+        assert np.allclose(ref.phi.values, 1.0 / g.sigmas(g.N), rtol=1e-15)
+        assert np.array_equal(ref.phi_tilde.values, np.ones(g.kN + 1))
+        assert np.allclose(ref.psi_tilde.values, band, rtol=0, atol=1e-12)
 
     def test_zero_cut_is_pure_wavelet(self):
         g = tiny_config().geometry

@@ -21,7 +21,7 @@ from capwave.kernels import (
     raised_cosine_targets,
     save_pair_csv,
     shannon_bound,
-    shannon_pair,
+    shannon_reference_pair,
     stationarity_residual,
     tsvd_symbols,
 )
@@ -190,7 +190,7 @@ class TestFunctionalValue:
     def test_dimension_mismatch(self):
         g = reduced_geometry()
         w = PenaltyWeights.uniform(g, 1.0, 1.0, 1.0)
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         with pytest.raises(ValueError):
             functional_value(pair, w, gram_scalar(g.kN + 1, g.rho))
         bad_w = PenaltyWeights(np.ones(g.N + 2), np.ones(g.kN + 1), 1.0)
@@ -203,7 +203,7 @@ class TestFunctionalValue:
             w = PenaltyWeights.uniform(g, 1.0, 1.0, 0.01)
             gram = gram_scalar(g.kN, g.rho) if case == "scalar" \
                 else gram_vector(g.kN, g.rho)
-            value = functional_value(shannon_pair(g), w, gram)
+            value = functional_value(shannon_reference_pair(g, g.N), w, gram)
             assert value <= shannon_bound(g, w.beta)
 
 
@@ -268,7 +268,7 @@ class TestOptimize:
         gram = gram_scalar(g.kN, g.rho)
         pair = optimize(g, w, gram=gram)
         f_opt = functional_value(pair, w, gram)
-        assert f_opt < functional_value(shannon_pair(g), w, gram)
+        assert f_opt < functional_value(shannon_reference_pair(g, g.N), w, gram)
 
         sig = g.sigmas(g.N)
         x = pair.phi.values * sig
@@ -391,7 +391,7 @@ class TestGramPositiveDefiniteness:
 class TestShannonPair:
     def test_wavelet_symbols_are_band_indicator(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         expected = np.zeros(g.kN + 1)
         expected[g.N + 1 :] = 1.0
         assert np.allclose(pair.psi_tilde.values, expected, atol=1e-12)
@@ -403,7 +403,7 @@ class TestShannonPair:
 
     def test_full_interval_wavelet_energy(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         n = np.arange(g.N + 1, g.kN + 1)
         expected = float(np.sum(2 * n + 1))
         assert full_interval_energy(pair.psi_tilde) == pytest.approx(
@@ -485,13 +485,13 @@ class TestLocalizationRatio:
     def test_shannon_trend_in_bandwidth(self):
         g80 = Geometry(R_INNER, R_OUTER, 80, rho=0.1)
         g160 = Geometry(R_INNER, R_OUTER, 160, rho=0.1)
-        r80 = localization_ratio(shannon_pair(g80).psi_tilde, 0.1, g80)
-        r160 = localization_ratio(shannon_pair(g160).psi_tilde, 0.1, g160)
+        r80 = localization_ratio(shannon_reference_pair(g80, 80).psi_tilde, 0.1, g80)
+        r160 = localization_ratio(shannon_reference_pair(g160, 160).psi_tilde, 0.1, g160)
         assert 0.0 < r160 < r80 < 1.0
 
     def test_vector_case_in_range(self):
         g = reduced_geometry("vector")
-        r = localization_ratio(shannon_pair(g).psi_tilde, 0.5, g)
+        r = localization_ratio(shannon_reference_pair(g, g.N).psi_tilde, 0.5, g)
         assert 0.0 < r < 1.0
 
     def test_zero_symbols_rejected(self):
@@ -509,7 +509,7 @@ class TestLocalizationRatio:
 
     def test_mismatched_gram_rejected(self):
         g = reduced_geometry()
-        psi = shannon_pair(g).psi_tilde
+        psi = shannon_reference_pair(g, g.N).psi_tilde
         for gram in (gram_scalar(g.kN, 0.7), gram_scalar(g.kN - 1, 0.5),
                      gram_vector(g.kN, 0.5)):
             with pytest.raises(ValueError):

@@ -18,10 +18,16 @@ from capwave.harmonics import (
     synthesize,
     ynk,
 )
-from capwave.kernels import Geometry, PenaltyWeights, optimize
+from capwave.kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
 from capwave.legendre import gauss_rule, legendre_all
-from capwave.transforms import RegionSpec, approximate_coefficients
-from capwave.vector_field import VectorCoefficients, vector_analyze, vector_synthesize
+from capwave.transforms import RegionSpec, approximate_coefficients, wavelet_multipliers
+from capwave.vector_field import (
+    VectorCoefficients,
+    _cap_wavelet_coefficients,
+    vector_analyze,
+    vector_approximate,
+    vector_synthesize,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -221,3 +227,58 @@ class TestZonalCapIntegral:
         at_centre = cap_integral(moved, center)
         assert abs(at_centre - cap_integral(polar, np.array([0.0, 0.0, 1.0]))) <= tol
         assert abs(at_centre - exact) <= tol
+
+
+@st.composite
+def vector_pairs(draw):
+    """Vector pairs with random symbols, kN <= 8, cap radius in [0.2, 2]."""
+    N = draw(st.integers(1, 6))
+    extra = draw(st.integers(1, min(N, 8 - N)))
+    rho = draw(st.floats(0.2, 2.0))
+    g = Geometry(1.0, 1.1, N, kappa=(N + extra + 0.5) / N, rho=rho, case="vector")
+    rng = np.random.default_rng(draw(seeds))
+    return KernelPair(g, SymbolSet(N, rng.standard_normal(N + 1)),
+                      SymbolSet(g.kN, rng.standard_normal(g.kN + 1)))
+
+
+def cap_multipliers(pair, kernel_rho, n_max):
+    """Type-1 and type-2 cap multipliers, read off an all-ones field."""
+    ones = VectorCoefficients(1.0, n_max, np.ones(2 * (n_max + 1) ** 2 - 1))
+    out = _cap_wavelet_coefficients(pair, ones, kernel_rho)
+    lam = np.array([out.coeff(1, n, 1) for n in range(n_max + 1)])
+    mu = np.array([0.0] + [out.coeff(2, n, 1) for n in range(1, n_max + 1)])
+    return lam, mu
+
+
+class TestVectorCapMultipliers:
+    # the cap-restricted tensor kernel acts degree by degree and type by
+    # type on every cap, so the spectral path is the quadrature path
+    @PROPERTY
+    @given(pair=vector_pairs(), n_max=st.integers(0, 8), seed=seeds,
+           center=centers(), margin=st.floats(0.05, 1.0))
+    def test_spectral_equals_quadrature(self, pair, n_max, seed, center, margin):
+        g = pair.geometry
+        region = RegionSpec(center, min(g.rho + margin, 2.0), g.rho)
+        f1 = vector_field(g.R, n_max, seed)
+        f2 = vector_field(g.r, n_max, seed + 1)
+        pts = region.eval_grid(1.0, 2).nodes[::2]
+        spec = vector_approximate(pair, f1, f2, region, pts, method="spectral")
+        quad = vector_approximate(pair, f1, f2, region, pts, method="quadrature")
+        np.testing.assert_allclose(spec, quad, rtol=0.0,
+                                   atol=1e-12 * np.abs(quad).max())
+
+    @PROPERTY
+    @given(pair=vector_pairs(), n_max=st.integers(0, 8))
+    def test_radial_type_takes_scalar_multipliers(self, pair, n_max):
+        rho = pair.geometry.rho
+        lam, _ = cap_multipliers(pair, rho, n_max)
+        assert np.array_equal(lam, wavelet_multipliers(pair, rho, n_max))
+
+    @PROPERTY
+    @given(pair=vector_pairs())
+    def test_full_sphere_cap_gives_wavelet_symbols(self, pair):
+        kN = pair.geometry.kN
+        _, mu = cap_multipliers(pair, 2.0, kN)
+        psi = pair.psi_tilde.values
+        np.testing.assert_allclose(mu[1:], psi[1:], rtol=0.0,
+                                   atol=1e-13 * np.abs(psi).max())

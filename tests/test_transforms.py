@@ -11,7 +11,7 @@ from capwave.kernels import (
     SymbolSet,
     gram_scalar,
     optimize,
-    shannon_pair,
+    shannon_reference_pair,
 )
 from capwave.transforms import (
     FieldSamples,
@@ -144,7 +144,7 @@ class TestScalingTransform:
 
     def test_shannon_reproduces_bandlimited_potential(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         u_plus = random_field(R_INNER, g.N, 6)
         f1 = field_samples(upward_continue(u_plus, R_OUTER), 2 * g.N)
         region = RegionSpec(NORTH, 0.6, 0.5)
@@ -166,7 +166,7 @@ class TestScalingTransform:
 
     def test_coefficient_input_accepted(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         f1 = random_field(R_OUTER, 15, 10)
         pts = points_in_region(RegionSpec(NORTH, 0.6, 0.5), 4, 11)
         quad = scaling_transform(pair, f1, pts, method="quadrature")
@@ -175,7 +175,7 @@ class TestScalingTransform:
 
     def test_insufficient_exactness_rejected(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         field = random_field(R_OUTER, 20, 12)
         coarse = field_samples(field, g.N + 19)
         pts = np.array([[0.0, 0.0, 1.0]])
@@ -204,7 +204,7 @@ class TestWaveletTransformLocal:
 
     def test_point_outside_region_rejected(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         region = RegionSpec(NORTH, 0.6, 0.5)
         f2 = random_field(R_INNER, 10, 15)
         t_out = 1.0 - 0.3
@@ -267,7 +267,7 @@ class TestWaveletTransformLocal:
 class TestApproximate:
     def test_exact_recovery_full_sphere_cap(self):
         g = reduced_geometry(rho=2.0)
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         u_plus = random_field(R_INNER, g.kN, 22)
         f1 = field_samples(upward_continue(u_plus, R_OUTER), 2 * g.kN)
         region = RegionSpec(NORTH, 2.0, 2.0)
@@ -303,7 +303,7 @@ class TestApproximate:
 
     def test_point_outside_region_rejected(self):
         g = reduced_geometry()
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         region = RegionSpec(NORTH, 0.6, 0.5)
         f1 = random_field(R_OUTER, 5, 29)
         f2 = random_field(R_INNER, 5, 30)
@@ -313,7 +313,7 @@ class TestApproximate:
 
     def test_wider_integration_cap_than_kernel_rejected(self):
         g = reduced_geometry(rho=0.1)
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         region = RegionSpec(NORTH, 0.6, 0.5)
         f1 = random_field(R_OUTER, 5, 31)
         f2 = random_field(R_INNER, 5, 32)

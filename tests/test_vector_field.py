@@ -12,7 +12,7 @@ from capwave.kernels import (
     full_interval_energy,
     functional_value,
     gram_vector,
-    shannon_pair,
+    shannon_reference_pair,
     stationarity_residual,
 )
 from capwave.transforms import RegionSpec
@@ -338,7 +338,7 @@ class TestVectorOptimize:
         gram = gram_vector(g.kN, g.rho)
         pair = vector_optimize(g, w, gram=gram)
         assert functional_value(pair, w, gram) < functional_value(
-            shannon_pair(g), w, gram
+            shannon_reference_pair(g, g.N), w, gram
         )
 
 
@@ -355,7 +355,7 @@ class TestScalingTransform:
     def test_shannon_recovers_truncation(self):
         # phi = 1/sigma undoes upward continuation for degrees <= N
         g = Geometry(R_INNER, R_OUTER, 6, kappa=1.5, rho=2.0, case="vector")
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         b = random_vector_field(R_INNER, 6, seed=15)
         f1 = vector_upward_continue(b, R_OUTER)
         rng = np.random.default_rng(16)
@@ -381,7 +381,7 @@ class TestScalingTransform:
 
     def test_exactness_rejections(self):
         g = Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5, case="vector")
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         coeffs = random_vector_field(1.3, 5, seed=19)
         thin = vector_field_samples(coeffs, 2 * 5)  # one short of 2*5+2
         with pytest.raises(ValueError):
@@ -392,7 +392,7 @@ class TestScalingTransform:
             vector_scaling_transform(pair, thin2, np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(TypeError):
             vector_scaling_transform(pair, coeffs.data, np.array([[0.0, 0.0, 1.0]]))
-        scalar_pair = shannon_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5))
+        scalar_pair = shannon_reference_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5), 6)
         with pytest.raises(ValueError):
             vector_scaling_transform(scalar_pair, coeffs, np.array([[0.0, 0.0, 1.0]]))
 
@@ -412,20 +412,31 @@ class TestWaveletLocal:
 
     def test_outside_region_rejected(self):
         g = Geometry(1.0, 1.2, 5, kappa=1.6, rho=0.3, case="vector")
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         region = RegionSpec(NORTH, 0.5, 0.3)
         f2 = random_vector_field(1.0, 4, seed=21)
         with pytest.raises(ValueError):
             vector_wavelet_transform_local(pair, f2, (1.0, 0.0, 0.0), region)
 
-    def test_spectral_needs_full_sphere_cap(self):
-        g = Geometry(1.0, 1.2, 5, kappa=1.6, rho=0.8, case="vector")
-        pair = shannon_pair(g)
-        region = RegionSpec(NORTH, 2.0, 0.8)
-        f2 = random_vector_field(1.0, 4, seed=22)
-        with pytest.raises(ValueError, match="spectral"):
-            vector_wavelet_transform_local(pair, f2, NORTH, region,
-                                           method="spectral")
+    def test_spectral_matches_quadrature_on_true_cap(self):
+        # the cap-restricted tensor kernel still acts degree by degree and
+        # type by type, so the spectral multipliers reproduce the node-wise
+        # integral for bandlimited data on any cap
+        g = Geometry(1.0, 1.2, 6, kappa=1.5, rho=0.5, case="vector")
+        pair = KernelPair(
+            g,
+            SymbolSet(6, np.linspace(0.8, 0.2, 7)),
+            SymbolSet(9, np.linspace(1.0, 0.1, 10)),
+        )
+        f2 = random_vector_field(1.0, 12, seed=22)
+        region = RegionSpec(NORTH, 2.0, 0.5)
+        rng = np.random.default_rng(122)
+        for x in [NORTH, *(random_unit(rng) for _ in range(3))]:
+            quad = vector_wavelet_transform_local(pair, f2, x, region)
+            spec = vector_wavelet_transform_local(pair, f2, x, region,
+                                                  method="spectral")
+            np.testing.assert_allclose(spec, quad, rtol=0,
+                                       atol=1e-12 * np.abs(quad).max())
 
     def test_full_sphere_cap_matches_spectral(self):
         g = Geometry(1.0, 1.11, 6, kappa=1.5, rho=2.0, case="vector")
@@ -460,7 +471,7 @@ class TestApproximate:
         # noise-free data and the sharp-cutoff pair telescope to the truth
         # for degrees <= kN when the cap covers the whole sphere
         g = Geometry(R_INNER, R_OUTER, 20, kappa=1.5, rho=2.0, case="vector")
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         b = random_vector_field(R_INNER, g.kN, seed=27)
         f1 = vector_upward_continue(b, R_OUTER)
         region = RegionSpec(NORTH, 2.0, 2.0)
@@ -482,16 +493,18 @@ class TestApproximate:
         )
         f1 = random_vector_field(1.3, 10, seed=29)
         f2 = random_vector_field(1.0, 10, seed=30)
-        region = RegionSpec(NORTH, 2.0, 2.0)
         rng = np.random.default_rng(31)
         pts = np.array([random_unit(rng) for _ in range(3)])
-        spec = vector_approximate(pair, f1, f2, region, pts, method="spectral")
-        quad = vector_approximate(pair, f1, f2, region, pts, method="quadrature")
-        np.testing.assert_allclose(quad, spec, atol=1e-9 * (1.0 + np.abs(spec).max()))
+        for kernel_rho in (2.0, 0.5):
+            region = RegionSpec(NORTH, 2.0, kernel_rho)
+            spec = vector_approximate(pair, f1, f2, region, pts, method="spectral")
+            quad = vector_approximate(pair, f1, f2, region, pts, method="quadrature")
+            np.testing.assert_allclose(quad, spec,
+                                       atol=1e-9 * (1.0 + np.abs(spec).max()))
 
     def test_point_and_cap_validation(self):
         g = Geometry(1.0, 1.2, 5, kappa=1.6, rho=0.3, case="vector")
-        pair = shannon_pair(g)
+        pair = shannon_reference_pair(g, g.N)
         f1 = random_vector_field(1.2, 4, seed=32)
         f2 = random_vector_field(1.0, 4, seed=33)
         region = RegionSpec(NORTH, 0.5, 0.3)
