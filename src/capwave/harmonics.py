@@ -259,6 +259,119 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
 
 
 # ---------------------------------------------------------------------------
+# rotating coefficients into a cap's frame
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_turn(n: int) -> tuple:
+    """J_n, taking the degree-n coefficients of f to those of f o Q.
+
+    Q is the quarter turn about the x-axis with Q e3 = e2. In the complex
+    basis with the Condon-Shortley phase, f o Rx(a) = exp(i a L_x) f, and
+    L_x = (L+ + L-)/2 is a real symmetric tridiagonal matrix with the
+    eigenvalues -n..n. Its eigenvectors V come out orthonormal to rounding
+    at every degree, so J_n = W^H V diag((-i)^lambda) V^T W keeps only
+    their error; W changes to the real basis. (The Ivanic-Ruedenberg
+    recursion over degrees loses orthogonality to 3e-8 by degree 110.)
+
+    Q commutes with the reflection x -> -x and takes y -> -y to z -> -z
+    (Q sigma_y = sigma_z Q), so J_n maps a basis function of given x- and
+    z-parity onto functions of the same x-parity whose y-parity (cos or
+    sin) equals that z-parity. Only four square blocks, about a quarter of
+    the entries, are nonzero; J_n is returned as (rows, cols, block)
+    triples with J_n[rows, cols] = block. It does not depend on any centre.
+    Each degree is built on first use, held for the process, and read-only.
+    """
+    m = np.arange(-n, n)
+    ladder = 0.5 * np.sqrt((n - m) * (n + m + 1.0))
+    lam, vec = np.linalg.eigh(np.diag(ladder, -1) + np.diag(ladder, 1))
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.rint(lam).astype(int) % 4]
+    # columns: the real basis functions in terms of Y_n^m, m = -n..n
+    w = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    w[n, 0] = 1.0
+    k = np.arange(1, n + 1)
+    sign = (-1.0) ** k
+    w[n + k, k] = sign / _SQRT2
+    w[n - k, k] = 1.0 / _SQRT2
+    w[n + k, n + k] = -1j * sign / _SQRT2
+    w[n - k, n + k] = 1j / _SQRT2
+    a = vec.T @ w
+    j = ((a.conj().T * phase) @ a).real
+
+    k = np.arange(2 * n + 1)
+    is_sin = (k > n).astype(int)
+    m = k - n * is_sin
+    x_parity = (m + is_sin) % 2
+    row_class = 2 * x_parity + is_sin
+    col_class = 2 * x_parity + (n + m) % 2
+    blocks = []
+    for c in range(4):
+        rows = np.flatnonzero(row_class == c)
+        cols = np.flatnonzero(col_class == c)
+        if rows.size:
+            block = j[np.ix_(rows, cols)]
+            for arr in (rows, cols, block):
+                arr.flags.writeable = False
+            blocks.append((rows, cols, block))
+    return tuple(blocks)
+
+
+def _quarter_turns(data: np.ndarray, inverse: bool) -> np.ndarray:
+    """J_n (or J_n^T) applied to every degree n >= 1 of flat coefficients."""
+    out = data.copy()
+    for n in range(1, math.isqrt(data.shape[-1])):
+        x, y = data[..., n * n : (n + 1) ** 2], out[..., n * n : (n + 1) ** 2]
+        for rows, cols, block in _quarter_turn(n):
+            if inverse:
+                y[..., cols] = x[..., rows] @ block
+            else:
+                y[..., rows] = x[..., cols] @ block.T
+    return out
+
+
+def _turn_z(data: np.ndarray, angle: float) -> np.ndarray:
+    """Coefficients of f o Rz(angle): each (cos m phi, sin m phi) pair turns
+    by m angle. The last axis of data is the flat layout; angle 0 returns
+    data itself."""
+    if angle == 0.0:
+        return data
+    n_max = math.isqrt(data.shape[-1]) - 1
+    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    k = np.arange(deg.size) - deg * deg
+    is_sin = k > deg
+    m = np.where(is_sin, k - deg, k)
+    partner = np.arange(deg.size) + np.where(is_sin, -deg, np.where(k > 0, deg, 0))
+    return (data * np.cos(m * angle)
+            + np.where(is_sin, -1.0, 1.0) * np.sin(m * angle) * data[..., partner])
+
+
+def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Coefficients of f o rotation from those of f, degree by degree.
+
+    The last axis of data is the flat layout; leading axes hold independent
+    fields. Synthesized at a node x of a polar cap, the result gives f at
+    rotation @ x, the matching node of the cap rotation carries there. With
+    rotation = Rz(alpha) Ry(beta) Rz(gamma) and Ry(beta) = Q Rz(beta) Q^T,
+    the result is Z(gamma) J^T Z(beta) J Z(alpha) data, where Z(a) is
+    _turn_z and J is _quarter_turn. The angles come from the matrix, so the
+    half-turn south-pole frame works too; the identity returns data itself.
+    """
+    r = np.asarray(rotation, dtype=float)
+    alpha = math.atan2(r[1, 2], r[0, 2])
+    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    # alpha + gamma, or past the equator alpha - gamma, from the block that
+    # states it well, so a beta near 0 or pi leaves no error about z
+    if r[2, 2] >= 0.0:
+        gamma = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
+    else:
+        gamma = alpha - math.atan2(-(r[0, 1] + r[1, 0]), r[1, 1] - r[0, 0])
+    out = _turn_z(data, alpha)
+    if beta != 0.0:
+        out = _quarter_turns(_turn_z(_quarter_turns(out, False), beta), True)
+    return _turn_z(out, gamma)
+
+
+# ---------------------------------------------------------------------------
 # per-order Legendre engine (orthonormal, no Condon-Shortley)
 
 # B_1^1 = A_1^1 / sin(theta) is constant; the diagonal and column recurrences

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from capwave.harmonics import (
     HarmonicCoefficients,
+    _cap_frame,
+    _quarter_turn,
     analyze,
     cap_grid,
     sphere_grid,
@@ -109,6 +111,100 @@ class TestGridEqualsPoints:
         np.testing.assert_allclose(vector_synthesize(v, grid),
                                    vector_synthesize(v, grid.nodes),
                                    atol=1e-12 * v.l2_norm())
+
+
+@st.composite
+def frame_centres(draw):
+    """Cap centres, drawing often the poles, one rounding step off each
+    pole, and the equator."""
+    kind = draw(st.sampled_from([None, 1.0, -1.0, 1.0 - 1e-15, -1.0 + 1e-15, 0.0]))
+    if kind is None:
+        return draw(centers())
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    s = math.sqrt(1.0 - kind * kind)
+    return np.array([s * math.cos(phi), s * math.sin(phi), kind])
+
+
+@st.composite
+def rotations(draw):
+    """Proper rotations: cap frames, or uniform draws from an RNG seed."""
+    if draw(st.booleans()):
+        return cap_grid(1.0, draw(frame_centres()), 1.0, 0).rotation
+    q, r = np.linalg.qr(np.random.default_rng(draw(seeds)).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def polar_twin(grid):
+    """The north-pole cap whose nodes, times grid.rotation.T, are grid's."""
+    return cap_grid(grid.radius, (0.0, 0.0, 1.0), grid.cap_rho, grid.exact_degree)
+
+
+def vector_in_frame(v, rotation):
+    both = _cap_frame(np.stack([v.channel(1), v.channel(2)]), rotation)
+    return VectorCoefficients(v.radius, v.n_max, np.concatenate([both[0], both[1, 1:]]))
+
+
+def dense_quarter_turn(n):
+    j = np.zeros((2 * n + 1, 2 * n + 1))
+    for rows, cols, block in _quarter_turn(n):
+        j[np.ix_(rows, cols)] = block
+    return j
+
+
+class TestCapFrame:
+    # f o R synthesized on the polar cap gives f at the cap R carries there,
+    # node for node; the per-point path is the oracle
+    @PROPERTY
+    @given(n_max=degrees, seed=seeds, center=frame_centres(),
+           cap_rho=st.floats(0.05, 2.0), exact=st.integers(0, 30))
+    def test_scalar_polar_twin_equals_points(self, n_max, seed, center, cap_rho, exact):
+        c = scalar_field(1.0, n_max, seed)
+        grid = cap_grid(1.0, center, cap_rho, exact)
+        turned = HarmonicCoefficients(1.0, n_max, _cap_frame(c.data, grid.rotation))
+        np.testing.assert_allclose(synthesize(turned, polar_twin(grid)),
+                                   synthesize(c, grid.nodes),
+                                   rtol=0.0, atol=1e-13 * c.l2_norm())
+
+    @PROPERTY
+    @given(n_max=degrees, seed=seeds, center=frame_centres(),
+           cap_rho=st.floats(0.05, 2.0), exact=st.integers(0, 30))
+    def test_vector_polar_twin_equals_points(self, n_max, seed, center, cap_rho, exact):
+        v = vector_field(1.0, n_max, seed)
+        grid = cap_grid(1.0, center, cap_rho, exact)
+        local = vector_synthesize(vector_in_frame(v, grid.rotation), polar_twin(grid))
+        np.testing.assert_allclose(local @ grid.rotation.T,
+                                   vector_synthesize(v, grid.nodes),
+                                   rtol=0.0, atol=1e-13 * v.l2_norm())
+
+    @PROPERTY
+    @given(n_max=degrees, seed=seeds, rotation=rotations())
+    def test_degree_norms_invariant(self, n_max, seed, rotation):
+        c = scalar_field(1.0, n_max, seed)
+        turned = HarmonicCoefficients(1.0, n_max, _cap_frame(c.data, rotation))
+        for n in range(n_max + 1):
+            assert abs(np.linalg.norm(turned.degree_slice(n))
+                       - np.linalg.norm(c.degree_slice(n))) <= 1e-13 * c.l2_norm()
+
+    @PROPERTY
+    @given(n_max=degrees, seed=seeds, first=rotations(), second=rotations())
+    def test_composition(self, n_max, seed, first, second):
+        # coefficients of (f o R1) o R2 are those of f o (R1 R2)
+        c = scalar_field(1.0, n_max, seed)
+        np.testing.assert_allclose(_cap_frame(_cap_frame(c.data, first), second),
+                                   _cap_frame(c.data, first @ second),
+                                   rtol=0.0, atol=1e-13 * c.l2_norm())
+
+    def test_degree_110_spot_checks(self):
+        for n in (1, 2, 55, 109, 110):
+            j = dense_quarter_turn(n)
+            np.testing.assert_allclose(j.T @ j, np.eye(2 * n + 1), rtol=0.0, atol=1e-14)
+        c = scalar_field(1.0, 110, 7)
+        grid = cap_grid(1.0, (0.3, 0.4, 0.8), 0.5, 20)
+        turned = HarmonicCoefficients(1.0, 110, _cap_frame(c.data, grid.rotation))
+        np.testing.assert_allclose(synthesize(turned, polar_twin(grid)),
+                                   synthesize(c, grid.nodes),
+                                   rtol=0.0, atol=1e-13 * c.l2_norm())
 
 
 class TestPoles:
