@@ -338,9 +338,10 @@ def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
 class _ErrorMeter:
     """Shared evaluation grid: truth synthesized once, error per candidate.
 
-    Candidates are synthesized through _grid_synthesis, which on a polar
-    evaluation cap keeps the Legendre rows of every order for the run's
-    degree; each error is the same arithmetic as relative_error.
+    Candidates are synthesized through _grid_synthesis, which keeps the
+    Legendre rows of every order for the run's degree in the evaluation
+    cap's own frame and turns each candidate into that frame; each error
+    is the same arithmetic as relative_error.
     """
 
     def __init__(self, model, region: RegionSpec, radius: float, max_degree: int):

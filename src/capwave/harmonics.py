@@ -157,7 +157,9 @@ class CapGrid:
     Exact for restrictions of spherical polynomials of degree <=
     exact_degree E: Gauss nodes in t = center.xi times E + 1 uniform
     azimuths in the cap's own frame. Weights include radius^2 and sum to
-    the cap area 2 pi cap_rho radius^2.
+    the cap area 2 pi cap_rho radius^2. The nodes are those of the same
+    rule at the north pole times rotation.T, in the same order, so every
+    cap is a product grid in its own frame.
     """
 
     radius: float
@@ -286,17 +288,13 @@ def _quarter_turn(n: int) -> tuple:
     ladder = 0.5 * np.sqrt((n - m) * (n + m + 1.0))
     lam, vec = np.linalg.eigh(np.diag(ladder, -1) + np.diag(ladder, 1))
     phase = np.array([1.0, -1j, -1.0, 1j])[np.rint(lam).astype(int) % 4]
-    # columns: the real basis functions in terms of Y_n^m, m = -n..n
-    w = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    w[n, 0] = 1.0
+    # a = V^T W, where column k of W writes the k-th real basis function in
+    # terms of Y_n^m (rows m + n): 1 for m = 0, and for m >= 1
+    # cos: ((-1)^m Y^m + Y^-m)/sqrt2, sin: -i ((-1)^m Y^m - Y^-m)/sqrt2
     k = np.arange(1, n + 1)
-    sign = (-1.0) ** k
-    w[n + k, k] = sign / _SQRT2
-    w[n - k, k] = 1.0 / _SQRT2
-    w[n + k, n + k] = -1j * sign / _SQRT2
-    w[n - k, n + k] = 1j / _SQRT2
-    a = vec.T @ w
-    j = ((a.conj().T * phase) @ a).real
+    up = ((-1.0) ** k)[:, None] * vec[n + k] / _SQRT2
+    down = vec[n - k] / _SQRT2
+    a = np.concatenate([vec[n][None, :], up + down, -1j * (up - down)]).T
 
     k = np.arange(2 * n + 1)
     is_sin = (k > n).astype(int)
@@ -309,24 +307,62 @@ def _quarter_turn(n: int) -> tuple:
         rows = np.flatnonzero(row_class == c)
         cols = np.flatnonzero(col_class == c)
         if rows.size:
-            block = j[np.ix_(rows, cols)]
+            block = ((a[:, rows].conj().T * phase) @ a[:, cols]).real
             for arr in (rows, cols, block):
                 arr.flags.writeable = False
             blocks.append((rows, cols, block))
     return tuple(blocks)
 
 
+@functools.lru_cache(maxsize=8)
+def _quarter_turn_stack(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of J_1..J_n_max zero-padded to one size and stacked, with
+    the flat rows and columns each acts on; padding indices point one past
+    the flat layout. One matrix product then applies every block."""
+    blocks = [(n * n + rows, n * n + cols, block) for n in range(1, n_max + 1)
+              for rows, cols, block in _quarter_turn(n)]
+    size = max(block.shape[0] for *_, block in blocks)
+    pad = (n_max + 1) ** 2
+    mats = np.zeros((len(blocks), size, size))
+    rows = np.full((len(blocks), size), pad)
+    cols = np.full((len(blocks), size), pad)
+    for i, (r, c, block) in enumerate(blocks):
+        mats[i, : r.size, : c.size] = block
+        rows[i, : r.size] = r
+        cols[i, : c.size] = c
+    for arr in (mats, rows, cols):
+        arr.flags.writeable = False
+    return mats, rows, cols
+
+
 def _quarter_turns(data: np.ndarray, inverse: bool) -> np.ndarray:
     """J_n (or J_n^T) applied to every degree n >= 1 of flat coefficients."""
-    out = data.copy()
-    for n in range(1, math.isqrt(data.shape[-1])):
-        x, y = data[..., n * n : (n + 1) ** 2], out[..., n * n : (n + 1) ** 2]
-        for rows, cols, block in _quarter_turn(n):
-            if inverse:
-                y[..., cols] = x[..., rows] @ block
-            else:
-                y[..., rows] = x[..., cols] @ block.T
-    return out
+    n_max = math.isqrt(data.shape[-1]) - 1
+    if n_max == 0:
+        return data.copy()
+    mats, rows, cols = _quarter_turn_stack(n_max)
+    if inverse:
+        mats, rows, cols = mats.transpose(0, 2, 1), cols, rows
+    ext = np.concatenate([data, np.zeros(data.shape[:-1] + (1,))], axis=-1)
+    out = ext.copy()  # degree 0 stays; padded rows land in the extra slot
+    out[..., rows] = (mats @ ext[..., cols, None])[..., 0]
+    return out[..., :-1]
+
+
+@functools.lru_cache(maxsize=8)
+def _turn_index(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order m of each flat slot, the slot of its partner (cos(m phi) and
+    sin(m phi) of one degree; m = 0 is its own) and the sign the partner
+    enters a turn about z with. Memoized and read-only."""
+    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    k = np.arange(deg.size) - deg * deg
+    is_sin = k > deg
+    m = np.where(is_sin, k - deg, k)
+    partner = np.arange(deg.size) + np.where(is_sin, -deg, np.where(k > 0, deg, 0))
+    sign = np.where(is_sin, -1.0, 1.0)
+    for arr in (m, partner, sign):
+        arr.flags.writeable = False
+    return m, partner, sign
 
 
 def _turn_z(data: np.ndarray, angle: float) -> np.ndarray:
@@ -336,13 +372,9 @@ def _turn_z(data: np.ndarray, angle: float) -> np.ndarray:
     if angle == 0.0:
         return data
     n_max = math.isqrt(data.shape[-1]) - 1
-    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
-    k = np.arange(deg.size) - deg * deg
-    is_sin = k > deg
-    m = np.where(is_sin, k - deg, k)
-    partner = np.arange(deg.size) + np.where(is_sin, -deg, np.where(k > 0, deg, 0))
-    return (data * np.cos(m * angle)
-            + np.where(is_sin, -1.0, 1.0) * np.sin(m * angle) * data[..., partner])
+    m, partner, sign = _turn_index(n_max)
+    turn = np.arange(n_max + 1) * angle
+    return data * np.cos(turn)[m] + sign * np.sin(turn)[m] * data[..., partner]
 
 
 def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
@@ -369,6 +401,15 @@ def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     if beta != 0.0:
         out = _quarter_turns(_turn_z(_quarter_turns(out, False), beta), True)
     return _turn_z(out, gamma)
+
+
+def _in_cap_frame(coeffs: HarmonicCoefficients, points) -> HarmonicCoefficients:
+    """coeffs turned into a CapGrid's own frame (_cap_frame), or unchanged
+    for any other points."""
+    if not isinstance(points, CapGrid):
+        return coeffs
+    return HarmonicCoefficients(coeffs.radius, coeffs.n_max,
+                                _cap_frame(coeffs.data, points.rotation))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +504,11 @@ def _azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product_axes(points):
-    """(colatitude cosines, azimuths) of a grid with product structure in
-    the global frame (sphere grids, polar caps), or None."""
+    """(colatitude cosines, azimuths) of a grid's product rule, in the cap's
+    own frame for a CapGrid, or None for loose directions."""
     if isinstance(points, SphereGrid):
         return points.ct, points.phis
-    if isinstance(points, CapGrid) and np.allclose(points.rotation, np.eye(3), atol=1e-14):
+    if isinstance(points, CapGrid):
         return points.t_nodes, points.phis
     return None
 
@@ -477,13 +518,15 @@ def _synthesis(orders, coeffs, points, azimuth=None):
 
     orders(coeffs, ct, st) yields (m, a_m, b_m) for m = 0..coeffs.n_max in
     turn, amplitudes with a last axis over the colatitudes, and the field is
-    sum_m a_m cos(m phi) + b_m sin(m phi). A grid with product structure in
-    the global frame needs the amplitudes only on its colatitude axis and
-    sums them with one matrix product against the azimuth factors (built
-    here unless given as _azimuth(coeffs.n_max, phis)); at other points the
-    azimuth factors advance order by order. Returns the values (last axes
-    over the grid's colatitudes and azimuths, or over the points) and (ct,
-    st, cos phi, sin phi) broadcastable against them.
+    sum_m a_m cos(m phi) + b_m sin(m phi). A grid needs the amplitudes only
+    on its colatitude axis and sums them with one matrix product against
+    the azimuth factors (built here unless given as _azimuth(coeffs.n_max,
+    phis)); on a CapGrid both axes are in the cap's own frame, so coeffs
+    must already be turned into it (_cap_frame). At loose directions
+    the azimuth factors advance order by order. Returns the values (last
+    axes over the grid's colatitudes and azimuths, or over the points) and
+    (ct, st, cos phi, sin phi) broadcastable against them, in the frame the
+    values were summed in.
     """
     axes = _product_axes(points)
     if axes is None:
@@ -564,13 +607,13 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
 
     Runs the per-order Legendre engine: each order's degree sum is one
     matrix product of the coefficients with that order's Legendre rows.
-    Grids with product structure in the global frame (sphere grids, polar
-    caps) evaluate the rows on their colatitude axis only and sum the
-    orders with one azimuth matrix product; rotated caps and loose
+    Grids evaluate the rows on their colatitude axis only and sum the
+    orders with one azimuth matrix product. A cap off the pole does so in
+    its own frame, on coefficients turned into it degree by degree; loose
     directions multiply by cos(m phi), sin(m phi) point by point. A single
     direction gives a float, a grid one value per node.
     """
-    vals, _ = _synthesis(_scalar_orders, coeffs, points)
+    vals, _ = _synthesis(_scalar_orders, _in_cap_frame(coeffs, points), points)
     out = np.reshape(vals / coeffs.radius, _leading_shape(points))
     return float(out) if out.ndim == 0 else out
 
@@ -579,17 +622,13 @@ def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
     """synthesize on one grid for many fields, with the order table built once.
 
     Returns a function of the coefficients that gives synthesize(coeffs,
-    grid) bit for bit. On a grid with product structure in the global
-    frame, the Legendre rows of every order (on the colatitude axis only)
-    and the azimuth factors are built here for degree n_max, and a field of
-    that degree runs the same per-order products as synthesize on them.
-    Rotated caps would need rows at every node, so on those, and for fields
-    of another degree, the function calls synthesize.
+    grid) bit for bit. The Legendre rows of every order (on the colatitude
+    axis only) and the azimuth factors are built here for degree n_max, in
+    a cap's own frame; a field of that degree is turned into that frame as
+    synthesize turns it and runs the same per-order products on the stored
+    rows. Fields of another degree go to synthesize.
     """
-    axes = _product_axes(grid)
-    if axes is None:
-        return lambda coeffs: synthesize(coeffs, grid)
-    ct, phis = axes
+    ct, phis = _product_axes(grid)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     stored_orders = functools.partial(
         _scalar_orders, table=tuple(_legendre_orders(n_max, ct, st)))
@@ -598,7 +637,7 @@ def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
     def run(coeffs: HarmonicCoefficients) -> np.ndarray:
         if coeffs.n_max != n_max:
             return synthesize(coeffs, grid)
-        vals, _ = _synthesis(stored_orders, coeffs, grid, azimuth)
+        vals, _ = _synthesis(stored_orders, _in_cap_frame(coeffs, grid), grid, azimuth)
         return np.reshape(vals / coeffs.radius, (grid.n_nodes,))
 
     return run

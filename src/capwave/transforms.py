@@ -178,8 +178,13 @@ def upward_continue(u_plus: HarmonicCoefficients, R: float) -> HarmonicCoefficie
     return u_plus.scaled_by_degree((r / R) ** n, radius=R)
 
 
-def _outer_coefficients(f1) -> HarmonicCoefficients:
-    """Outer-sphere data as coefficients, analyzed first if given as samples."""
+def _outer_coefficients(f1, n_keep: int) -> HarmonicCoefficients:
+    """Outer-sphere data as coefficients, analyzed first if given as samples.
+
+    Only the scaling part reads them, and it keeps degrees <= n_keep, so
+    samples are analyzed to min(n_keep, f1.degree) and the higher degrees
+    of the declared f1.degree are left zero.
+    """
     if isinstance(f1, HarmonicCoefficients):
         return f1
     if not isinstance(f1, FieldSamples):
@@ -189,7 +194,10 @@ def _outer_coefficients(f1) -> HarmonicCoefficients:
             "spectral path needs grid exactness >= 2 * field degree "
             f"({f1.grid.exact_degree} < {2 * f1.degree})"
         )
-    return analyze(f1.values, f1.grid, f1.degree)
+    out = HarmonicCoefficients(f1.grid.radius, f1.degree)
+    kept = analyze(f1.values, f1.grid, min(n_keep, f1.degree))
+    out.data[: kept.data.size] = kept.data
+    return out
 
 
 def scaling_transform(pair: KernelPair, f1, points, *,
@@ -206,7 +214,7 @@ def scaling_transform(pair: KernelPair, f1, points, *,
     if method not in ("quadrature", "spectral"):
         raise ValueError("method must be 'quadrature' or 'spectral'")
     if method == "spectral":
-        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1))
+        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, g.N))
         return synthesize(out, points)
 
     if isinstance(f1, HarmonicCoefficients):
@@ -301,7 +309,7 @@ def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
     Exact for bandlimited data. f1 may be FieldSamples (analyzed first,
     needing grid exactness >= 2 * degree) or HarmonicCoefficients at R.
     """
-    f1 = _outer_coefficients(f1)
+    f1 = _outer_coefficients(f1, pair.geometry.N)
     lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
     return _assemble(pair, f1, f2, lam)
 

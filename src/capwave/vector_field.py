@@ -27,8 +27,10 @@ import numpy as np
 
 from .harmonics import (
     _SQRT2,
+    CapGrid,
     SphereGrid,
     _as_directions,
+    _cap_frame,
     _azimuth_sums,
     _leading_shape,
     _legendre_orders,
@@ -215,13 +217,23 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     Runs the per-order Legendre engine of the harmonics module on three
     channels at once: the radial, colatitude and azimuth components of each
     order come from one matrix product of the coefficients with that
-    order's reduced Legendre rows, and product grids in the global frame
-    sum the orders with one azimuth matrix product.
+    order's reduced Legendre rows, and grids sum the orders with one
+    azimuth matrix product. On a CapGrid both types are turned into the
+    cap's own frame by the same per-degree rotation, since each comes from
+    Y_nk through a rotation-equivariant operator; the vectors found there
+    are mapped back with grid.rotation.
     """
+    rotation = points.rotation if isinstance(points, CapGrid) else None
+    if rotation is not None:
+        both = _cap_frame(np.stack([coeffs.channel(1), coeffs.channel(2)]), rotation)
+        coeffs = VectorCoefficients(coeffs.radius, coeffs.n_max,
+                                    np.concatenate([both[0], both[1, 1:]]))
     (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_orders, coeffs, points)
     horiz = f_r * st + f_t * ct
     out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
                     f_r * ct - f_t * st], axis=-1)
+    if rotation is not None:
+        out = out @ rotation.T
     return np.reshape(out / coeffs.radius, _leading_shape(points) + (3,))
 
 
@@ -443,8 +455,12 @@ def tensor_first_moment(symbols: SymbolSet) -> float:
 # transforms
 
 
-def _outer_coefficients(f1) -> VectorCoefficients:
-    """Outer-sphere data as coefficients, analyzed first if given as samples."""
+def _outer_coefficients(f1, n_keep: int) -> VectorCoefficients:
+    """Outer-sphere data as coefficients, analyzed first if given as samples.
+
+    As in the scalar chain, samples are analyzed only to the degrees <=
+    n_keep that the scaling part keeps; the rest of f1.degree stays zero.
+    """
     if isinstance(f1, VectorCoefficients):
         return f1
     if not isinstance(f1, VectorFieldSamples):
@@ -454,7 +470,13 @@ def _outer_coefficients(f1) -> VectorCoefficients:
             "spectral path needs grid exactness >= 2*degree+2 "
             f"({f1.grid.exact_degree} < {2 * f1.degree + 2})"
         )
-    return vector_analyze(f1.values, f1.grid, f1.degree)
+    n = min(n_keep, f1.degree)
+    kept = vector_analyze(f1.values, f1.grid, n)
+    out = VectorCoefficients(f1.grid.radius, f1.degree)
+    head, start = (n + 1) ** 2, (f1.degree + 1) ** 2
+    out.data[:head] = kept.data[:head]
+    out.data[start : start + head - 1] = kept.data[head:]
+    return out
 
 
 def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
@@ -470,7 +492,7 @@ def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
     if method not in ("quadrature", "spectral"):
         raise ValueError("method must be 'quadrature' or 'spectral'")
     if method == "spectral":
-        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1))
+        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, g.N))
         return vector_synthesize(out, points)
 
     if isinstance(f1, VectorCoefficients):
@@ -566,7 +588,7 @@ def vector_approximate_coefficients(pair: TensorKernelPair, f1,
     f1 may be VectorFieldSamples (analyzed first, needing grid exactness
     >= 2 * degree + 2) or VectorCoefficients at R.
     """
-    f1 = _outer_coefficients(f1)
+    f1 = _outer_coefficients(f1, pair.geometry.N)
     g = _require_vector(pair)
     t_part = _scaling_spectral_coefficients(pair, f1)
     w_part = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)

@@ -168,6 +168,15 @@ class TestCommands:
         assert main(["table", str(tiny_cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_off_pole_table_determinism(self, tmp_path):
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text(TINY + "region_center = 0.3 0.4 0.8\n")
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(["table", str(cfg), "--out", str(a)]) == 0
+        assert main(["table", str(cfg), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_tsvd_table(self, tiny_cfg, tmp_path):
         out = tmp_path / "tt.csv"
         assert main(["tsvd-table", str(tiny_cfg), "--out", str(out)]) == 0

@@ -342,6 +342,10 @@ class TestScoringMatchesLibrary:
         self._check(tiny_config(epsilon1=(0.01,), seeds=(0, 5),
                                 region_center=(0.3, 0.4, 0.8)))
 
+    def test_south_pole_region(self):
+        self._check(tiny_config(epsilon1=(0.01,), seeds=(0, 5),
+                                region_center=(0.0, 0.0, -1.0)))
+
 
 class TestTsvdTable:
     def test_noise_free_full_cut_is_exact(self):

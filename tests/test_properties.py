@@ -22,14 +22,22 @@ from capwave.harmonics import (
 )
 from capwave.kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
 from capwave.legendre import gauss_rule, legendre_all
-from capwave.transforms import RegionSpec, approximate_coefficients, wavelet_multipliers
+from capwave.transforms import (
+    FieldSamples,
+    RegionSpec,
+    approximate_coefficients,
+    wavelet_multipliers,
+)
+from capwave.transforms import _outer_coefficients as scalar_outer
 from capwave.vector_field import (
     VectorCoefficients,
+    VectorFieldSamples,
     _cap_wavelet_coefficients,
     vector_analyze,
     vector_approximate,
     vector_synthesize,
 )
+from capwave.vector_field import _outer_coefficients as vector_outer
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -240,6 +248,39 @@ class TestParseval:
         g = vector_synthesize(v, vgrid)
         assert math.isclose(math.sqrt(vgrid.integrate(np.einsum("ij,ij->i", g, g))),
                             v.l2_norm(), rel_tol=1e-11)
+
+
+class TestOuterAnalysisKeepsScalingDegrees:
+    # the scaling part keeps degrees <= N, so outer samples are analyzed
+    # only that far; the declared degree and every kept coefficient stay
+    @PROPERTY
+    @given(n_max=degrees, n_keep=st.integers(0, 25), seed=seeds, radius=radii)
+    def test_scalar(self, n_max, n_keep, seed, radius):
+        c = scalar_field(radius, n_max, seed)
+        grid = sphere_grid(radius, 2 * n_max)
+        out = scalar_outer(FieldSamples(grid, synthesize(c, grid), n_max), n_keep)
+        head = (min(n_keep, n_max) + 1) ** 2
+        assert out.n_max == n_max and out.radius == radius
+        np.testing.assert_allclose(out.data[:head], c.data[:head],
+                                   rtol=0.0, atol=1e-11 * c.l2_norm())
+        assert not out.data[head:].any()
+
+    @PROPERTY
+    @given(n_max=degrees, n_keep=st.integers(0, 25), seed=seeds, radius=radii)
+    def test_vector(self, n_max, n_keep, seed, radius):
+        v = vector_field(radius, n_max, seed)
+        grid = sphere_grid(radius, 2 * n_max + 2)
+        out = vector_outer(VectorFieldSamples(grid, vector_synthesize(v, grid), n_max),
+                           n_keep)
+        n = min(n_keep, n_max)
+        kept = np.zeros_like(v.data, dtype=bool)
+        size = (n_max + 1) ** 2
+        kept[: (n + 1) ** 2] = True
+        kept[size : size + (n + 1) ** 2 - 1] = True
+        assert out.n_max == n_max and out.radius == radius
+        np.testing.assert_allclose(out.data[kept], v.data[kept],
+                                   rtol=0.0, atol=1e-11 * v.l2_norm())
+        assert not out.data[~kept].any()
 
 
 def random_weights(geometry, seed):
