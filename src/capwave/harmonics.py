@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .legendre import gauss_rule
 
@@ -264,7 +265,6 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
 # rotating coefficients into a cap's frame
 
 
-@functools.lru_cache(maxsize=None)
 def _quarter_turn(n: int) -> tuple:
     """J_n, taking the degree-n coefficients of f to those of f o Q.
 
@@ -281,12 +281,12 @@ def _quarter_turn(n: int) -> tuple:
     z-parity onto functions of the same x-parity whose y-parity (cos or
     sin) equals that z-parity. Only four square blocks, about a quarter of
     the entries, are nonzero; J_n is returned as (rows, cols, block)
-    triples with J_n[rows, cols] = block. It does not depend on any centre.
-    Each degree is built on first use, held for the process, and read-only.
+    triples with J_n[rows, cols] = block. It does not depend on any centre,
+    and _quarter_turn_group keeps it once built.
     """
     m = np.arange(-n, n)
     ladder = 0.5 * np.sqrt((n - m) * (n + m + 1.0))
-    lam, vec = np.linalg.eigh(np.diag(ladder, -1) + np.diag(ladder, 1))
+    lam, vec = eigh_tridiagonal(np.zeros(2 * n + 1), ladder)
     phase = np.array([1.0, -1j, -1.0, 1j])[np.rint(lam).astype(int) % 4]
     # a = V^T W, where column k of W writes the k-th real basis function in
     # terms of Y_n^m (rows m + n): 1 for m = 0, and for m >= 1
@@ -307,45 +307,53 @@ def _quarter_turn(n: int) -> tuple:
         rows = np.flatnonzero(row_class == c)
         cols = np.flatnonzero(col_class == c)
         if rows.size:
-            block = ((a[:, rows].conj().T * phase) @ a[:, cols]).real
-            for arr in (rows, cols, block):
-                arr.flags.writeable = False
-            blocks.append((rows, cols, block))
+            blocks.append((rows, cols, ((a[:, rows].conj().T * phase) @ a[:, cols]).real))
     return tuple(blocks)
 
 
-@functools.lru_cache(maxsize=8)
-def _quarter_turn_stack(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks of J_1..J_n_max zero-padded to one size and stacked, with
-    the flat rows and columns each acts on; padding indices point one past
-    the flat layout. One matrix product then applies every block."""
-    blocks = [(n * n + rows, n * n + cols, block) for n in range(1, n_max + 1)
-              for rows, cols, block in _quarter_turn(n)]
+# degrees per group of quarter-turn blocks applied by one matrix product;
+# block sizes grow as n/2, so padding to a group's largest wastes little
+_TURN_GROUP = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_turn_group(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of J_n for the degrees n of group g (_TURN_GROUP g + 1
+    onwards), zero-padded to one size and stacked in order of degree, with the flat rows and columns each acts on
+    (-1 for padding: a zero slot is appended to the data) and, per degree,
+    the number of blocks up to it. The indices do not depend on the field's
+    degree, so one group serves every degree. Built on first use, held for
+    the process, read-only."""
+    degrees = range(_TURN_GROUP * g + 1, _TURN_GROUP * (g + 1) + 1)
+    per_degree = [_quarter_turn(n) for n in degrees]
+    blocks = [(n * n + r, n * n + c, block)
+              for n, turn in zip(degrees, per_degree) for r, c, block in turn]
     size = max(block.shape[0] for *_, block in blocks)
-    pad = (n_max + 1) ** 2
     mats = np.zeros((len(blocks), size, size))
-    rows = np.full((len(blocks), size), pad)
-    cols = np.full((len(blocks), size), pad)
+    rows = np.full((len(blocks), size), -1)
+    cols = np.full((len(blocks), size), -1)
     for i, (r, c, block) in enumerate(blocks):
         mats[i, : r.size, : c.size] = block
         rows[i, : r.size] = r
         cols[i, : c.size] = c
-    for arr in (mats, rows, cols):
+    ends = np.cumsum([len(turn) for turn in per_degree])
+    for arr in (mats, rows, cols, ends):
         arr.flags.writeable = False
-    return mats, rows, cols
+    return mats, rows, cols, ends
 
 
 def _quarter_turns(data: np.ndarray, inverse: bool) -> np.ndarray:
     """J_n (or J_n^T) applied to every degree n >= 1 of flat coefficients."""
     n_max = math.isqrt(data.shape[-1]) - 1
-    if n_max == 0:
-        return data.copy()
-    mats, rows, cols = _quarter_turn_stack(n_max)
-    if inverse:
-        mats, rows, cols = mats.transpose(0, 2, 1), cols, rows
     ext = np.concatenate([data, np.zeros(data.shape[:-1] + (1,))], axis=-1)
     out = ext.copy()  # degree 0 stays; padded rows land in the extra slot
-    out[..., rows] = (mats @ ext[..., cols, None])[..., 0]
+    for g in range((n_max + _TURN_GROUP - 1) // _TURN_GROUP):
+        mats, rows, cols, ends = _quarter_turn_group(g)
+        k = ends[min(n_max - _TURN_GROUP * g, _TURN_GROUP) - 1]
+        mats, rows, cols = mats[:k], rows[:k], cols[:k]
+        if inverse:
+            mats, rows, cols = mats.transpose(0, 2, 1), cols, rows
+        out[..., rows] = (mats @ ext[..., cols, None])[..., 0]
     return out[..., :-1]
 
 

@@ -30,8 +30,8 @@ from .harmonics import (
     CapGrid,
     SphereGrid,
     _as_directions,
-    _cap_frame,
     _azimuth_sums,
+    _cap_frame,
     _leading_shape,
     _legendre_orders,
     _order_index,
