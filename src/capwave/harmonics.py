@@ -319,11 +319,11 @@ _TURN_GROUP = 16
 @functools.lru_cache(maxsize=None)
 def _quarter_turn_group(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The blocks of J_n for the degrees n of group g (_TURN_GROUP g + 1
-    onwards), zero-padded to one size and stacked in order of degree, with the flat rows and columns each acts on
-    (-1 for padding: a zero slot is appended to the data) and, per degree,
-    the number of blocks up to it. The indices do not depend on the field's
-    degree, so one group serves every degree. Built on first use, held for
-    the process, read-only."""
+    onwards), zero-padded to one size and stacked in order of degree, with
+    the flat rows and columns each acts on (-1 for padding: a zero slot is
+    appended to the data) and, per degree, the number of blocks up to it.
+    The indices do not depend on the field's degree, so one group serves
+    every degree. Built on first use, held for the process, read-only."""
     degrees = range(_TURN_GROUP * g + 1, _TURN_GROUP * (g + 1) + 1)
     per_degree = [_quarter_turn(n) for n in degrees]
     blocks = [(n * n + r, n * n + c, block)
