@@ -182,20 +182,23 @@ def _outer_coefficients(f1, n_keep: int) -> HarmonicCoefficients:
     """Outer-sphere data as coefficients, analyzed first if given as samples.
 
     Only the scaling part reads them, and it keeps degrees <= n_keep, so
-    samples are analyzed to min(n_keep, f1.degree) and the higher degrees
-    of the declared f1.degree are left zero.
+    samples are analyzed to n = min(n_keep, f1.degree) and the higher
+    degrees of the declared f1.degree are left zero. Products of the field
+    with those harmonics reach degree n + f1.degree, which the grid must
+    integrate exactly.
     """
     if isinstance(f1, HarmonicCoefficients):
         return f1
     if not isinstance(f1, FieldSamples):
         raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
-    if f1.grid.exact_degree < 2 * f1.degree:
+    n = min(n_keep, f1.degree)
+    if f1.grid.exact_degree < n + f1.degree:
         raise ValueError(
-            "spectral path needs grid exactness >= 2 * field degree "
-            f"({f1.grid.exact_degree} < {2 * f1.degree})"
+            "outer analysis needs grid exactness >= min(N, degree) + degree "
+            f"({f1.grid.exact_degree} < {n + f1.degree})"
         )
     out = HarmonicCoefficients(f1.grid.radius, f1.degree)
-    kept = analyze(f1.values, f1.grid, min(n_keep, f1.degree))
+    kept = analyze(f1.values, f1.grid, n)
     out.data[: kept.data.size] = kept.data
     return out
 
@@ -307,7 +310,8 @@ def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
     for n <= N; the wavelet part contributes lambda_n times the ground-data
     coefficients, with lambda_n the cap-restricted wavelet multipliers.
     Exact for bandlimited data. f1 may be FieldSamples (analyzed first,
-    needing grid exactness >= 2 * degree) or HarmonicCoefficients at R.
+    needing grid exactness >= min(N, degree) + degree) or
+    HarmonicCoefficients at R.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
     lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)

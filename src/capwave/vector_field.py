@@ -458,19 +458,21 @@ def tensor_first_moment(symbols: SymbolSet) -> float:
 def _outer_coefficients(f1, n_keep: int) -> VectorCoefficients:
     """Outer-sphere data as coefficients, analyzed first if given as samples.
 
-    As in the scalar chain, samples are analyzed only to the degrees <=
+    As in the scalar chain, samples are analyzed only to the degrees n <=
     n_keep that the scaling part keeps; the rest of f1.degree stays zero.
+    Basis components carry one degree more than the scalar harmonics, so
+    the grid must integrate degree n + f1.degree + 2 exactly.
     """
     if isinstance(f1, VectorCoefficients):
         return f1
     if not isinstance(f1, VectorFieldSamples):
         raise TypeError("f1 must be VectorFieldSamples or VectorCoefficients")
-    if f1.grid.exact_degree < 2 * f1.degree + 2:
-        raise ValueError(
-            "spectral path needs grid exactness >= 2*degree+2 "
-            f"({f1.grid.exact_degree} < {2 * f1.degree + 2})"
-        )
     n = min(n_keep, f1.degree)
+    if f1.grid.exact_degree < n + f1.degree + 2:
+        raise ValueError(
+            "outer analysis needs grid exactness >= min(N, degree) + degree + 2 "
+            f"({f1.grid.exact_degree} < {n + f1.degree + 2})"
+        )
     kept = vector_analyze(f1.values, f1.grid, n)
     out = VectorCoefficients(f1.grid.radius, f1.degree)
     head, start = (n + 1) ** 2, (f1.degree + 1) ** 2
@@ -586,7 +588,7 @@ def vector_approximate_coefficients(pair: TensorKernelPair, f1,
     of both types for n <= N; the wavelet part contributes the cap
     multipliers times the ground-data coefficients, per degree and type.
     f1 may be VectorFieldSamples (analyzed first, needing grid exactness
-    >= 2 * degree + 2) or VectorCoefficients at R.
+    >= min(N, degree) + degree + 2) or VectorCoefficients at R.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
     g = _require_vector(pair)

@@ -252,35 +252,39 @@ class TestParseval:
 
 class TestOuterAnalysisKeepsScalingDegrees:
     # the scaling part keeps degrees <= N, so outer samples are analyzed
-    # only that far; the declared degree and every kept coefficient stay
+    # only that far; the declared degree and every kept coefficient stay,
+    # on a grid of exactness 2 * degree and on one at exactly the bound
+    # min(N, degree) + degree (vector: + 2)
     @PROPERTY
     @given(n_max=degrees, n_keep=st.integers(0, 25), seed=seeds, radius=radii)
     def test_scalar(self, n_max, n_keep, seed, radius):
         c = scalar_field(radius, n_max, seed)
-        grid = sphere_grid(radius, 2 * n_max)
-        out = scalar_outer(FieldSamples(grid, synthesize(c, grid), n_max), n_keep)
         head = (min(n_keep, n_max) + 1) ** 2
-        assert out.n_max == n_max and out.radius == radius
-        np.testing.assert_allclose(out.data[:head], c.data[:head],
-                                   rtol=0.0, atol=1e-11 * c.l2_norm())
-        assert not out.data[head:].any()
+        for exact in (2 * n_max, min(n_keep, n_max) + n_max):
+            grid = sphere_grid(radius, exact)
+            out = scalar_outer(FieldSamples(grid, synthesize(c, grid), n_max), n_keep)
+            assert out.n_max == n_max and out.radius == radius
+            np.testing.assert_allclose(out.data[:head], c.data[:head],
+                                       rtol=0.0, atol=1e-11 * c.l2_norm())
+            assert not out.data[head:].any()
 
     @PROPERTY
     @given(n_max=degrees, n_keep=st.integers(0, 25), seed=seeds, radius=radii)
     def test_vector(self, n_max, n_keep, seed, radius):
         v = vector_field(radius, n_max, seed)
-        grid = sphere_grid(radius, 2 * n_max + 2)
-        out = vector_outer(VectorFieldSamples(grid, vector_synthesize(v, grid), n_max),
-                           n_keep)
         n = min(n_keep, n_max)
         kept = np.zeros_like(v.data, dtype=bool)
         size = (n_max + 1) ** 2
         kept[: (n + 1) ** 2] = True
         kept[size : size + (n + 1) ** 2 - 1] = True
-        assert out.n_max == n_max and out.radius == radius
-        np.testing.assert_allclose(out.data[kept], v.data[kept],
-                                   rtol=0.0, atol=1e-11 * v.l2_norm())
-        assert not out.data[~kept].any()
+        for exact in (2 * n_max + 2, n + n_max + 2):
+            grid = sphere_grid(radius, exact)
+            out = vector_outer(
+                VectorFieldSamples(grid, vector_synthesize(v, grid), n_max), n_keep)
+            assert out.n_max == n_max and out.radius == radius
+            np.testing.assert_allclose(out.data[kept], v.data[kept],
+                                       rtol=0.0, atol=1e-11 * v.l2_norm())
+            assert not out.data[~kept].any()
 
 
 def random_weights(geometry, seed):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capwave.harmonics import HarmonicCoefficients, cap_grid, sphere_grid, synthesize
+from capwave.harmonics import HarmonicCoefficients, cap_grid, synthesize
 from capwave.kernels import (
     Geometry,
     KernelPair,
@@ -14,7 +14,6 @@ from capwave.kernels import (
     shannon_reference_pair,
 )
 from capwave.transforms import (
-    FieldSamples,
     NoiseSpec,
     RegionSpec,
     add_noise,
@@ -174,17 +173,15 @@ class TestScalingTransform:
         assert np.max(np.abs(quad - spec)) < 1e-10 * np.max(np.abs(quad))
 
     def test_insufficient_exactness_rejected(self):
+        # one short of min(N, degree) + degree, below and above N = 30
         g = reduced_geometry()
         pair = shannon_reference_pair(g, g.N)
-        field = random_field(R_OUTER, 20, 12)
-        coarse = field_samples(field, g.N + 19)
         pts = np.array([[0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            scaling_transform(pair, coarse, pts, method="quadrature")
-        under_analyzed = FieldSamples(sphere_grid(R_OUTER, 39), np.zeros(
-            sphere_grid(R_OUTER, 39).n_nodes), 20)
-        with pytest.raises(ValueError):
-            scaling_transform(pair, under_analyzed, pts, method="spectral")
+        for degree in (20, 40):
+            coarse = field_samples(random_field(R_OUTER, degree, 12),
+                                   min(g.N, degree) + degree - 1)
+            with pytest.raises(ValueError):
+                scaling_transform(pair, coarse, pts, method="spectral")
 
 
 class TestWaveletTransformLocal:

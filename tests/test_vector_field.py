@@ -383,13 +383,13 @@ class TestScalingTransform:
         g = Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5, case="vector")
         pair = shannon_reference_pair(g, g.N)
         coeffs = random_vector_field(1.3, 5, seed=19)
-        thin = vector_field_samples(coeffs, 2 * 5)  # one short of 2*5+2
-        with pytest.raises(ValueError):
-            vector_scaling_transform(pair, thin, np.array([[0.0, 0.0, 1.0]]),
-                                     method="spectral")
-        thin2 = vector_field_samples(coeffs, g.N + 5)  # one short of N+5+2
-        with pytest.raises(ValueError):
-            vector_scaling_transform(pair, thin2, np.array([[0.0, 0.0, 1.0]]))
+        # one short of min(N, degree) + degree + 2, below and above N = 6
+        for degree in (5, 9):
+            thin = vector_field_samples(random_vector_field(1.3, degree, seed=19),
+                                        min(g.N, degree) + degree + 1)
+            with pytest.raises(ValueError):
+                vector_scaling_transform(pair, thin, np.array([[0.0, 0.0, 1.0]]),
+                                         method="spectral")
         with pytest.raises(TypeError):
             vector_scaling_transform(pair, coeffs.data, np.array([[0.0, 0.0, 1.0]]))
         scalar_pair = shannon_reference_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5), 6)
