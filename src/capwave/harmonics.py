@@ -480,8 +480,14 @@ def _theta_factor(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def _direction_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ct, st, cos phi, sin phi) for unit directions, safe at the poles."""
+    """(ct, st, cos phi, sin phi) of directions, safe at the poles.
+
+    The directions are normalized first: nodes of a rotated grid miss unit
+    length by a few ulps, and ct = z, st = hypot(x, y) taken from them
+    directly cost degree-110 values a digit.
+    """
     pts = np.asarray(points, dtype=float)
+    pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     ct = np.clip(pts[..., 2], -1.0, 1.0)
     st = np.hypot(pts[..., 0], pts[..., 1])
     safe = np.where(st > 0, st, 1.0)

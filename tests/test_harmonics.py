@@ -231,6 +231,17 @@ class TestSynthesizeAnalyze:
         g = cap_grid(1.0, center, 0.7, 16)
         assert np.allclose(synthesize(c, g), synthesize(c, g.nodes), atol=1e-12)
 
+    def test_points_off_unit_length_by_ulps_keep_degree_110_accuracy(self):
+        # rotated nodes miss unit length by up to 4.4e-16; read unnormalized
+        # they cost the point path 8e-13 here, normalized 1e-13
+        rng = np.random.default_rng(0)
+        c = random_coeffs(rng, 1.0, 110)
+        g = cap_grid(1.0, np.array([-0.5, 0.2, -0.6]), 0.6, 110)
+        grid_vals = synthesize(c, g)
+        point_vals = synthesize(c, g.nodes)
+        scale = np.max(np.abs(grid_vals))
+        assert np.max(np.abs(point_vals - grid_vals)) < 2.5e-13 * scale
+
 
 class TestGridSynthesis:
     def test_same_bits_as_synthesize(self):
