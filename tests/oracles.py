@@ -48,6 +48,48 @@ def scalar_profile_energy(values, rho, n_points=None):
     return float(wt @ prof**2)
 
 
+def _profile_series(values):
+    """Legendre series sum_n (2n+1)/(4 pi) values[n] P_n of a zonal kernel."""
+    values = np.asarray(values, dtype=float)
+    return (2.0 * np.arange(values.size) + 1.0) / FOUR_PI * values
+
+
+def zonal_convolution(values, points, nodes, weighted):
+    """sum_j K(x . eta_j) weighted_j at each point x, node by node.
+
+    K is the scalar zonal profile sum_n (2n+1)/(4 pi) values[n] P_n; nodes
+    are the unit directions eta_j of a quadrature rule and weighted the
+    rule's weights times the field samples. Radius factors are excluded.
+    """
+    t = np.clip(np.asarray(points, dtype=float) @ np.asarray(nodes).T, -1.0, 1.0)
+    return npleg.legval(t, _profile_series(values)) @ weighted
+
+
+def tensor_convolution(values, x, nodes, weighted):
+    """sum_j K(x, eta_j) weighted_j for the tensor kernel of vector_tensor_matrix.
+
+    weighted holds one 3-vector w_j f_j per node. The tensor acts on f_j in
+    the closed form of vector_tensor_matrix, summed over degrees first:
+    S0 x (eta.f) + S2 a (b.f) + S1 (f - eta (eta.f) - x (b.f)), with S0 the
+    profile series and S1, S2 the first and second derivatives of the
+    series with coefficients (2n+1)/(4 pi) values[n] / (n(n+1)), n >= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    c = _profile_series(values)
+    n = np.arange(1, c.size)
+    d = np.zeros_like(c)
+    d[1:] = c[1:] / (n * (n + 1.0))
+    t = np.clip(nodes @ x, -1.0, 1.0)
+    s0 = npleg.legval(t, c)
+    s1 = npleg.legval(t, npleg.legder(d))
+    s2 = npleg.legval(t, npleg.legder(d, 2))
+    eta_f = np.einsum("ij,ij->i", nodes, weighted)
+    b_f = weighted @ x - t * eta_f
+    a = nodes - t[:, None] * x
+    return (x * float(np.sum(s0 * eta_f - s1 * b_f)) + (s2 * b_f) @ a
+            + s1 @ weighted - (s1 * eta_f) @ nodes)
+
+
 def _legendre_value_and_derivatives(n, t):
     e = np.zeros(n + 1)
     e[n] = 1.0

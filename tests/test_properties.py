@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import node_wise
 from capwave.harmonics import (
     HarmonicCoefficients,
     _cap_frame,
@@ -25,6 +26,7 @@ from capwave.legendre import gauss_rule, legendre_all
 from capwave.transforms import (
     FieldSamples,
     RegionSpec,
+    approximate,
     approximate_coefficients,
     wavelet_multipliers,
 )
@@ -371,12 +373,12 @@ class TestZonalCapIntegral:
 
 
 @st.composite
-def vector_pairs(draw):
-    """Vector pairs with random symbols, kN <= 8, cap radius in [0.2, 2]."""
+def kernel_pairs(draw, case="vector"):
+    """Pairs with random symbols, kN <= 8, cap radius in [0.2, 2]."""
     N = draw(st.integers(1, 6))
     extra = draw(st.integers(1, min(N, 8 - N)))
     rho = draw(st.floats(0.2, 2.0))
-    g = Geometry(1.0, 1.1, N, kappa=(N + extra + 0.5) / N, rho=rho, case="vector")
+    g = Geometry(1.0, 1.1, N, kappa=(N + extra + 0.5) / N, rho=rho, case=case)
     rng = np.random.default_rng(draw(seeds))
     return KernelPair(g, SymbolSet(N, rng.standard_normal(N + 1)),
                       SymbolSet(g.kN, rng.standard_normal(g.kN + 1)))
@@ -391,11 +393,29 @@ def cap_multipliers(pair, kernel_rho, n_max):
     return lam, mu
 
 
+class TestScalarCapMultipliers:
+    # the cap-restricted zonal kernel acts degree by degree on every cap,
+    # so the spectral path is the node-wise quadrature of the oracle
+    @PROPERTY
+    @given(pair=kernel_pairs("scalar"), n_max=st.integers(0, 8), seed=seeds,
+           center=centers(), margin=st.floats(0.05, 1.0))
+    def test_spectral_equals_quadrature(self, pair, n_max, seed, center, margin):
+        g = pair.geometry
+        region = RegionSpec(center, min(g.rho + margin, 2.0), g.rho)
+        f1 = scalar_field(g.R, n_max, seed)
+        f2 = scalar_field(g.r, n_max, seed + 1)
+        pts = region.eval_grid(1.0, 2).nodes[::2]
+        spec = approximate(pair, f1, f2, region, pts)
+        quad = node_wise.approximate(pair, f1, f2, region, pts)
+        np.testing.assert_allclose(spec, quad, rtol=0.0,
+                                   atol=1e-12 * np.abs(quad).max())
+
+
 class TestVectorCapMultipliers:
     # the cap-restricted tensor kernel acts degree by degree and type by
     # type on every cap, so the spectral path is the quadrature path
     @PROPERTY
-    @given(pair=vector_pairs(), n_max=st.integers(0, 8), seed=seeds,
+    @given(pair=kernel_pairs(), n_max=st.integers(0, 8), seed=seeds,
            center=centers(), margin=st.floats(0.05, 1.0))
     def test_spectral_equals_quadrature(self, pair, n_max, seed, center, margin):
         g = pair.geometry
@@ -403,20 +423,20 @@ class TestVectorCapMultipliers:
         f1 = vector_field(g.R, n_max, seed)
         f2 = vector_field(g.r, n_max, seed + 1)
         pts = region.eval_grid(1.0, 2).nodes[::2]
-        spec = vector_approximate(pair, f1, f2, region, pts, method="spectral")
-        quad = vector_approximate(pair, f1, f2, region, pts, method="quadrature")
+        spec = vector_approximate(pair, f1, f2, region, pts)
+        quad = node_wise.vector_approximate(pair, f1, f2, region, pts)
         np.testing.assert_allclose(spec, quad, rtol=0.0,
                                    atol=1e-12 * np.abs(quad).max())
 
     @PROPERTY
-    @given(pair=vector_pairs(), n_max=st.integers(0, 8))
+    @given(pair=kernel_pairs(), n_max=st.integers(0, 8))
     def test_radial_type_takes_scalar_multipliers(self, pair, n_max):
         rho = pair.geometry.rho
         lam, _ = cap_multipliers(pair, rho, n_max)
         assert np.array_equal(lam, wavelet_multipliers(pair, rho, n_max))
 
     @PROPERTY
-    @given(pair=vector_pairs())
+    @given(pair=kernel_pairs())
     def test_full_sphere_cap_gives_wavelet_symbols(self, pair):
         kN = pair.geometry.kN
         _, mu = cap_multipliers(pair, 2.0, kN)

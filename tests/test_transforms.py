@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from capwave.harmonics import HarmonicCoefficients, cap_grid, synthesize
+import node_wise
+from capwave.harmonics import HarmonicCoefficients, synthesize
 from capwave.kernels import (
     Geometry,
     KernelPair,
@@ -158,8 +159,8 @@ class TestScalingTransform:
         pair = optimize(g, PenaltyWeights.uniform(g, 1.0, 1.0, 0.1))
         f1 = field_samples(random_field(R_OUTER, 20, 8), g.N + 20)
         pts = points_in_region(RegionSpec(NORTH, 0.6, 0.5), 10, 9)
-        quad = scaling_transform(pair, f1, pts, method="quadrature")
-        spec = scaling_transform(pair, f1, pts, method="spectral")
+        quad = node_wise.scaling(pair, f1, pts)
+        spec = scaling_transform(pair, f1, pts)
         scale = np.max(np.abs(quad))
         assert np.max(np.abs(quad - spec)) < 1e-10 * scale
 
@@ -168,8 +169,8 @@ class TestScalingTransform:
         pair = shannon_reference_pair(g, g.N)
         f1 = random_field(R_OUTER, 15, 10)
         pts = points_in_region(RegionSpec(NORTH, 0.6, 0.5), 4, 11)
-        quad = scaling_transform(pair, f1, pts, method="quadrature")
-        spec = scaling_transform(pair, f1, pts, method="spectral")
+        quad = node_wise.scaling(pair, f1, pts)
+        spec = scaling_transform(pair, f1, pts)
         assert np.max(np.abs(quad - spec)) < 1e-10 * np.max(np.abs(quad))
 
     def test_insufficient_exactness_rejected(self):
@@ -181,7 +182,7 @@ class TestScalingTransform:
             coarse = field_samples(random_field(R_OUTER, degree, 12),
                                    min(g.N, degree) + degree - 1)
             with pytest.raises(ValueError):
-                scaling_transform(pair, coarse, pts, method="spectral")
+                scaling_transform(pair, coarse, pts)
 
 
 class TestWaveletTransformLocal:
@@ -216,7 +217,7 @@ class TestWaveletTransformLocal:
         f2 = random_field(1.0, 18, 17)
         x = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
         x /= np.linalg.norm(x)
-        quad = wavelet_transform_local(pair, f2, x, region)
+        quad = node_wise.wavelet(pair, f2, x, region.kernel_rho)
         psi = np.zeros(f2.n_max + 1)
         psi[: g.kN + 1] = pair.psi_tilde.values
         spectral_field = f2.scaled_by_degree(psi)
@@ -229,8 +230,8 @@ class TestWaveletTransformLocal:
         region = RegionSpec(NORTH, 0.9, 0.8)
         f2 = random_field(1.0, 12, 19)
         x = NORTH
-        quad = wavelet_transform_local(pair, f2, x, region)
-        spec = wavelet_transform_local(pair, f2, x, region, method="spectral")
+        quad = node_wise.wavelet(pair, f2, x, region.kernel_rho)
+        spec = wavelet_transform_local(pair, f2, x, region)
         assert quad == pytest.approx(spec, rel=1e-10, abs=1e-10)
 
     def test_multipliers_at_full_cap_equal_symbols(self):
@@ -249,7 +250,7 @@ class TestWaveletTransformLocal:
             pair = random_pair(g, 1000 + trial)
             f2 = random_field(1.0, 20, 2000 + trial)
             x = points_in_region(region, 1, 3000 + trial)[0]
-            cap_value = wavelet_transform_local(pair, f2, x, region)
+            cap_value = node_wise.wavelet(pair, f2, x, region.kernel_rho)
             psi = np.zeros(f2.n_max + 1)
             psi[: g.kN + 1] = pair.psi_tilde.values
             full_value = float(synthesize(f2.scaled_by_degree(psi), x[None, :])[0])
@@ -273,7 +274,7 @@ class TestApproximate:
         assert relative_error(u_plus, approx, region) < 1e-8
 
         pts = points_in_region(region, 6, 23)
-        vals = approximate(pair, f1, u_plus, region, pts, method="quadrature")
+        vals = node_wise.approximate(pair, f1, u_plus, region, pts)
         expected = synthesize(u_plus, pts)
         assert np.max(np.abs(vals - expected)) < 1e-8 * np.max(np.abs(expected))
 
@@ -284,7 +285,7 @@ class TestApproximate:
         f1 = random_field(R_OUTER, 10, 24)
         f2 = random_field(R_INNER, 10, 25)
         pts = points_in_region(region, 4, 26)
-        out = approximate(pair, f1, f2, region, pts, method="spectral")
+        out = approximate(pair, f1, f2, region, pts)
         assert np.allclose(out, 0.0, atol=1e-25)
 
     def test_methods_agree_on_bandlimited_data(self):
@@ -294,8 +295,8 @@ class TestApproximate:
         f1 = field_samples(upward_continue(u_plus, R_OUTER), 2 * (g.N + 20))
         region = RegionSpec(NORTH, 0.6, 0.5)
         pts = points_in_region(region, 5, 28)
-        quad = approximate(pair, f1, u_plus, region, pts, method="quadrature")
-        spec = approximate(pair, f1, u_plus, region, pts, method="spectral")
+        quad = node_wise.approximate(pair, f1, u_plus, region, pts)
+        spec = approximate(pair, f1, u_plus, region, pts)
         assert np.max(np.abs(quad - spec)) < 1e-9 * max(np.max(np.abs(quad)), 1.0)
 
     def test_point_outside_region_rejected(self):

@@ -36,6 +36,7 @@ from capwave.vector_field import (
     vsh,
 )
 
+import node_wise
 import oracles
 
 R_INNER = 6371.2
@@ -361,8 +362,10 @@ class TestScalingTransform:
         rng = np.random.default_rng(16)
         pts = np.array([random_unit(rng) for _ in range(4)])
         expected = vector_synthesize(b, pts)
-        out = vector_scaling_transform(pair, f1, pts, method="quadrature")
-        np.testing.assert_allclose(out, expected, atol=1e-9 * np.abs(expected).max())
+        for out in (vector_scaling_transform(pair, f1, pts),
+                    node_wise.vector_scaling(pair, f1, pts)):
+            np.testing.assert_allclose(out, expected,
+                                       atol=1e-9 * np.abs(expected).max())
 
     def test_quadrature_matches_spectral(self):
         g = Geometry(1.0, 1.3, 6, kappa=4.0 / 3.0, rho=0.5, case="vector")
@@ -375,8 +378,8 @@ class TestScalingTransform:
         samples = vector_field_samples(coeffs, 2 * 10 + 2)
         rng = np.random.default_rng(18)
         pts = np.array([random_unit(rng) for _ in range(5)])
-        quad = vector_scaling_transform(pair, samples, pts, method="quadrature")
-        spec = vector_scaling_transform(pair, coeffs, pts, method="spectral")
+        quad = node_wise.vector_scaling(pair, samples, pts)
+        spec = vector_scaling_transform(pair, coeffs, pts)
         np.testing.assert_allclose(quad, spec, atol=1e-9 * (1.0 + np.abs(spec).max()))
 
     def test_exactness_rejections(self):
@@ -388,8 +391,7 @@ class TestScalingTransform:
             thin = vector_field_samples(random_vector_field(1.3, degree, seed=19),
                                         min(g.N, degree) + degree + 1)
             with pytest.raises(ValueError):
-                vector_scaling_transform(pair, thin, np.array([[0.0, 0.0, 1.0]]),
-                                         method="spectral")
+                vector_scaling_transform(pair, thin, np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(TypeError):
             vector_scaling_transform(pair, coeffs.data, np.array([[0.0, 0.0, 1.0]]))
         scalar_pair = shannon_reference_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5), 6)
@@ -432,9 +434,8 @@ class TestWaveletLocal:
         region = RegionSpec(NORTH, 2.0, 0.5)
         rng = np.random.default_rng(122)
         for x in [NORTH, *(random_unit(rng) for _ in range(3))]:
-            quad = vector_wavelet_transform_local(pair, f2, x, region)
-            spec = vector_wavelet_transform_local(pair, f2, x, region,
-                                                  method="spectral")
+            quad = node_wise.vector_wavelet(pair, f2, x, region.kernel_rho)
+            spec = vector_wavelet_transform_local(pair, f2, x, region)
             np.testing.assert_allclose(spec, quad, rtol=0,
                                        atol=1e-12 * np.abs(quad).max())
 
@@ -450,9 +451,8 @@ class TestWaveletLocal:
         rng = np.random.default_rng(24)
         for _ in range(3):
             x = random_unit(rng)
-            quad = vector_wavelet_transform_local(pair, f2, x, region)
-            spec = vector_wavelet_transform_local(pair, f2, x, region,
-                                                  method="spectral")
+            quad = node_wise.vector_wavelet(pair, f2, x, region.kernel_rho)
+            spec = vector_wavelet_transform_local(pair, f2, x, region)
             np.testing.assert_allclose(quad, spec, atol=1e-9 * (1.0 + np.abs(spec).max()))
 
 
@@ -481,8 +481,10 @@ class TestApproximate:
         rng = np.random.default_rng(28)
         pts = np.array([random_unit(rng) for _ in range(2)])
         expected = vector_synthesize(b, pts)
-        quad = vector_approximate(pair, f1, b, region, pts, method="quadrature")
-        np.testing.assert_allclose(quad, expected, atol=1e-7 * np.abs(expected).max())
+        for out in (vector_approximate(pair, f1, b, region, pts),
+                    node_wise.vector_approximate(pair, f1, b, region, pts)):
+            np.testing.assert_allclose(out, expected,
+                                       atol=1e-7 * np.abs(expected).max())
 
     def test_methods_agree_for_bandlimited_data(self):
         g = Geometry(1.0, 1.3, 6, kappa=4.0 / 3.0, rho=2.0, case="vector")
@@ -497,8 +499,8 @@ class TestApproximate:
         pts = np.array([random_unit(rng) for _ in range(3)])
         for kernel_rho in (2.0, 0.5):
             region = RegionSpec(NORTH, 2.0, kernel_rho)
-            spec = vector_approximate(pair, f1, f2, region, pts, method="spectral")
-            quad = vector_approximate(pair, f1, f2, region, pts, method="quadrature")
+            spec = vector_approximate(pair, f1, f2, region, pts)
+            quad = node_wise.vector_approximate(pair, f1, f2, region, pts)
             np.testing.assert_allclose(quad, spec,
                                        atol=1e-9 * (1.0 + np.abs(spec).max()))
 
