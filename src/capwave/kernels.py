@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .legendre import gauss_rule, legendre_all
+from .legendre import _legendre_values, gauss_rule, legendre_all
 
 __all__ = [
     "Geometry",
@@ -469,18 +469,10 @@ def raised_cosine_targets(geometry: Geometry) -> SymbolSet:
 
 def kernel_eval(symbols: SymbolSet, t) -> float | np.ndarray:
     """Zonal profile sum (2n+1)/(4 pi) value(n) P_n(t), radius factors excluded."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar_input = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    acc = np.full(tt.shape, symbols.values[0] / (4.0 * math.pi))
-    if symbols.n_max >= 1:
-        p_prev = np.ones_like(tt)
-        p = tt.copy()
-        acc += 3.0 * symbols.values[1] / (4.0 * math.pi) * p
-        for n in range(2, symbols.n_max + 1):
-            p_prev, p = p, ((2.0 * n - 1.0) * tt * p - (n - 1.0) * p_prev) / n
-            acc += (2.0 * n + 1.0) * symbols.values[n] / (4.0 * math.pi) * p
-    return float(acc[0]) if scalar_input else acc
+    n = np.arange(symbols.n_max + 1, dtype=float)
+    out = np.tensordot((2.0 * n + 1.0) * symbols.values / (4.0 * math.pi),
+                       _legendre_values(symbols.n_max, t), axes=1)
+    return float(out) if out.ndim == 0 else out
 
 
 def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry,

@@ -27,7 +27,7 @@ from .harmonics import (
     synthesize,
     analyze,
 )
-from .kernels import KernelPair, kernel_eval
+from .kernels import KernelPair
 from .legendre import _legendre_values, gauss_rule
 
 __all__ = [
@@ -203,46 +203,17 @@ def _outer_coefficients(f1, n_keep: int) -> HarmonicCoefficients:
     return out
 
 
-def scaling_transform(pair: KernelPair, f1, points, *,
-                      method: str = "quadrature") -> np.ndarray:
+def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
     """Regularized downward continuation of outer-sphere data.
 
     f1 is either FieldSamples on a grid at radius R (the native input) or
-    HarmonicCoefficients at R. The quadrature path integrates the zonal
-    kernel against the samples; the spectral path multiplies coefficients
-    by the scaling symbols degree-wise. Both paths are exact for
-    bandlimited data on sufficiently exact grids and agree to rounding.
+    HarmonicCoefficients at R. The coefficients of degree n <= N are
+    multiplied by the scaling symbols phi(n), which for bandlimited data
+    equals integrating the zonal scaling kernel against the samples (the
+    node-wise form the tests keep as their oracle).
     """
-    g = pair.geometry
-    if method not in ("quadrature", "spectral"):
-        raise ValueError("method must be 'quadrature' or 'spectral'")
-    if method == "spectral":
-        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, g.N))
-        return synthesize(out, points)
-
-    if isinstance(f1, HarmonicCoefficients):
-        samples = field_samples(f1, g.N + f1.n_max)
-    elif isinstance(f1, FieldSamples):
-        samples = f1
-    else:
-        raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
-    if samples.grid.exact_degree < g.N + samples.degree:
-        raise ValueError(
-            "scaling transform needs grid exactness >= N + field degree "
-            f"({samples.grid.exact_degree} < {g.N + samples.degree})"
-        )
-    pts = _as_directions(points)
-    weighted = samples.grid.weights * samples.values
-    inv_rR = 1.0 / (g.r * g.R)
-    out = np.empty(pts.shape[0])
-    # chunk over evaluation points to bound the t-matrix size
-    chunk = max(1, int(2_000_000 / max(samples.grid.n_nodes, 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        t = block @ samples.grid.nodes.T
-        np.clip(t, -1.0, 1.0, out=t)
-        out[lo : lo + chunk] = (kernel_eval(pair.phi, t) * inv_rR) @ weighted
-    return out
+    out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, pair.geometry.N))
+    return synthesize(out, points)
 
 
 def _scaling_spectral_coefficients(pair: KernelPair,
@@ -263,8 +234,8 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     over a cap of radius kernel_rho multiplies the coefficient of degree n
     by lambda_n = 2 pi * integral over [1-kernel_rho, 1] of the kernel
     profile times P_n. The 1-D rule below is exact for the polynomial
-    integrand, so the spectral and quadrature paths coincide for
-    bandlimited data.
+    integrand, so for bandlimited data the multipliers equal the node-wise
+    cap integral.
     """
     g = pair.geometry
     m = (g.kN + n_max) // 2 + 1
@@ -276,30 +247,29 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
 
 
 def wavelet_transform_local(pair: KernelPair, f2: HarmonicCoefficients, x,
-                            region: RegionSpec, *,
-                            method: str = "quadrature") -> float:
+                            region: RegionSpec) -> float:
     """Wavelet refinement at one evaluation point from cap-local ground data.
 
     Integrates the wavelet kernel against the field over the cap of radius
-    region.kernel_rho around x. Points outside the evaluation region are
-    rejected: their caps would leave the data region.
+    region.kernel_rho around x, as the degree-wise wavelet_multipliers.
+    Points outside the evaluation region are rejected: their caps would
+    leave the data region.
     """
-    x = np.asarray(x, dtype=float)
-    x = x / np.linalg.norm(x)
-    if not region.contains(x):
-        raise ValueError("evaluation point lies outside the evaluation region")
-    if method not in ("quadrature", "spectral"):
-        raise ValueError("method must be 'quadrature' or 'spectral'")
-    g = pair.geometry
-    if method == "spectral":
-        lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
-        out = f2.scaled_by_degree(lam)
-        return float(synthesize(out, x[None, :])[0])
-    cap = cap_grid(g.r, x, region.kernel_rho, g.kN + f2.n_max)
-    vals = synthesize(f2, cap)
-    t = np.clip(cap.nodes @ x, -1.0, 1.0)
-    kern = kernel_eval(pair.psi_tilde, t) / (g.r * g.r)
-    return float((cap.weights * kern) @ vals)
+    _check_evaluation(pair, region, x)
+    lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
+    return float(synthesize(f2.scaled_by_degree(lam), x))
+
+
+def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
+    """Reject integration caps wider than the kernel's cap, and points
+    outside the evaluation region (within 1e-9 in t units)."""
+    if region.kernel_rho > pair.geometry.rho + 1e-12:
+        raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
+    if region.eval_rho < 2.0:
+        pts = _as_directions(points)
+        dist = 1.0 - pts @ region.center_direction / np.linalg.norm(pts, axis=-1)
+        if np.any(dist > region.eval_rho + 1e-9):
+            raise ValueError("an evaluation point lies outside the evaluation region")
 
 
 def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
@@ -336,29 +306,16 @@ def _assemble(pair: KernelPair, f1: HarmonicCoefficients,
 
 
 def approximate(pair: KernelPair, f1, f2: HarmonicCoefficients,
-                region: RegionSpec, points, *,
-                method: str = "spectral") -> np.ndarray:
+                region: RegionSpec, points) -> np.ndarray:
     """Combined two-step approximation at the given points.
 
     Sum of the regularized downward continuation of the outer-sphere data
-    and the cap-local wavelet refinement of the ground data. The spectral
-    path (default) is exact for bandlimited data; the quadrature path
-    evaluates both convolutions node-wise and is the direct discretization.
+    and the cap-local wavelet refinement of the ground data: the field of
+    approximate_coefficients, synthesized at the points. Exact for
+    bandlimited data.
     """
-    if region.kernel_rho > pair.geometry.rho + 1e-12:
-        raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
-    pts = _as_directions(points)
-    if region.eval_rho < 2.0:
-        dist = 1.0 - pts @ region.center_direction
-        if np.any(dist > region.eval_rho + 1e-9):
-            raise ValueError("an evaluation point lies outside the evaluation region")
-    if method == "spectral":
-        return synthesize(approximate_coefficients(pair, f1, f2, region), points)
-    t_part = scaling_transform(pair, f1, points, method=method)
-    w_part = np.array([
-        wavelet_transform_local(pair, f2, p, region) for p in pts
-    ])
-    return t_part + w_part
+    _check_evaluation(pair, region, points)
+    return synthesize(approximate_coefficients(pair, f1, f2, region), points)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .harmonics import (
     _SQRT2,
     CapGrid,
     SphereGrid,
-    _as_directions,
     _azimuth_sums,
     _cap_frame,
     _leading_shape,
@@ -39,12 +38,16 @@ from .harmonics import (
     _read_coefficient_file,
     _synthesis,
     _theta_factor,
-    cap_grid,
     sphere_grid,
 )
 from .kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
 from .legendre import gauss_rule, legendre_all
-from .transforms import RegionSpec, _scaling_spectral_coefficients, wavelet_multipliers
+from .transforms import (
+    RegionSpec,
+    _check_evaluation,
+    _scaling_spectral_coefficients,
+    wavelet_multipliers,
+)
 
 __all__ = [
     "VectorCoefficients",
@@ -366,39 +369,6 @@ def _require_vector(pair: KernelPair) -> Geometry:
     return g
 
 
-def _tensor_apply(symbols: SymbolSet, xi: np.ndarray, nodes: np.ndarray,
-                  weighted: np.ndarray, scale: float) -> np.ndarray:
-    """sum_j K(xi_p, eta_j) w_j f_j for the tensor kernel with given symbols.
-
-    weighted holds the rows w_j f_j; scale is the product of the two radius
-    factors of the kernel. The degree-n tensor block applied to a vector is
-    written out in closed form: the radial channel contributes
-    P_n(t) xi (eta.f) and the tangential channel
-    [P''(t) (b.f)(eta - t xi) + P'(t)(f - eta (eta.f) - xi (b.f))]/(n(n+1))
-    with b = xi - t eta, so nothing larger than per-degree Legendre rows is
-    ever materialized.
-    """
-    n_hi = symbols.n_max
-    vals = symbols.values
-    deg = np.arange(n_hi + 1, dtype=float)
-    c1 = (2.0 * deg + 1.0) * vals / (4.0 * math.pi * scale)
-    c2 = np.zeros(n_hi + 1)
-    c2[1:] = c1[1:] / (deg[1:] * (deg[1:] + 1.0))
-    d = np.einsum("ij,ij->i", nodes, weighted)
-
-    out = np.empty((xi.shape[0], 3))
-    for idx in range(xi.shape[0]):
-        x = xi[idx]
-        t = np.clip(nodes @ x, -1.0, 1.0)
-        e = weighted @ x - t * d
-        p, dp, d2p = legendre_all(n_hi, t)
-        s_rad = c1 @ (p @ d)
-        s_tang = c2 @ (d2p @ (e * t) + dp @ e)
-        vec = c2 @ ((d2p * e) @ nodes + dp @ weighted - (dp * d) @ nodes)
-        out[idx] = x * (s_rad - s_tang) + vec
-    return out
-
-
 def tensor_kernel_eval(symbols: SymbolSet, xi, eta) -> np.ndarray:
     """3x3 tensor kernel value at one direction pair, radius factors excluded.
 
@@ -482,35 +452,19 @@ def _outer_coefficients(f1, n_keep: int) -> VectorCoefficients:
 
 
 def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
-                             method: str = "quadrature") -> np.ndarray:
+                             method: str = "spectral") -> np.ndarray:
     """Regularized downward continuation of outer-sphere gradient data.
 
     f1 is either VectorFieldSamples on a grid at radius R or
-    VectorCoefficients at R. The spectral path multiplies both types by the
-    scaling symbols degree-wise; the quadrature path applies the tensor
-    kernel node-wise and needs grid exactness >= N + degree + 2.
+    VectorCoefficients at R. Both types of degree n <= N are multiplied by
+    the scaling symbols phi(n). method names that path and accepts only
+    "spectral"; it stays for callers that name it.
     """
+    if method != "spectral":
+        raise ValueError("method must be 'spectral', the only path")
     g = _require_vector(pair)
-    if method not in ("quadrature", "spectral"):
-        raise ValueError("method must be 'quadrature' or 'spectral'")
-    if method == "spectral":
-        out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, g.N))
-        return vector_synthesize(out, points)
-
-    if isinstance(f1, VectorCoefficients):
-        samples = vector_field_samples(f1, g.N + f1.n_max + 2)
-    elif isinstance(f1, VectorFieldSamples):
-        samples = f1
-    else:
-        raise TypeError("f1 must be VectorFieldSamples or VectorCoefficients")
-    if samples.grid.exact_degree < g.N + samples.degree + 2:
-        raise ValueError(
-            "tensor scaling transform needs grid exactness >= N + degree + 2 "
-            f"({samples.grid.exact_degree} < {g.N + samples.degree + 2})"
-        )
-    pts = _as_directions(points)
-    weighted = samples.grid.weights[:, None] * samples.values
-    return _tensor_apply(pair.phi, pts, samples.grid.nodes, weighted, g.r * g.R)
+    out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, g.N))
+    return vector_synthesize(out, points)
 
 
 def _cap_wavelet_coefficients(pair: TensorKernelPair, f2: VectorCoefficients,
@@ -553,30 +507,16 @@ def _cap_wavelet_coefficients(pair: TensorKernelPair, f2: VectorCoefficients,
 
 def vector_wavelet_transform_local(pair: TensorKernelPair,
                                    f2: VectorCoefficients, x,
-                                   region: RegionSpec, *,
-                                   method: str = "quadrature") -> np.ndarray:
+                                   region: RegionSpec) -> np.ndarray:
     """Wavelet refinement 3-vector at one point from cap-local ground data.
 
     Integrates the tensor wavelet kernel against the field over the cap of
-    radius region.kernel_rho around x. As in the scalar case, the spectral
-    path multiplies each degree and type by the cap multipliers; the
-    quadrature path integrates node-wise over the cap.
+    radius region.kernel_rho around x, as the cap multipliers of each
+    degree and type.
     """
-    g = _require_vector(pair)
-    x = np.asarray(x, dtype=float)
-    x = x / np.linalg.norm(x)
-    if not region.contains(x):
-        raise ValueError("evaluation point lies outside the evaluation region")
-    if method not in ("quadrature", "spectral"):
-        raise ValueError("method must be 'quadrature' or 'spectral'")
-    if method == "spectral":
-        out = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)
-        return vector_synthesize(out, x)
-    cap = cap_grid(g.r, x, region.kernel_rho, g.kN + f2.n_max + 2)
-    vals = vector_synthesize(f2, cap)
-    weighted = cap.weights[:, None] * vals
-    return _tensor_apply(pair.psi_tilde, x[None, :], cap.nodes, weighted,
-                         g.r * g.r)[0]
+    _require_vector(pair)
+    _check_evaluation(pair, region, x)
+    return vector_synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x)
 
 
 def vector_approximate_coefficients(pair: TensorKernelPair, f1,
@@ -605,31 +545,17 @@ def vector_approximate_coefficients(pair: TensorKernelPair, f1,
 
 
 def vector_approximate(pair: TensorKernelPair, f1, f2: VectorCoefficients,
-                       region: RegionSpec, points, *,
-                       method: str = "quadrature") -> np.ndarray:
+                       region: RegionSpec, points) -> np.ndarray:
     """Combined two-step vector approximation at the given points.
 
     Sum of the regularized downward continuation of outer-sphere gradient
-    data and the cap-local tensor wavelet refinement of ground data. Both
-    paths work for any cap: the quadrature path (default) evaluates the
-    convolutions node-wise, the spectral path synthesizes
-    vector_approximate_coefficients.
+    data and the cap-local tensor wavelet refinement of ground data, on
+    any cap: the field of vector_approximate_coefficients, synthesized at
+    the points.
     """
-    if region.kernel_rho > pair.geometry.rho + 1e-12:
-        raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
-    pts = _as_directions(points)
-    if region.eval_rho < 2.0:
-        dist = 1.0 - pts @ region.center_direction
-        if np.any(dist > region.eval_rho + 1e-9):
-            raise ValueError("an evaluation point lies outside the evaluation region")
-    if method == "spectral":
-        out = vector_approximate_coefficients(pair, f1, f2, region)
-        return vector_synthesize(out, points)
-    t_part = vector_scaling_transform(pair, f1, points, method=method)
-    w_part = np.empty_like(t_part)
-    for i, p in enumerate(pts):
-        w_part[i] = vector_wavelet_transform_local(pair, f2, p, region)
-    return t_part + w_part
+    _check_evaluation(pair, region, points)
+    out = vector_approximate_coefficients(pair, f1, f2, region)
+    return vector_synthesize(out, points)
 
 
 def vector_relative_error(b_ref: VectorCoefficients,

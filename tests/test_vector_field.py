@@ -398,6 +398,16 @@ class TestScalingTransform:
         with pytest.raises(ValueError):
             vector_scaling_transform(scalar_pair, coeffs, np.array([[0.0, 0.0, 1.0]]))
 
+    def test_method_keyword_takes_only_spectral(self):
+        g = Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5, case="vector")
+        pair = shannon_reference_pair(g, g.N)
+        coeffs = random_vector_field(1.3, 5, seed=19)
+        pts = np.array([[0.0, 0.0, 1.0]])
+        assert np.array_equal(vector_scaling_transform(pair, coeffs, pts, method="spectral"),
+                              vector_scaling_transform(pair, coeffs, pts))
+        with pytest.raises(ValueError):
+            vector_scaling_transform(pair, coeffs, pts, method="quadrature")
+
 
 class TestWaveletLocal:
     def test_zero_wavelet_zero_output(self):
