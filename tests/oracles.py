@@ -30,6 +30,12 @@ def orthonormal_complement(axis):
     return u, v
 
 
+def _profile_series(values):
+    """Legendre series sum_n (2n+1)/(4 pi) values[n] P_n of a zonal kernel."""
+    values = np.asarray(values, dtype=float)
+    return (2.0 * np.arange(values.size) + 1.0) / FOUR_PI * values
+
+
 def scalar_profile_energy(values, rho, n_points=None):
     """Integral over [-1, 1-rho] of the squared scalar zonal profile.
 
@@ -43,15 +49,8 @@ def scalar_profile_energy(values, rho, n_points=None):
     a, b = -1.0, 1.0 - rho
     t = 0.5 * (b - a) * x + 0.5 * (a + b)
     wt = 0.5 * (b - a) * w
-    series = (2.0 * np.arange(n_max + 1) + 1.0) / FOUR_PI * values
-    prof = npleg.legval(t, series)
+    prof = npleg.legval(t, _profile_series(values))
     return float(wt @ prof**2)
-
-
-def _profile_series(values):
-    """Legendre series sum_n (2n+1)/(4 pi) values[n] P_n of a zonal kernel."""
-    values = np.asarray(values, dtype=float)
-    return (2.0 * np.arange(values.size) + 1.0) / FOUR_PI * values
 
 
 def zonal_convolution(values, points, nodes, weighted):
