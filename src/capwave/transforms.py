@@ -274,7 +274,7 @@ def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
 
 def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
                              region: RegionSpec) -> HarmonicCoefficients:
-    """Coefficient field of the combined approximation (spectral path).
+    """Coefficient field of the combined approximation.
 
     The scaling part contributes phi(n) times the outer-data coefficients
     for n <= N; the wavelet part contributes lambda_n times the ground-data

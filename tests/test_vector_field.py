@@ -403,8 +403,8 @@ class TestScalingTransform:
         pair = shannon_reference_pair(g, g.N)
         coeffs = random_vector_field(1.3, 5, seed=19)
         pts = np.array([[0.0, 0.0, 1.0]])
-        assert np.array_equal(vector_scaling_transform(pair, coeffs, pts, method="spectral"),
-                              vector_scaling_transform(pair, coeffs, pts))
+        named = vector_scaling_transform(pair, coeffs, pts, method="spectral")
+        assert np.array_equal(named, vector_scaling_transform(pair, coeffs, pts))
         with pytest.raises(ValueError):
             vector_scaling_transform(pair, coeffs, pts, method="quadrature")
 
