@@ -421,33 +421,39 @@ def _in_cap_frame(coeffs: HarmonicCoefficients, points) -> HarmonicCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# per-order Legendre engine (orthonormal, no Condon-Shortley)
+# blocked Legendre engine (orthonormal, no Condon-Shortley)
 
 # B_1^1 = A_1^1 / sin(theta) is constant; the diagonal and column recurrences
 # for B coincide with those for A because dividing by sin(theta) commutes
 # with both.
 _B11 = math.sqrt(1.5) * _INV_SQRT_4PI
 
+# Elements of one block of Legendre rows (orders x degrees x points), 1 MB.
+_BLOCK_BUDGET = 1 << 17
 
-def _alf_column(n_max: int, m: int, ct: np.ndarray, amm: np.ndarray) -> np.ndarray:
-    """Rows A_n^m for n = m..n_max, shape (n_max - m + 1,) + ct.shape.
 
-    amm is A_m^m at the same points; the upward three-term recurrence in n
-    is stable for these normalized functions.
+@functools.lru_cache(maxsize=4)
+def _recurrence_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factors of the upward recurrences to degree n_max, memoized read-only.
+
+    Returns (sub, diag, a, b): A_{m+1}^m = sub[m] t A_m^m, the seeds
+    B_{m+1}^{m+1} = diag[m] sin(theta) B_m^m, and for m <= n - 2
+    A_n^m = a[n, m] t A_{n-1}^m - b[n, m] A_{n-2}^m (zero elsewhere). Each
+    factor is one sqrt of exact integers or of one true division of exact
+    integer products, so it has the bits of its scalar formula. No factor
+    depends on n_max, so a table also serves every lower degree.
     """
-    rows = np.empty((n_max - m + 1,) + np.shape(ct))
-    rows[0] = amm
-    if n_max == m:
-        return rows
-    rows[1] = math.sqrt(2 * m + 3) * ct * amm
-    for n in range(m + 2, n_max + 1):
-        a = math.sqrt((2 * n + 1) * (2 * n - 1) / ((n - m) * (n + m)))
-        b = math.sqrt(
-            (2 * n + 1) * (n - 1 - m) * (n - 1 + m)
-            / ((2 * n - 3) * (n - m) * (n + m))
-        )
-        rows[n - m] = a * ct * rows[n - m - 1] - b * rows[n - m - 2]
-    return rows
+    m = np.arange(n_max + 1)
+    n = m[:, None]
+    live = m <= n - 2
+    den = np.where(live, (n - m) * (n + m), 1)
+    a = np.sqrt(np.where(live, (2 * n + 1) * (2 * n - 1), 0) / den)
+    b = np.sqrt(np.where(live, (2 * n + 1) * (n - 1 - m) * (n - 1 + m), 0)
+                / np.where(live, (2 * n - 3) * den, 1))
+    factors = (np.sqrt(2 * m + 3.0), np.sqrt((2 * m + 3) / (2 * m + 2)), a, b)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
 
 
 def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
@@ -455,16 +461,37 @@ def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
 
     m = 0 gives A_n^0; m >= 1 gives the reduced rows B_n^m = A_n^m / sin(theta),
     which stay finite at the poles and give back A_n^m = sin(theta) B_n^m.
-    Each order's block is built when it is asked for, so no table over all
-    orders is ever held.
+    The recurrence runs degree-major over blocks of orders: each step in n
+    updates every order of a block at once. A block is as many orders as
+    fit, over all n_max + 1 degrees and every point, in _BLOCK_BUDGET
+    elements, and at least one; it is built when its first order is asked
+    for, and the rows yielded are views into it. Grids and single points
+    get wide blocks; large sets of loose points get one order per block,
+    the plain per-order recurrence. Every element takes the same
+    floating-point operations whatever the width.
     """
-    first = np.full(np.shape(ct), _INV_SQRT_4PI)  # A_0^0, then B_m^m
-    for m in range(n_max + 1):
-        yield m, _alf_column(n_max, m, ct, first)
-        if m == 0:
-            first = np.full(np.shape(ct), _B11)
-        else:
-            first = math.sqrt((2 * m + 3) / (2 * m + 2)) * st * first
+    shape = np.shape(ct)
+    ct, st = np.ravel(ct), np.ravel(st)
+    sub, diag, a, b = _recurrence_factors(n_max | 63)  # one table per 64 degrees
+    width = max(1, _BLOCK_BUDGET // ((n_max + 1) * max(1, ct.size)))
+    seed = np.full(ct.shape, _INV_SQRT_4PI)  # A_0^0, then B_m^m
+    for lo in range(0, n_max + 1, width):
+        hi = min(lo + width, n_max + 1)
+        # block[m - lo, n - lo] holds degree n of order m, for n >= m
+        block = np.empty((hi - lo, n_max + 1 - lo, ct.size))
+        for m in range(lo, hi):
+            block[m - lo, m - lo] = seed
+            if m < n_max:
+                block[m - lo, m - lo + 1] = sub[m] * ct * seed
+            seed = np.full(ct.shape, _B11) if m == 0 else diag[m] * st * seed
+        for n in range(lo + 2, n_max + 1):
+            j = min(hi, n - 1) - lo  # orders lo .. lo + j - 1 have m <= n - 2
+            row = block[:j, n - lo]
+            np.multiply(a[n, lo:lo + j, None], ct, out=row)
+            row *= block[:j, n - lo - 1]
+            row -= b[n, lo:lo + j, None] * block[:j, n - lo - 2]
+        for m in range(lo, hi):
+            yield m, block[m - lo, m - lo:].reshape((n_max + 1 - m,) + shape)
 
 
 def _order_index(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -619,7 +646,7 @@ def ynk(n: int, k: int, xi) -> float | np.ndarray:
 def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Evaluate the field at unit directions, a SphereGrid, or a CapGrid.
 
-    Runs the per-order Legendre engine: each order's degree sum is one
+    Runs the blocked Legendre engine: each order's degree sum is one
     matrix product of the coefficients with that order's Legendre rows.
     Grids evaluate the rows on their colatitude axis only and sum the
     orders with one azimuth matrix product. A cap off the pole does so in
@@ -633,14 +660,15 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
 
 
 def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
-    """synthesize on one grid for many fields, with the order table built once.
+    """synthesize on one grid for many fields, with the Legendre rows built once.
 
     Returns a function of the coefficients that gives synthesize(coeffs,
-    grid) bit for bit. The Legendre rows of every order (on the colatitude
-    axis only) and the azimuth factors are built here for degree n_max, in
-    a cap's own frame; a field of that degree is turned into that frame as
-    synthesize turns it and runs the same per-order products on the stored
-    rows. Fields of another degree go to synthesize.
+    grid) bit for bit. Every block of _legendre_orders for degree n_max (on
+    the colatitude axis only, in a cap's own frame) and the azimuth factors
+    are built here and kept, unlike in synthesize, which drops each block
+    once its orders are summed; a field of that degree is turned into the
+    cap's frame as synthesize turns it and runs the same per-order products
+    on the stored rows. Fields of another degree go to synthesize.
     """
     ct, phis = _product_axes(grid)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))

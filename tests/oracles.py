@@ -89,6 +89,37 @@ def tensor_convolution(values, x, nodes, weighted):
             + s1 @ weighted - (s1 * eta_f) @ nodes)
 
 
+def legendre_orders(n_max, ct, st):
+    """Yield (m, rows) for m = 0..n_max by the per-order upward recurrence.
+
+    rows[j] holds degree n = m + j of the fully normalized associated
+    Legendre functions without the Condon-Shortley phase: A_n^0 for m = 0
+    and the reduced B_n^m = A_n^m / sin(theta) for m >= 1, at the colatitude
+    cosines ct and sines st. Each order seeds B_m^m from a running product
+    over orders and steps its own loop over degrees with scalar factors.
+    """
+    ct = np.asarray(ct, dtype=float)
+    inv_sqrt_4pi = 1.0 / math.sqrt(4.0 * math.pi)
+    first = np.full(ct.shape, inv_sqrt_4pi)  # A_0^0, then B_m^m
+    for m in range(n_max + 1):
+        rows = np.empty((n_max - m + 1,) + ct.shape)
+        rows[0] = first
+        if n_max > m:
+            rows[1] = math.sqrt(2 * m + 3) * ct * first
+        for n in range(m + 2, n_max + 1):
+            a = math.sqrt((2 * n + 1) * (2 * n - 1) / ((n - m) * (n + m)))
+            b = math.sqrt(
+                (2 * n + 1) * (n - 1 - m) * (n - 1 + m)
+                / ((2 * n - 3) * (n - m) * (n + m))
+            )
+            rows[n - m] = a * ct * rows[n - m - 1] - b * rows[n - m - 2]
+        yield m, rows
+        if m == 0:
+            first = np.full(ct.shape, math.sqrt(1.5) * inv_sqrt_4pi)
+        else:
+            first = math.sqrt((2 * m + 3) / (2 * m + 2)) * st * first
+
+
 def _legendre_value_and_derivatives(n, t):
     e = np.zeros(n + 1)
     e[n] = 1.0

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+import oracles
+from capwave import harmonics
 from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
     _grid_synthesis,
+    _legendre_orders,
     analyze,
     cap_grid,
     load_coefficients,
@@ -241,6 +246,60 @@ class TestSynthesizeAnalyze:
         point_vals = synthesize(c, g.nodes)
         scale = np.max(np.abs(grid_vals))
         assert np.max(np.abs(point_vals - grid_vals)) < 2.5e-13 * scale
+
+
+def colatitudes(n_points, seed=0):
+    """Colatitude cosines and sines; with two or more points both poles
+    (ct = +-1, st = 0) are among them."""
+    ct = np.random.default_rng(seed).uniform(-1.0, 1.0, n_points)
+    if n_points >= 2:
+        ct[0], ct[-1] = 1.0, -1.0
+    return ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+
+
+def assert_rows_match_oracle(n_max, ct, st):
+    pairs = zip(_legendre_orders(n_max, ct, st), oracles.legendre_orders(n_max, ct, st),
+                strict=True)
+    for (m, rows), (m_ref, ref) in pairs:
+        assert m == m_ref
+        assert rows.shape == ref.shape
+        assert np.array_equal(rows, ref), f"order {m}"
+
+
+class TestLegendreOrders:
+    """The blocked engine gives the rows of the per-order recurrence bit for
+    bit, whatever block width the input size picks."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
+    @pytest.mark.parametrize("t", [1.0, -1.0, 0.3])
+    def test_single_point(self, n_max, t):
+        ct = np.array([t])
+        assert_rows_match_oracle(n_max, ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
+    @pytest.mark.parametrize("n_points", [45, 111])
+    def test_colatitude_axes(self, n_max, n_points):
+        assert_rows_match_oracle(n_max, *colatitudes(n_points))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
+    def test_loose_points_one_order_per_block(self, n_max):
+        # one more point than a block of one order can hold beside another
+        n_points = harmonics._BLOCK_BUDGET // (n_max + 1) + 1
+        assert_rows_match_oracle(n_max, *colatitudes(n_points))
+
+    def test_block_boundaries_mid_range(self):
+        # 700 points at degree 44 give blocks of four orders, so blocks
+        # start at orders 4, 8, ..., 40 and order 44 stands alone
+        assert_rows_match_oracle(44, *colatitudes(700))
+
+    def test_keeps_the_shape_of_ct(self):
+        ct, st_ = colatitudes(12)
+        assert_rows_match_oracle(9, ct.reshape(3, 4), st_.reshape(3, 4))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 120), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_drawn_degrees_and_point_counts(self, n_max, n_points, seed):
+        assert_rows_match_oracle(n_max, *colatitudes(n_points, seed))
 
 
 class TestGridSynthesis:
