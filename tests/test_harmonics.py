@@ -249,17 +249,18 @@ class TestSynthesizeAnalyze:
 
 
 def colatitudes(n_points, seed=0):
-    """Colatitude cosines and sines; with two or more points both poles
-    (ct = +-1, st = 0) are among them."""
+    """Colatitude cosines; with two or more points both poles (ct = +-1,
+    st = 0) are among them."""
     ct = np.random.default_rng(seed).uniform(-1.0, 1.0, n_points)
     if n_points >= 2:
         ct[0], ct[-1] = 1.0, -1.0
-    return ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    return ct
 
 
-def assert_rows_match_oracle(n_max, ct, st):
-    pairs = zip(_legendre_orders(n_max, ct, st), oracles.legendre_orders(n_max, ct, st),
-                strict=True)
+def assert_rows_match_oracle(n_max, ct):
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    pairs = zip(_legendre_orders(n_max, ct, sin_t),
+                oracles.legendre_orders(n_max, ct, sin_t), strict=True)
     for (m, rows), (m_ref, ref) in pairs:
         assert m == m_ref
         assert rows.shape == ref.shape
@@ -273,33 +274,31 @@ class TestLegendreOrders:
     @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
     @pytest.mark.parametrize("t", [1.0, -1.0, 0.3])
     def test_single_point(self, n_max, t):
-        ct = np.array([t])
-        assert_rows_match_oracle(n_max, ct, np.sqrt(np.maximum(0.0, 1.0 - ct * ct)))
+        assert_rows_match_oracle(n_max, np.array([t]))
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
     @pytest.mark.parametrize("n_points", [45, 111])
     def test_colatitude_axes(self, n_max, n_points):
-        assert_rows_match_oracle(n_max, *colatitudes(n_points))
+        assert_rows_match_oracle(n_max, colatitudes(n_points))
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
     def test_loose_points_one_order_per_block(self, n_max):
-        # one more point than a block of one order can hold beside another
+        # so many points that one order's rows alone exceed the block budget
         n_points = harmonics._BLOCK_BUDGET // (n_max + 1) + 1
-        assert_rows_match_oracle(n_max, *colatitudes(n_points))
+        assert_rows_match_oracle(n_max, colatitudes(n_points))
 
     def test_block_boundaries_mid_range(self):
         # 700 points at degree 44 give blocks of four orders, so blocks
         # start at orders 4, 8, ..., 40 and order 44 stands alone
-        assert_rows_match_oracle(44, *colatitudes(700))
+        assert_rows_match_oracle(44, colatitudes(700))
 
     def test_keeps_the_shape_of_ct(self):
-        ct, st_ = colatitudes(12)
-        assert_rows_match_oracle(9, ct.reshape(3, 4), st_.reshape(3, 4))
+        assert_rows_match_oracle(9, colatitudes(12).reshape(3, 4))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 120), st.integers(1, 400), st.integers(0, 2**32 - 1))
     def test_drawn_degrees_and_point_counts(self, n_max, n_points, seed):
-        assert_rows_match_oracle(n_max, *colatitudes(n_points, seed))
+        assert_rows_match_oracle(n_max, colatitudes(n_points, seed))
 
 
 class TestGridSynthesis:
