@@ -18,10 +18,10 @@ the file, since they would break that guarantee.
 
 Everything that depends only on the run is built once: the cap-exterior
 Gram, each method's kernel pair, localization ratio and wavelet multipliers,
-and the Legendre rows of the evaluation grid. A row's wall_time_s therefore
-times only its own assembly and scoring. Each candidate still goes through
-the same per-order products as synthesize, so the errors, bit for bit, do
-not depend on this reuse.
+and the Legendre blocks of the evaluation grid. A row's wall_time_s
+therefore times only its own assembly and scoring. Each candidate still
+takes the same per-block products as synthesize, so the errors, bit for
+bit, do not depend on this reuse.
 """
 
 from __future__ import annotations
@@ -339,9 +339,11 @@ class _ErrorMeter:
     """Shared evaluation grid: truth synthesized once, error per candidate.
 
     Candidates are synthesized through _grid_synthesis, which keeps the
-    Legendre rows of every order for the run's degree in the evaluation
-    cap's own frame and turns each candidate into that frame; each error
-    is the same arithmetic as relative_error.
+    Legendre blocks for the run's degree on the evaluation cap's
+    colatitude axis, in its own frame, and turns each candidate into that
+    frame; each candidate then costs one batched product per block and the
+    two azimuth products. Each error is the same arithmetic as
+    relative_error.
     """
 
     def __init__(self, model, region: RegionSpec, radius: float, max_degree: int):

@@ -456,30 +456,32 @@ def _recurrence_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return factors
 
 
-def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
-    """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j.
+def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray):
+    """Yield (lo, block) for consecutive blocks of orders m = lo..hi - 1.
 
-    m = 0 gives A_n^0; m >= 1 gives the reduced rows B_n^m = A_n^m / sin(theta),
-    which stay finite at the poles and give back A_n^m = sin(theta) B_n^m.
-    The recurrence runs degree-major over blocks of orders: each step in n
-    updates every order of a block at once. A block is as many orders as
-    fit, over all n_max + 1 degrees and every point, in _BLOCK_BUDGET
-    elements, and at least one; it is built when its first order is asked
-    for, and the rows yielded are views into it. Grids and single points
-    get wide blocks; large sets of loose points get one order per block,
-    the plain per-order recurrence. Every element takes the same
-    floating-point operations whatever the width.
+    block[m - lo, n - lo, j] holds degree n of order m at point j of the
+    raveled ct: A_n^0 for m = 0 and the reduced rows B_n^m = A_n^m /
+    sin(theta) for m >= 1, which stay finite at the poles and give back
+    A_n^m = sin(theta) B_n^m. Entries with n < m are exactly 0.0, so a
+    block multiplies whole against coefficients laid out by degree. The
+    recurrence runs degree-major: each step in n updates every order of a
+    block at once. A block is as many orders as fit, over all n_max + 1
+    degrees and every point, in _BLOCK_BUDGET elements, and at least one.
+    Grids and single points get wide blocks; large sets of loose points
+    get one order per block, the plain per-order recurrence. Every element
+    takes the same floating-point operations whatever the width. Each block
+    is built only when it is asked for, so a consumer that folds blocks as
+    they arrive holds one at a time.
     """
-    shape = np.shape(ct)
     ct, st = np.ravel(ct), np.ravel(st)
     sub, diag, a, b = _recurrence_factors(n_max | 63)  # one table per 64 degrees
     width = max(1, _BLOCK_BUDGET // ((n_max + 1) * max(1, ct.size)))
     seed = np.full(ct.shape, _INV_SQRT_4PI)  # A_0^0, then B_m^m
     for lo in range(0, n_max + 1, width):
         hi = min(lo + width, n_max + 1)
-        # block[m - lo, n - lo] holds degree n of order m, for n >= m
         block = np.empty((hi - lo, n_max + 1 - lo, ct.size))
         for m in range(lo, hi):
+            block[m - lo, : m - lo] = 0.0
             block[m - lo, m - lo] = seed
             if m < n_max:
                 block[m - lo, m - lo + 1] = sub[m] * ct * seed
@@ -490,8 +492,20 @@ def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
             np.multiply(a[n, lo:lo + j, None], ct, out=row)
             row *= block[:j, n - lo - 1]
             row -= b[n, lo:lo + j, None] * block[:j, n - lo - 2]
-        for m in range(lo, hi):
-            yield m, block[m - lo, m - lo:].reshape((n_max + 1 - m,) + shape)
+        yield lo, block
+
+
+def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
+    """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j.
+
+    The per-order view of _legendre_blocks: rows are views into its blocks,
+    shaped (n_max + 1 - m,) + ct.shape, and bit-identical to the per-order
+    recurrence.
+    """
+    shape = np.shape(ct)
+    for lo, block in _legendre_blocks(n_max, ct, st):
+        for i, rows in enumerate(block):
+            yield lo + i, rows[i:].reshape((n_max + 1 - lo - i,) + shape)
 
 
 def _order_index(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -506,20 +520,28 @@ def _theta_factor(n: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt((n * n - m * m) * (2 * n + 1) / (2 * n - 1))
 
 
-def _direction_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ct, st, cos phi, sin phi) of directions, safe at the poles.
+def _direction_angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ct, st, cos phi, sin phi) of directions, one axis over them, safe at
+    the poles.
 
-    The directions are normalized first: nodes of a rotated grid miss unit
-    length by a few ulps, and ct = z, st = hypot(x, y) taken from them
-    directly cost degree-110 values a digit.
+    points is an array of 3-vectors, each of which must be finite and
+    nonzero. The directions are normalized first: nodes of a rotated grid
+    miss unit length by a few ulps, and ct = z, st = hypot(x, y) taken from
+    them directly cost degree-110 values a digit.
     """
     pts = np.asarray(points, dtype=float)
-    pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-    ct = np.clip(pts[..., 2], -1.0, 1.0)
-    st = np.hypot(pts[..., 0], pts[..., 1])
+    if pts.shape[-1:] != (3,) or not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite nonzero 3-vectors")
+    pts = pts.reshape(-1, 3)
+    norm = np.linalg.norm(pts, axis=-1, keepdims=True)
+    if not np.all(norm > 0):
+        raise ValueError("points must be finite nonzero 3-vectors")
+    pts = pts / norm
+    ct = np.clip(pts[:, 2], -1.0, 1.0)
+    st = np.hypot(pts[:, 0], pts[:, 1])
     safe = np.where(st > 0, st, 1.0)
-    cp = np.where(st > 0, pts[..., 0] / safe, 1.0)
-    sp = np.where(st > 0, pts[..., 1] / safe, 0.0)
+    cp = np.where(st > 0, pts[:, 0] / safe, 1.0)
+    sp = np.where(st > 0, pts[:, 1] / safe, 0.0)
     return ct, st, cp, sp
 
 
@@ -538,9 +560,9 @@ def _leading_shape(points) -> tuple[int, ...]:
     return np.shape(points)[:-1]
 
 
-def _azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(m phi) and sin(m phi), shape (n_max + 1, len(phis))."""
-    mphi = np.outer(np.arange(n_max + 1), phis)
+def _azimuth(lo: int, hi: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(m phi) and sin(m phi) for m = lo..hi - 1, shape (hi - lo, len(phis))."""
+    mphi = np.outer(np.arange(lo, hi), phis)
     return np.cos(mphi), np.sin(mphi)
 
 
@@ -554,66 +576,80 @@ def _product_axes(points):
     return None
 
 
-def _synthesis(orders, coeffs, points, azimuth=None):
-    """Sum per-order amplitudes over azimuth, on a product grid or at points.
+def _synthesis(blocks, coeffs, points, azimuth=None):
+    """Sum amplitudes over azimuth, on a product grid or at points.
 
-    orders(coeffs, ct, st) yields (m, a_m, b_m) for m = 0..coeffs.n_max in
-    turn, amplitudes with a last axis over the colatitudes, and the field is
+    blocks(coeffs, ct, st) yields (lo, a, b) for consecutive blocks of
+    orders, in ascending order: a and b have shape (..., w, P), the
+    amplitudes of orders m = lo..lo + w - 1 (leading axes over channels,
+    the last over the colatitudes), and the field is
     sum_m a_m cos(m phi) + b_m sin(m phi). A grid needs the amplitudes only
-    on its colatitude axis and sums them with one matrix product against
-    the azimuth factors (built here unless given as _azimuth(coeffs.n_max,
-    phis)); on a CapGrid both axes are in the cap's own frame, so coeffs
-    must already be turned into it (_cap_frame). At loose directions
-    the azimuth factors advance order by order. Returns the values (last
-    axes over the grid's colatitudes and azimuths, or over the points) and
-    (ct, st, cos phi, sin phi) broadcastable against them, in the frame the
-    values were summed in.
+    on its colatitude axis; it joins the blocks (at most n_max + 1 orders
+    by its colatitudes) and sums them with one matrix product against the
+    azimuth factors (built here unless given as _azimuth(0, coeffs.n_max + 1,
+    phis)). On a CapGrid both axes are in the cap's own frame, so coeffs
+    must already be turned into it (_cap_frame). At loose directions each
+    block is folded as it arrives, against cos(m phi) and sin(m phi) of its
+    own orders, so no more than one block of orders is held. Returns the
+    values (last axes over the grid's colatitudes and azimuths, or over the
+    points) and (ct, st, cos phi, sin phi) broadcastable against them, in
+    the frame the values were summed in.
     """
     axes = _product_axes(points)
     if axes is None:
-        ct, st, cp, sp = _direction_angles(_as_directions(points).reshape(-1, 3))
+        ct, st, cp, sp = _direction_angles(_as_directions(points))
+        phi = np.arctan2(sp, cp)
         vals = 0.0
-        cos_m, sin_m = np.ones_like(ct), np.zeros_like(ct)
-        for _, a, b in orders(coeffs, ct, st):
-            vals = vals + a * cos_m + b * sin_m
-            cos_m, sin_m = cos_m * cp - sin_m * sp, sin_m * cp + cos_m * sp
+        for lo, a, b in blocks(coeffs, ct, st):
+            cos_m, sin_m = _azimuth(lo, lo + a.shape[-2], phi)
+            vals = vals + (a * cos_m).sum(axis=-2) + (b * sin_m).sum(axis=-2)
         return vals, (ct, st, cp, sp)
     ct, phis = axes
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    _, a, b = zip(*orders(coeffs, ct, st))
-    cos_m, sin_m = _azimuth(coeffs.n_max, phis) if azimuth is None else azimuth
-    vals = np.stack(a, axis=-1) @ cos_m + np.stack(b, axis=-1) @ sin_m
+    _, a, b = zip(*blocks(coeffs, ct, st))
+    a, b = np.concatenate(a, axis=-2), np.concatenate(b, axis=-2)
+    cos_m, sin_m = _azimuth(0, coeffs.n_max + 1, phis) if azimuth is None else azimuth
+    vals = np.swapaxes(a, -1, -2) @ cos_m + np.swapaxes(b, -1, -2) @ sin_m
     return vals, (ct[:, None], st[:, None], np.cos(phis), np.sin(phis))
 
 
-@functools.lru_cache(maxsize=512)
-def _scalar_index(n_max: int, m: int) -> np.ndarray:
-    """Flat indices of the order-m coefficients of a degree-n_max field: the
-    cos-type ones for m = 0, cos-type over sin-type for m >= 1. Every
-    synthesis of that degree asks for the same ones, so they are memoized
-    and read-only."""
-    _, cos_i, sin_i = _order_index(n_max, m)
-    index = cos_i if m == 0 else np.stack([cos_i, sin_i])
-    index.flags.writeable = False
-    return index
+@functools.lru_cache(maxsize=8)
+def _scalar_slots(n_max: int) -> np.ndarray:
+    """Flat slots of a degree-n_max field in the layout of its Legendre
+    blocks: [m, 0, n] is the cos-type coefficient of degree n and order m,
+    [m, 1, n] the sin-type one. Slots with n < m, and the sin-type ones of
+    order 0, are (n_max + 1)^2, one past the field: a zero is appended
+    there before reading, and a write there is dropped. Block lo..hi - 1
+    takes [lo:hi, :, lo:]. Memoized and read-only."""
+    m = np.arange(n_max + 1)[:, None]
+    n = np.arange(n_max + 1)[None, :]
+    pad = (n_max + 1) ** 2
+    cos_i = np.where(n >= m, n * n + m, pad)
+    sin_i = np.where((n >= m) & (m > 0), n * n + n + m, pad)
+    slots = np.stack([cos_i, sin_i], axis=1)
+    slots.flags.writeable = False
+    return slots
 
 
-def _scalar_orders(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
+def _scalar_blocks(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
                    table=None):
-    """Per-order amplitudes of a scalar field for _synthesis.
+    """Amplitude blocks of a scalar field for _synthesis.
 
-    table, when given, holds the (m, rows) pairs that _legendre_orders
-    yields for coeffs.n_max at ct, read instead of running the recurrence.
+    Each block of Legendre rows takes one product with the coefficients
+    gathered through _scalar_slots, giving the cos- and sin-type amplitudes
+    of its orders at once; orders m >= 1 are then multiplied by
+    sqrt(2) sin(theta). table, when given, holds the (lo, block) pairs that
+    _legendre_blocks yields for coeffs.n_max at ct, read instead of running
+    the recurrence.
     """
-    data = coeffs.data
-    for m, rows in _legendre_orders(coeffs.n_max, ct, st) if table is None else table:
-        index = _scalar_index(coeffs.n_max, m)
-        if m == 0:
-            a = data[index] @ rows
-            yield 0, a, np.zeros_like(a)
-        else:
-            a, b = _SQRT2 * st * (data[index] @ rows)
-            yield m, a, b
+    n_max = coeffs.n_max
+    padded = np.append(coeffs.data, 0.0)
+    slots = _scalar_slots(n_max)
+    scale = _SQRT2 * np.ravel(st)
+    for lo, block in _legendre_blocks(n_max, ct, st) if table is None else table:
+        amp = padded[slots[lo:lo + block.shape[0], :, lo:]] @ block
+        amp[1 if lo == 0 else 0:] *= scale
+        yield lo, amp[:, 0], amp[:, 1]
 
 
 def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -623,7 +659,7 @@ def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.
     (colatitude, m). The weights carry radius^2 and one 1/radius for the
     basis factor. This is the transpose of the grid step of _synthesis.
     """
-    cos_m, sin_m = _azimuth(n_max, grid.phis)
+    cos_m, sin_m = _azimuth(0, n_max + 1, grid.phis)
     w = (grid.ct_weights * (2.0 * np.pi / grid.phis.size) * grid.radius)[:, None]
     return w * (values @ cos_m.T), w * (values @ sin_m.T)
 
@@ -646,15 +682,17 @@ def ynk(n: int, k: int, xi) -> float | np.ndarray:
 def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Evaluate the field at unit directions, a SphereGrid, or a CapGrid.
 
-    Runs the blocked Legendre engine: each order's degree sum is one
-    matrix product of the coefficients with that order's Legendre rows.
-    Grids evaluate the rows on their colatitude axis only and sum the
-    orders with one azimuth matrix product. A cap off the pole does so in
-    its own frame, on coefficients turned into it degree by degree; loose
-    directions multiply by cos(m phi), sin(m phi) point by point. A single
-    direction gives a float, a grid one value per node.
+    Runs the blocked Legendre engine: each block of orders takes one
+    batched matrix product of the coefficients with its Legendre rows
+    (_scalar_blocks). Grids evaluate the rows on their colatitude axis only
+    and sum the orders with one azimuth matrix product. A cap off the pole
+    does so in its own frame, on coefficients turned into it degree by
+    degree; at loose directions each block is folded against cos(m phi),
+    sin(m phi) point by point as it arrives. A single direction gives a
+    float, a grid one value per node. Points must be finite nonzero
+    3-vectors (ValueError otherwise).
     """
-    vals, _ = _synthesis(_scalar_orders, _in_cap_frame(coeffs, points), points)
+    vals, _ = _synthesis(_scalar_blocks, _in_cap_frame(coeffs, points), points)
     out = np.reshape(vals / coeffs.radius, _leading_shape(points))
     return float(out) if out.ndim == 0 else out
 
@@ -663,23 +701,24 @@ def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
     """synthesize on one grid for many fields, with the Legendre rows built once.
 
     Returns a function of the coefficients that gives synthesize(coeffs,
-    grid) bit for bit. Every block of _legendre_orders for degree n_max (on
+    grid) bit for bit. Every block of _legendre_blocks for degree n_max (on
     the colatitude axis only, in a cap's own frame) and the azimuth factors
     are built here and kept, unlike in synthesize, which drops each block
     once its orders are summed; a field of that degree is turned into the
-    cap's frame as synthesize turns it and runs the same per-order products
-    on the stored rows. Fields of another degree go to synthesize.
+    cap's frame as synthesize turns it and takes the same per-block
+    products with the stored blocks. Fields of another degree go to
+    synthesize.
     """
     ct, phis = _product_axes(grid)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    stored_orders = functools.partial(
-        _scalar_orders, table=tuple(_legendre_orders(n_max, ct, st)))
-    azimuth = _azimuth(n_max, phis)
+    stored_blocks = functools.partial(
+        _scalar_blocks, table=tuple(_legendre_blocks(n_max, ct, st)))
+    azimuth = _azimuth(0, n_max + 1, phis)
 
     def run(coeffs: HarmonicCoefficients) -> np.ndarray:
         if coeffs.n_max != n_max:
             return synthesize(coeffs, grid)
-        vals, _ = _synthesis(stored_orders, _in_cap_frame(coeffs, grid), grid, azimuth)
+        vals, _ = _synthesis(stored_blocks, _in_cap_frame(coeffs, grid), grid, azimuth)
         return np.reshape(vals / coeffs.radius, (grid.n_nodes,))
 
     return run
@@ -691,7 +730,9 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     Requires grid.exact_degree >= 2 * n_max so products of the field with any
     basis function of degree <= n_max integrate exactly when the field itself
     is bandlimited to n_max. The transpose of grid synthesis: azimuth sums
-    first, then one product of each order's Legendre rows with them.
+    first, times sqrt(2) sin(theta) for orders m >= 1, then one batched
+    product of each block of Legendre rows with the sums of its orders,
+    scattered to the flat layout through _scalar_slots.
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("analyze needs samples on a SphereGrid")
@@ -704,15 +745,14 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
         raise ValueError("samples must match the grid node count")
     tc, ts = _azimuth_sums(values.reshape(grid.ct.size, grid.phis.size), grid, n_max)
     st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    out = HarmonicCoefficients(grid.radius, n_max)
-    for m, rows in _legendre_orders(n_max, grid.ct, st):
-        _, cos_i, sin_i = _order_index(n_max, m)
-        if m == 0:
-            out.data[cos_i] = rows @ tc[:, 0]
-        else:
-            q = rows @ (_SQRT2 * st[:, None] * np.stack([tc[:, m], ts[:, m]], axis=1))
-            out.data[cos_i], out.data[sin_i] = q.T
-    return out
+    cols = np.stack([tc.T, ts.T], axis=-1)  # (order, colatitude, cos/sin)
+    cols[1:] *= (_SQRT2 * st)[:, None]
+    slots = _scalar_slots(n_max)
+    out = np.empty((n_max + 1) ** 2 + 1)
+    for lo, block in _legendre_blocks(n_max, grid.ct, st):
+        hi = lo + block.shape[0]
+        out[slots[lo:hi, :, lo:]] = np.swapaxes(block @ cols[lo:hi], -1, -2)
+    return HarmonicCoefficients(grid.radius, n_max, out[:-1])
 
 
 # ---------------------------------------------------------------------------

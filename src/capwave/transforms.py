@@ -12,6 +12,7 @@ Scalar fields only; the gradient-field analogues live in vector_field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .harmonics import (
     analyze,
 )
 from .kernels import KernelPair
-from .legendre import _legendre_values, gauss_rule
+from .legendre import gauss_rule, legendre_all
 
 __all__ = [
     "RegionSpec",
@@ -227,20 +228,35 @@ def _scaling_spectral_coefficients(pair: KernelPair,
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _cap_rule(kN: int, n_max: int, kernel_rho: float) -> tuple[np.ndarray, ...]:
+    """(t, w, p, dp, d2p): the Gauss rule on [1 - kernel_rho, 1] exact for
+    degree kN + n_max and legendre_all to max(kN, n_max) at its nodes.
+
+    The cap multipliers of every kernel pair with wavelet band kN, scalar
+    (wavelet_multipliers) and vector (vector_field's type 2), integrate
+    against these rows, so they are built once per (kN, n_max, kernel_rho)
+    and shared read-only.
+    """
+    t, w = gauss_rule((kN + n_max) // 2 + 1, 1.0 - kernel_rho, 1.0)
+    rule = (t, w) + legendre_all(max(kN, n_max), t)
+    for arr in rule[2:]:
+        arr.flags.writeable = False
+    return rule
+
+
 def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.ndarray:
     """Degree-wise action of the cap-restricted wavelet convolution.
 
     For a field bandlimited to n_max, integrating the zonal wavelet kernel
     over a cap of radius kernel_rho multiplies the coefficient of degree n
     by lambda_n = 2 pi * integral over [1-kernel_rho, 1] of the kernel
-    profile times P_n. The 1-D rule below is exact for the polynomial
-    integrand, so for bandlimited data the multipliers equal the node-wise
-    cap integral.
+    profile times P_n. The 1-D rule of _cap_rule is exact for the
+    polynomial integrand, so for bandlimited data the multipliers equal
+    the node-wise cap integral.
     """
     g = pair.geometry
-    m = (g.kN + n_max) // 2 + 1
-    t, w = gauss_rule(m, 1.0 - kernel_rho, 1.0)
-    rows = _legendre_values(max(g.kN, n_max), t)
+    _, w, rows, _, _ = _cap_rule(g.kN, n_max, kernel_rho)
     j = np.arange(g.kN + 1, dtype=float)
     prof = ((j + 0.5) * pair.psi_tilde.values) @ rows[: g.kN + 1]
     return rows[: n_max + 1] @ (w * prof)

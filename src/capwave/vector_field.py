@@ -41,9 +41,10 @@ from .harmonics import (
     sphere_grid,
 )
 from .kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
-from .legendre import gauss_rule, legendre_all
+from .legendre import legendre_all
 from .transforms import (
     RegionSpec,
+    _cap_rule,
     _check_evaluation,
     _scaling_spectral_coefficients,
     wavelet_multipliers,
@@ -231,7 +232,7 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
         both = _cap_frame(np.stack([coeffs.channel(1), coeffs.channel(2)]), rotation)
         coeffs = VectorCoefficients(coeffs.radius, coeffs.n_max,
                                     np.concatenate([both[0], both[1, 1:]]))
-    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_orders, coeffs, points)
+    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_blocks, coeffs, points)
     horiz = f_r * st + f_t * ct
     out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
                     f_r * ct - f_t * st], axis=-1)
@@ -268,6 +269,12 @@ def _vector_orders(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
             yield 0, np.stack([radial, -st * p[8], zero]), np.zeros((3,) + ct.shape)
         yield m, _SQRT2 * np.stack([st * p[0], ct * p[2] - p[4], m * p[7]]), \
             _SQRT2 * np.stack([st * p[1], ct * p[3] - p[5], -m * p[6]])
+
+
+def _vector_blocks(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
+    """_vector_orders as amplitude blocks of one order each, for _synthesis."""
+    for m, a, b in _vector_orders(coeffs, ct, st):
+        yield m, a[:, None], b[:, None]
 
 
 def vector_analyze(samples: np.ndarray, grid: SphereGrid,
@@ -485,12 +492,12 @@ def _cap_wavelet_coefficients(pair: TensorKernelPair, f2: VectorCoefficients,
     with K = sum_j (j+1/2) psi_tilde(j) / (j(j+1)) P_j, the tangential
     Frobenius product that gram_vector integrates over the cap exterior.
     The integrand has degree at most kN + n_max, so the Gauss rule of
-    wavelet_multipliers is exact. On the full-sphere cap mu_n = psi_tilde(n).
+    wavelet_multipliers (transforms._cap_rule) is exact. On the full-sphere
+    cap mu_n = psi_tilde(n).
     """
     g = pair.geometry
     n_max = f2.n_max
-    t, w = gauss_rule((g.kN + n_max) // 2 + 1, 1.0 - kernel_rho, 1.0)
-    _, dp, d2p = legendre_all(max(g.kN, n_max), t)
+    t, w, _, dp, d2p = _cap_rule(g.kN, n_max, kernel_rho)
     j = np.arange(1, g.kN + 1, dtype=float)
     k = (j + 0.5) * pair.psi_tilde.values[1:] / (j * (j + 1.0))
     dk, d2k = k @ dp[1 : g.kN + 1], k @ d2p[1 : g.kN + 1]

@@ -120,6 +120,53 @@ def legendre_orders(n_max, ct, st):
             first = math.sqrt((2 * m + 3) / (2 * m + 2)) * st * first
 
 
+def _order_harmonics(n_max, points):
+    """Yield (n, cos-type, sin-type) per order m: the degrees n = m..n_max
+    and the real harmonics Y of order m at the directions, one row per
+    degree (the sin-type rows are None for m = 0). The harmonic with flat
+    index n^2 + k - 1 is cos-type for k = m + 1 and sin-type for
+    k = n + m + 1, with A_n^m = sin(theta) B_n^m from legendre_orders."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    ct = np.clip(pts[:, 2], -1.0, 1.0)
+    st = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    for m, rows in legendre_orders(n_max, ct, st):
+        n = np.arange(m, n_max + 1)
+        if m == 0:
+            yield n, rows, None
+        else:
+            radial = math.sqrt(2.0) * st * rows
+            yield n, radial * np.cos(m * phi), radial * np.sin(m * phi)
+
+
+def synthesis(data, radius, points):
+    """Field values (1/radius) sum c(n,k) Y_{n,k} at the directions, summed
+    order by order over the flat coefficients data."""
+    data = np.asarray(data, dtype=float)
+    n_max = math.isqrt(data.size) - 1
+    vals = 0.0
+    for n, cos_y, sin_y in _order_harmonics(n_max, points):
+        m = n[0]
+        vals = vals + data[n * n + m] @ cos_y
+        if sin_y is not None:
+            vals = vals + data[n * n + n + m] @ sin_y
+    return vals / radius
+
+
+def analysis(samples, nodes, weights, radius, n_max):
+    """Flat coefficients sum_j weights_j samples_j Y_{n,k}(nodes_j) / radius
+    to degree n_max: the quadrature of each harmonic, order by order."""
+    weighted = np.asarray(weights) * np.asarray(samples, dtype=float) / radius
+    out = np.zeros((n_max + 1) ** 2)
+    for n, cos_y, sin_y in _order_harmonics(n_max, nodes):
+        m = n[0]
+        out[n * n + m] = cos_y @ weighted
+        if sin_y is not None:
+            out[n * n + n + m] = sin_y @ weighted
+    return out
+
+
 def _legendre_value_and_derivatives(n, t):
     e = np.zeros(n + 1)
     e[n] = 1.0

@@ -14,6 +14,7 @@ from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
     _grid_synthesis,
+    _legendre_blocks,
     _legendre_orders,
     analyze,
     cap_grid,
@@ -248,6 +249,15 @@ class TestSynthesizeAnalyze:
         assert np.max(np.abs(point_vals - grid_vals)) < 2.5e-13 * scale
 
 
+    @pytest.mark.parametrize("points", [np.zeros(3), np.array([1.0, 0.0]),
+                                        np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
+                                        np.array([np.inf, 0.0, 0.0])],
+                             ids=["zero", "two-vector", "nan", "inf"])
+    def test_rejects_bad_points(self, points):
+        c = random_coeffs(np.random.default_rng(17), 1.0, 3)
+        with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
+            synthesize(c, points)
+
 def colatitudes(n_points, seed=0):
     """Colatitude cosines; with two or more points both poles (ct = +-1,
     st = 0) are among them."""
@@ -300,6 +310,86 @@ class TestLegendreOrders:
     def test_drawn_degrees_and_point_counts(self, n_max, n_points, seed):
         assert_rows_match_oracle(n_max, colatitudes(n_points, seed))
 
+
+
+class TestLegendreBlocks:
+    """Blocks are multiplied whole, so the entries below each order's first
+    degree must be exact zeros, whatever width the input size picks."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
+    @pytest.mark.parametrize("n_points", [1, 45, 111, "one-order"])
+    def test_entries_below_the_order_are_zero(self, n_max, n_points):
+        if n_points == "one-order":
+            n_points = harmonics._BLOCK_BUDGET // (n_max + 1) + 1
+        self.assert_blocks(n_max, colatitudes(n_points))
+
+    def test_block_boundaries_mid_range(self):
+        self.assert_blocks(44, colatitudes(700))
+
+    @staticmethod
+    def assert_blocks(n_max, ct):
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+        next_lo = 0
+        for lo, block in _legendre_blocks(n_max, ct, sin_t):
+            assert lo == next_lo
+            assert block.shape[1:] == (n_max + 1 - lo, ct.size)
+            for i in range(block.shape[0]):
+                below = block[i, :i]
+                assert np.all(below == 0.0) and not np.any(np.signbit(below))
+            next_lo = lo + block.shape[0]
+        assert next_lo == n_max + 1
+
+
+def assert_close_to(values, reference, rel=1e-13):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(np.asarray(values) - reference)) <= rel * scale
+
+
+class TestBlockFoldAgainstOracle:
+    """Block-folded synthesis and analysis against the per-order sums of
+    oracles.py, which share no code with the package."""
+
+    R = 6371.2
+
+    # degree 60 on its 61 colatitudes takes two blocks, of 35 and 26 orders
+    @pytest.mark.parametrize("n_max", [0, 12, 60])
+    def test_synthesize_on_sphere_grid(self, n_max):
+        c = random_coeffs(np.random.default_rng(n_max), self.R, n_max)
+        g = sphere_grid(self.R, 2 * n_max)
+        assert_close_to(synthesize(c, g), oracles.synthesis(c.data, self.R, g.nodes))
+
+    @pytest.mark.parametrize("center", [[0.0, 0.0, 1.0], [0.3, 0.4, 0.8]],
+                             ids=["polar", "off-pole"])
+    @pytest.mark.parametrize("n_max", [12, 60])
+    def test_synthesize_on_caps(self, center, n_max):
+        c = random_coeffs(np.random.default_rng(n_max + 1), self.R, n_max)
+        g = cap_grid(self.R, center, 0.6, 2 * n_max)
+        assert_close_to(synthesize(c, g), oracles.synthesis(c.data, self.R, g.nodes))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
+    def test_synthesize_at_one_point(self, n_max):
+        rng = np.random.default_rng(n_max + 2)
+        c = random_coeffs(rng, self.R, n_max)
+        rms = c.l2_norm() / (self.R * math.sqrt(4.0 * math.pi))
+        for x in (random_unit(rng), np.array([0.0, 0.0, -1.0])):
+            ref = oracles.synthesis(c.data, self.R, x)[0]
+            assert abs(synthesize(c, x) - ref) <= 1e-13 * max(abs(ref), rms)
+
+    @pytest.mark.parametrize("n_max", [1, 44])
+    def test_synthesize_at_points_one_order_per_block(self, n_max):
+        rng = np.random.default_rng(n_max + 3)
+        c = random_coeffs(rng, self.R, n_max)
+        pts = random_unit(rng, harmonics._BLOCK_BUDGET // (n_max + 1) + 1)
+        pts[0], pts[-1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        assert_close_to(synthesize(c, pts), oracles.synthesis(c.data, self.R, pts))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 60])
+    def test_analyze_on_sphere_grid(self, n_max):
+        rng = np.random.default_rng(n_max + 4)
+        g = sphere_grid(self.R, 2 * n_max + 3)
+        samples = rng.normal(size=g.n_nodes)
+        ref = oracles.analysis(samples, g.nodes, g.weights, self.R, n_max)
+        assert_close_to(analyze(samples, g, n_max).data, ref)
 
 class TestGridSynthesis:
     def test_same_bits_as_synthesize(self):

@@ -245,6 +245,15 @@ class TestSynthesizeAnalyze:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("points", [np.zeros(3), np.array([1.0, 0.0]),
+                                        np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
+                                        np.array([np.inf, 0.0, 0.0])],
+                             ids=["zero", "two-vector", "nan", "inf"])
+    def test_synthesize_rejects_bad_points(self, points):
+        c = random_vector_field(1.0, 3, seed=12)
+        with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
+            vector_synthesize(c, points)
+
     def test_analyze_validation(self):
         grid = sphere_grid(1.0, 10)
         with pytest.raises(ValueError):
