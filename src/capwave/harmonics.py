@@ -421,14 +421,14 @@ def _in_cap_frame(coeffs: HarmonicCoefficients, points) -> HarmonicCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# blocked Legendre engine (orthonormal, no Condon-Shortley)
+# tiled Legendre engine (orthonormal, no Condon-Shortley)
 
 # B_1^1 = A_1^1 / sin(theta) is constant; the diagonal and column recurrences
 # for B coincide with those for A because dividing by sin(theta) commutes
 # with both.
 _B11 = math.sqrt(1.5) * _INV_SQRT_4PI
 
-# Elements of one block of Legendre rows (orders x degrees x points), 1 MB.
+# Elements of one tile of Legendre rows (orders x degrees x points), 1 MB.
 _BLOCK_BUDGET = 1 << 17
 
 
@@ -457,55 +457,81 @@ def _recurrence_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray):
-    """Yield (lo, block) for consecutive blocks of orders m = lo..hi - 1.
+    """Yield (lo, n0, tile) for consecutive tiles of the Legendre rows.
 
-    block[m - lo, n - lo, j] holds degree n of order m at point j of the
+    tile[m - lo, n - n0, j] holds degree n of order m at point j of the
     raveled ct: A_n^0 for m = 0 and the reduced rows B_n^m = A_n^m /
     sin(theta) for m >= 1, which stay finite at the poles and give back
-    A_n^m = sin(theta) B_n^m. Entries with n < m are exactly 0.0, so a
-    block multiplies whole against coefficients laid out by degree. The
+    A_n^m = sin(theta) B_n^m. A tile covers the orders lo..hi - 1 of one
+    range and a chunk of degrees n0..n1 - 1, trimmed to the orders below
+    n1 (the others are zero there); entries with n < m are exactly 0.0, so
+    a tile multiplies whole against coefficients laid out by degree. The
     recurrence runs degree-major: each step in n updates every order of a
-    block at once. A block is as many orders as fit, over all n_max + 1
-    degrees and every point, in _BLOCK_BUDGET elements, and at least one.
-    Grids and single points get wide blocks; large sets of loose points
-    get one order per block, the plain per-order recurrence. Every element
-    takes the same floating-point operations whatever the width. Each block
-    is built only when it is asked for, so a consumer that folds blocks as
-    they arrive holds one at a time.
+    tile at once, carrying the last two degrees from tile to tile. A tile
+    is a view of an array stored degree by degree, so each step is one
+    contiguous pass over the orders of its degree. One width rule picks
+    the tiling. While one degree of every order fits in _BLOCK_BUDGET
+    elements (grid axes, single points, small point sets), one range holds
+    all orders and each tile as many degrees as fit. Otherwise (large sets
+    of loose points, where the tiles of all orders run slower) each range
+    is one order m = lo with all its degrees in one tile, n0 = lo: the
+    plain per-order recurrence. The tiles of a range come in ascending
+    degree chunks, the last one reaching n_max. Every element takes the
+    same floating-point operations whatever the tiling. Each tile is built
+    only when it is asked for, so a consumer that folds tiles as they
+    arrive holds one at a time.
     """
     ct, st = np.ravel(ct), np.ravel(st)
     sub, diag, a, b = _recurrence_factors(n_max | 63)  # one table per 64 degrees
-    width = max(1, _BLOCK_BUDGET // ((n_max + 1) * max(1, ct.size)))
+    chunk = _BLOCK_BUDGET // ((n_max + 1) * max(1, ct.size))
+    width, chunk = (n_max + 1, chunk) if chunk else (1, n_max + 1)
     seed = np.full(ct.shape, _INV_SQRT_4PI)  # A_0^0, then B_m^m
+    prev = prev2 = None  # rows of degrees n - 1 and n - 2 of the current range
     for lo in range(0, n_max + 1, width):
         hi = min(lo + width, n_max + 1)
-        block = np.empty((hi - lo, n_max + 1 - lo, ct.size))
-        for m in range(lo, hi):
-            block[m - lo, : m - lo] = 0.0
-            block[m - lo, m - lo] = seed
-            if m < n_max:
-                block[m - lo, m - lo + 1] = sub[m] * ct * seed
-            seed = np.full(ct.shape, _B11) if m == 0 else diag[m] * st * seed
-        for n in range(lo + 2, n_max + 1):
-            j = min(hi, n - 1) - lo  # orders lo .. lo + j - 1 have m <= n - 2
-            row = block[:j, n - lo]
-            np.multiply(a[n, lo:lo + j, None], ct, out=row)
-            row *= block[:j, n - lo - 1]
-            row -= b[n, lo:lo + j, None] * block[:j, n - lo - 2]
-        yield lo, block
+        for n0 in range(lo, n_max + 1, chunk):
+            n1 = min(n0 + chunk, n_max + 1)
+            rows = np.empty((n1 - n0, min(hi, n1) - lo, ct.size))  # degree-major
+            for n in range(n0, n1):
+                row = rows[n - n0]
+                j = min(hi, n - 1) - lo  # orders lo .. lo + j - 1 have m <= n - 2
+                if j > 0:
+                    step = row[:j]
+                    np.multiply(a[n, lo:lo + j, None], ct, out=step)
+                    step *= prev[:j]
+                    step -= b[n, lo:lo + j, None] * prev2[:j]
+                if lo < n <= hi:  # order n - 1 starts from its seed
+                    row[n - 1 - lo] = sub[n - 1] * ct * prev[n - 1 - lo]
+                if n < hi:
+                    row[n - lo] = seed
+                    row[n + 1 - lo:] = 0.0
+                    seed = np.full(ct.shape, _B11) if n == 0 else diag[n] * st * seed
+                prev2, prev = prev, row
+            yield lo, n0, rows.transpose(1, 0, 2)
 
 
 def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
     """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j.
 
-    The per-order view of _legendre_blocks: rows are views into its blocks,
-    shaped (n_max + 1 - m,) + ct.shape, and bit-identical to the per-order
-    recurrence.
+    The per-order view of _legendre_blocks, shaped (n_max + 1 - m,) +
+    ct.shape and bit-identical to the per-order recurrence. Where a range
+    of orders is one tile (single points, small grids, large sets of loose
+    points) rows are views into it; where its degrees come in several
+    tiles, the range's tiles are kept until its last one and each order's
+    rows are joined from them.
     """
     shape = np.shape(ct)
-    for lo, block in _legendre_blocks(n_max, ct, st):
-        for i, rows in enumerate(block):
-            yield lo + i, rows[i:].reshape((n_max + 1 - lo - i,) + shape)
+    tiles = []
+    for lo, n0, tile in _legendre_blocks(n_max, ct, st):
+        tiles.append((n0, tile))
+        if n0 + tile.shape[1] <= n_max:
+            continue
+        for i in range(tile.shape[0]):
+            m = lo + i
+            parts = [t[i, max(0, m - s):] for s, t in tiles if i < t.shape[0]]
+            rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            yield m, rows.reshape((n_max + 1 - m,) + shape)
+        tiles = []
 
 
 def _order_index(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -566,6 +592,23 @@ def _azimuth(lo: int, hi: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.cos(mphi), np.sin(mphi)
 
 
+@functools.lru_cache(maxsize=8)
+def _azimuth_table(n_phi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """_azimuth(0, top + 1, phis) on the n_phi grid azimuths phis =
+    2 pi k / n_phi, memoized read-only."""
+    table = _azimuth(0, top + 1, 2.0 * np.pi * np.arange(n_phi) / n_phi)
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
+def _grid_azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_azimuth(0, n_max + 1, phis) for a grid's azimuths, sliced bit for bit
+    from one table per azimuth count, built to order n_max | 63."""
+    cos_m, sin_m = _azimuth_table(phis.size, n_max | 63)
+    return cos_m[:n_max + 1], sin_m[:n_max + 1]
+
+
 def _product_axes(points):
     """(colatitude cosines, azimuths) of a grid's product rule, in the cap's
     own frame for a CapGrid, or None for loose directions."""
@@ -576,7 +619,7 @@ def _product_axes(points):
     return None
 
 
-def _synthesis(blocks, coeffs, points, azimuth=None):
+def _synthesis(blocks, coeffs, points):
     """Sum amplitudes over azimuth, on a product grid or at points.
 
     blocks(coeffs, ct, st) yields (lo, a, b) for consecutive blocks of
@@ -586,8 +629,8 @@ def _synthesis(blocks, coeffs, points, azimuth=None):
     sum_m a_m cos(m phi) + b_m sin(m phi). A grid needs the amplitudes only
     on its colatitude axis; it joins the blocks (at most n_max + 1 orders
     by its colatitudes) and sums them with one matrix product against the
-    azimuth factors (built here unless given as _azimuth(0, coeffs.n_max + 1,
-    phis)). On a CapGrid both axes are in the cap's own frame, so coeffs
+    azimuth factors, sliced from the memoized table of its azimuth count
+    (_grid_azimuth). On a CapGrid both axes are in the cap's own frame, so coeffs
     must already be turned into it (_cap_frame). At loose directions each
     block is folded as it arrives, against cos(m phi) and sin(m phi) of its
     own orders, so no more than one block of orders is held. Returns the
@@ -608,7 +651,7 @@ def _synthesis(blocks, coeffs, points, azimuth=None):
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     _, a, b = zip(*blocks(coeffs, ct, st))
     a, b = np.concatenate(a, axis=-2), np.concatenate(b, axis=-2)
-    cos_m, sin_m = _azimuth(0, coeffs.n_max + 1, phis) if azimuth is None else azimuth
+    cos_m, sin_m = _grid_azimuth(coeffs.n_max, phis)
     vals = np.swapaxes(a, -1, -2) @ cos_m + np.swapaxes(b, -1, -2) @ sin_m
     return vals, (ct[:, None], st[:, None], np.cos(phis), np.sin(phis))
 
@@ -616,11 +659,12 @@ def _synthesis(blocks, coeffs, points, azimuth=None):
 @functools.lru_cache(maxsize=8)
 def _scalar_slots(n_max: int) -> np.ndarray:
     """Flat slots of a degree-n_max field in the layout of its Legendre
-    blocks: [m, 0, n] is the cos-type coefficient of degree n and order m,
+    tiles: [m, 0, n] is the cos-type coefficient of degree n and order m,
     [m, 1, n] the sin-type one. Slots with n < m, and the sin-type ones of
     order 0, are (n_max + 1)^2, one past the field: a zero is appended
-    there before reading, and a write there is dropped. Block lo..hi - 1
-    takes [lo:hi, :, lo:]. Memoized and read-only."""
+    there before reading, and a write there is dropped. The tile of orders
+    lo..hi - 1 and degrees n0..n1 - 1 takes [lo:hi, :, n0:n1]. Memoized and
+    read-only."""
     m = np.arange(n_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
     pad = (n_max + 1) ** 2
@@ -635,10 +679,12 @@ def _scalar_blocks(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
                    table=None):
     """Amplitude blocks of a scalar field for _synthesis.
 
-    Each block of Legendre rows takes one product with the coefficients
-    gathered through _scalar_slots, giving the cos- and sin-type amplitudes
-    of its orders at once; orders m >= 1 are then multiplied by
-    sqrt(2) sin(theta). table, when given, holds the (lo, block) pairs that
+    Each tile of Legendre rows takes one batched product with the
+    coefficients gathered through _scalar_slots, giving the cos- and
+    sin-type amplitudes of its orders over its degrees at once; the
+    products of a range's tiles are summed, and once its last tile is in,
+    orders m >= 1 are multiplied by sqrt(2) sin(theta) and the range is
+    yielded. table, when given, holds the (lo, n0, tile) triples that
     _legendre_blocks yields for coeffs.n_max at ct, read instead of running
     the recurrence.
     """
@@ -646,10 +692,15 @@ def _scalar_blocks(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
     padded = np.append(coeffs.data, 0.0)
     slots = _scalar_slots(n_max)
     scale = _SQRT2 * np.ravel(st)
-    for lo, block in _legendre_blocks(n_max, ct, st) if table is None else table:
-        amp = padded[slots[lo:lo + block.shape[0], :, lo:]] @ block
-        amp[1 if lo == 0 else 0:] *= scale
-        yield lo, amp[:, 0], amp[:, 1]
+    for lo, n0, tile in _legendre_blocks(n_max, ct, st) if table is None else table:
+        w, d = tile.shape[:2]
+        part = padded[slots[lo:lo + w, :, n0:n0 + d]] @ tile
+        if n0 > lo:  # a later chunk of the range: tiles only gain orders
+            part[:amp.shape[0]] += amp
+        amp = part
+        if n0 + d == n_max + 1:
+            amp[1 if lo == 0 else 0:] *= scale
+            yield lo, amp[:, 0], amp[:, 1]
 
 
 def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -659,7 +710,7 @@ def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.
     (colatitude, m). The weights carry radius^2 and one 1/radius for the
     basis factor. This is the transpose of the grid step of _synthesis.
     """
-    cos_m, sin_m = _azimuth(0, n_max + 1, grid.phis)
+    cos_m, sin_m = _grid_azimuth(n_max, grid.phis)
     w = (grid.ct_weights * (2.0 * np.pi / grid.phis.size) * grid.radius)[:, None]
     return w * (values @ cos_m.T), w * (values @ sin_m.T)
 
@@ -682,13 +733,15 @@ def ynk(n: int, k: int, xi) -> float | np.ndarray:
 def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Evaluate the field at unit directions, a SphereGrid, or a CapGrid.
 
-    Runs the blocked Legendre engine: each block of orders takes one
-    batched matrix product of the coefficients with its Legendre rows
-    (_scalar_blocks). Grids evaluate the rows on their colatitude axis only
-    and sum the orders with one azimuth matrix product. A cap off the pole
-    does so in its own frame, on coefficients turned into it degree by
-    degree; at loose directions each block is folded against cos(m phi),
-    sin(m phi) point by point as it arrives. A single direction gives a
+    Runs the tiled Legendre engine: each tile of rows takes one batched
+    matrix product with the coefficients of its orders and degrees
+    (_scalar_blocks). Grids evaluate the rows on their colatitude axis only,
+    in tiles of every order and a chunk of degrees whose products are
+    summed, and sum the orders with one azimuth matrix product. A cap off
+    the pole does so in its own frame, on coefficients turned into it
+    degree by degree. At loose directions each range of orders is folded
+    against cos(m phi), sin(m phi) point by point once its last tile is
+    in; large point sets take one order per range. A single direction gives a
     float, a grid one value per node. Points must be finite nonzero
     3-vectors (ValueError otherwise).
     """
@@ -701,24 +754,22 @@ def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
     """synthesize on one grid for many fields, with the Legendre rows built once.
 
     Returns a function of the coefficients that gives synthesize(coeffs,
-    grid) bit for bit. Every block of _legendre_blocks for degree n_max (on
-    the colatitude axis only, in a cap's own frame) and the azimuth factors
-    are built here and kept, unlike in synthesize, which drops each block
-    once its orders are summed; a field of that degree is turned into the
-    cap's frame as synthesize turns it and takes the same per-block
-    products with the stored blocks. Fields of another degree go to
-    synthesize.
+    grid) bit for bit. Every tile of _legendre_blocks for degree n_max (on
+    the colatitude axis only, in a cap's own frame) is built here and kept,
+    unlike in synthesize, which drops each tile once its product is taken;
+    a field of that degree is turned into the cap's frame as synthesize
+    turns it and takes the same per-tile products with the stored tiles,
+    summed in the same order. Fields of another degree go to synthesize.
     """
-    ct, phis = _product_axes(grid)
+    ct, _ = _product_axes(grid)
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     stored_blocks = functools.partial(
         _scalar_blocks, table=tuple(_legendre_blocks(n_max, ct, st)))
-    azimuth = _azimuth(0, n_max + 1, phis)
 
     def run(coeffs: HarmonicCoefficients) -> np.ndarray:
         if coeffs.n_max != n_max:
             return synthesize(coeffs, grid)
-        vals, _ = _synthesis(stored_blocks, _in_cap_frame(coeffs, grid), grid, azimuth)
+        vals, _ = _synthesis(stored_blocks, _in_cap_frame(coeffs, grid), grid)
         return np.reshape(vals / coeffs.radius, (grid.n_nodes,))
 
     return run
@@ -731,8 +782,9 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     basis function of degree <= n_max integrate exactly when the field itself
     is bandlimited to n_max. The transpose of grid synthesis: azimuth sums
     first, times sqrt(2) sin(theta) for orders m >= 1, then one batched
-    product of each block of Legendre rows with the sums of its orders,
-    scattered to the flat layout through _scalar_slots.
+    product of each tile of Legendre rows (every order, a chunk of degrees)
+    with the sums of its orders, scattered to the flat layout through
+    _scalar_slots[:, :, n0:n1].
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("analyze needs samples on a SphereGrid")
@@ -749,9 +801,9 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     cols[1:] *= (_SQRT2 * st)[:, None]
     slots = _scalar_slots(n_max)
     out = np.empty((n_max + 1) ** 2 + 1)
-    for lo, block in _legendre_blocks(n_max, grid.ct, st):
-        hi = lo + block.shape[0]
-        out[slots[lo:hi, :, lo:]] = np.swapaxes(block @ cols[lo:hi], -1, -2)
+    for lo, n0, tile in _legendre_blocks(n_max, grid.ct, st):
+        w, d = tile.shape[:2]
+        out[slots[lo:lo + w, :, n0:n0 + d]] = np.swapaxes(tile @ cols[lo:lo + w], -1, -2)
     return HarmonicCoefficients(grid.radius, n_max, out[:-1])
 
 

@@ -23,6 +23,7 @@ from .harmonics import (
     HarmonicCoefficients,
     SphereGrid,
     _as_directions,
+    _direction_angles,
     cap_grid,
     sphere_grid,
     synthesize,
@@ -277,12 +278,14 @@ def wavelet_transform_local(pair: KernelPair, f2: HarmonicCoefficients, x,
 
 
 def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
-    """Reject integration caps wider than the kernel's cap, and points
-    outside the evaluation region (within 1e-9 in t units)."""
+    """Reject integration caps wider than the kernel's cap, points that are
+    not finite nonzero 3-vectors, and points outside the evaluation region
+    (within 1e-9 in t units)."""
     if region.kernel_rho > pair.geometry.rho + 1e-12:
         raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
+    pts = _as_directions(points)
+    _direction_angles(pts)  # validates every point before any norm divides
     if region.eval_rho < 2.0:
-        pts = _as_directions(points)
         dist = 1.0 - pts @ region.center_direction / np.linalg.norm(pts, axis=-1)
         if np.any(dist > region.eval_rho + 1e-9):
             raise ValueError("an evaluation point lies outside the evaluation region")

@@ -8,7 +8,7 @@ tensor-kernel convolutions built from the same symbol sets as the scalar
 case, and the diagnostics (tensor kernel values, Frobenius-profile moments)
 the localization analysis needs.
 
-Pole handling: synthesis and analysis run on the blocked Legendre engine
+Pole handling: synthesis and analysis run on the tiled Legendre engine
 of the harmonics module, whose rows for m >= 1 are the reduced functions
 B_n^m = A_n^m / sin(theta). Every channel comes from those rows and stays
 finite at the poles: the radial values are sin(theta) B_n^m, the colatitude
@@ -218,7 +218,7 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     """Cartesian field values at unit directions, a SphereGrid, or a CapGrid.
 
     Returns one 3-vector per point (shape (3,) for a single direction).
-    Runs the blocked Legendre engine of the harmonics module on three
+    Runs the tiled Legendre engine of the harmonics module on three
     channels at once: the radial, colatitude and azimuth components of each
     order come from one matrix product of the coefficients with that
     order's reduced Legendre rows, and grids sum the orders with one

@@ -313,8 +313,10 @@ class TestLegendreOrders:
 
 
 class TestLegendreBlocks:
-    """Blocks are multiplied whole, so the entries below each order's first
-    degree must be exact zeros, whatever width the input size picks."""
+    """Tiles are multiplied whole, so the entries below each order's first
+    degree must be exact zeros, whatever tiling the input size picks; the
+    tiles of a range follow each other in degree and cover every degree
+    n >= m of every order once."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
     @pytest.mark.parametrize("n_points", [1, 45, 111, "one-order"])
@@ -324,20 +326,62 @@ class TestLegendreBlocks:
         self.assert_blocks(n_max, colatitudes(n_points))
 
     def test_block_boundaries_mid_range(self):
+        # 700 points at degree 44 give tiles of every order and four
+        # degrees, so chunks start at degrees 4, 8, ..., 40 and degree 44
+        # stands alone
         self.assert_blocks(44, colatitudes(700))
+
+    @pytest.mark.parametrize("n_max", [44, 110])
+    def test_one_degree_of_every_order_per_tile(self, n_max):
+        # the largest point count below the switch to one order per range
+        self.assert_blocks(n_max, colatitudes(harmonics._BLOCK_BUDGET // (n_max + 1)))
 
     @staticmethod
     def assert_blocks(n_max, ct):
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-        next_lo = 0
-        for lo, block in _legendre_blocks(n_max, ct, sin_t):
-            assert lo == next_lo
-            assert block.shape[1:] == (n_max + 1 - lo, ct.size)
-            for i in range(block.shape[0]):
-                below = block[i, :i]
+        seen = np.zeros((n_max + 1, n_max + 1), dtype=int)  # [m, n]
+        expect = (0, 0)  # (lo, n0) of the next tile
+        for lo, n0, tile in _legendre_blocks(n_max, ct, sin_t):
+            w, d, p = tile.shape
+            assert (lo, n0) == expect and p == ct.size
+            # only one order's rows alone may exceed the budget
+            assert tile.size <= harmonics._BLOCK_BUDGET or (w == 1 and n0 == lo)
+            for i in range(w):
+                below = tile[i, :max(0, lo + i - n0)]
                 assert np.all(below == 0.0) and not np.any(np.signbit(below))
-            next_lo = lo + block.shape[0]
-        assert next_lo == n_max + 1
+                seen[lo + i, max(lo + i, n0):n0 + d] += 1
+            expect = (lo + w, lo + w) if n0 + d == n_max + 1 else (lo, n0 + d)
+        assert expect == (n_max + 1, n_max + 1)
+        assert np.array_equal(seen, np.triu(np.ones_like(seen)))
+
+
+class TestLegendreTiles:
+    """Each tile read directly holds the oracle's rows bit for bit, across
+    degree chunks and on both sides of the switch from tiles of every order
+    to one order per range."""
+
+    BUDGET = harmonics._BLOCK_BUDGET
+
+    @pytest.mark.parametrize("n_max, n_points, n_tiles", [
+        (110, 111, 12),  # degree 110 on 111 colatitudes: chunks of 10
+        (80, 111, 6),  # the degree-80 analysis on 111 colatitudes: chunks of 14
+        (110, BUDGET // 111, 111),  # one degree of every order per tile
+        (110, BUDGET // 111 + 1, 111),  # one order per range
+        (44, BUDGET // 45, 45),
+        (44, BUDGET // 45 + 1, 45),
+    ])
+    def test_tiles_match_oracle(self, n_max, n_points, n_tiles):
+        ct = colatitudes(n_points)
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+        ref = dict(oracles.legendre_orders(n_max, ct, sin_t))
+        tiles = list(_legendre_blocks(n_max, ct, sin_t))
+        assert len(tiles) == n_tiles
+        for lo, n0, tile in tiles:
+            for i, rows in enumerate(tile):
+                m = lo + i
+                first = max(m, n0)
+                assert np.array_equal(rows[first - n0:],
+                                      ref[m][first - m:n0 + tile.shape[1] - m]), (m, n0)
 
 
 def assert_close_to(values, reference, rel=1e-13):
@@ -393,15 +437,27 @@ class TestBlockFoldAgainstOracle:
 
 class TestGridSynthesis:
     def test_same_bits_as_synthesize(self):
+        # degree 110 on exactness-220 grids spans several degree chunks
         rng = np.random.default_rng(5)
         r = 6371.2
-        grids = [sphere_grid(r, 24), cap_grid(r, [0, 0, 1], 0.6, 24),
-                 cap_grid(r, random_unit(rng), 0.6, 24)]
-        for grid in grids:
-            run = _grid_synthesis(grid, 12)
-            for n_max in (12, 7):
-                c = random_coeffs(rng, r, n_max)
-                assert np.array_equal(run(c), synthesize(c, grid))
+        for degree, lower in ((12, 7), (110, 80)):
+            grids = [sphere_grid(r, 2 * degree), cap_grid(r, [0, 0, 1], 0.6, 2 * degree),
+                     cap_grid(r, random_unit(rng), 0.6, 2 * degree)]
+            for grid in grids:
+                run = _grid_synthesis(grid, degree)
+                for n_max in (degree, lower):
+                    c = random_coeffs(rng, r, n_max)
+                    assert np.array_equal(run(c), synthesize(c, grid))
+
+
+    @pytest.mark.parametrize("n_max", [0, 12, 63, 64, 110])
+    def test_azimuth_table_same_bits(self, n_max):
+        r = 6371.2
+        for grid in (sphere_grid(r, 2 * n_max), cap_grid(r, [0.3, 0.4, 0.8], 0.6, 2 * n_max)):
+            cos_m, sin_m = harmonics._grid_azimuth(n_max, grid.phis)
+            ref_cos, ref_sin = harmonics._azimuth(0, n_max + 1, grid.phis)
+            assert np.array_equal(cos_m, ref_cos) and np.array_equal(sin_m, ref_sin)
+            assert not cos_m.flags.writeable and not sin_m.flags.writeable
 
 
 class TestSobolevNorm:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from capwave.kernels import (
 from capwave.transforms import (
     NoiseSpec,
     RegionSpec,
+    _check_evaluation,
     add_noise,
     approximate,
     approximate_coefficients,
@@ -209,6 +211,25 @@ class TestWaveletTransformLocal:
         x = (math.sqrt(1.0 - t_out**2), 0.0, t_out)
         with pytest.raises(ValueError):
             wavelet_transform_local(pair, f2, x, region)
+
+    def test_zero_point_rejected_without_warning(self):
+        g = reduced_geometry()
+        pair = shannon_reference_pair(g, g.N)
+        region = RegionSpec(NORTH, 0.6, 0.5)
+        f2 = random_field(R_INNER, 10, 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
+                wavelet_transform_local(pair, f2, np.zeros(3), region)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected_before_region_test(self, bad):
+        # nan > eval_rho is False, so the region test alone lets NaN through
+        g = reduced_geometry()
+        pair = shannon_reference_pair(g, g.N)
+        region = RegionSpec(NORTH, 0.6, 0.5)
+        with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
+            _check_evaluation(pair, region, np.array([[0.0, 0.0, 1.0], [bad, 0.0, 1.0]]))
 
     def test_full_sphere_cap_matches_spectral_identity(self):
         g = Geometry(1.0, 1.11, 10, kappa=1.5, rho=2.0, case="scalar")
