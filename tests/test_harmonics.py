@@ -333,7 +333,7 @@ class TestLegendreBlocks:
 
     @pytest.mark.parametrize("n_max", [44, 110])
     def test_one_degree_of_every_order_per_tile(self, n_max):
-        # the largest point count below the switch to one order per range
+        # the largest point count that still gets tiles of every order
         self.assert_blocks(n_max, colatitudes(harmonics._BLOCK_BUDGET // (n_max + 1)))
 
     @staticmethod
@@ -448,7 +448,6 @@ class TestGridSynthesis:
                 for n_max in (degree, lower):
                     c = random_coeffs(rng, r, n_max)
                     assert np.array_equal(run(c), synthesize(c, grid))
-
 
     @pytest.mark.parametrize("n_max", [0, 12, 63, 64, 110])
     def test_azimuth_table_same_bits(self, n_max):
