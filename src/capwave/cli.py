@@ -209,18 +209,13 @@ def _cmd_approximate(config: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_table(config: ExperimentConfig) -> int:
-    rows = run_table(config)
-    write_table(rows, config.out)
-    print(f"wrote {len(rows)} rows to {config.out}")
-    return 0
-
-
-def _cmd_tsvd_table(config: ExperimentConfig) -> int:
-    rows = run_tsvd_table(config)
-    write_table(rows, config.out)
-    print(f"wrote {len(rows)} rows to {config.out}")
-    return 0
+def _table_command(run):
+    def command(config: ExperimentConfig) -> int:
+        rows = run(config)
+        write_table(rows, config.out)
+        print(f"wrote {len(rows)} rows to {config.out}")
+        return 0
+    return command
 
 
 def _cmd_spectra(config: ExperimentConfig) -> int:
@@ -236,8 +231,8 @@ _COMMANDS = {
     "shannon": _cmd_shannon,
     "tsvd": _cmd_tsvd,
     "approximate": _cmd_approximate,
-    "table": _cmd_table,
-    "tsvd-table": _cmd_tsvd_table,
+    "table": _table_command(run_table),
+    "tsvd-table": _table_command(run_tsvd_table),
     "spectra": _cmd_spectra,
 }
 

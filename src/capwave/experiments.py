@@ -18,10 +18,10 @@ the file, since they would break that guarantee.
 
 Everything that depends only on the run is built once: the cap-exterior
 Gram, each method's kernel pair, localization ratio and wavelet multipliers,
-and the Legendre tiles of the evaluation grid. A row's wall_time_s
-therefore times only its own assembly and scoring. Each candidate still
-takes the same per-tile products as synthesize, so the errors, bit for
-bit, do not depend on this reuse.
+and the model's norm and Legendre tiles on the evaluation cap's rule. A
+row's wall_time_s therefore times only its own assembly and scoring. Each
+error equals relative_error's bit for bit, so it does not depend on this
+reuse.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 
 from .harmonics import (
     HarmonicCoefficients,
-    _grid_synthesis,
+    _cap_norms,
+    _padded,
     load_coefficients,
-    synthesize,
 )
 from .kernels import (
     Geometry,
@@ -336,36 +336,42 @@ def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
 
 
 class _ErrorMeter:
-    """Shared evaluation grid: truth synthesized once, error per candidate.
+    """relative_error(model, candidate, region) bit for bit, for many
+    candidates. The model's norm and the cap rule's Legendre tiles are kept
+    per scoring degree max(model degree, candidate degree): the run's, taken
+    at once so that a model zero on the region fails early, and the model's
+    own, which the candidates of noise-free cells keep."""
 
-    Candidates are synthesized through _grid_synthesis, which keeps the
-    Legendre tiles (every order, a chunk of degrees each) for the run's
-    degree on the evaluation cap's colatitude axis, in its own frame, and
-    turns each candidate into that frame; each candidate then costs one
-    batched product per tile and the two azimuth products. Each error is
-    the same arithmetic as relative_error.
-    """
+    def __init__(self, model, region: RegionSpec, max_degree: int):
+        self.model, self.region, self.tiles, self.dens = model, region, {}, {}
+        self.dens[max_degree] = self._norm(self.model.data, max_degree, reference=True)
 
-    def __init__(self, model, region: RegionSpec, radius: float, max_degree: int):
-        self.grid = region.eval_grid(radius, 2 * max_degree)
-        self.truth = synthesize(model, self.grid)
-        den = self.grid.integrate(self.truth * self.truth)
-        if den <= 0.0 or not np.isfinite(den):
-            raise ValueError("model field vanishes on the evaluation region")
-        self.den = den
-        self.synthesize = _grid_synthesis(self.grid, max_degree)
+    def _norm(self, data, degree: int, reference=False) -> float:
+        return _cap_norms(_padded(data, degree)[None], self.region.center_direction,
+                          self.region.eval_rho, 2 * degree, tiles=self.tiles,
+                          reference=reference)[0]
 
     def error(self, candidate: HarmonicCoefficients) -> float:
-        diff = self.synthesize(candidate) - self.truth
-        return math.sqrt(self.grid.integrate(diff * diff) / self.den)
+        degree = max(self.model.n_max, candidate.n_max)
+        if degree not in self.dens:
+            self.dens[degree] = self._norm(self.model.data, degree, reference=True)
+        diff = _padded(candidate.data, degree) - _padded(self.model.data, degree)
+        return math.sqrt(self._norm(diff, degree) / self.dens[degree])
 
 
-def _require_scalar(config: ExperimentConfig) -> None:
+def _sweep(config: ExperimentConfig) -> tuple:
+    """What both tables share: the model, its upward-continued outer data,
+    the error meter at the run's degree, and the columns of every row."""
     if config.case != "scalar":
-        raise ValueError(
-            "table sweeps cover the scalar chain; run gradient-field "
-            "reconstructions through the vector_field functions directly"
-        )
+        raise ValueError("table sweeps cover the scalar chain; run gradient-field "
+                         "reconstructions through the vector_field functions directly")
+    g = config.geometry
+    model = build_model(config)
+    meter = _ErrorMeter(model, config.region, max(model.n_max, config.noise_degree))
+    common = dict(case=config.case, rho=g.rho, region_rho=config.region_rho,
+                  scaling_degree=g.N, band_degree=g.kN,
+                  model_degree=model.n_max, noise_degree=config.noise_degree)
+    return model, upward_continue(model, g.R), meter, common
 
 
 def run_table(config: ExperimentConfig) -> list[ResultRow]:
@@ -377,21 +383,12 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     model on the evaluation region. A method whose kernel optimization
     fails keeps its rows, carrying the failure message in the status column.
     """
-    _require_scalar(config)
-    geometry = config.geometry
-    region = config.region
-    model = build_model(config)
-    f1_clean = upward_continue(model, geometry.R)
+    geometry, region = config.geometry, config.region
+    model, f1_clean, meter, common = _sweep(config)
     degree = max(model.n_max, config.noise_degree)
     gram = _run_gram(geometry)
     methods = (_optimized_methods(config, geometry, gram, degree)
                + _shannon_methods(config, geometry, gram, degree))
-    meter = _ErrorMeter(model, region, geometry.r, degree)
-
-    common = dict(case=config.case, rho=geometry.rho,
-                  region_rho=config.region_rho,
-                  scaling_degree=geometry.N, band_degree=geometry.kN,
-                  model_degree=model.n_max, noise_degree=config.noise_degree)
     rows = []
     for eps1 in config.epsilon1:
         for gamma in config.gamma:
@@ -427,18 +424,8 @@ def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
     are (epsilon1, seed) pairs and each truncation degree M in the config
     list contributes one row per cell.
     """
-    _require_scalar(config)
     geometry = config.geometry
-    region = config.region
-    model = build_model(config)
-    f1_clean = upward_continue(model, geometry.R)
-    meter = _ErrorMeter(model, region, geometry.r,
-                        max(model.n_max, config.noise_degree))
-
-    common = dict(case=config.case, rho=geometry.rho,
-                  region_rho=config.region_rho,
-                  scaling_degree=geometry.N, band_degree=geometry.kN,
-                  model_degree=model.n_max, noise_degree=config.noise_degree)
+    _, f1_clean, meter, common = _sweep(config)
     rows = []
     for eps1 in config.epsilon1:
         for seed in config.seeds:

@@ -241,8 +241,7 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
         raise ValueError("cap_rho must lie in (0, 2]")
     if exact_degree < 0:
         raise ValueError("exact_degree must be >= 0")
-    m_t = (exact_degree + 2) // 2
-    t, tw = gauss_rule(max(m_t, 1), 1.0 - cap_rho, 1.0)
+    t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)
     n_phi = exact_degree + 1
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
@@ -409,15 +408,6 @@ def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     if beta != 0.0:
         out = _quarter_turns(_turn_z(_quarter_turns(out, False), beta), True)
     return _turn_z(out, gamma)
-
-
-def _in_cap_frame(coeffs: HarmonicCoefficients, points) -> HarmonicCoefficients:
-    """coeffs turned into a CapGrid's own frame (_cap_frame), or unchanged
-    for any other points."""
-    if not isinstance(points, CapGrid):
-        return coeffs
-    return HarmonicCoefficients(coeffs.radius, coeffs.n_max,
-                                _cap_frame(coeffs.data, points.rotation))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +620,8 @@ def _synthesis(blocks, coeffs, points):
     on its colatitude axis; it joins the blocks (at most n_max + 1 orders
     by its colatitudes) and sums them with one matrix product against the
     azimuth factors, sliced from the memoized table of its azimuth count
-    (_grid_azimuth). On a CapGrid both axes are in the cap's own frame, so coeffs
-    must already be turned into it (_cap_frame). At loose directions each
+    (_grid_azimuth). On a CapGrid both axes are in the cap's own frame, so
+    blocks must give the field turned into it (_cap_frame). At loose directions each
     block is folded as it arrives, against cos(m phi) and sin(m phi) of its
     own orders, so no more than one block of orders is held. Returns the
     values (last axes over the grid's colatitudes and azimuths, or over the
@@ -675,32 +665,32 @@ def _scalar_slots(n_max: int) -> np.ndarray:
     return slots
 
 
-def _scalar_blocks(coeffs: HarmonicCoefficients, ct: np.ndarray, st: np.ndarray,
-                   table=None):
-    """Amplitude blocks of a scalar field for _synthesis.
+def _scalar_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, table=None):
+    """Amplitude blocks of scalar fields for _synthesis and _cap_norms.
 
-    Each tile of Legendre rows takes one batched product with the
+    data is flat coefficient data of degree n_max; a and b keep its leading
+    axes. Each tile of Legendre rows takes one batched product with the
     coefficients gathered through _scalar_slots, giving the cos- and
     sin-type amplitudes of its orders over its degrees at once; the
     products of a range's tiles are summed, and once its last tile is in,
     orders m >= 1 are multiplied by sqrt(2) sin(theta) and the range is
     yielded. table, when given, holds the (lo, n0, tile) triples that
-    _legendre_blocks yields for coeffs.n_max at ct, read instead of running
-    the recurrence.
+    _legendre_blocks yields for n_max at ct, read instead of running the
+    recurrence.
     """
-    n_max = coeffs.n_max
-    padded = np.append(coeffs.data, 0.0)
+    n_max = math.isqrt(data.shape[-1]) - 1
+    padded = np.concatenate([data, np.zeros(data.shape[:-1] + (1,))], axis=-1)
     slots = _scalar_slots(n_max)
     scale = _SQRT2 * np.ravel(st)
     for lo, n0, tile in _legendre_blocks(n_max, ct, st) if table is None else table:
         w, d = tile.shape[:2]
-        part = padded[slots[lo:lo + w, :, n0:n0 + d]] @ tile
+        part = padded[..., slots[lo:lo + w, :, n0:n0 + d]] @ tile
         if n0 > lo:  # a later chunk of the range: tiles only gain orders
-            part[:amp.shape[0]] += amp
+            part[..., :amp.shape[-3], :, :] += amp
         amp = part
         if n0 + d == n_max + 1:
-            amp[1 if lo == 0 else 0:] *= scale
-            yield lo, amp[:, 0], amp[:, 1]
+            amp[..., 1 if lo == 0 else 0:, :, :] *= scale
+            yield lo, amp[..., 0, :], amp[..., 1, :]
 
 
 def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -745,34 +735,11 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     float, a grid one value per node. Points must be finite nonzero
     3-vectors (ValueError otherwise).
     """
-    vals, _ = _synthesis(_scalar_blocks, _in_cap_frame(coeffs, points), points)
+    data = (_cap_frame(coeffs.data, points.rotation) if isinstance(points, CapGrid)
+            else coeffs.data)
+    vals, _ = _synthesis(lambda c, ct, st: _scalar_blocks(data, ct, st), coeffs, points)
     out = np.reshape(vals / coeffs.radius, _leading_shape(points))
     return float(out) if out.ndim == 0 else out
-
-
-def _grid_synthesis(grid: SphereGrid | CapGrid, n_max: int):
-    """synthesize on one grid for many fields, with the Legendre rows built once.
-
-    Returns a function of the coefficients that gives synthesize(coeffs,
-    grid) bit for bit. Every tile of _legendre_blocks for degree n_max (on
-    the colatitude axis only, in a cap's own frame) is built here and kept,
-    unlike in synthesize, which drops each tile once its product is taken;
-    a field of that degree is turned into the cap's frame as synthesize
-    turns it and takes the same per-tile products with the stored tiles,
-    summed in the same order. Fields of another degree go to synthesize.
-    """
-    ct, _ = _product_axes(grid)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    stored_blocks = functools.partial(
-        _scalar_blocks, table=tuple(_legendre_blocks(n_max, ct, st)))
-
-    def run(coeffs: HarmonicCoefficients) -> np.ndarray:
-        if coeffs.n_max != n_max:
-            return synthesize(coeffs, grid)
-        vals, _ = _synthesis(stored_blocks, _in_cap_frame(coeffs, grid), grid)
-        return np.reshape(vals / coeffs.radius, (grid.n_nodes,))
-
-    return run
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoefficients:
@@ -805,6 +772,48 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
         w, d = tile.shape[:2]
         out[slots[lo:lo + w, :, n0:n0 + d]] = np.swapaxes(tile @ cols[lo:lo + w], -1, -2)
     return HarmonicCoefficients(grid.radius, n_max, out[:-1])
+
+
+def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
+    """Flat coefficient data raised to degree n_max by zeros; leading axes kept."""
+    out = np.zeros(np.shape(data)[:-1] + ((n_max + 1) ** 2,))
+    out[..., :np.shape(data)[-1]] = data
+    return out
+
+
+def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
+               tiles: dict | None = None, blocks=None, reference=False) -> list[float]:
+    """Squared L2 norms of the fields data[i] over the cap 1 - center.xi <= cap_rho.
+
+    Azimuthal Parseval in the cap's frame: sum_j w_j [2 pi a_0^2 + pi
+    sum_{m >= 1} (a_m^2 + b_m^2)](t_j) on cap_grid's Gauss rule in t; no
+    node is built. All fields (flat, one degree) turn into the frame in one
+    call; scalar ones (k, L) share each _scalar_blocks tile, which a tiles
+    dict keeps across calls; blocks(frame, t, st) serves other kinds, a[i]
+    of field i with channel axes in front. Fields are reduced one at a time
+    in fixed shapes, so a norm's bits depend on neither batch nor tile
+    source. With reference, data[0] must not vanish on the cap.
+    """
+    t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)
+    st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
+    if tiles is not None:
+        key = (frame.shape[-1], cap_rho, exact_degree)
+        if key not in tiles:
+            tiles[key] = tuple(_legendre_blocks(math.isqrt(key[0]) - 1, t, st))
+        tiles = tiles[key]
+    sums = np.zeros((frame.shape[0], t.size))
+    stream = _scalar_blocks(frame, t, st, tiles) if blocks is None else blocks(frame, t, st)
+    for lo, a, b in stream:
+        for s, a_i, b_i in zip(sums, a, b):
+            sq = a_i * a_i + b_i * b_i
+            if lo == 0:
+                sq[..., 0, :] *= 2.0
+            s += sq.reshape(-1, t.size).sum(axis=0)
+    norms = [math.pi * float(np.dot(s, tw)) for s in sums]
+    if reference and not (norms[0] > 0.0 and math.isfinite(norms[0])):
+        raise ValueError("reference field is zero on the cap")
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from .harmonics import (
     HarmonicCoefficients,
     SphereGrid,
     _as_directions,
+    _cap_norms,
     _direction_angles,
+    _padded,
     cap_grid,
     sphere_grid,
     synthesize,
@@ -351,9 +353,10 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     """Signal plus epsilon times a norm-matched bandlimited noise field.
 
     norm_region selects both the matching norm and the noise level:
-    "sphere" uses epsilon1 and the full-sphere L2 norm (outer data);
-    a RegionSpec uses epsilon2 and the L2 norm over its data cap
-    (ground data). The noise field is reproducible per (seed, region kind).
+    "sphere" uses epsilon1 and the full-sphere L2 norm (outer data); a
+    RegionSpec uses epsilon2 and the L2 norm over its data cap (ground
+    data), signal and noise in one harmonics._cap_norms pass. The noise
+    field is reproducible per (seed, region kind).
     """
     if norm_region == "sphere":
         eps = spec.epsilon1
@@ -369,22 +372,19 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     gen = _noise_generator(spec.seed, field_index)
     raw = gen.standard_normal((spec.noise_degree + 1) ** 2)
     noise = HarmonicCoefficients(coeffs.radius, spec.noise_degree, raw)
+    n_out = max(coeffs.n_max, spec.noise_degree)
 
     if norm_region == "sphere":
         signal_norm = coeffs.l2_norm()
         noise_norm = noise.l2_norm()
     else:
-        degree = max(coeffs.n_max, spec.noise_degree)
-        grid = norm_region.data_grid(coeffs.radius, 2 * degree)
-        f_vals = synthesize(coeffs, grid)
-        e_vals = synthesize(noise, grid)
-        signal_norm = math.sqrt(grid.integrate(f_vals * f_vals))
-        noise_norm = math.sqrt(grid.integrate(e_vals * e_vals))
+        both = np.stack([_padded(coeffs.data, n_out), _padded(raw, n_out)])
+        signal_norm, noise_norm = map(math.sqrt, _cap_norms(
+            both, norm_region.center_direction, norm_region.data_rho, 2 * n_out))
     if noise_norm == 0.0:
         raise ValueError("degenerate noise draw with zero norm")
 
     scale = eps * signal_norm / noise_norm
-    n_out = max(coeffs.n_max, spec.noise_degree)
     out = HarmonicCoefficients(coeffs.radius, n_out)
     out.data[: coeffs.data.size] += coeffs.data
     out.data[: noise.data.size] += scale * noise.data
@@ -393,14 +393,16 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
 
 def relative_error(u_ref: HarmonicCoefficients, u_approx: HarmonicCoefficients,
                    region: RegionSpec) -> float:
-    """L2 error over the evaluation region, relative to the reference norm."""
+    """L2 error over the evaluation region, relative to the reference norm.
+
+    u_approx - u_ref is formed in coefficient space at the larger degree D,
+    and it takes one harmonics._cap_norms pass with u_ref at exactness 2 D.
+    A reference that is zero there raises ValueError.
+    """
     if u_ref.radius != u_approx.radius:
         raise ValueError("fields must live on the same sphere")
     degree = max(u_ref.n_max, u_approx.n_max)
-    grid = region.eval_grid(u_ref.radius, 2 * degree)
-    ref_vals = synthesize(u_ref, grid)
-    diff = synthesize(u_approx, grid) - ref_vals
-    den = grid.integrate(ref_vals * ref_vals)
-    if den <= 0.0 or not np.isfinite(den):
-        raise ValueError("reference field is zero on the evaluation region")
-    return math.sqrt(grid.integrate(diff * diff) / den)
+    ref, approx = _padded(u_ref.data, degree), _padded(u_approx.data, degree)
+    den, num = _cap_norms(np.stack([ref, approx - ref]), region.center_direction,
+                          region.eval_rho, 2 * degree, reference=True)
+    return math.sqrt(num / den)

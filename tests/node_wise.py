@@ -1,7 +1,8 @@
-"""Node-wise quadrature forms of the scaling and wavelet transforms.
+"""Node-wise quadrature forms of the scaling and wavelet transforms and of
+cap norms.
 
-capwave computes both transforms spectrally; the tests compare that path
-with these. Fields are sampled on capwave's exact quadrature rules, and the
+capwave computes all of them spectrally; the tests compare that path with
+these. Fields are sampled on capwave's exact quadrature rules, and the
 kernels are summed node by node with the convolutions of oracles.py, which
 share no code with the package.
 """
@@ -68,3 +69,14 @@ def vector_approximate(pair, f1, f2, region, points):
     """Tensor scaling part plus the cap tensor wavelet part at each point."""
     waves = [vector_wavelet(pair, f2, x, region.kernel_rho) for x in points]
     return vector_scaling(pair, f1, points) + np.array(waves)
+
+
+def cap_norm(field, grid, minus=None):
+    """Squared L2 norm over a cap rule (region.data_grid or eval_grid) of a
+    scalar or vector field, or of field - minus: each field synthesized at
+    the nodes, subtracted there, squared and integrated node by node."""
+    synth = vector_synthesize if isinstance(field, VectorCoefficients) else synthesize
+    values = synth(field, grid)
+    if minus is not None:
+        values = values - synth(minus, grid)
+    return grid.integrate((values * values).reshape(grid.n_nodes, -1).sum(axis=1))

@@ -346,6 +346,14 @@ class TestScoringMatchesLibrary:
         self._check(tiny_config(epsilon1=(0.01,), seeds=(0, 5),
                                 region_center=(0.0, 0.0, -1.0)))
 
+    def test_noise_free_polar_cells(self):
+        # noise-free candidates keep the model's degree, below the run's
+        self._check(tiny_config(epsilon1=(0.0, 0.01), seeds=(0,)))
+
+    def test_noise_free_off_pole_cells(self):
+        self._check(tiny_config(epsilon1=(0.0, 0.01), seeds=(0,),
+                                region_center=(0.3, 0.4, 0.8)))
+
 
 class TestTsvdTable:
     def test_noise_free_full_cut_is_exact(self):

@@ -13,9 +13,10 @@ from capwave import harmonics
 from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
-    _grid_synthesis,
+    _cap_norms,
     _legendre_blocks,
     _legendre_orders,
+    _padded,
     analyze,
     cap_grid,
     load_coefficients,
@@ -435,20 +436,36 @@ class TestBlockFoldAgainstOracle:
         ref = oracles.analysis(samples, g.nodes, g.weights, self.R, n_max)
         assert_close_to(analyze(samples, g, n_max).data, ref)
 
-class TestGridSynthesis:
-    def test_same_bits_as_synthesize(self):
-        # degree 110 on exactness-220 grids spans several degree chunks
+class TestCapNorms:
+    def test_same_bits_alone_batched_stored_fresh(self):
+        # degree 110 at exactness 220 spans several degree chunks; a norm
+        # must not depend on its batch or on where its tiles come from
         rng = np.random.default_rng(5)
-        r = 6371.2
         for degree, lower in ((12, 7), (110, 80)):
-            grids = [sphere_grid(r, 2 * degree), cap_grid(r, [0, 0, 1], 0.6, 2 * degree),
-                     cap_grid(r, random_unit(rng), 0.6, 2 * degree)]
-            for grid in grids:
-                run = _grid_synthesis(grid, degree)
-                for n_max in (degree, lower):
-                    c = random_coeffs(rng, r, n_max)
-                    assert np.array_equal(run(c), synthesize(c, grid))
+            caps = [([0.0, 0.0, 1.0], 0.6), (random_unit(rng), 0.6), ([0.0, 0.0, -1.0], 1.3)]
+            for center, rho in caps:
+                tiles = {}
+                data = np.stack([_padded(rng.normal(size=(n + 1) ** 2), degree)
+                                 for n in (degree, lower, degree)])
+                batched = _cap_norms(data, center, rho, 2 * degree)
+                kept = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
+                stored = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
+                assert np.array_equal(batched, kept) and np.array_equal(batched, stored)
+                assert len(tiles) == 1
+                for row, norm in zip(data, batched):
+                    for kw in ({}, {"tiles": tiles}):
+                        alone = _cap_norms(row[None], center, rho, 2 * degree, **kw)
+                        assert np.array_equal(alone, [norm])
 
+    def test_zero_reference_rejected(self):
+        data = np.zeros((2, 16))
+        data[1, 3] = 1.0
+        with pytest.raises(ValueError, match="reference field is zero"):
+            _cap_norms(data, [0.3, 0.4, 0.8], 0.5, 6, reference=True)
+        assert _cap_norms(data, [0.3, 0.4, 0.8], 0.5, 6)[0] == 0.0
+
+
+class TestGridSynthesis:
     @pytest.mark.parametrize("n_max", [0, 12, 63, 64, 110])
     def test_azimuth_table_same_bits(self, n_max):
         r = 6371.2

@@ -14,6 +14,7 @@ import node_wise
 from capwave.harmonics import (
     HarmonicCoefficients,
     _cap_frame,
+    _cap_norms,
     _quarter_turn,
     analyze,
     cap_grid,
@@ -28,6 +29,7 @@ from capwave.transforms import (
     RegionSpec,
     approximate,
     approximate_coefficients,
+    relative_error,
     wavelet_multipliers,
 )
 from capwave.transforms import _outer_coefficients as scalar_outer
@@ -37,6 +39,7 @@ from capwave.vector_field import (
     _cap_wavelet_coefficients,
     vector_analyze,
     vector_approximate,
+    vector_relative_error,
     vector_synthesize,
 )
 from capwave.vector_field import _outer_coefficients as vector_outer
@@ -250,6 +253,48 @@ class TestParseval:
         g = vector_synthesize(v, vgrid)
         assert math.isclose(math.sqrt(vgrid.integrate(np.einsum("ij,ij->i", g, g))),
                             v.l2_norm(), rel_tol=1e-11)
+
+
+@st.composite
+def regions(draw):
+    """Regions about polar, south-pole and generic centres; data_rho = 2
+    makes the evaluation cap the full sphere."""
+    data_rho = draw(st.just(2.0) | st.floats(0.2, 1.9))
+    kernel_rho = draw(st.floats(0.05, 0.9)) * min(data_rho, 1.9)
+    return RegionSpec(tuple(draw(centers())), data_rho, kernel_rho)
+
+
+class TestCapNorms:
+    """Azimuthal Parseval on a cap's rule in t against node-wise integration
+    on the cap grid (node_wise.cap_norm)."""
+
+    @PROPERTY
+    @given(n_max=degrees, radius=radii, seed=seeds, center=centers(),
+           cap_rho=st.just(2.0) | st.floats(0.05, 2.0))
+    def test_scalar_norm(self, n_max, radius, seed, center, cap_rho):
+        c = scalar_field(radius, n_max, seed)
+        (norm,) = _cap_norms(c.data[None], center, cap_rho, 2 * n_max)
+        oracle = node_wise.cap_norm(c, cap_grid(radius, center, cap_rho, 2 * n_max))
+        assert math.isclose(norm, oracle, rel_tol=1e-13)
+
+    @PROPERTY
+    @given(n_ref=degrees, n_approx=degrees, radius=radii, seed=seeds, region=regions())
+    def test_scalar_relative_error(self, n_ref, n_approx, radius, seed, region):
+        ref = scalar_field(radius, n_ref, seed)
+        approx = scalar_field(radius, n_approx, seed + 1)
+        grid = region.eval_grid(radius, 2 * max(n_ref, n_approx))
+        oracle = node_wise.cap_norm(approx, grid, minus=ref) / node_wise.cap_norm(ref, grid)
+        assert math.isclose(relative_error(ref, approx, region) ** 2, oracle, rel_tol=1e-13)
+
+    @PROPERTY
+    @given(n_ref=degrees, n_approx=degrees, radius=radii, seed=seeds, region=regions())
+    def test_vector_relative_error(self, n_ref, n_approx, radius, seed, region):
+        ref = vector_field(radius, n_ref, seed)
+        approx = vector_field(radius, n_approx, seed + 1)
+        grid = region.eval_grid(radius, 2 * max(n_ref, n_approx) + 2)
+        oracle = node_wise.cap_norm(approx, grid, minus=ref) / node_wise.cap_norm(ref, grid)
+        assert math.isclose(vector_relative_error(ref, approx, region) ** 2, oracle,
+                            rel_tol=1e-13)
 
 
 class TestOuterAnalysisKeepsScalingDegrees:

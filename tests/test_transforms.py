@@ -363,14 +363,20 @@ class TestAddNoise:
         f = random_field(R_INNER, 40, 35)
         spec = NoiseSpec(0.0, 0.1, noise_degree=44, seed=5)
         out = add_noise(f, spec, region)
-        noise = HarmonicCoefficients(R_INNER, 44, out.data.copy())
-        noise.data[: f.data.size] -= f.data
         grid = region.data_grid(R_INNER, 2 * 44)
-        f_vals = synthesize(f, grid)
-        e_vals = synthesize(noise, grid)
-        norm_f = math.sqrt(grid.integrate(f_vals**2))
-        norm_e = math.sqrt(grid.integrate(e_vals**2))
+        norm_f = math.sqrt(node_wise.cap_norm(f, grid))
+        norm_e = math.sqrt(node_wise.cap_norm(out, grid, minus=f))
         assert norm_e == pytest.approx(0.1 * norm_f, rel=1e-10)
+
+    @pytest.mark.parametrize("center", [(0.3, 0.4, 0.8), (0.0, 0.0, -1.0)])
+    def test_cap_norm_matching_off_pole(self, center):
+        region = RegionSpec(center, 0.6, 0.5)
+        f = random_field(R_INNER, 40, 35)
+        out = add_noise(f, NoiseSpec(0.0, 0.1, noise_degree=44, seed=5), region)
+        grid = region.data_grid(R_INNER, 2 * 44)
+        norm_f = math.sqrt(node_wise.cap_norm(f, grid))
+        norm_e = math.sqrt(node_wise.cap_norm(out, grid, minus=f))
+        assert norm_e == pytest.approx(0.1 * norm_f, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         f = random_field(R_OUTER, 20, 36)
@@ -421,6 +427,15 @@ class TestRelativeError:
         u = random_field(R_INNER, 15, 42)
         with pytest.raises(ValueError):
             relative_error(zero, u, region)
+
+    @pytest.mark.parametrize("center", [NORTH, (0.3, 0.4, 0.8), (0.0, 0.0, -1.0)])
+    def test_matches_node_wise_difference(self, center):
+        region = RegionSpec(center, 0.6, 0.5)
+        u = random_field(R_INNER, 30, 44)
+        v = random_field(R_INNER, 36, 45)
+        grid = region.eval_grid(R_INNER, 2 * 36)
+        expected = math.sqrt(node_wise.cap_norm(v, grid, minus=u) / node_wise.cap_norm(u, grid))
+        assert relative_error(u, v, region) == pytest.approx(expected, rel=1e-13)
 
     def test_radius_mismatch_rejected(self):
         region = RegionSpec(NORTH, 0.6, 0.5)

@@ -556,6 +556,24 @@ class TestRelativeError:
             0.1, abs=1e-12
         )
 
+    @pytest.mark.parametrize("center", [(0.3, 0.4, 0.8), (0.0, 0.0, -1.0)])
+    def test_off_pole_and_south_pole(self, center):
+        b = random_vector_field(1.0, 6, seed=42)
+        approx = random_vector_field(1.0, 4, seed=43)
+        region = RegionSpec(center, 0.9, 0.4)
+        grid = region.eval_grid(1.0, 2 * 6 + 2)
+        expected = math.sqrt(node_wise.cap_norm(approx, grid, minus=b)
+                             / node_wise.cap_norm(b, grid))
+        assert vector_relative_error(b, approx, region) == pytest.approx(expected, rel=1e-13)
+        assert vector_relative_error(b, b, region) == pytest.approx(0.0, abs=1e-14)
+        zero = VectorCoefficients(1.0, 6)
+        assert vector_relative_error(b, zero, region) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_reference_rejected(self):
+        b = random_vector_field(1.0, 5, seed=44)
+        with pytest.raises(ValueError, match="reference field is zero"):
+            vector_relative_error(VectorCoefficients(1.0, 5), b, RegionSpec(NORTH, 0.9, 0.4))
+
     def test_radius_mismatch(self):
         b = random_vector_field(1.0, 3, seed=37)
         other = random_vector_field(2.0, 3, seed=38)
