@@ -6,10 +6,13 @@ inner-sphere data. The kernel pair driving both transforms is obtained as the
 unique minimizer of a quadratic functional balancing reconstruction fidelity,
 regularization, and spatial localization of the wavelet.
 
-Modules: legendre (orthogonal polynomial engine), harmonics (real spherical
-harmonics, grids, scalar transforms), kernels (zonal kernel pairs and their
-optimization), transforms (scalar field operators and noise), vector_field
-(gradient-field analogues), experiments (sweep tables), cli (command line).
+Modules: legendre (orthogonal polynomial engine), harmonics (scalar and
+vector spherical harmonics, both coefficient containers, grids, synthesis
+and analysis), kernels (zonal kernel pairs and their optimization),
+transforms (one reconstruction chain for scalar and gradient fields, and
+noise), vector_field (vector basis functions, tensor-kernel diagnostics,
+the gradient-field file format and the vector_* names of the chain),
+experiments (sweep tables), cli (command line).
 """
 
 from . import legendre, harmonics, kernels, transforms, vector_field, experiments

@@ -35,6 +35,7 @@ import numpy as np
 
 from .harmonics import (
     HarmonicCoefficients,
+    VectorCoefficients,
     _cap_norms,
     _padded,
     load_coefficients,
@@ -59,7 +60,7 @@ from .transforms import (
     upward_continue,
     wavelet_multipliers,
 )
-from .vector_field import VectorCoefficients, load_vector_coefficients
+from .vector_field import load_vector_coefficients
 
 __all__ = [
     "ExperimentConfig",
@@ -363,8 +364,8 @@ def _sweep(config: ExperimentConfig) -> tuple:
     """What both tables share: the model, its upward-continued outer data,
     the error meter at the run's degree, and the columns of every row."""
     if config.case != "scalar":
-        raise ValueError("table sweeps cover the scalar chain; run gradient-field "
-                         "reconstructions through the vector_field functions directly")
+        raise ValueError("table sweeps cover scalar fields; run gradient-field "
+                         "reconstructions through the transforms chain directly")
     g = config.geometry
     model = build_model(config)
     meter = _ErrorMeter(model, config.region, max(model.n_max, config.noise_degree))
@@ -405,7 +406,7 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
                             if lam.size != f2.n_max + 1:  # noise-free ground data
                                 lam = wavelet_multipliers(m.pair, region.kernel_rho,
                                                           f2.n_max)
-                            err = meter.error(_assemble(m.pair, f1, f2, lam))
+                            err = meter.error(_assemble(m.pair, f1, f2.scaled_by_degree(lam)))
                         except (ValueError, NumericalFailure) as exc:
                             status = f"evaluation-failure: {exc}"
                     rows.append(ResultRow(

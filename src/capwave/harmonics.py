@@ -1,4 +1,5 @@
-"""Real spherical harmonics, coefficient containers, and exact quadrature grids.
+"""Real scalar and vector spherical harmonics, their coefficient containers,
+exact quadrature grids, and the Legendre engine every transform runs on.
 
 Conventions used throughout the package:
 
@@ -11,6 +12,15 @@ Conventions used throughout the package:
   the flat coefficient vector equals the L2 surface norm of F.
 - Grids store unit node directions; quadrature weights carry the radius^2
   surface factor, so ``weights @ values`` is the surface integral.
+- A gradient field restricted to a sphere splits into a radial pattern
+  (type 1, xi times a scalar harmonic) and a tangential surface-gradient
+  pattern (type 2). Its synthesis and analysis use the reduced rows
+  B_n^m = A_n^m / sin(theta) for m >= 1, so every channel stays finite at
+  the poles: the radial values are sin(theta) B_n^m, the colatitude
+  derivative is n t B_n^m - e_nm B_{n-1}^m, the azimuthal one m B_n^m, and
+  for m = 0 the colatitude derivative of A_n^0 is
+  -sqrt(n(n+1)) sin(theta) B_n^1. Basis values at |xi_3| = 1 are the
+  correct limits without a special branch.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .legendre import gauss_rule
 
 __all__ = [
     "HarmonicCoefficients",
+    "VectorCoefficients",
     "SphereGrid",
     "CapGrid",
     "ynk",
@@ -33,6 +44,8 @@ __all__ = [
     "cap_grid",
     "synthesize",
     "analyze",
+    "vector_synthesize",
+    "vector_analyze",
     "sobolev_norm",
     "save_coefficients",
     "load_coefficients",
@@ -51,12 +64,14 @@ class HarmonicCoefficients:
     """Flat real coefficient store for a scalar field on a sphere.
 
     data[n^2 + k - 1] holds c(n,k). The layout keeps whole degrees
-    contiguous so degree-wise multipliers are cheap slices.
+    contiguous so degree-wise multipliers are cheap slices. case names the
+    field kind with Geometry.case's values.
     """
 
     radius: float
     n_max: int
     data: np.ndarray = field(default=None)
+    case = "scalar"
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -103,6 +118,86 @@ class HarmonicCoefficients:
         return HarmonicCoefficients(
             self.radius if radius is None else radius, self.n_max,
             _per_coefficient(factors, self.n_max) * self.data,
+        )
+
+
+@dataclass
+class VectorCoefficients:
+    """Flat real coefficient store for a two-type vector field on a sphere.
+
+    Type 1 (radial pattern) occupies data[n^2 + k - 1] for n = 0..n_max;
+    type 2 (surface-gradient pattern) starts at degree 1 and occupies
+    data[(n_max+1)^2 + n^2 + k - 2]. The Euclidean norm of data equals the
+    L2 surface norm of the synthesized field.
+    """
+
+    radius: float
+    n_max: int
+    data: np.ndarray = field(default=None)
+    case = "vector"
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        size = 2 * (self.n_max + 1) ** 2 - 1
+        if self.data is None:
+            self.data = np.zeros(size)
+        else:
+            self.data = np.asarray(self.data, dtype=float)
+            if self.data.shape != (size,):
+                raise ValueError(
+                    f"data must have shape ({size},) for n_max={self.n_max}"
+                )
+
+    def _index(self, i: int, n: int, k: int) -> int:
+        if i not in (1, 2):
+            raise ValueError("type i must be 1 or 2")
+        lo = 0 if i == 1 else 1
+        if not (lo <= n <= self.n_max):
+            raise ValueError(f"degree n={n} outside {lo}..{self.n_max} for type {i}")
+        if not (1 <= k <= 2 * n + 1):
+            raise ValueError(f"order k={k} outside 1..{2 * n + 1} for n={n}")
+        if i == 1:
+            return n * n + k - 1
+        return (self.n_max + 1) ** 2 + n * n + k - 2
+
+    def coeff(self, i: int, n: int, k: int) -> float:
+        return float(self.data[self._index(i, n, k)])
+
+    def set_coeff(self, i: int, n: int, k: int, value: float) -> None:
+        self.data[self._index(i, n, k)] = value
+
+    def l2_norm(self) -> float:
+        """L2(sphere) norm of the represented field."""
+        return float(np.linalg.norm(self.data))
+
+    def copy(self) -> "VectorCoefficients":
+        return VectorCoefficients(self.radius, self.n_max, self.data.copy())
+
+    def channel(self, i: int) -> np.ndarray:
+        """Copy of one type's coefficients in the scalar flat layout.
+
+        Degree-0 of the returned array is zero for type 2 (that slot does
+        not exist in the vector basis).
+        """
+        size = (self.n_max + 1) ** 2
+        if i == 1:
+            return self.data[:size].copy()
+        if i == 2:
+            out = np.zeros(size)
+            out[1:] = self.data[size:]
+            return out
+        raise ValueError("type i must be 1 or 2")
+
+    def scaled_by_degree(self, factors: np.ndarray,
+                         radius: float | None = None) -> "VectorCoefficients":
+        """New container with degree n of both types multiplied by factors[n]."""
+        scale = _per_coefficient(factors, self.n_max)
+        return VectorCoefficients(
+            self.radius if radius is None else radius, self.n_max,
+            np.concatenate([scale, scale[1:]]) * self.data,
         )
 
 
@@ -774,6 +869,124 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     return HarmonicCoefficients(grid.radius, n_max, out[:-1])
 
 
+def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
+    """Cartesian field values at unit directions, a SphereGrid, or a CapGrid.
+
+    Returns one 3-vector per point (shape (3,) for a single direction).
+    Runs the tiled Legendre engine on three channels at once: the radial, colatitude and azimuth components of each
+    order come from one matrix product of the coefficients with that
+    order's reduced Legendre rows, and grids sum the orders with one
+    azimuth matrix product. On a CapGrid both types are turned into the
+    cap's own frame by the same per-degree rotation, since each comes from
+    Y_nk through a rotation-equivariant operator; the vectors found there
+    are mapped back with grid.rotation.
+    """
+    rotation = points.rotation if isinstance(points, CapGrid) else None
+    if rotation is not None:
+        both = _cap_frame(np.stack([coeffs.channel(1), coeffs.channel(2)]), rotation)
+        coeffs = VectorCoefficients(coeffs.radius, coeffs.n_max,
+                                    np.concatenate([both[0], both[1, 1:]]))
+    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_blocks, coeffs, points)
+    horiz = f_r * st + f_t * ct
+    out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
+                    f_r * ct - f_t * st], axis=-1)
+    if rotation is not None:
+        out = out @ rotation.T
+    return np.reshape(out / coeffs.radius, _leading_shape(points) + (3,))
+
+
+def _vector_orders(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
+    """Per-order (radial, colatitude, azimuth) amplitudes for _synthesis.
+
+    The m = 0 colatitude channel needs the B_n^1 rows, so order 0 is
+    yielded once order 1 has been seen.
+    """
+    n_max = coeffs.n_max
+    c1, c2 = coeffs.channel(1), coeffs.channel(2)
+    zero = np.zeros_like(ct)
+    for m, rows in _legendre_orders(n_max, ct, st):
+        n, cos_i, sin_i = _order_index(n_max, m)
+        if m == 0:
+            radial = c1[cos_i] @ rows
+            if n_max == 0:
+                yield 0, np.stack([radial, zero, zero]), np.zeros((3,) + ct.shape)
+            continue
+        # d @ dA/dtheta = t (n d) @ B - (e d shifted one degree down) @ B
+        d = c2[np.stack([cos_i, sin_i])] / np.sqrt(n * (n + 1.0))
+        down = np.zeros_like(d)
+        down[:, :-1] = (_theta_factor(n, m) * d)[:, 1:]
+        stack = [c1[cos_i], c1[sin_i], n * d[0], n * d[1], down[0], down[1], d[0], d[1]]
+        if m == 1:
+            stack.append(c2[cos_i - 1])  # order-0 type-2 coefficients, n >= 1
+        p = np.stack(stack) @ rows
+        if m == 1:
+            yield 0, np.stack([radial, -st * p[8], zero]), np.zeros((3,) + ct.shape)
+        yield m, _SQRT2 * np.stack([st * p[0], ct * p[2] - p[4], m * p[7]]), \
+            _SQRT2 * np.stack([st * p[1], ct * p[3] - p[5], -m * p[6]])
+
+
+def _vector_blocks(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
+    """_vector_orders as amplitude blocks of one order each, for _synthesis."""
+    for m, a, b in _vector_orders(coeffs, ct, st):
+        yield m, a[:, None], b[:, None]
+
+
+def vector_analyze(samples: np.ndarray, grid: SphereGrid,
+                   n_max: int) -> VectorCoefficients:
+    """Vector coefficients of sampled Cartesian values by exact quadrature.
+
+    Requires grid.exact_degree >= 2 n_max + 2: basis components carry one
+    polynomial degree more than the scalar harmonics, so products of a
+    degree-n_max field with any basis function reach degree 2 n_max + 2.
+    The transpose of vector_synthesize on the grid: azimuth sums of the
+    three spherical components, then one product per order with the
+    reduced Legendre rows.
+    """
+    if not isinstance(grid, SphereGrid):
+        raise TypeError("vector_analyze needs samples on a SphereGrid")
+    if grid.exact_degree < 2 * n_max + 2:
+        raise ValueError(
+            f"grid exact_degree {grid.exact_degree} < 2*n_max+2 = {2 * n_max + 2}"
+        )
+    values = np.asarray(samples, dtype=float)
+    if values.shape != (grid.n_nodes, 3):
+        raise ValueError("samples must be one 3-vector per grid node")
+    ct = grid.ct
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    cp = np.cos(grid.phis)
+    sp = np.sin(grid.phis)
+
+    vx, vy, vz = values.T.reshape(3, ct.size, grid.phis.size)
+    f_r = vx * np.outer(st, cp) + vy * np.outer(st, sp) + vz * ct[:, None]
+    f_t = vx * np.outer(ct, cp) + vy * np.outer(ct, sp) - vz * st[:, None]
+    f_p = -vx * sp[None, :] + vy * cp[None, :]
+    (rc, tc, pc), (rs, ts, ps) = _azimuth_sums(np.stack([f_r, f_t, f_p]), grid, n_max)
+
+    c1 = np.empty((n_max + 1) ** 2)
+    c2 = np.zeros_like(c1)
+    for m, rows in _legendre_orders(n_max, ct, st):
+        n, cos_i, sin_i = _order_index(n_max, m)
+        if m == 0:
+            c1[cos_i] = rows @ rc[:, 0]
+            continue
+        cols = [st * rc[:, m], st * rs[:, m], ct * tc[:, m], ct * ts[:, m],
+                tc[:, m], ts[:, m], ps[:, m], pc[:, m]]
+        if m == 1:
+            cols.append(st * tc[:, 0])
+        q = rows @ np.stack(cols, axis=1)
+        # transpose of the shift in _vector_orders: degree n reads row n - 1
+        below = np.zeros((q.shape[0], 2))
+        below[1:] = q[:-1, 4:6]
+        below *= _theta_factor(n, m)[:, None]
+        scale = _SQRT2 / np.sqrt(n * (n + 1.0))
+        c1[cos_i], c1[sin_i] = _SQRT2 * q[:, 0], _SQRT2 * q[:, 1]
+        c2[cos_i] = scale * (n * q[:, 2] - below[:, 0] - m * q[:, 6])
+        c2[sin_i] = scale * (n * q[:, 3] - below[:, 1] + m * q[:, 7])
+        if m == 1:
+            c2[cos_i - 1] = -q[:, 8]
+    return VectorCoefficients(grid.radius, n_max, np.concatenate([c1, c2[1:]]))
+
+
 def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
     """Flat coefficient data raised to degree n_max by zeros; leading axes kept."""
     out = np.zeros(np.shape(data)[:-1] + ((n_max + 1) ** 2,))
@@ -782,28 +995,37 @@ def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
-               tiles: dict | None = None, blocks=None, reference=False) -> list[float]:
+               tiles: dict | None = None, reference=False) -> list[float]:
     """Squared L2 norms of the fields data[i] over the cap 1 - center.xi <= cap_rho.
 
     Azimuthal Parseval in the cap's frame: sum_j w_j [2 pi a_0^2 + pi
     sum_{m >= 1} (a_m^2 + b_m^2)](t_j) on cap_grid's Gauss rule in t; no
     node is built. All fields (flat, one degree) turn into the frame in one
-    call; scalar ones (k, L) share each _scalar_blocks tile, which a tiles
-    dict keeps across calls; blocks(frame, t, st) serves other kinds, a[i]
-    of field i with channel axes in front. Fields are reduced one at a time
+    call. Scalar fields, data of shape (k, L), share each _scalar_blocks
+    tile, which a tiles dict keeps across calls. Gradient fields, (k, 2, L)
+    stacks of their type-1 and type-2 channels, sum the squared radial,
+    colatitude and azimuth channels of _vector_blocks: turning them into
+    Cartesian axes keeps pointwise norms. Fields are reduced one at a time
     in fixed shapes, so a norm's bits depend on neither batch nor tile
     source. With reference, data[0] must not vanish on the cap.
     """
     t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)
     st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
+    n_max = math.isqrt(frame.shape[-1]) - 1
     if tiles is not None:
         key = (frame.shape[-1], cap_rho, exact_degree)
         if key not in tiles:
-            tiles[key] = tuple(_legendre_blocks(math.isqrt(key[0]) - 1, t, st))
+            tiles[key] = tuple(_legendre_blocks(n_max, t, st))
         tiles = tiles[key]
     sums = np.zeros((frame.shape[0], t.size))
-    stream = _scalar_blocks(frame, t, st, tiles) if blocks is None else blocks(frame, t, st)
+    if frame.ndim == 2:
+        stream = _scalar_blocks(frame, t, st, tiles)
+    else:  # each order's blocks of every field, side by side
+        fields = [VectorCoefficients(1.0, n_max, np.concatenate([f[0], f[1, 1:]]))
+                  for f in frame]
+        stream = ((group[0][0], [a for _, a, _ in group], [b for _, _, b in group])
+                  for group in zip(*(_vector_blocks(f, t, st) for f in fields)))
     for lo, a, b in stream:
         for s, a_i, b_i in zip(sums, a, b):
             sq = a_i * a_i + b_i * b_i

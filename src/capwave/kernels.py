@@ -85,13 +85,17 @@ class Geometry:
         return int(math.floor(self.kappa * self.N))
 
     def sigma(self, n: int) -> float:
-        e = n if self.case == "scalar" else n + 1
-        return (self.r / self.R) ** e
+        return float(self.sigmas(n)[n])
 
     def sigmas(self, n_hi: int) -> np.ndarray:
-        n = np.arange(n_hi + 1, dtype=float)
-        e = n if self.case == "scalar" else n + 1.0
-        return (self.r / self.R) ** e
+        return (self.r / self.R) ** _sigma_exponents(self.case, n_hi)
+
+
+def _sigma_exponents(case: str, n_hi: int) -> np.ndarray:
+    """Exponent of r/R in sigma_n for n = 0..n_hi: n for potential values,
+    n + 1 for gradient fields, which differentiate the potential first."""
+    n = np.arange(n_hi + 1, dtype=float)
+    return n if case == "scalar" else n + 1.0
 
 
 @dataclass
@@ -434,9 +438,7 @@ def tsvd_symbols(geometry: Geometry, M: int) -> SymbolSet:
     """Hard-truncation inversion symbols 1/sigma_n for n <= M."""
     if M < 0:
         raise ValueError("M must be >= 0")
-    n = np.arange(M + 1, dtype=float)
-    e = n if geometry.case == "scalar" else n + 1.0
-    return SymbolSet(M, (geometry.R / geometry.r) ** e)
+    return SymbolSet(M, (geometry.R / geometry.r) ** _sigma_exponents(geometry.case, M))
 
 
 def shannon_bound(geometry: Geometry, beta: float) -> float:

@@ -7,7 +7,12 @@ using (noisy) ground data integrated over spherical caps only; their sum is
 the combined approximation whose error is measured on the eroded evaluation
 region where every integration cap stays inside the data cap.
 
-Scalar fields only; the gradient-field analogues live in vector_field.
+One chain serves scalar potentials and gradient fields alike. Each field
+names its kind in its case attribute, which must match the kernel pair's
+geometry.case. Only three things follow from the kind: the sigma_n
+exponent (kernels._sigma_exponents), the type-2 cap multiplier of a
+gradient field, and two more degrees of quadrature exactness, since the
+vector basis components carry one polynomial degree more.
 """
 
 from __future__ import annotations
@@ -22,22 +27,27 @@ from .harmonics import (
     CapGrid,
     HarmonicCoefficients,
     SphereGrid,
+    VectorCoefficients,
     _as_directions,
     _cap_norms,
     _direction_angles,
     _padded,
+    _per_coefficient,
     cap_grid,
     sphere_grid,
     synthesize,
     analyze,
+    vector_analyze,
+    vector_synthesize,
 )
-from .kernels import KernelPair
+from .kernels import KernelPair, _sigma_exponents
 from .legendre import gauss_rule, legendre_all
 
 __all__ = [
     "RegionSpec",
     "NoiseSpec",
     "FieldSamples",
+    "VectorFieldSamples",
     "default_region",
     "field_samples",
     "upward_continue",
@@ -143,67 +153,103 @@ class NoiseSpec:
 class FieldSamples:
     """Point samples of a bandlimited field on a full-sphere rule.
 
-    degree declares the bandlimit of the sampled field so exactness
-    preconditions can be checked; the caller is the authority on it.
+    One value per node; VectorFieldSamples, of a gradient field, hold one
+    Cartesian 3-vector per node. case names the field kind as the
+    coefficient containers do. degree declares the bandlimit of the sampled
+    field so exactness preconditions can be checked; the caller is the
+    authority on it.
     """
 
     grid: SphereGrid
     values: np.ndarray
     degree: int
+    case = "scalar"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_nodes,):
-            raise ValueError("values must match the grid node count")
+        shape = (self.grid.n_nodes,) + ((3,) if self.case == "vector" else ())
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, one per grid node")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
 
-def field_samples(coeffs: HarmonicCoefficients, exact_degree: int) -> FieldSamples:
+class VectorFieldSamples(FieldSamples):
+    """Cartesian 3-vector samples of a bandlimited gradient field."""
+
+    case = "vector"
+
+
+def field_samples(coeffs, exact_degree: int) -> FieldSamples:
     """Sample a coefficient field on a fresh grid of the stated exactness."""
     grid = sphere_grid(coeffs.radius, exact_degree)
-    return FieldSamples(grid, synthesize(coeffs, grid), coeffs.n_max)
+    kind = VectorFieldSamples if coeffs.case == "vector" else FieldSamples
+    return kind(grid, _synthesize(coeffs, grid), coeffs.n_max)
+
+
+def _synthesize(coeffs, points):
+    """synthesize or vector_synthesize, as the field's kind needs."""
+    if coeffs.case == "vector":
+        return vector_synthesize(coeffs, points)
+    return synthesize(coeffs, points)
+
+
+def _extra_exactness(field) -> int:
+    """Quadrature exactness a gradient field needs beyond a scalar one: its
+    basis components carry one polynomial degree more, products two."""
+    return 2 if field.case == "vector" else 0
+
+
+def _check_case(pair: KernelPair, field) -> None:
+    """Reject a field whose kind is not the one the kernel pair was built for."""
+    if field.case != pair.geometry.case:
+        raise ValueError(f"a {field.case} field needs a kernel pair with "
+                         f"geometry.case == {field.case!r}, not {pair.geometry.case!r}")
 
 
 # ---------------------------------------------------------------------------
 # continuation and transforms
 
 
-def upward_continue(u_plus: HarmonicCoefficients, R: float) -> HarmonicCoefficients:
-    """Potential-field coefficients on the sphere of radius R > r.
+def upward_continue(u_plus, R: float):
+    """Field coefficients on the sphere of radius R > r.
 
     Degree n is damped by sigma_n = (r/R)^n under the orthonormal-basis
-    normalization used throughout.
+    normalization used throughout; both types of a gradient field by
+    (r/R)^(n+1), since the potential is differentiated before restricting.
     """
     r = u_plus.radius
     if R <= r:
         raise ValueError("upward continuation needs R > r")
-    n = np.arange(u_plus.n_max + 1, dtype=float)
-    return u_plus.scaled_by_degree((r / R) ** n, radius=R)
+    sigmas = (r / R) ** _sigma_exponents(u_plus.case, u_plus.n_max)
+    return u_plus.scaled_by_degree(sigmas, radius=R)
 
 
-def _outer_coefficients(f1, n_keep: int) -> HarmonicCoefficients:
+def _outer_coefficients(f1, n_keep: int):
     """Outer-sphere data as coefficients, analyzed first if given as samples.
 
     Only the scaling part reads them, and it keeps degrees <= n_keep, so
     samples are analyzed to n = min(n_keep, f1.degree) and the higher
     degrees of the declared f1.degree are left zero. Products of the field
-    with those harmonics reach degree n + f1.degree, which the grid must
-    integrate exactly.
+    with those basis functions reach degree n + f1.degree (+ 2 for
+    gradient fields), which the grid must integrate exactly.
     """
-    if isinstance(f1, HarmonicCoefficients):
+    if isinstance(f1, (HarmonicCoefficients, VectorCoefficients)):
         return f1
     if not isinstance(f1, FieldSamples):
-        raise TypeError("f1 must be FieldSamples or HarmonicCoefficients")
+        raise TypeError("f1 must be FieldSamples or coefficients")
     n = min(n_keep, f1.degree)
-    if f1.grid.exact_degree < n + f1.degree:
+    need = n + f1.degree + _extra_exactness(f1)
+    if f1.grid.exact_degree < need:
         raise ValueError(
             "outer analysis needs grid exactness >= min(N, degree) + degree "
-            f"({f1.grid.exact_degree} < {n + f1.degree})"
+            f"(+ 2 for gradient fields): {f1.grid.exact_degree} < {need}"
         )
-    out = HarmonicCoefficients(f1.grid.radius, f1.degree)
-    kept = analyze(f1.values, f1.grid, n)
-    out.data[: kept.data.size] = kept.data
+    kept = (vector_analyze if f1.case == "vector" else analyze)(f1.values, f1.grid, n)
+    out = type(kept)(f1.grid.radius, f1.degree)
+    head, start = (n + 1) ** 2, (f1.degree + 1) ** 2
+    out.data[:head] = kept.data[:head]
+    out.data[start : start + kept.data.size - head] = kept.data[head:]  # type 2
     return out
 
 
@@ -211,24 +257,23 @@ def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
     """Regularized downward continuation of outer-sphere data.
 
     f1 is either FieldSamples on a grid at radius R (the native input) or
-    HarmonicCoefficients at R. The coefficients of degree n <= N are
-    multiplied by the scaling symbols phi(n), which for bandlimited data
-    equals integrating the zonal scaling kernel against the samples (the
+    coefficients at R. The coefficients of degree n <= N are multiplied by
+    the scaling symbols phi(n), which for bandlimited data equals
+    integrating the zonal scaling kernel against the samples (the
     node-wise form the tests keep as their oracle).
     """
     out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, pair.geometry.N))
-    return synthesize(out, points)
+    return _synthesize(out, points)
 
 
-def _scaling_spectral_coefficients(pair: KernelPair,
-                                   f1: HarmonicCoefficients) -> HarmonicCoefficients:
+def _scaling_spectral_coefficients(pair: KernelPair, f1):
     """Coefficient-space action of the scaling transform, output at radius r."""
+    _check_case(pair, f1)
     g = pair.geometry
     n_keep = min(g.N, f1.n_max)
     factors = np.zeros(f1.n_max + 1)
     factors[: n_keep + 1] = pair.phi.values[: n_keep + 1]
-    out = f1.scaled_by_degree(factors, radius=g.r)
-    return out
+    return f1.scaled_by_degree(factors, radius=g.r)
 
 
 @functools.lru_cache(maxsize=8)
@@ -237,9 +282,8 @@ def _cap_rule(kN: int, n_max: int, kernel_rho: float) -> tuple[np.ndarray, ...]:
     degree kN + n_max and legendre_all to max(kN, n_max) at its nodes.
 
     The cap multipliers of every kernel pair with wavelet band kN, scalar
-    (wavelet_multipliers) and vector (vector_field's type 2), integrate
-    against these rows, so they are built once per (kN, n_max, kernel_rho)
-    and shared read-only.
+    and type 2, integrate against these rows, so they are built once per
+    (kN, n_max, kernel_rho) and shared read-only.
     """
     t, w = gauss_rule((kN + n_max) // 2 + 1, 1.0 - kernel_rho, 1.0)
     rule = (t, w) + legendre_all(max(kN, n_max), t)
@@ -265,18 +309,58 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     return rows[: n_max + 1] @ (w * prof)
 
 
-def wavelet_transform_local(pair: KernelPair, f2: HarmonicCoefficients, x,
-                            region: RegionSpec) -> float:
+def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
+    """Coefficient-space action of the cap-restricted wavelet convolution.
+
+    A scalar field takes wavelet_multipliers. For a gradient field,
+    restricting the zonal tensor kernel to a cap keeps it equivariant under
+    rotations and reflections, so it still acts degree by degree and type
+    by type (a tensor Funk-Hecke formula). Type 1 is the radial channel,
+    whose profile is the scalar one, so it takes wavelet_multipliers. By
+    Schur's lemma the type-2 multiplier of degree n is the trace of the
+    restricted operator over that space divided by its dimension:
+
+        mu_n = 1/(n(n+1)) * integral over [1-kernel_rho, 1] of
+               P_n' ((1+t^2) K' - t(1-t^2) K'')
+               + P_n'' ((1-t^2)^2 K'' - t(1-t^2) K')
+
+    with K = sum_j (j+1/2) psi_tilde(j) / (j(j+1)) P_j, the tangential
+    Frobenius product that gram_vector integrates over the cap exterior.
+    The integrand has degree at most kN + n_max, so the rule of _cap_rule
+    is exact. On the full-sphere cap mu_n = psi_tilde(n).
+    """
+    _check_case(pair, f2)
+    g = pair.geometry
+    n_max = f2.n_max
+    lam = wavelet_multipliers(pair, kernel_rho, n_max)
+    if f2.case == "scalar":
+        return f2.scaled_by_degree(lam)
+    t, w, _, dp, d2p = _cap_rule(g.kN, n_max, kernel_rho)
+    j = np.arange(1, g.kN + 1, dtype=float)
+    k = (j + 0.5) * pair.psi_tilde.values[1:] / (j * (j + 1.0))
+    dk, d2k = k @ dp[1 : g.kN + 1], k @ d2p[1 : g.kN + 1]
+    s = 1.0 - t * t
+    first = w * ((1.0 + t * t) * dk - t * s * d2k)
+    second = w * (s * s * d2k - t * s * dk)
+    n = np.arange(1, n_max + 1, dtype=float)
+    mu = np.zeros(n_max + 1)
+    mu[1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
+    scale = np.concatenate([_per_coefficient(lam, n_max), _per_coefficient(mu, n_max)[1:]])
+    return VectorCoefficients(f2.radius, n_max, scale * f2.data)
+
+
+def wavelet_transform_local(pair: KernelPair, f2, x, region: RegionSpec):
     """Wavelet refinement at one evaluation point from cap-local ground data.
 
     Integrates the wavelet kernel against the field over the cap of radius
-    region.kernel_rho around x, as the degree-wise wavelet_multipliers.
-    Points outside the evaluation region are rejected: their caps would
-    leave the data region.
+    region.kernel_rho around x, as the degree-wise cap multipliers of
+    _cap_wavelet_coefficients. A scalar field gives a float, a gradient
+    field a 3-vector. Points outside the evaluation region are rejected:
+    their caps would leave the data region.
     """
     _check_evaluation(pair, region, x)
-    lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
-    return float(synthesize(f2.scaled_by_degree(lam), x))
+    out = _synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x)
+    return out if f2.case == "vector" else float(out)
 
 
 def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
@@ -293,41 +377,38 @@ def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
             raise ValueError("an evaluation point lies outside the evaluation region")
 
 
-def approximate_coefficients(pair: KernelPair, f1, f2: HarmonicCoefficients,
-                             region: RegionSpec) -> HarmonicCoefficients:
-    """Coefficient field of the combined approximation.
+def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
+    """Coefficient field of the combined approximation, on any cap.
 
     The scaling part contributes phi(n) times the outer-data coefficients
-    for n <= N; the wavelet part contributes lambda_n times the ground-data
-    coefficients, with lambda_n the cap-restricted wavelet multipliers.
-    Exact for bandlimited data. f1 may be FieldSamples (analyzed first,
-    needing grid exactness >= min(N, degree) + degree) or
-    HarmonicCoefficients at R.
+    for n <= N; the wavelet part contributes the cap-restricted wavelet
+    multipliers times the ground-data coefficients, per degree (and type,
+    for a gradient field). Exact for bandlimited data. f1 may be
+    FieldSamples (analyzed first, needing grid exactness >= min(N, degree)
+    + degree, + 2 for gradient fields) or coefficients at R.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
-    lam = wavelet_multipliers(pair, region.kernel_rho, f2.n_max)
-    return _assemble(pair, f1, f2, lam)
+    return _assemble(pair, f1, _cap_wavelet_coefficients(pair, f2, region.kernel_rho))
 
 
-def _assemble(pair: KernelPair, f1: HarmonicCoefficients,
-             f2: HarmonicCoefficients, lam: np.ndarray) -> HarmonicCoefficients:
-    """Scaling part of f1 plus f2 times the wavelet multipliers lam.
+def _assemble(pair: KernelPair, f1, w_part):
+    """Scaling part of f1 plus the wavelet part w_part, at the larger degree.
 
-    lam must be wavelet_multipliers(pair, kernel_rho, f2.n_max); callers
-    that combine many data sets with one pair compute it once.
+    w_part is _cap_wavelet_coefficients of the ground data; callers that
+    combine many data sets with one pair scale by wavelet_multipliers
+    computed once.
     """
-    g = pair.geometry
     t_part = _scaling_spectral_coefficients(pair, f1)
-    w_part = f2.scaled_by_degree(lam)
     n_out = max(t_part.n_max, w_part.n_max)
-    out = HarmonicCoefficients(g.r, n_out)
-    out.data[: t_part.data.size] += t_part.data
-    out.data[: w_part.data.size] += w_part.data
+    out = type(w_part)(pair.geometry.r, n_out)
+    for part in (t_part, w_part):
+        head, off = (part.n_max + 1) ** 2, (n_out + 1) ** 2
+        out.data[:head] += part.data[:head]
+        out.data[off : off + part.data.size - head] += part.data[head:]  # type 2
     return out
 
 
-def approximate(pair: KernelPair, f1, f2: HarmonicCoefficients,
-                region: RegionSpec, points) -> np.ndarray:
+def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndarray:
     """Combined two-step approximation at the given points.
 
     Sum of the regularized downward continuation of the outer-sphere data
@@ -336,7 +417,7 @@ def approximate(pair: KernelPair, f1, f2: HarmonicCoefficients,
     bandlimited data.
     """
     _check_evaluation(pair, region, points)
-    return synthesize(approximate_coefficients(pair, f1, f2, region), points)
+    return _synthesize(approximate_coefficients(pair, f1, f2, region), points)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +437,13 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     "sphere" uses epsilon1 and the full-sphere L2 norm (outer data); a
     RegionSpec uses epsilon2 and the L2 norm over its data cap (ground
     data), signal and noise in one harmonics._cap_norms pass. The noise
-    field is reproducible per (seed, region kind).
+    field is reproducible per (seed, region kind). Scalar fields only:
+    noise for gradient fields is ROADMAP item 3, and a gradient field
+    raises ValueError.
     """
+    if coeffs.case != "scalar":
+        raise ValueError("add_noise covers scalar fields; noise for gradient "
+                         "fields is not implemented yet (ROADMAP item 3)")
     if norm_region == "sphere":
         eps = spec.epsilon1
         field_index = 0
@@ -391,18 +477,23 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     return out
 
 
-def relative_error(u_ref: HarmonicCoefficients, u_approx: HarmonicCoefficients,
-                   region: RegionSpec) -> float:
+def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
     """L2 error over the evaluation region, relative to the reference norm.
 
     u_approx - u_ref is formed in coefficient space at the larger degree D,
-    and it takes one harmonics._cap_norms pass with u_ref at exactness 2 D.
-    A reference that is zero there raises ValueError.
+    and it takes one harmonics._cap_norms pass with u_ref at exactness 2 D
+    (2 D + 2 for gradient fields, as channel stacks of both types). Both
+    fields must be of one kind on one sphere. A reference that is zero
+    there raises ValueError.
     """
     if u_ref.radius != u_approx.radius:
         raise ValueError("fields must live on the same sphere")
+    if u_ref.case != u_approx.case:
+        raise ValueError(f"cannot compare a {u_approx.case} field with a {u_ref.case} one")
     degree = max(u_ref.n_max, u_approx.n_max)
-    ref, approx = _padded(u_ref.data, degree), _padded(u_approx.data, degree)
+    ref, approx = (_padded(np.stack([u.channel(1), u.channel(2)]) if u.case == "vector"
+                           else u.data, degree) for u in (u_ref, u_approx))
     den, num = _cap_norms(np.stack([ref, approx - ref]), region.center_direction,
-                          region.eval_rho, 2 * degree, reference=True)
+                          region.eval_rho, 2 * degree + _extra_exactness(u_ref),
+                          reference=True)
     return math.sqrt(num / den)

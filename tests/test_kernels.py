@@ -59,6 +59,13 @@ class TestGeometry:
         assert vector.sigma(3) == pytest.approx(q**4, rel=1e-15)
         assert np.allclose(scalar.sigmas(5), q ** np.arange(6), rtol=1e-15)
 
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_sigma_is_entry_of_sigmas(self, case):
+        # one exponent rule: sigma(n) has the bits of sigmas(n_hi)[n]
+        g = reduced_geometry(case)
+        table = g.sigmas(110)
+        assert [g.sigma(n) for n in range(111)] == table.tolist()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Geometry(2.0, 1.0, 10)

@@ -32,17 +32,17 @@ from capwave.transforms import (
     relative_error,
     wavelet_multipliers,
 )
+from capwave.transforms import _cap_wavelet_coefficients
 from capwave.transforms import _outer_coefficients as scalar_outer
+from capwave.transforms import _outer_coefficients as vector_outer
 from capwave.vector_field import (
     VectorCoefficients,
     VectorFieldSamples,
-    _cap_wavelet_coefficients,
     vector_analyze,
     vector_approximate,
     vector_relative_error,
     vector_synthesize,
 )
-from capwave.vector_field import _outer_coefficients as vector_outer
 
 PROPERTY = settings(max_examples=25, deadline=None)
 

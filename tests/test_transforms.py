@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import node_wise
-from capwave.harmonics import HarmonicCoefficients, synthesize
+from capwave.harmonics import HarmonicCoefficients, VectorCoefficients, synthesize
 from capwave.kernels import (
     Geometry,
     KernelPair,
@@ -402,6 +402,14 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(f, NoiseSpec(0.1, 0.1), "cap")
 
+    @pytest.mark.parametrize("norm_region", ["sphere", RegionSpec(NORTH, 0.6, 0.5)])
+    def test_gradient_field_rejected(self, norm_region):
+        # noise for gradient fields is not implemented; adding the vector
+        # data into scalar slots would return a wrong scalar field
+        f = VectorCoefficients(1.0, 4, np.ones(49))
+        with pytest.raises(ValueError, match="gradient fields"):
+            add_noise(f, NoiseSpec(0.1, 0.1, 20, 0), norm_region)
+
 
 class TestRelativeError:
     def test_identical_fields(self):
@@ -443,6 +451,66 @@ class TestRelativeError:
         v = random_field(R_OUTER, 5, 43)
         with pytest.raises(ValueError):
             relative_error(u, v, region)
+
+    def test_mixed_field_kinds_rejected(self):
+        region = RegionSpec(NORTH, 0.6, 0.5)
+        u = random_field(R_INNER, 5, 43)
+        b = field_of_kind("vector", R_INNER)
+        for ref, approx in ((u, b), (b, u)):
+            with pytest.raises(ValueError, match="cannot compare"):
+                relative_error(ref, approx, region)
+
+
+def field_of_kind(case, radius=1.0, n_max=5):
+    rng = np.random.default_rng(46)
+    if case == "vector":
+        return VectorCoefficients(radius, n_max, rng.standard_normal(2 * (n_max + 1) ** 2 - 1))
+    return HarmonicCoefficients(radius, n_max, rng.standard_normal((n_max + 1) ** 2))
+
+
+def pair_of_kind(case):
+    return shannon_reference_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5, case=case), 6)
+
+
+KIND_REGION = RegionSpec(NORTH, 0.9, 0.4)
+CHAIN = {
+    "scaling_transform": lambda pair, f: scaling_transform(pair, f, np.array([NORTH])),
+    "wavelet_transform_local":
+        lambda pair, f: wavelet_transform_local(pair, f, NORTH, KIND_REGION),
+    "approximate_coefficients":
+        lambda pair, f: approximate_coefficients(pair, f, f, KIND_REGION),
+    "approximate":
+        lambda pair, f: approximate(pair, f, f, KIND_REGION, np.array([NORTH])),
+}
+
+
+class TestFieldKind:
+    """One chain serves both field kinds; each field must match the pair's."""
+
+    @pytest.mark.parametrize("name", CHAIN)
+    @pytest.mark.parametrize("field_case, pair_case",
+                             [("scalar", "vector"), ("vector", "scalar")])
+    def test_mismatched_pair_rejected(self, name, field_case, pair_case):
+        with pytest.raises(ValueError, match="kernel pair"):
+            CHAIN[name](pair_of_kind(pair_case), field_of_kind(field_case))
+
+    @pytest.mark.parametrize("name", CHAIN)
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_matched_pair_accepted(self, name, case):
+        out = CHAIN[name](pair_of_kind(case), field_of_kind(case))
+        if hasattr(out, "case"):  # a coefficient container
+            assert out.case == case
+            out = out.data
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_one_mismatched_data_set_rejected(self, case):
+        other = "vector" if case == "scalar" else "scalar"
+        pair = pair_of_kind(case)
+        for f1, f2 in ((field_of_kind(case), field_of_kind(other)),
+                       (field_of_kind(other), field_of_kind(case))):
+            with pytest.raises(ValueError, match="kernel pair"):
+                approximate_coefficients(pair, f1, f2, KIND_REGION)
 
 
 class TestNoiseMonotonicity:
