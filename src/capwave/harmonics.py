@@ -595,42 +595,6 @@ def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray):
             yield lo, n0, rows.transpose(1, 0, 2)
 
 
-def _legendre_orders(n_max: int, ct: np.ndarray, st: np.ndarray):
-    """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j.
-
-    The per-order view of _legendre_blocks, shaped (n_max + 1 - m,) +
-    ct.shape and bit-identical to the per-order recurrence. Where a range
-    of orders is one tile (single points, small grids, large sets of loose
-    points) rows are views into it; where its degrees come in several
-    tiles, the range's tiles are kept until its last one and each order's
-    rows are joined from them.
-    """
-    shape = np.shape(ct)
-    tiles = []
-    for lo, n0, tile in _legendre_blocks(n_max, ct, st):
-        tiles.append((n0, tile))
-        if n0 + tile.shape[1] <= n_max:
-            continue
-        for i in range(tile.shape[0]):
-            m = lo + i
-            parts = [t[i, max(0, m - s):] for s, t in tiles if i < t.shape[0]]
-            rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            yield m, rows.reshape((n_max + 1 - m,) + shape)
-        tiles = []
-
-
-def _order_index(n_max: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees n = m..n_max and the flat indices of their cos- and sin-type
-    coefficients of order m (the sin indices are meaningless for m = 0)."""
-    n = np.arange(m, n_max + 1)
-    return n, n * n + m, n * n + n + m
-
-
-def _theta_factor(n: np.ndarray, m: int) -> np.ndarray:
-    """e_nm in sin(theta) dA_n^m/dtheta = n t A_n^m - e_nm A_{n-1}^m."""
-    return np.sqrt((n * n - m * m) * (2 * n + 1) / (2 * n - 1))
-
-
 def _direction_angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ct, st, cos phi, sin phi) of directions, one axis over them, safe at
     the poles.
@@ -788,6 +752,84 @@ def _scalar_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, table=None)
             yield lo, amp[..., 0, :], amp[..., 1, :]
 
 
+@functools.lru_cache(maxsize=8)
+def _vector_slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat slots and weights of a gradient field's nine amplitude channels
+    in the layout of its Legendre tiles, [m, channel, n]: a channel's
+    amplitude is the sum over n of weight * coefficient * row.
+
+    Slots index a (2, L) stack of the type-1 and type-2 channels, raveled,
+    L = (n_max + 1)^2, with a zero appended at 2L; pad slots are 2L and
+    weigh 0. With d = c2 / sqrt(n(n+1)) and orders m >= 1 weighed by
+    sqrt(2), the channels are: 0, 1 the type-1 cos and sin coefficients;
+    2, 3 n d; 4 m d_sin and 5 -m d_cos, the azimuth amplitudes; 6, 7
+    -e_{n+1,m} d_{n+1}, the lower term of the colatitude derivative with its
+    degree shift taken in coefficient space, so no tile reads another; 8,
+    on the order-1 rows B_n^1 only, -c2 of order 0, whose colatitude
+    derivative is -sqrt(n(n+1)) sin(theta) B_n^1. Memoized and read-only.
+    """
+    size = (n_max + 1) ** 2
+    pad = 2 * size
+    scalar = _scalar_slots(n_max)  # [m, cos/sin, n]
+    m = np.arange(n_max + 1)[:, None, None]
+    n = np.arange(n_max + 1)
+    type1 = np.where(scalar < size, scalar, pad)
+    type2 = np.where((scalar < size) & (m > 0), scalar + size, pad)
+    r = np.where(type2 < pad, _SQRT2 / np.sqrt(np.maximum(n * (n + 1.0), 1.0)), 0.0)
+    e = np.sqrt(np.maximum(((n + 1.0) ** 2 - m * m) * (2 * n + 3) / (2 * n + 1), 0.0))
+    slots = np.full((n_max + 1, 9, n_max + 1), pad)
+    weights = np.zeros(slots.shape)
+    slots[:, 0:2], weights[:, 0:2] = type1, np.where(type1 < pad, np.where(m > 0, _SQRT2, 1.0), 0.0)
+    slots[:, 2:4], weights[:, 2:4] = type2, n * r
+    slots[:, 4:6], weights[:, 4:6] = type2[:, ::-1], m * r * [[1.0], [-1.0]]
+    slots[:, 6:8, :-1], weights[:, 6:8, :-1] = type2[:, :, 1:], -e[..., :-1] * r[:, :, 1:]
+    if n_max > 0:
+        slots[1, 8, 1:], weights[1, 8, 1:] = size + n[1:] ** 2, -1.0
+    slots.flags.writeable = weights.flags.writeable = False
+    return slots, weights
+
+
+def _vector_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, table=None):
+    """Amplitude blocks of gradient fields for _synthesis and _cap_norms.
+
+    data is a (..., 2, L) stack of type-1 and type-2 coefficients in the
+    scalar flat layout; a and b are (..., 3, w, P), leading axes kept, then
+    the radial, colatitude and azimuth channels. Each tile of Legendre rows
+    takes one batched product with the coefficients gathered and weighed
+    through _vector_slots, and the products of a range's tiles are summed.
+    Once its last tile is in, the radial channel of orders m >= 1 is
+    multiplied by sin(theta), the colatitude channel is t (n d) plus the
+    lower term, and order 0's is sin(theta) times channel 8 of order 1.
+    Where ranges are one order wide, order 0 waits for order 1's range and
+    is yielded just before it. table is as for _scalar_blocks.
+    """
+    n_max = math.isqrt(data.shape[-1]) - 1
+    flat = data.reshape(data.shape[:-2] + (-1,))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    slots, weights = _vector_slots(n_max)
+    for lo, n0, tile in _legendre_blocks(n_max, ct, st) if table is None else table:
+        w, d = tile.shape[:2]
+        tab = np.s_[lo:lo + w, :, n0:n0 + d]
+        part = (padded[..., slots[tab]] * weights[tab]) @ tile
+        if n0 > lo:  # a later chunk of the range: tiles only gain orders
+            part[..., :amp.shape[-3], :, :] += amp
+        amp = part
+        if n0 + d <= n_max:
+            continue
+        amp = np.moveaxis(amp, -2, -3)  # (..., channel, order, point)
+        amp[..., 0:2, 1 if lo == 0 else 0:, :] *= st
+        amp[..., 2:4, :, :] *= ct
+        amp[..., 2:4, :, :] += amp[..., 6:8, :, :]
+        if lo == 0:
+            first = amp
+        if lo <= 1 < lo + w:
+            first[..., 2, 0, :] += st * amp[..., 8, 1 - lo, :]
+        if lo == 1:
+            yield 0, first[..., 0:6:2, :, :], first[..., 1:6:2, :, :]
+        if lo + w > min(n_max, 1):
+            yield lo, amp[..., 0:6:2, :, :], amp[..., 1:6:2, :, :]
+
+
 def _azimuth_sums(values: np.ndarray, grid: SphereGrid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature-weighted sums of grid samples against cos(m phi), sin(m phi).
 
@@ -873,20 +915,20 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     """Cartesian field values at unit directions, a SphereGrid, or a CapGrid.
 
     Returns one 3-vector per point (shape (3,) for a single direction).
-    Runs the tiled Legendre engine on three channels at once: the radial, colatitude and azimuth components of each
-    order come from one matrix product of the coefficients with that
-    order's reduced Legendre rows, and grids sum the orders with one
-    azimuth matrix product. On a CapGrid both types are turned into the
-    cap's own frame by the same per-degree rotation, since each comes from
-    Y_nk through a rotation-equivariant operator; the vectors found there
-    are mapped back with grid.rotation.
+    Runs the tiled Legendre engine on the radial, colatitude and azimuth
+    channels at once: each tile of rows takes one batched product with the
+    coefficients of its orders and degrees (_vector_blocks), and grids sum
+    the orders with one azimuth matrix product. On a CapGrid both types
+    turn into the cap's own frame by the same per-degree rotation, since
+    each comes from Y_nk through a rotation-equivariant operator; the
+    vectors found there are mapped back with grid.rotation.
     """
+    data = np.stack([coeffs.channel(1), coeffs.channel(2)])
     rotation = points.rotation if isinstance(points, CapGrid) else None
     if rotation is not None:
-        both = _cap_frame(np.stack([coeffs.channel(1), coeffs.channel(2)]), rotation)
-        coeffs = VectorCoefficients(coeffs.radius, coeffs.n_max,
-                                    np.concatenate([both[0], both[1, 1:]]))
-    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(_vector_blocks, coeffs, points)
+        data = _cap_frame(data, rotation)
+    (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(
+        lambda c, ct, st: _vector_blocks(data, ct, st), coeffs, points)
     horiz = f_r * st + f_t * ct
     out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
                     f_r * ct - f_t * st], axis=-1)
@@ -895,40 +937,25 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     return np.reshape(out / coeffs.radius, _leading_shape(points) + (3,))
 
 
-def _vector_orders(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
-    """Per-order (radial, colatitude, azimuth) amplitudes for _synthesis.
-
-    The m = 0 colatitude channel needs the B_n^1 rows, so order 0 is
-    yielded once order 1 has been seen.
-    """
-    n_max = coeffs.n_max
-    c1, c2 = coeffs.channel(1), coeffs.channel(2)
-    zero = np.zeros_like(ct)
-    for m, rows in _legendre_orders(n_max, ct, st):
-        n, cos_i, sin_i = _order_index(n_max, m)
-        if m == 0:
-            radial = c1[cos_i] @ rows
-            if n_max == 0:
-                yield 0, np.stack([radial, zero, zero]), np.zeros((3,) + ct.shape)
-            continue
-        # d @ dA/dtheta = t (n d) @ B - (e d shifted one degree down) @ B
-        d = c2[np.stack([cos_i, sin_i])] / np.sqrt(n * (n + 1.0))
-        down = np.zeros_like(d)
-        down[:, :-1] = (_theta_factor(n, m) * d)[:, 1:]
-        stack = [c1[cos_i], c1[sin_i], n * d[0], n * d[1], down[0], down[1], d[0], d[1]]
-        if m == 1:
-            stack.append(c2[cos_i - 1])  # order-0 type-2 coefficients, n >= 1
-        p = np.stack(stack) @ rows
-        if m == 1:
-            yield 0, np.stack([radial, -st * p[8], zero]), np.zeros((3,) + ct.shape)
-        yield m, _SQRT2 * np.stack([st * p[0], ct * p[2] - p[4], m * p[7]]), \
-            _SQRT2 * np.stack([st * p[1], ct * p[3] - p[5], -m * p[6]])
-
-
-def _vector_blocks(coeffs: VectorCoefficients, ct: np.ndarray, st: np.ndarray):
-    """_vector_orders as amplitude blocks of one order each, for _synthesis."""
-    for m, a, b in _vector_orders(coeffs, ct, st):
-        yield m, a[:, None], b[:, None]
+def _vector_columns(values: np.ndarray, grid: SphereGrid, n_max: int, st: np.ndarray) -> np.ndarray:
+    """Columns of vector_analyze, [m, channel, colatitude]: quadrature sums of
+    the three spherical components against cos(m phi) and sin(m phi), times
+    each channel's factor in synthesis. Its temporaries die before any tile."""
+    ct = grid.ct
+    v = values.reshape(ct.size, grid.phis.size, 3)
+    cp, sp = np.cos(grid.phis), np.sin(grid.phis)
+    horiz = v[..., 0] * cp + v[..., 1] * sp
+    comps = np.stack([horiz * st[:, None] + v[..., 2] * ct[:, None],
+                      horiz * ct[:, None] - v[..., 2] * st[:, None],
+                      v[..., 1] * cp - v[..., 0] * sp])
+    sums = np.array(_azimuth_sums(comps, grid, n_max))  # [cos/sin, component, colatitude, m]
+    cols = np.empty((n_max + 1, 9, ct.size))
+    cols[:, :6] = sums.transpose(3, 1, 0, 2).reshape(n_max + 1, 6, ct.size)
+    cols[:, 6:8] = cols[:, 2:4]
+    cols[:, 2:4] *= ct
+    cols[1:, 0:2] *= st
+    cols[:, 8] = st * cols[0, 6]
+    return cols
 
 
 def vector_analyze(samples: np.ndarray, grid: SphereGrid,
@@ -938,9 +965,10 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     Requires grid.exact_degree >= 2 n_max + 2: basis components carry one
     polynomial degree more than the scalar harmonics, so products of a
     degree-n_max field with any basis function reach degree 2 n_max + 2.
-    The transpose of vector_synthesize on the grid: azimuth sums of the
-    three spherical components, then one product per order with the
-    reduced Legendre rows.
+    The exact transpose of vector_synthesize on the grid: azimuth sums of
+    the three spherical components, then one batched product of each tile
+    of Legendre rows with the columns of its orders, scatter-added through
+    the table that synthesis gathers through (_vector_slots).
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("vector_analyze needs samples on a SphereGrid")
@@ -951,40 +979,17 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     values = np.asarray(samples, dtype=float)
     if values.shape != (grid.n_nodes, 3):
         raise ValueError("samples must be one 3-vector per grid node")
-    ct = grid.ct
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    cp = np.cos(grid.phis)
-    sp = np.sin(grid.phis)
-
-    vx, vy, vz = values.T.reshape(3, ct.size, grid.phis.size)
-    f_r = vx * np.outer(st, cp) + vy * np.outer(st, sp) + vz * ct[:, None]
-    f_t = vx * np.outer(ct, cp) + vy * np.outer(ct, sp) - vz * st[:, None]
-    f_p = -vx * sp[None, :] + vy * cp[None, :]
-    (rc, tc, pc), (rs, ts, ps) = _azimuth_sums(np.stack([f_r, f_t, f_p]), grid, n_max)
-
-    c1 = np.empty((n_max + 1) ** 2)
-    c2 = np.zeros_like(c1)
-    for m, rows in _legendre_orders(n_max, ct, st):
-        n, cos_i, sin_i = _order_index(n_max, m)
-        if m == 0:
-            c1[cos_i] = rows @ rc[:, 0]
-            continue
-        cols = [st * rc[:, m], st * rs[:, m], ct * tc[:, m], ct * ts[:, m],
-                tc[:, m], ts[:, m], ps[:, m], pc[:, m]]
-        if m == 1:
-            cols.append(st * tc[:, 0])
-        q = rows @ np.stack(cols, axis=1)
-        # transpose of the shift in _vector_orders: degree n reads row n - 1
-        below = np.zeros((q.shape[0], 2))
-        below[1:] = q[:-1, 4:6]
-        below *= _theta_factor(n, m)[:, None]
-        scale = _SQRT2 / np.sqrt(n * (n + 1.0))
-        c1[cos_i], c1[sin_i] = _SQRT2 * q[:, 0], _SQRT2 * q[:, 1]
-        c2[cos_i] = scale * (n * q[:, 2] - below[:, 0] - m * q[:, 6])
-        c2[sin_i] = scale * (n * q[:, 3] - below[:, 1] + m * q[:, 7])
-        if m == 1:
-            c2[cos_i - 1] = -q[:, 8]
-    return VectorCoefficients(grid.radius, n_max, np.concatenate([c1, c2[1:]]))
+    st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
+    cols = _vector_columns(values, grid, n_max, st)
+    slots, weights = _vector_slots(n_max)
+    size = (n_max + 1) ** 2
+    out = np.zeros(2 * size + 1)
+    for lo, n0, tile in _legendre_blocks(n_max, grid.ct, st):
+        w, d = tile.shape[:2]
+        tab = np.s_[lo:lo + w, :, n0:n0 + d]
+        part = cols[lo:lo + w] @ np.swapaxes(tile, -1, -2)
+        out += np.bincount(slots[tab].ravel(), (weights[tab] * part).ravel(), out.size)
+    return VectorCoefficients(grid.radius, n_max, np.concatenate([out[:size], out[size + 1:-1]]))
 
 
 def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
@@ -1001,11 +1006,12 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
     Azimuthal Parseval in the cap's frame: sum_j w_j [2 pi a_0^2 + pi
     sum_{m >= 1} (a_m^2 + b_m^2)](t_j) on cap_grid's Gauss rule in t; no
     node is built. All fields (flat, one degree) turn into the frame in one
-    call. Scalar fields, data of shape (k, L), share each _scalar_blocks
-    tile, which a tiles dict keeps across calls. Gradient fields, (k, 2, L)
-    stacks of their type-1 and type-2 channels, sum the squared radial,
-    colatitude and azimuth channels of _vector_blocks: turning them into
-    Cartesian axes keeps pointwise norms. Fields are reduced one at a time
+    call. Scalar fields, data of shape (k, L), stream through
+    _scalar_blocks; gradient fields, (k, 2, L) stacks of their type-1 and
+    type-2 channels, through _vector_blocks and sum the squared radial,
+    colatitude and azimuth channels, since turning them into Cartesian
+    axes keeps pointwise norms. Both kinds read the same Legendre tiles,
+    which a tiles dict keeps across calls. Fields are reduced one at a time
     in fixed shapes, so a norm's bits depend on neither batch nor tile
     source. With reference, data[0] must not vanish on the cap.
     """
@@ -1019,14 +1025,8 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
             tiles[key] = tuple(_legendre_blocks(n_max, t, st))
         tiles = tiles[key]
     sums = np.zeros((frame.shape[0], t.size))
-    if frame.ndim == 2:
-        stream = _scalar_blocks(frame, t, st, tiles)
-    else:  # each order's blocks of every field, side by side
-        fields = [VectorCoefficients(1.0, n_max, np.concatenate([f[0], f[1, 1:]]))
-                  for f in frame]
-        stream = ((group[0][0], [a for _, a, _ in group], [b for _, _, b in group])
-                  for group in zip(*(_vector_blocks(f, t, st) for f in fields)))
-    for lo, a, b in stream:
+    blocks = _scalar_blocks if frame.ndim == 2 else _vector_blocks
+    for lo, a, b in blocks(frame, t, st, tiles):
         for s, a_i, b_i in zip(sums, a, b):
             sq = a_i * a_i + b_i * b_i
             if lo == 0:

@@ -167,6 +167,107 @@ def analysis(samples, nodes, weights, radius, n_max):
     return out
 
 
+def _order_vector_harmonics(n_max, points):
+    """Yield (n, (radial, e_theta, e_phi), rows, ring, types) per order m.
+
+    n holds the degrees m..n_max; radial, e_theta and e_phi are the unit
+    3-vectors of the spherical frame at each direction (at a pole, the
+    frame of azimuth 0). rows = (A, dA, mB), one row per degree and one
+    column per distinct colatitude cosine of the directions (ring[j] is
+    the column of direction j): A_n^m, its colatitude derivative and
+    m B_n^m = m A_n^m / sin(theta). The derivative comes from the ladder
+    relation between neighbouring orders, dA_n^m/dtheta =
+    (sqrt((n+m)(n-m+1)) A_n^{m-1} - sqrt((n-m)(n+m+1)) A_n^{m+1}) / 2 and
+    dA_n^0/dtheta = -sqrt(n(n+1)) A_n^1, with A_n^m = sin(theta) B_n^m
+    from legendre_orders. types lists, per real harmonic of order m, its
+    flat index offset k - 1 - n from degree n^2 + n and the azimuth
+    factors (f, g) per direction: the harmonic is A f, its surface
+    gradient dA f e_theta + mB g e_phi. For m >= 1 these are the cos type
+    (sqrt2 cos m phi, -sqrt2 sin m phi) and the sin type (sqrt2 sin m phi,
+    sqrt2 cos m phi); m = 0 has the cos type only.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    ct = np.clip(pts[:, 2], -1.0, 1.0)
+    st = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    cp, sp = np.cos(phi), np.sin(phi)
+    frame = (pts, np.stack([ct * cp, ct * sp, -st], axis=-1),
+             np.stack([-sp, cp, np.zeros_like(cp)], axis=-1))
+    _, first, ring = np.unique(ct, return_index=True, return_inverse=True)
+    ct, st = ct[first], st[first]  # grid nodes share rings of colatitude
+    orders = legendre_orders(n_max, ct, st)
+    lower = None
+    _, rows = next(orders)
+    for m in range(n_max + 1):
+        following = next(orders, None)
+        n = np.arange(m, n_max + 1)[:, None]
+        full = rows if m == 0 else st * rows
+        upper = np.zeros_like(full)
+        if following is not None:
+            upper[1:] = st * following[1]
+        if m == 0:
+            d_theta = -np.sqrt(n * (n + 1.0)) * upper
+            types = [(-n[:, 0], np.ones_like(phi), np.zeros_like(phi))]
+        else:
+            d_theta = 0.5 * (np.sqrt((n + m) * (n - m + 1.0)) * lower[1:]
+                             - np.sqrt((n - m) * (n + m + 1.0)) * upper)
+            c, s = math.sqrt(2.0) * np.cos(m * phi), math.sqrt(2.0) * np.sin(m * phi)
+            types = [(m - n[:, 0], c, -s), (m, s, c)]
+        yield n[:, 0], frame, (full, d_theta, m * rows), ring, types
+        lower = full
+        if following is not None:
+            rows = following[1]
+
+
+def _vector_split(data):
+    """Type-1 and type-2 coefficients of flat vector data in the scalar
+    flat layout, type 2 with a zero at degree 0, and their degree count."""
+    data = np.asarray(data, dtype=float)
+    size = (data.size + 1) // 2
+    return data[:size], np.concatenate([[0.0], data[size:]]), math.isqrt(size) - 1
+
+
+def _type2_scale(n):
+    """1 / sqrt(n(n+1)) per degree, 0 at n = 0 where type 2 does not exist."""
+    return np.where(n > 0, 1.0 / np.sqrt(np.maximum(n * (n + 1.0), 1.0)), 0.0)
+
+
+def vector_synthesis(data, radius, points):
+    """Cartesian values (1/radius) sum c1 xi Y + c2 grad* Y / sqrt(n(n+1))
+    at the directions, shape (points, 3), summed order by order over the
+    flat vector coefficients data (type 1, then type 2 from degree 1)."""
+    c1, c2, n_max = _vector_split(data)
+    out = 0.0
+    for n, frame, (a, da, mb), ring, types in _order_vector_harmonics(n_max, points):
+        radial, theta, azimuth = frame
+        for offset, f, g in types:
+            idx = n * n + n + offset
+            d = c2[idx] * _type2_scale(n)
+            out = out + (((c1[idx] @ a)[ring] * f)[:, None] * radial
+                         + ((d @ da)[ring] * f)[:, None] * theta
+                         + ((d @ mb)[ring] * g)[:, None] * azimuth)
+    return out / radius
+
+
+def vector_analysis(samples, nodes, weights, radius, n_max):
+    """Flat vector coefficients to degree n_max from Cartesian samples:
+    the quadrature sum_j weights_j samples_j . y(nodes_j) / radius of each
+    type-1 and type-2 basis function, order by order."""
+    weighted = np.asarray(weights)[:, None] * np.asarray(samples, dtype=float) / radius
+    size = (n_max + 1) ** 2
+    c1, c2 = np.zeros(size), np.zeros(size)
+    for n, frame, (a, da, mb), ring, types in _order_vector_harmonics(n_max, nodes):
+        radial, theta, azimuth = (np.einsum("ij,ij->i", weighted, vec) for vec in frame)
+        for offset, f, g in types:
+            idx = n * n + n + offset
+            rings = a.shape[1]  # sums over each ring of colatitude
+            c1[idx] = a @ np.bincount(ring, radial * f, rings)
+            c2[idx] = _type2_scale(n) * (da @ np.bincount(ring, theta * f, rings)
+                                         + mb @ np.bincount(ring, azimuth * g, rings))
+    return np.concatenate([c1, c2[1:]])
+
+
 def _legendre_value_and_derivatives(n, t):
     e = np.zeros(n + 1)
     e[n] = 1.0

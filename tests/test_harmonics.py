@@ -1,6 +1,7 @@
 """Tests for spherical harmonics, grids, synthesis, and analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from capwave import harmonics
 from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
+    VectorCoefficients,
     _cap_norms,
     _legendre_blocks,
-    _legendre_orders,
     _padded,
     analyze,
     cap_grid,
@@ -24,6 +25,8 @@ from capwave.harmonics import (
     sobolev_norm,
     sphere_grid,
     synthesize,
+    vector_analyze,
+    vector_synthesize,
     ynk,
 )
 
@@ -268,9 +271,25 @@ def colatitudes(n_points, seed=0):
     return ct
 
 
+def tile_orders(n_max, ct, sin_t):
+    """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j,
+    joined from the tiles of _legendre_blocks once a range's last tile is
+    in, shaped (n_max + 1 - m,) + ct.shape."""
+    tiles = []
+    for lo, n0, tile in _legendre_blocks(n_max, ct, sin_t):
+        tiles.append((n0, tile))
+        if n0 + tile.shape[1] <= n_max:
+            continue
+        for i in range(tile.shape[0]):
+            m = lo + i
+            rows = np.concatenate([t[i, max(0, m - s):] for s, t in tiles if i < t.shape[0]])
+            yield m, rows.reshape((n_max + 1 - m,) + np.shape(ct))
+        tiles = []
+
+
 def assert_rows_match_oracle(n_max, ct):
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    pairs = zip(_legendre_orders(n_max, ct, sin_t),
+    pairs = zip(tile_orders(n_max, ct, sin_t),
                 oracles.legendre_orders(n_max, ct, sin_t), strict=True)
     for (m, rows), (m_ref, ref) in pairs:
         assert m == m_ref
@@ -279,8 +298,8 @@ def assert_rows_match_oracle(n_max, ct):
 
 
 class TestLegendreOrders:
-    """The blocked engine gives the rows of the per-order recurrence bit for
-    bit, whatever block width the input size picks."""
+    """The tiled engine gives the rows of the per-order recurrence bit for
+    bit, whatever tiling the input size picks."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 44, 110])
     @pytest.mark.parametrize("t", [1.0, -1.0, 0.3])
@@ -436,26 +455,111 @@ class TestBlockFoldAgainstOracle:
         ref = oracles.analysis(samples, g.nodes, g.weights, self.R, n_max)
         assert_close_to(analyze(samples, g, n_max).data, ref)
 
+    def vector_coeffs(self, rng, n_max):
+        return VectorCoefficients(self.R, n_max, rng.normal(size=2 * (n_max + 1) ** 2 - 1))
+
+    # degree 110 on its 112 colatitudes takes twelve degree chunks
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
+    def test_vector_synthesize_on_sphere_grid(self, n_max):
+        c = self.vector_coeffs(np.random.default_rng(n_max + 5), n_max)
+        g = sphere_grid(self.R, 2 * n_max + 2)
+        assert_close_to(vector_synthesize(c, g),
+                        oracles.vector_synthesis(c.data, self.R, g.nodes))
+
+    @pytest.mark.parametrize("center", [[0.0, 0.0, 1.0], [0.3, 0.4, 0.8]],
+                             ids=["polar", "off-pole"])
+    @pytest.mark.parametrize("n_max", [12, 60])
+    def test_vector_synthesize_on_caps(self, center, n_max):
+        c = self.vector_coeffs(np.random.default_rng(n_max + 6), n_max)
+        g = cap_grid(self.R, center, 0.6, 2 * n_max)
+        assert_close_to(vector_synthesize(c, g),
+                        oracles.vector_synthesis(c.data, self.R, g.nodes))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
+    def test_vector_synthesize_at_one_point(self, n_max):
+        rng = np.random.default_rng(n_max + 7)
+        c = self.vector_coeffs(rng, n_max)
+        rms = c.l2_norm() / (self.R * math.sqrt(4.0 * math.pi))
+        for x in (random_unit(rng), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
+            ref = oracles.vector_synthesis(c.data, self.R, x)[0]
+            err = np.max(np.abs(vector_synthesize(c, x) - ref))
+            assert err <= 1e-13 * max(np.max(np.abs(ref)), rms)
+
+    @pytest.mark.parametrize("n_max", [1, 44])
+    def test_vector_synthesize_at_points_one_order_per_block(self, n_max):
+        # order 0's colatitude channel needs order 1's rows, one range later
+        rng = np.random.default_rng(n_max + 8)
+        c = self.vector_coeffs(rng, n_max)
+        pts = random_unit(rng, harmonics._BLOCK_BUDGET // (n_max + 1) + 1)
+        pts[0], pts[-1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        assert_close_to(vector_synthesize(c, pts),
+                        oracles.vector_synthesis(c.data, self.R, pts))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
+    def test_vector_analyze_on_sphere_grid(self, n_max):
+        rng = np.random.default_rng(n_max + 9)
+        g = sphere_grid(self.R, 2 * n_max + 3)
+        samples = rng.normal(size=(g.n_nodes, 3))
+        ref = oracles.vector_analysis(samples, g.nodes, g.weights, self.R, n_max)
+        assert_close_to(vector_analyze(samples, g, n_max).data, ref)
+
+
+class TestVectorTransformMemory:
+    """A degree-110 gradient field on a sphere grid is synthesized and
+    analyzed tile by tile: no call holds the rows of a whole axis."""
+
+    LIMIT = 3.5e6  # bytes; at most two tiles of 1 MB live at once, the whole axis takes 6 MB
+
+    @staticmethod
+    def traced_peak(call):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_degree_110_sphere_grid_peaks(self):
+        n_max = 110
+        rng = np.random.default_rng(10)
+        c = VectorCoefficients(1.0, n_max, rng.normal(size=2 * (n_max + 1) ** 2 - 1))
+        g = sphere_grid(1.0, 2 * n_max + 2)
+        values = vector_synthesize(c, g)
+        vector_analyze(values, g, n_max)  # warm-up: memoized tables are built once
+        assert self.traced_peak(lambda: vector_synthesize(c, g)) <= self.LIMIT
+        assert self.traced_peak(lambda: vector_analyze(values, g, n_max)) <= self.LIMIT
+
 class TestCapNorms:
     def test_same_bits_alone_batched_stored_fresh(self):
         # degree 110 at exactness 220 spans several degree chunks; a norm
-        # must not depend on its batch or on where its tiles come from
+        # must not depend on its batch or on where its tiles come from, and
+        # scalar and gradient fields (type-1 and type-2 stacks) of one
+        # degree share the stored tiles of a cap
         rng = np.random.default_rng(5)
         for degree, lower in ((12, 7), (110, 80)):
             caps = [([0.0, 0.0, 1.0], 0.6), (random_unit(rng), 0.6), ([0.0, 0.0, -1.0], 1.3)]
             for center, rho in caps:
                 tiles = {}
-                data = np.stack([_padded(rng.normal(size=(n + 1) ** 2), degree)
-                                 for n in (degree, lower, degree)])
-                batched = _cap_norms(data, center, rho, 2 * degree)
-                kept = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
-                stored = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
-                assert np.array_equal(batched, kept) and np.array_equal(batched, stored)
-                assert len(tiles) == 1
-                for row, norm in zip(data, batched):
-                    for kw in ({}, {"tiles": tiles}):
-                        alone = _cap_norms(row[None], center, rho, 2 * degree, **kw)
-                        assert np.array_equal(alone, [norm])
+                scalar = np.stack([_padded(rng.normal(size=(n + 1) ** 2), degree)
+                                   for n in (degree, lower, degree)])
+                vector = np.stack([_padded(rng.normal(size=(2, (n + 1) ** 2)), degree)
+                                   for n in (degree, lower, degree)])
+                vector[:, 1, 0] = 0.0  # type 2 starts at degree 1
+                for data in (scalar, vector):
+                    batched = _cap_norms(data, center, rho, 2 * degree)
+                    kept = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
+                    stored = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
+                    assert np.array_equal(batched, kept) and np.array_equal(batched, stored)
+                    assert len(tiles) == 1
+                    for row, norm in zip(data, batched):
+                        for kw in ({}, {"tiles": tiles}):
+                            alone = _cap_norms(row[None], center, rho, 2 * degree, **kw)
+                            assert np.array_equal(alone, [norm])
 
     def test_zero_reference_rejected(self):
         data = np.zeros((2, 16))
