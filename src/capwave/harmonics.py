@@ -228,6 +228,11 @@ class SphereGrid:
 
     Exact for spherical polynomials of degree <= exact_degree. Nodes are
     unit directions ordered colatitude-major; weights include radius^2.
+    The transforms read Legendre rows on the northern half of the
+    colatitude axis only, so ct must be mirrored about the equator bit for
+    bit, np.array_equal(ct, -ct[::-1]), as sphere_grid builds it; a grid
+    built otherwise raises ValueError in synthesize, analyze,
+    vector_synthesize and vector_analyze.
     """
 
     radius: float
@@ -299,7 +304,15 @@ def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
 
 
 def _rotation_from_north(center: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking e3 to the unit vector center."""
+    """Rotation matrix taking e3 to the unit vector center.
+
+    The axis-angle formula leaves r r^T - I as large as 1.8e-15 for
+    centres south of the equator (5.6e-16 north of it; 20,000 random
+    centres). A cap's nodes are its polar twin's times this matrix, while
+    its frame (_cap_frame) can only turn by a true rotation, so at degree
+    110 that gap alone cost synthesis on the cap up to half a digit. One
+    Newton-Schulz step takes the largest entry of r r^T - I to 4.4e-16.
+    """
     c = np.asarray(center, dtype=float)
     norm = np.linalg.norm(c)
     if norm == 0:
@@ -319,7 +332,8 @@ def _rotation_from_north(center: np.ndarray) -> np.ndarray:
         [axis[2], 0.0, -axis[0]],
         [-axis[1], axis[0], 0.0],
     ])
-    return np.eye(3) + s * K + (1.0 - cz) * (K @ K)
+    r = np.eye(3) + s * K + (1.0 - cz) * (K @ K)
+    return r @ (3.0 * np.eye(3) - r.T @ r) / 2.0
 
 
 def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGrid:
@@ -437,7 +451,13 @@ def _quarter_turn_group(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def _quarter_turns(data: np.ndarray, inverse: bool) -> np.ndarray:
-    """J_n (or J_n^T) applied to every degree n >= 1 of flat coefficients."""
+    """J_n (or J_n^T) applied to every degree n >= 1 of flat coefficients.
+    The fields of a stack take their matrix products one at a time: one
+    product broadcast over them is slower than a loop, and its bits could
+    depend on the stack."""
+    if data.ndim > 1:
+        flat = data.reshape(-1, data.shape[-1])
+        return np.stack([_quarter_turns(f, inverse) for f in flat]).reshape(data.shape)
     n_max = math.isqrt(data.shape[-1]) - 1
     ext = np.concatenate([data, np.zeros(data.shape[:-1] + (1,))], axis=-1)
     out = ext.copy()  # degree 0 stays; padded rows land in the extra slot
@@ -476,7 +496,8 @@ def _turn_z(data: np.ndarray, angle: float) -> np.ndarray:
     n_max = math.isqrt(data.shape[-1]) - 1
     m, partner, sign = _turn_index(n_max)
     turn = np.arange(n_max + 1) * angle
-    return data * np.cos(turn)[m] + sign * np.sin(turn)[m] * data[..., partner]
+    # take, not data[..., partner]: the fancy index is ten times slower on a stack
+    return data * np.cos(turn)[m] + sign * np.sin(turn)[m] * np.take(data, partner, axis=-1)
 
 
 def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
@@ -489,6 +510,14 @@ def _cap_frame(data: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     the result is Z(gamma) J^T Z(beta) J Z(alpha) data, where Z(a) is
     _turn_z and J is _quarter_turn. The angles come from the matrix, so the
     half-turn south-pole frame works too; the identity returns data itself.
+    A stack of k fields costs no more than k fields turned alone, and each
+    field keeps the bits it has alone.
+
+    Synthesis through this turn is the least accurate grid path at high
+    degree: degree-110 fields on caps off the pole match an independent
+    quadrature to 1.5e-13 of their largest value (up to 1.13e-13 measured
+    at exactness 220, scalar and vector), against 1.4e-14 on the polar cap
+    and about 2e-14 at the same nodes taken as loose points.
     """
     r = np.asarray(rotation, dtype=float)
     alpha = math.atan2(r[1, 2], r[0, 2])
@@ -541,7 +570,7 @@ def _recurrence_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return factors
 
 
-def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray):
+def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray, cut: int | None = None):
     """Yield (lo, n0, tile) for consecutive tiles of the Legendre rows.
 
     tile[m - lo, n - n0, j] holds degree n of order m at point j of the
@@ -564,12 +593,15 @@ def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray):
     degree chunks, the last one reaching n_max. Every element takes the
     same floating-point operations whatever the tiling. Each tile is built
     only when it is asked for, so a consumer that folds tiles as they
-    arrive holds one at a time.
+    arrive holds one at a time. The width rule is applied at degree cut,
+    n_max unless given: a stored axis (_axis_tiles) fixes it, so that its
+    tiles of a lower degree are sub-blocks of those of a higher one.
     """
     ct, st = np.ravel(ct), np.ravel(st)
     sub, diag, a, b = _recurrence_factors(n_max | 63)  # one table per 64 degrees
-    chunk = _BLOCK_BUDGET // ((n_max + 1) * max(1, ct.size))
-    width, chunk = (n_max + 1, chunk) if chunk else (1, n_max + 1)
+    cut = n_max if cut is None else cut
+    chunk = _BLOCK_BUDGET // ((cut + 1) * max(1, ct.size))
+    width, chunk = (cut + 1, chunk) if chunk else (1, cut + 1)
     seed = np.full(ct.shape, _INV_SQRT_4PI)  # A_0^0, then B_m^m
     prev = prev2 = None  # rows of degrees n - 1 and n - 2 of the current range
     for lo in range(0, n_max + 1, width):
@@ -658,6 +690,93 @@ def _grid_azimuth(n_max: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cos_m[:n_max + 1], sin_m[:n_max + 1]
 
 
+# Half-axis Legendre tiles of the last sphere-grid axis used, keyed by
+# that axis (_axis_tiles)
+_AXIS_TILES: dict[bytes, tuple[int, tuple]] = {}
+
+
+def _axis_tiles(grid: SphereGrid, n_max: int) -> tuple:
+    """The (lo, n0, tile) triples of _legendre_blocks to degree n_max on the
+    northern half of a sphere grid's colatitude axis, ct[J // 2:] of its J
+    colatitudes (the equator included when J is odd).
+
+    Gauss nodes on a sphere grid are mirror images bit for bit, and so are
+    the rows: row(-t) = (-1)^(n+m) row(t), so these tiles serve the whole
+    axis (_range_sums, _fold_sums). A grid whose ct is not mirrored raises
+    ValueError. One entry is kept for the process, that of the last axis
+    used; another axis replaces it. It is built to the highest degree asked
+    so far on its axis, and a lower degree reads a sub-block of it, since
+    no recurrence factor depends on n_max. The tiles are cut as for degree
+    J - 1 whatever the degree, so the sub-block has the tiles and the bits
+    a fresh entry of that degree would have. Read-only. An entry of degree
+    N holds at most 4 ceil(J / 2) (N + 1)(N + c + 1) bytes, c the degrees
+    per tile: 3.26 MB for 111 colatitudes at degree 110. Nothing else
+    limits it, so it grows as J N^2: about 250 MB for a degree-500 grid,
+    held until another axis is used.
+    """
+    ct = grid.ct
+    if not np.array_equal(ct, -ct[::-1]):
+        raise ValueError("SphereGrid colatitudes must be mirrored about the "
+                         "equator (ct == -ct[::-1])")
+    key = ct.tobytes()
+    top, tiles = _AXIS_TILES.get(key, (-1, ()))
+    if top < n_max:
+        _AXIS_TILES.clear()
+        half = ct[ct.size // 2:]
+        st = np.sqrt(np.maximum(0.0, 1.0 - half * half))
+        top, tiles = n_max, tuple(_legendre_blocks(n_max, half, st, ct.size - 1))
+        for _, _, tile in tiles:
+            tile.flags.writeable = False
+        _AXIS_TILES[key] = top, tiles
+    return tuple((lo, n0, tile[:n_max + 1 - lo, :n_max + 1 - n0])
+                 for lo, n0, tile in tiles if n0 <= n_max)
+
+
+@functools.lru_cache(maxsize=8)
+def _mirror_signs(n_max: int) -> np.ndarray:
+    """(-1)^(n+m) in the [m, channel, n] layout of the slot tables, one
+    channel wide, memoized read-only."""
+    m = np.arange(n_max + 1)
+    signs = np.where((m[:, None, None] + m) % 2, -1.0, 1.0)
+    signs.flags.writeable = False
+    return signs
+
+
+def _unfold(amp: np.ndarray, size: int) -> np.ndarray:
+    """Amplitudes on a whole mirrored axis of size colatitudes from products
+    over its northern half: the first half of the channels (axis -2) holds
+    them there, the second at the mirror nodes."""
+    c, half = amp.shape[-2] // 2, amp.shape[-1]
+    south = amp[..., c:, ::-1][..., :size - half]
+    return np.concatenate([south, amp[..., :c, :]], axis=-1)
+
+
+def _fold_sums(cols: np.ndarray, tiles, n_max: int):
+    """Yield (tab, part) per tile of _axis_tiles, the transpose of
+    _range_sums: part[i, c, k] is the sum over the whole mirrored axis of
+    cols[lo + i, c, :] times the row of order lo + i and degree n0 + k,
+    and tab the tile's [orders, :, degrees] slice of an (order, channel,
+    degree) table. cols holds an analysis's columns, [order, channel,
+    colatitude] with the colatitudes ascending. They are folded onto the
+    northern half first, north + south for rows of even n + m and north -
+    south for odd ones, an equator node counted once, so each product runs
+    over the half axis only.
+    """
+    size, c = cols.shape[-1], cols.shape[-2]
+    half = (size + 1) // 2
+    south = cols[..., :size - half][..., ::-1]  # mirror of north[..., 2 half - size:]
+    folded = np.concatenate([cols[..., size - half:]] * 2, axis=-2)
+    folded[..., :c, 2 * half - size:] += south
+    folded[..., c:, 2 * half - size:] -= south
+    del cols, south  # a caller's temporary columns die here
+    odd = _mirror_signs(n_max) < 0
+    for lo, n0, tile in tiles:
+        w, d = tile.shape[:2]
+        tab = np.s_[lo:lo + w, :, n0:n0 + d]
+        part = folded[lo:lo + w] @ np.swapaxes(tile, -1, -2)
+        yield tab, np.where(odd[tab], part[:, c:], part[:, :c])
+
+
 def _product_axes(points):
     """(colatitude cosines, azimuths) of a grid's product rule, in the cap's
     own frame for a CapGrid, or None for loose directions."""
@@ -668,21 +787,24 @@ def _product_axes(points):
     return None
 
 
-def _synthesis(blocks, coeffs, points):
+def _synthesis(blocks, n_max: int, points):
     """Sum amplitudes over azimuth, on a product grid or at points.
 
-    blocks(coeffs, ct, st) yields (lo, a, b) for consecutive blocks of
-    orders, in ascending order: a and b have shape (..., w, P), the
-    amplitudes of orders m = lo..lo + w - 1 (leading axes over channels,
-    the last over the colatitudes), and the field is
+    blocks(ct, st, tiles, size=None) yields (lo, a, b) for consecutive
+    blocks of orders, in ascending order, from the (lo, n0, tile) triples
+    tiles of Legendre rows at ct (with size, those of _axis_tiles on the
+    northern half of a sphere grid's size colatitudes): a and b have shape
+    (..., w, P), the amplitudes of orders m = lo..lo + w - 1 (leading axes
+    over channels, the last over the colatitudes), and the field is
     sum_m a_m cos(m phi) + b_m sin(m phi). A grid needs the amplitudes only
     on its colatitude axis; it joins the blocks (at most n_max + 1 orders
     by its colatitudes) and sums them with one matrix product against the
     azimuth factors, sliced from the memoized table of its azimuth count
-    (_grid_azimuth). On a CapGrid both axes are in the cap's own frame, so
-    blocks must give the field turned into it (_cap_frame). At loose directions each
-    block is folded as it arrives, against cos(m phi) and sin(m phi) of its
-    own orders, so no more than one block of orders is held. Returns the
+    (_grid_azimuth). A SphereGrid reads its stored half axis; a CapGrid
+    streams fresh tiles, in the cap's own frame, so blocks must give the
+    field turned into it (_cap_frame). At loose directions each block is
+    folded as it arrives, against cos(m phi) and sin(m phi) of its own
+    orders, so no more than one block of orders is held. Returns the
     values (last axes over the grid's colatitudes and azimuths, or over the
     points) and (ct, st, cos phi, sin phi) broadcastable against them, in
     the frame the values were summed in.
@@ -692,17 +814,47 @@ def _synthesis(blocks, coeffs, points):
         ct, st, cp, sp = _direction_angles(_as_directions(points))
         phi = np.arctan2(sp, cp)
         vals = 0.0
-        for lo, a, b in blocks(coeffs, ct, st):
+        for lo, a, b in blocks(ct, st, _legendre_blocks(n_max, ct, st)):
             cos_m, sin_m = _azimuth(lo, lo + a.shape[-2], phi)
             vals = vals + (a * cos_m).sum(axis=-2) + (b * sin_m).sum(axis=-2)
         return vals, (ct, st, cp, sp)
     ct, phis = axes
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    _, a, b = zip(*blocks(coeffs, ct, st))
+    if isinstance(points, SphereGrid):
+        found = blocks(ct, st, _axis_tiles(points, n_max), ct.size)
+    else:
+        found = blocks(ct, st, _legendre_blocks(n_max, ct, st))
+    _, a, b = zip(*found)
     a, b = np.concatenate(a, axis=-2), np.concatenate(b, axis=-2)
-    cos_m, sin_m = _grid_azimuth(coeffs.n_max, phis)
+    cos_m, sin_m = _grid_azimuth(n_max, phis)
     vals = np.swapaxes(a, -1, -2) @ cos_m + np.swapaxes(b, -1, -2) @ sin_m
     return vals, (ct[:, None], st[:, None], np.cos(phis), np.sin(phis))
+
+
+def _range_sums(gather, n_max: int, tiles, size: int | None = None):
+    """Yield (lo, amp) once per range of orders of the tiles: amp[..., i,
+    c, j] is the sum over the range's tiles of gather(tab)[..., i, c, :] @
+    tile[i, :, j], one batched product per tile. gather takes the tile's
+    [orders, :, degrees] slice tab of an (order, channel, degree) table and
+    returns the coefficients in that layout, with the fields' leading axes.
+    With size, the tiles hold the northern half of a mirrored axis of size
+    colatitudes (_axis_tiles): each product also takes a copy of the
+    coefficients signed by (-1)^(n+m), which gives the amplitudes at the
+    mirror nodes, and amp covers the whole axis (_unfold).
+    """
+    signs = None if size is None else _mirror_signs(n_max)
+    for lo, n0, tile in tiles:
+        w, d = tile.shape[:2]
+        tab = np.s_[lo:lo + w, :, n0:n0 + d]
+        coeffs = gather(tab)
+        if signs is not None:
+            coeffs = np.concatenate([coeffs, coeffs * signs[tab]], axis=-2)
+        part = coeffs @ tile
+        if n0 > lo:  # a later chunk of the range: tiles only gain orders
+            part[..., :amp.shape[-3], :, :] += amp
+        amp = part
+        if n0 + d == n_max + 1:
+            yield lo, amp if size is None else _unfold(amp, size)
 
 
 @functools.lru_cache(maxsize=8)
@@ -724,32 +876,24 @@ def _scalar_slots(n_max: int) -> np.ndarray:
     return slots
 
 
-def _scalar_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, table=None):
+def _scalar_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, tiles, size=None):
     """Amplitude blocks of scalar fields for _synthesis and _cap_norms.
 
     data is flat coefficient data of degree n_max; a and b keep its leading
-    axes. Each tile of Legendre rows takes one batched product with the
-    coefficients gathered through _scalar_slots, giving the cos- and
-    sin-type amplitudes of its orders over its degrees at once; the
-    products of a range's tiles are summed, and once its last tile is in,
-    orders m >= 1 are multiplied by sqrt(2) sin(theta) and the range is
-    yielded. table, when given, holds the (lo, n0, tile) triples that
-    _legendre_blocks yields for n_max at ct, read instead of running the
-    recurrence.
+    axes. Each tile of Legendre rows in tiles takes one batched product
+    with the coefficients gathered through _scalar_slots, giving the cos-
+    and sin-type amplitudes of its orders over its degrees at once; the
+    products of a range's tiles are summed (_range_sums, where size is
+    explained), and once its last tile is in, orders m >= 1 are multiplied
+    by sqrt(2) sin(theta) on the whole axis and the range is yielded.
     """
     n_max = math.isqrt(data.shape[-1]) - 1
     padded = np.concatenate([data, np.zeros(data.shape[:-1] + (1,))], axis=-1)
     slots = _scalar_slots(n_max)
     scale = _SQRT2 * np.ravel(st)
-    for lo, n0, tile in _legendre_blocks(n_max, ct, st) if table is None else table:
-        w, d = tile.shape[:2]
-        part = padded[..., slots[lo:lo + w, :, n0:n0 + d]] @ tile
-        if n0 > lo:  # a later chunk of the range: tiles only gain orders
-            part[..., :amp.shape[-3], :, :] += amp
-        amp = part
-        if n0 + d == n_max + 1:
-            amp[..., 1 if lo == 0 else 0:, :, :] *= scale
-            yield lo, amp[..., 0, :], amp[..., 1, :]
+    for lo, amp in _range_sums(lambda tab: padded[..., slots[tab]], n_max, tiles, size):
+        amp[..., 1 if lo == 0 else 0:, :, :] *= scale
+        yield lo, amp[..., 0, :], amp[..., 1, :]
 
 
 @functools.lru_cache(maxsize=8)
@@ -789,33 +933,28 @@ def _vector_slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return slots, weights
 
 
-def _vector_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, table=None):
+def _vector_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, tiles, size=None):
     """Amplitude blocks of gradient fields for _synthesis and _cap_norms.
 
     data is a (..., 2, L) stack of type-1 and type-2 coefficients in the
     scalar flat layout; a and b are (..., 3, w, P), leading axes kept, then
     the radial, colatitude and azimuth channels. Each tile of Legendre rows
-    takes one batched product with the coefficients gathered and weighed
-    through _vector_slots, and the products of a range's tiles are summed.
-    Once its last tile is in, the radial channel of orders m >= 1 is
+    in tiles takes one batched product with the coefficients gathered and
+    weighed through _vector_slots, and the products of a range's tiles are
+    summed (_range_sums, where size is explained). Once its last tile is
+    in, on the whole axis, the radial channel of orders m >= 1 is
     multiplied by sin(theta), the colatitude channel is t (n d) plus the
     lower term, and order 0's is sin(theta) times channel 8 of order 1.
     Where ranges are one order wide, order 0 waits for order 1's range and
-    is yielded just before it. table is as for _scalar_blocks.
+    is yielded just before it.
     """
     n_max = math.isqrt(data.shape[-1]) - 1
     flat = data.reshape(data.shape[:-2] + (-1,))
     padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
     slots, weights = _vector_slots(n_max)
-    for lo, n0, tile in _legendre_blocks(n_max, ct, st) if table is None else table:
-        w, d = tile.shape[:2]
-        tab = np.s_[lo:lo + w, :, n0:n0 + d]
-        part = (padded[..., slots[tab]] * weights[tab]) @ tile
-        if n0 > lo:  # a later chunk of the range: tiles only gain orders
-            part[..., :amp.shape[-3], :, :] += amp
-        amp = part
-        if n0 + d <= n_max:
-            continue
+    for lo, amp in _range_sums(lambda tab: padded[..., slots[tab]] * weights[tab],
+                               n_max, tiles, size):
+        w = amp.shape[-3]
         amp = np.moveaxis(amp, -2, -3)  # (..., channel, order, point)
         amp[..., 0:2, 1 if lo == 0 else 0:, :] *= st
         amp[..., 2:4, :, :] *= ct
@@ -864,9 +1003,14 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     matrix product with the coefficients of its orders and degrees
     (_scalar_blocks). Grids evaluate the rows on their colatitude axis only,
     in tiles of every order and a chunk of degrees whose products are
-    summed, and sum the orders with one azimuth matrix product. A cap off
-    the pole does so in its own frame, on coefficients turned into it
-    degree by degree. At loose directions each range of orders is folded
+    summed, and sum the orders with one azimuth matrix product. A
+    SphereGrid reads the stored tiles of the northern half of its axis
+    (_axis_tiles), and one product per tile also gives the mirror nodes;
+    its ct must be mirrored (ValueError otherwise). A cap streams fresh
+    tiles; off the pole it does so in its own frame, on coefficients
+    turned into it degree by degree (_cap_frame), which holds degree-110
+    values to 1.5e-13 of the largest one there, against 1.4e-14 on the
+    polar cap. At loose directions each range of orders is folded
     against cos(m phi), sin(m phi) point by point once its last tile is
     in; large point sets take one order per range. A single direction gives a
     float, a grid one value per node. Points must be finite nonzero
@@ -874,7 +1018,7 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """
     data = (_cap_frame(coeffs.data, points.rotation) if isinstance(points, CapGrid)
             else coeffs.data)
-    vals, _ = _synthesis(lambda c, ct, st: _scalar_blocks(data, ct, st), coeffs, points)
+    vals, _ = _synthesis(functools.partial(_scalar_blocks, data), coeffs.n_max, points)
     out = np.reshape(vals / coeffs.radius, _leading_shape(points))
     return float(out) if out.ndim == 0 else out
 
@@ -885,10 +1029,13 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     Requires grid.exact_degree >= 2 * n_max so products of the field with any
     basis function of degree <= n_max integrate exactly when the field itself
     is bandlimited to n_max. The transpose of grid synthesis: azimuth sums
-    first, times sqrt(2) sin(theta) for orders m >= 1, then one batched
-    product of each tile of Legendre rows (every order, a chunk of degrees)
-    with the sums of its orders, scattered to the flat layout through
-    _scalar_slots[:, :, n0:n1].
+    first, times sqrt(2) sin(theta) for orders m >= 1, folded onto the
+    northern half of the axis as north + south and north - south
+    (_fold_sums), then one batched product of each stored half-axis tile of Legendre rows
+    (_axis_tiles: every order, a chunk of degrees) with the folded sums of
+    its orders, the sum kept for even n + m and the difference for odd,
+    scattered to the flat layout through _scalar_slots[:, :, n0:n1]. The
+    grid's ct must be mirrored (ValueError otherwise).
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("analyze needs samples on a SphereGrid")
@@ -899,15 +1046,15 @@ def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoeffi
     values = np.asarray(samples, dtype=float)
     if values.shape != (grid.n_nodes,):
         raise ValueError("samples must match the grid node count")
+    tiles = _axis_tiles(grid, n_max)
     tc, ts = _azimuth_sums(values.reshape(grid.ct.size, grid.phis.size), grid, n_max)
     st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    cols = np.stack([tc.T, ts.T], axis=-1)  # (order, colatitude, cos/sin)
-    cols[1:] *= (_SQRT2 * st)[:, None]
+    cols = np.stack([tc.T, ts.T], axis=1)  # (order, cos/sin, colatitude)
+    cols[1:] *= _SQRT2 * st
     slots = _scalar_slots(n_max)
     out = np.empty((n_max + 1) ** 2 + 1)
-    for lo, n0, tile in _legendre_blocks(n_max, grid.ct, st):
-        w, d = tile.shape[:2]
-        out[slots[lo:lo + w, :, n0:n0 + d]] = np.swapaxes(tile @ cols[lo:lo + w], -1, -2)
+    for tab, part in _fold_sums(cols, tiles, n_max):
+        out[slots[tab]] = part
     return HarmonicCoefficients(grid.radius, n_max, out[:-1])
 
 
@@ -918,17 +1065,19 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     Runs the tiled Legendre engine on the radial, colatitude and azimuth
     channels at once: each tile of rows takes one batched product with the
     coefficients of its orders and degrees (_vector_blocks), and grids sum
-    the orders with one azimuth matrix product. On a CapGrid both types
-    turn into the cap's own frame by the same per-degree rotation, since
-    each comes from Y_nk through a rotation-equivariant operator; the
-    vectors found there are mapped back with grid.rotation.
+    the orders with one azimuth matrix product. A SphereGrid reads the
+    stored tiles of the northern half of its axis, as in synthesize. On a
+    CapGrid both types turn into the cap's own frame by the same
+    per-degree rotation, since each comes from Y_nk through a
+    rotation-equivariant operator; the vectors found there are mapped back
+    with grid.rotation.
     """
     data = np.stack([coeffs.channel(1), coeffs.channel(2)])
     rotation = points.rotation if isinstance(points, CapGrid) else None
     if rotation is not None:
         data = _cap_frame(data, rotation)
     (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(
-        lambda c, ct, st: _vector_blocks(data, ct, st), coeffs, points)
+        functools.partial(_vector_blocks, data), coeffs.n_max, points)
     horiz = f_r * st + f_t * ct
     out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
                     f_r * ct - f_t * st], axis=-1)
@@ -966,9 +1115,11 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     polynomial degree more than the scalar harmonics, so products of a
     degree-n_max field with any basis function reach degree 2 n_max + 2.
     The exact transpose of vector_synthesize on the grid: azimuth sums of
-    the three spherical components, then one batched product of each tile
-    of Legendre rows with the columns of its orders, scatter-added through
-    the table that synthesis gathers through (_vector_slots).
+    the three spherical components, folded onto the northern half of the
+    axis as in analyze, then one batched product of each stored half-axis
+    tile of Legendre rows with the folded columns of its orders,
+    scatter-added through the table that synthesis gathers through
+    (_vector_slots). The grid's ct must be mirrored (ValueError otherwise).
     """
     if not isinstance(grid, SphereGrid):
         raise TypeError("vector_analyze needs samples on a SphereGrid")
@@ -979,15 +1130,12 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     values = np.asarray(samples, dtype=float)
     if values.shape != (grid.n_nodes, 3):
         raise ValueError("samples must be one 3-vector per grid node")
+    tiles = _axis_tiles(grid, n_max)
     st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    cols = _vector_columns(values, grid, n_max, st)
     slots, weights = _vector_slots(n_max)
     size = (n_max + 1) ** 2
     out = np.zeros(2 * size + 1)
-    for lo, n0, tile in _legendre_blocks(n_max, grid.ct, st):
-        w, d = tile.shape[:2]
-        tab = np.s_[lo:lo + w, :, n0:n0 + d]
-        part = cols[lo:lo + w] @ np.swapaxes(tile, -1, -2)
+    for tab, part in _fold_sums(_vector_columns(values, grid, n_max, st), tiles, n_max):
         out += np.bincount(slots[tab].ravel(), (weights[tab] * part).ravel(), out.size)
     return VectorCoefficients(grid.radius, n_max, np.concatenate([out[:size], out[size + 1:-1]]))
 
@@ -1019,14 +1167,16 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
     st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
     frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
     n_max = math.isqrt(frame.shape[-1]) - 1
-    if tiles is not None:
+    if tiles is None:
+        rows = _legendre_blocks(n_max, t, st)
+    else:
         key = (frame.shape[-1], cap_rho, exact_degree)
         if key not in tiles:
             tiles[key] = tuple(_legendre_blocks(n_max, t, st))
-        tiles = tiles[key]
+        rows = tiles[key]
     sums = np.zeros((frame.shape[0], t.size))
     blocks = _scalar_blocks if frame.ndim == 2 else _vector_blocks
-    for lo, a, b in blocks(frame, t, st, tiles):
+    for lo, a, b in blocks(frame, t, st, rows):
         for s, a_i, b_i in zip(sums, a, b):
             sq = a_i * a_i + b_i * b_i
             if lo == 0:

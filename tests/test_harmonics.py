@@ -1,5 +1,6 @@
 """Tests for spherical harmonics, grids, synthesis, and analysis."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,8 +16,11 @@ from capwave.harmonics import (
     CapGrid,
     HarmonicCoefficients,
     VectorCoefficients,
+    _axis_tiles,
+    _cap_frame,
     _cap_norms,
     _legendre_blocks,
+    _rotation_from_north,
     _padded,
     analyze,
     cap_grid,
@@ -271,12 +275,12 @@ def colatitudes(n_points, seed=0):
     return ct
 
 
-def tile_orders(n_max, ct, sin_t):
+def tile_orders(n_max, ct, blocks):
     """Yield (m, rows) for m = 0..n_max, rows[j] holding degree n = m + j,
-    joined from the tiles of _legendre_blocks once a range's last tile is
-    in, shaped (n_max + 1 - m,) + ct.shape."""
+    joined from the (lo, n0, tile) triples blocks of _legendre_blocks at ct
+    once a range's last tile is in, shaped (n_max + 1 - m,) + ct.shape."""
     tiles = []
-    for lo, n0, tile in _legendre_blocks(n_max, ct, sin_t):
+    for lo, n0, tile in blocks:
         tiles.append((n0, tile))
         if n0 + tile.shape[1] <= n_max:
             continue
@@ -289,7 +293,7 @@ def tile_orders(n_max, ct, sin_t):
 
 def assert_rows_match_oracle(n_max, ct):
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    pairs = zip(tile_orders(n_max, ct, sin_t),
+    pairs = zip(tile_orders(n_max, ct, _legendre_blocks(n_max, ct, sin_t)),
                 oracles.legendre_orders(n_max, ct, sin_t), strict=True)
     for (m, rows), (m_ref, ref) in pairs:
         assert m == m_ref
@@ -404,6 +408,128 @@ class TestLegendreTiles:
                                       ref[m][first - m:n0 + tile.shape[1] - m]), (m, n0)
 
 
+def mirrored(tiles, size):
+    """Full-axis tiles of a mirrored axis of size colatitudes from the
+    half-axis tiles of _axis_tiles: row(-t) = (-1)^(n+m) row(t)."""
+    for lo, n0, tile in tiles:
+        w, d, half = tile.shape
+        m, n = np.arange(lo, lo + w)[:, None, None], np.arange(n0, n0 + d)[:, None]
+        south = np.where((m + n) % 2, -1.0, 1.0) * tile[..., ::-1][..., :size - half]
+        yield lo, n0, np.concatenate([south, tile], axis=-1)
+
+
+class TestSphereGridAxis:
+    """Sphere grids read the Legendre rows of the northern half of their
+    colatitude axis from one stored, read-only entry, that of the last
+    axis used."""
+
+    R = 6371.2
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        harmonics._AXIS_TILES.clear()
+        yield
+        harmonics._AXIS_TILES.clear()
+
+    # 1, 2, 111 and 112 colatitudes: odd and even counts, with and
+    # without an equator node
+    @pytest.mark.parametrize("exact", [0, 2, 220, 222])
+    @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
+    def test_mirrored_half_axis_rows_match_oracle(self, exact, n_max):
+        g = sphere_grid(self.R, exact)
+        assert g.ct.size == {0: 1, 2: 2, 220: 111, 222: 112}[exact]
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - g.ct * g.ct))
+        rows = tile_orders(n_max, g.ct, mirrored(_axis_tiles(g, n_max), g.ct.size))
+        for (m, got), (m_ref, ref) in zip(rows, oracles.legendre_orders(n_max, g.ct, sin_t),
+                                          strict=True):
+            assert m == m_ref and np.array_equal(got, ref), f"order {m}"
+
+    def test_stored_and_fresh_tiles_same_bits(self):
+        # whatever degree the stored entry was built to, each transform
+        # gives the bits of a fresh entry of its own degree
+        rng = np.random.default_rng(21)
+        g = sphere_grid(self.R, 222)
+        c = {n: random_coeffs(rng, self.R, n) for n in (80, 110)}
+        v = {n: VectorCoefficients(self.R, n, rng.normal(size=2 * (n + 1) ** 2 - 1))
+             for n in (80, 110)}
+        scalar, vector = rng.normal(size=g.n_nodes), rng.normal(size=(g.n_nodes, 3))
+        calls = {}
+        for n in (80, 110):
+            calls[f"synthesize {n}"] = lambda n=n: synthesize(c[n], g)
+            calls[f"analyze {n}"] = lambda n=n: analyze(scalar, g, n).data
+            calls[f"vector_synthesize {n}"] = lambda n=n: vector_synthesize(v[n], g)
+            calls[f"vector_analyze {n}"] = lambda n=n: vector_analyze(vector, g, n).data
+        fresh = {}
+        for name, call in calls.items():
+            harmonics._AXIS_TILES.clear()
+            fresh[name] = call()
+        harmonics._AXIS_TILES.clear()
+        for name in list(calls) + list(calls)[::-1] + list(calls):
+            assert np.array_equal(calls[name](), fresh[name]), name
+        assert len(harmonics._AXIS_TILES) == 1
+
+    def test_entries_are_read_only(self):
+        g = sphere_grid(self.R, 60)
+        synthesize(random_coeffs(np.random.default_rng(22), self.R, 30), g)
+        analyze(np.ones(g.n_nodes), g, 20)
+        (top, tiles), = harmonics._AXIS_TILES.values()
+        assert top == 30 and tiles
+        for _, _, tile in tiles + _axis_tiles(g, 20):
+            assert not tile.flags.writeable
+            with pytest.raises(ValueError):
+                tile[0, 0, 0] = 1.0
+
+    def test_lower_degree_adds_no_entry(self):
+        g = sphere_grid(self.R, 220)
+        samples = synthesize(random_coeffs(np.random.default_rng(23), self.R, 110), g)
+        ((top, tiles),) = harmonics._AXIS_TILES.values()
+        assert top == 110
+        analyze(samples, g, 80)
+        ((top, after),) = harmonics._AXIS_TILES.values()
+        assert top == 110 and after is tiles
+
+    def test_another_axis_replaces_the_entry(self):
+        g, other = sphere_grid(self.R, 40), sphere_grid(self.R, 60)
+        c = random_coeffs(np.random.default_rng(25), self.R, 20)
+        expected = synthesize(c, g)
+        synthesize(c, other)
+        assert list(harmonics._AXIS_TILES) == [other.ct.tobytes()]
+        assert np.array_equal(synthesize(c, g), expected)
+        assert list(harmonics._AXIS_TILES) == [g.ct.tobytes()]
+
+    def test_stored_axis_size(self):
+        # 111 colatitudes at degree 110, as every recon-offcenter operation
+        # samples and analyzes: about 3.3 MB
+        g = sphere_grid(self.R, 220)
+        _axis_tiles(g, 110)  # memoized factor tables are built once
+        harmonics._AXIS_TILES.clear()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _axis_tiles(g, 110)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert 3.0e6 <= held <= 3.5e6
+
+    def test_axis_not_mirrored_rejected(self):
+        g = sphere_grid(self.R, 20)
+        ct = g.ct.copy()
+        ct[0] = math.nextafter(ct[0], 0.0)
+        bad = dataclasses.replace(g, ct=ct)
+        c = random_coeffs(np.random.default_rng(24), self.R, 10)
+        v = VectorCoefficients(self.R, 9, np.zeros(199))
+        calls = [lambda: synthesize(c, bad), lambda: analyze(np.ones(g.n_nodes), bad, 10),
+                 lambda: vector_synthesize(v, bad),
+                 lambda: vector_analyze(np.ones((g.n_nodes, 3)), bad, 9)]
+        for call in calls:
+            with pytest.raises(ValueError, match="mirrored"):
+                call()
+
+
 def assert_close_to(values, reference, rel=1e-13):
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(np.asarray(values) - reference)) <= rel * scale
@@ -415,8 +541,9 @@ class TestBlockFoldAgainstOracle:
 
     R = 6371.2
 
-    # degree 60 on its 61 colatitudes takes two blocks, of 35 and 26 orders
-    @pytest.mark.parametrize("n_max", [0, 12, 60])
+    # sphere grids read the rows of the northern half of their axis
+    # (_axis_tiles); degree 110 on its 111 colatitudes takes six degree chunks
+    @pytest.mark.parametrize("n_max", [0, 12, 60, 110])
     def test_synthesize_on_sphere_grid(self, n_max):
         c = random_coeffs(np.random.default_rng(n_max), self.R, n_max)
         g = sphere_grid(self.R, 2 * n_max)
@@ -429,6 +556,26 @@ class TestBlockFoldAgainstOracle:
         c = random_coeffs(np.random.default_rng(n_max + 1), self.R, n_max)
         g = cap_grid(self.R, center, 0.6, 2 * n_max)
         assert_close_to(synthesize(c, g), oracles.synthesis(c.data, self.R, g.nodes))
+
+    # degree 110 at exactness 220 off the pole, as recon-offcenter's caps:
+    # turning coefficients into the cap's frame (_cap_frame) leaves errors
+    # up to 1.13e-13 of the largest value over four fields (1.4e-14 on the
+    # polar cap), so these cases hold the stated limit of 1.5e-13
+    CAP_110 = 1.5e-13
+
+    @pytest.mark.parametrize("center", [[0.3, 0.4, 0.8], [-0.5, 0.2, -0.6]])
+    def test_synthesize_degree_110_on_off_pole_caps(self, center):
+        c = random_coeffs(np.random.default_rng(113), self.R, 110)
+        g = cap_grid(self.R, center, 0.6, 220)
+        assert_close_to(synthesize(c, g), oracles.synthesis(c.data, self.R, g.nodes),
+                        rel=self.CAP_110)
+
+    @pytest.mark.parametrize("center", [[0.3, 0.4, 0.8], [-0.5, 0.2, -0.6]])
+    def test_vector_synthesize_degree_110_on_off_pole_caps(self, center):
+        v = self.vector_coeffs(np.random.default_rng(113), 110)
+        g = cap_grid(self.R, center, 0.6, 220)
+        assert_close_to(vector_synthesize(v, g),
+                        oracles.vector_synthesis(v.data, self.R, g.nodes), rel=self.CAP_110)
 
     @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
     def test_synthesize_at_one_point(self, n_max):
@@ -447,7 +594,7 @@ class TestBlockFoldAgainstOracle:
         pts[0], pts[-1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
         assert_close_to(synthesize(c, pts), oracles.synthesis(c.data, self.R, pts))
 
-    @pytest.mark.parametrize("n_max", [0, 1, 12, 60])
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
     def test_analyze_on_sphere_grid(self, n_max):
         rng = np.random.default_rng(n_max + 4)
         g = sphere_grid(self.R, 2 * n_max + 3)
@@ -458,7 +605,6 @@ class TestBlockFoldAgainstOracle:
     def vector_coeffs(self, rng, n_max):
         return VectorCoefficients(self.R, n_max, rng.normal(size=2 * (n_max + 1) ** 2 - 1))
 
-    # degree 110 on its 112 colatitudes takes twelve degree chunks
     @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
     def test_vector_synthesize_on_sphere_grid(self, n_max):
         c = self.vector_coeffs(np.random.default_rng(n_max + 5), n_max)
@@ -560,6 +706,20 @@ class TestCapNorms:
                         for kw in ({}, {"tiles": tiles}):
                             alone = _cap_norms(row[None], center, rho, 2 * degree, **kw)
                             assert np.array_equal(alone, [norm])
+
+    def test_frame_of_a_stack_has_each_field_s_bits(self):
+        # two fields of one cap turn together in every recon-offcenter
+        # operation; each must keep the bits it has alone
+        rng = np.random.default_rng(6)
+        scalar = rng.normal(size=(3, 111 ** 2))
+        vector = rng.normal(size=(2, 2, 111 ** 2))
+        for center in ([0.3, 0.4, 0.8], [-0.5, 0.2, -0.6], [0.0, 0.0, -1.0]):
+            rotation = _rotation_from_north(center)
+            for stack in (scalar, vector):
+                turned = _cap_frame(stack, rotation)
+                assert turned.shape == stack.shape
+                for index in np.ndindex(stack.shape[:-1]):
+                    assert np.array_equal(turned[index], _cap_frame(stack[index], rotation))
 
     def test_zero_reference_rejected(self):
         data = np.zeros((2, 16))
