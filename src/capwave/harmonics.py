@@ -283,7 +283,11 @@ class CapGrid:
 
 
 def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
-    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2)."""
+    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2).
+
+    Every array of the grid is read-only (ct and ct_weights are those of
+    the memoized gauss_rule), so samples on it can keep their analysis.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if exact_degree < 0:
@@ -300,6 +304,8 @@ def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
     nodes[:, 1] = np.outer(st, sin_p).ravel()
     nodes[:, 2] = np.repeat(ct, n_phi)
     weights = np.repeat(cw, n_phi) * (2.0 * np.pi / n_phi) * radius * radius
+    for arr in (nodes, weights, phis):
+        arr.flags.writeable = False
     return SphereGrid(radius, exact_degree, nodes, weights, ct, cw, phis)
 
 

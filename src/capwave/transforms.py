@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class NoiseSpec:
             raise ValueError("noise_degree must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldSamples:
     """Point samples of a bandlimited field on a full-sphere rule.
 
@@ -158,20 +159,37 @@ class FieldSamples:
     coefficient containers do. degree declares the bandlimit of the sampled
     field so exactness preconditions can be checked; the caller is the
     authority on it.
+
+    Samples are immutable: values is a private read-only copy, so the
+    caller's array stays writeable and later writes to it do not reach the
+    samples, and the arrays of a sphere_grid are read-only too. A sample
+    set therefore keeps the result of its outer analysis
+    (_outer_coefficients): one entry, for the last kept degree asked.
     """
 
     grid: SphereGrid
     values: np.ndarray
     degree: int
+    _outer: tuple | None = field(default=None, init=False, repr=False, compare=False)
     case = "scalar"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        shape = (self.grid.n_nodes,) + ((3,) if self.case == "vector" else ())
-        if self.values.shape != shape:
-            raise ValueError(f"values must have shape {shape}, one per grid node")
-        if self.degree < 0:
+        if not isinstance(self.grid, SphereGrid):
+            raise TypeError("samples need a SphereGrid (a full-sphere rule), "
+                            f"not a {type(self.grid).__name__}")
+        try:
+            degree = operator.index(self.degree)
+        except TypeError:
+            raise TypeError(f"degree must be an integer, not {self.degree!r}") from None
+        if degree < 0:
             raise ValueError("degree must be >= 0")
+        values = np.array(self.values, dtype=float)
+        shape = (self.grid.n_nodes,) + ((3,) if self.case == "vector" else ())
+        if values.shape != shape:
+            raise ValueError(f"values must have shape {shape}, one per grid node")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "degree", degree)
 
 
 class VectorFieldSamples(FieldSamples):
@@ -207,6 +225,14 @@ def _check_case(pair: KernelPair, field) -> None:
                          f"geometry.case == {field.case!r}, not {pair.geometry.case!r}")
 
 
+def _check_radius(field, radius: float, name: str, symbol: str) -> None:
+    """Reject data that does not lie on the sphere the kernel pair expects
+    (within 1e-9 relative, as build_model checks a model file)."""
+    if not math.isclose(field.radius, radius, rel_tol=1e-9):
+        raise ValueError(f"{name} must lie at {symbol} = {radius:.17g}, "
+                         f"not at radius {field.radius:.17g}")
+
+
 # ---------------------------------------------------------------------------
 # continuation and transforms
 
@@ -233,12 +259,19 @@ def _outer_coefficients(f1, n_keep: int):
     degrees of the declared f1.degree are left zero. Products of the field
     with those basis functions reach degree n + f1.degree (+ 2 for
     gradient fields), which the grid must integrate exactly.
+
+    Samples are immutable, so each set keeps its analysis to the last n
+    asked, with read-only data, and analyzes again only for another n,
+    which then replaces it. Callers build new containers from it and never
+    write into it.
     """
     if isinstance(f1, (HarmonicCoefficients, VectorCoefficients)):
         return f1
     if not isinstance(f1, FieldSamples):
         raise TypeError("f1 must be FieldSamples or coefficients")
     n = min(n_keep, f1.degree)
+    if f1._outer is not None and f1._outer[0] == n:
+        return f1._outer[1]
     need = n + f1.degree + _extra_exactness(f1)
     if f1.grid.exact_degree < need:
         raise ValueError(
@@ -250,6 +283,8 @@ def _outer_coefficients(f1, n_keep: int):
     head, start = (n + 1) ** 2, (f1.degree + 1) ** 2
     out.data[:head] = kept.data[:head]
     out.data[start : start + kept.data.size - head] = kept.data[head:]  # type 2
+    out.data.flags.writeable = False
+    object.__setattr__(f1, "_outer", (n, out))
     return out
 
 
@@ -257,10 +292,12 @@ def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
     """Regularized downward continuation of outer-sphere data.
 
     f1 is either FieldSamples on a grid at radius R (the native input) or
-    coefficients at R. The coefficients of degree n <= N are multiplied by
-    the scaling symbols phi(n), which for bandlimited data equals
-    integrating the zonal scaling kernel against the samples (the
-    node-wise form the tests keep as their oracle).
+    coefficients at R; data at another radius raises ValueError. The
+    coefficients of degree n <= N are multiplied by the scaling symbols
+    phi(n), which for bandlimited data equals integrating the zonal scaling
+    kernel against the samples (the node-wise form the tests keep as their
+    oracle). A sample set is analyzed once for every call with the same
+    min(N, degree), however many points or calls follow.
     """
     out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, pair.geometry.N))
     return _synthesize(out, points)
@@ -269,6 +306,7 @@ def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
 def _scaling_spectral_coefficients(pair: KernelPair, f1):
     """Coefficient-space action of the scaling transform, output at radius r."""
     _check_case(pair, f1)
+    _check_radius(f1, pair.geometry.R, "outer data f1", "R")
     g = pair.geometry
     n_keep = min(g.N, f1.n_max)
     factors = np.zeros(f1.n_max + 1)
@@ -330,6 +368,7 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     is exact. On the full-sphere cap mu_n = psi_tilde(n).
     """
     _check_case(pair, f2)
+    _check_radius(f2, pair.geometry.r, "ground data f2", "r")
     g = pair.geometry
     n_max = f2.n_max
     lam = wavelet_multipliers(pair, kernel_rho, n_max)
@@ -385,7 +424,9 @@ def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
     multipliers times the ground-data coefficients, per degree (and type,
     for a gradient field). Exact for bandlimited data. f1 may be
     FieldSamples (analyzed first, needing grid exactness >= min(N, degree)
-    + degree, + 2 for gradient fields) or coefficients at R.
+    + degree, + 2 for gradient fields) or coefficients at R. A sample set
+    keeps its analysis, so repeated calls with it analyze it once. f1 must
+    lie at R and f2 at r; data at another radius raises ValueError.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
     return _assemble(pair, f1, _cap_wavelet_coefficients(pair, f2, region.kernel_rho))

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import node_wise
-from capwave.harmonics import HarmonicCoefficients, VectorCoefficients, synthesize
+from capwave import transforms
+from capwave.harmonics import (
+    HarmonicCoefficients,
+    VectorCoefficients,
+    cap_grid,
+    sphere_grid,
+    synthesize,
+)
 from capwave.kernels import (
     Geometry,
     KernelPair,
@@ -16,9 +23,12 @@ from capwave.kernels import (
     shannon_reference_pair,
 )
 from capwave.transforms import (
+    FieldSamples,
     NoiseSpec,
     RegionSpec,
+    VectorFieldSamples,
     _check_evaluation,
+    _outer_coefficients,
     add_noise,
     approximate,
     approximate_coefficients,
@@ -468,19 +478,26 @@ def field_of_kind(case, radius=1.0, n_max=5):
     return HarmonicCoefficients(radius, n_max, rng.standard_normal((n_max + 1) ** 2))
 
 
-def pair_of_kind(case):
-    return shannon_reference_pair(Geometry(1.0, 1.3, 6, kappa=1.5, rho=0.5, case=case), 6)
+def pair_of_kind(case, N=6):
+    return shannon_reference_pair(Geometry(1.0, 1.3, N, kappa=1.5, rho=0.5, case=case), N)
+
+
+def at_outer(pair, f):
+    """f's coefficients on the outer sphere R, where outer data f1 lies."""
+    return type(f)(pair.geometry.R, f.n_max, f.data)
 
 
 KIND_REGION = RegionSpec(NORTH, 0.9, 0.4)
 CHAIN = {
-    "scaling_transform": lambda pair, f: scaling_transform(pair, f, np.array([NORTH])),
+    "scaling_transform":
+        lambda pair, f: scaling_transform(pair, at_outer(pair, f), np.array([NORTH])),
     "wavelet_transform_local":
         lambda pair, f: wavelet_transform_local(pair, f, NORTH, KIND_REGION),
     "approximate_coefficients":
-        lambda pair, f: approximate_coefficients(pair, f, f, KIND_REGION),
+        lambda pair, f: approximate_coefficients(pair, at_outer(pair, f), f, KIND_REGION),
     "approximate":
-        lambda pair, f: approximate(pair, f, f, KIND_REGION, np.array([NORTH])),
+        lambda pair, f: approximate(pair, at_outer(pair, f), f, KIND_REGION,
+                                    np.array([NORTH])),
 }
 
 
@@ -511,6 +528,189 @@ class TestFieldKind:
                        (field_of_kind(other), field_of_kind(case))):
             with pytest.raises(ValueError, match="kernel pair"):
                 approximate_coefficients(pair, f1, f2, KIND_REGION)
+
+
+OUTER_READERS = {
+    "scaling_transform": lambda pair, f1, f2: scaling_transform(pair, f1, np.array([NORTH])),
+    "approximate_coefficients":
+        lambda pair, f1, f2: approximate_coefficients(pair, f1, f2, KIND_REGION),
+    "approximate":
+        lambda pair, f1, f2: approximate(pair, f1, f2, KIND_REGION, np.array([NORTH])),
+}
+GROUND_READERS = {
+    "wavelet_transform_local":
+        lambda pair, f1, f2: wavelet_transform_local(pair, f2, NORTH, KIND_REGION),
+    "approximate_coefficients": OUTER_READERS["approximate_coefficients"],
+    "approximate": OUTER_READERS["approximate"],
+}
+
+
+class TestDataRadius:
+    """Outer data f1 must lie at R and ground data f2 at r."""
+
+    @pytest.mark.parametrize("name", OUTER_READERS)
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_outer_data_at_r_rejected(self, name, case):
+        inner = field_of_kind(case)
+        with pytest.raises(ValueError, match=r"outer data f1 must lie at R = 1\.3, "
+                                             r"not at radius 1$"):
+            OUTER_READERS[name](pair_of_kind(case), inner, inner)
+
+    @pytest.mark.parametrize("name", GROUND_READERS)
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_ground_data_at_R_rejected(self, name, case):
+        pair = pair_of_kind(case)
+        outer = at_outer(pair, field_of_kind(case))
+        with pytest.raises(ValueError, match=r"ground data f2 must lie at r = 1, "
+                                             r"not at radius 1\.3$"):
+            GROUND_READERS[name](pair, outer, outer)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_samples_on_a_grid_at_r_rejected(self, case):
+        pair = pair_of_kind(case)
+        samples = field_samples(field_of_kind(case), 12)
+        with pytest.raises(ValueError, match="outer data f1 must lie at R"):
+            scaling_transform(pair, samples, np.array([NORTH]))
+        with pytest.raises(ValueError, match="outer data f1 must lie at R"):
+            approximate_coefficients(pair, samples, field_of_kind(case), KIND_REGION)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_radii_within_rounding_accepted(self, case):
+        pair = pair_of_kind(case)
+        f = field_of_kind(case)
+        f1 = type(f)(1.3 * (1.0 + 1e-12), f.n_max, f.data)
+        f2 = type(f)(1.0 - 1e-12, f.n_max, f.data)
+        out = approximate_coefficients(pair, f1, f2, KIND_REGION)
+        assert out.radius == 1.0 and np.all(np.isfinite(out.data))
+
+
+class TestFieldSamplesConstruction:
+    def test_cap_grid_rejected(self):
+        grid = cap_grid(1.3, NORTH, 0.5, 10)
+        with pytest.raises(TypeError, match="SphereGrid"):
+            FieldSamples(grid, np.zeros(grid.n_nodes), 4)
+        with pytest.raises(TypeError, match="SphereGrid"):
+            VectorFieldSamples(grid, np.zeros((grid.n_nodes, 3)), 4)
+
+    @pytest.mark.parametrize("degree", [12.5, 12.0, "12", None])
+    def test_non_integer_degree_rejected(self, degree):
+        grid = sphere_grid(1.3, 30)
+        with pytest.raises(TypeError, match="degree must be an integer"):
+            FieldSamples(grid, np.zeros(grid.n_nodes), degree)
+
+    def test_numpy_integer_degree_accepted(self):
+        grid = sphere_grid(1.3, 30)
+        samples = FieldSamples(grid, np.zeros(grid.n_nodes), np.int64(12))
+        assert samples.degree == 12 and type(samples.degree) is int
+
+    def test_negative_degree_and_wrong_shape_rejected(self):
+        grid = sphere_grid(1.3, 10)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            FieldSamples(grid, np.zeros(grid.n_nodes), -1)
+        with pytest.raises(ValueError, match="one per grid node"):
+            FieldSamples(grid, np.zeros(grid.n_nodes + 1), 4)
+        with pytest.raises(ValueError, match="one per grid node"):
+            VectorFieldSamples(grid, np.zeros(grid.n_nodes), 4)
+
+
+def count_analyses(monkeypatch, case):
+    """Record the kept degree of every outer analysis the chain runs."""
+    name = "vector_analyze" if case == "vector" else "analyze"
+    original = getattr(transforms, name)
+    degrees = []
+
+    def counted(values, grid, n_max):
+        degrees.append(n_max)
+        return original(values, grid, n_max)
+
+    monkeypatch.setattr(transforms, name, counted)
+    return degrees
+
+
+class TestKeptOuterAnalysis:
+    """A sample set keeps its outer analysis: immutable samples, one entry."""
+
+    DEGREE = 8
+
+    def samples(self, case):
+        return field_samples(field_of_kind(case, 1.3, self.DEGREE), 2 * self.DEGREE + 2)
+
+    @staticmethod
+    def calls(pair, f1, f2):
+        pts = np.array([NORTH, (0.6, 0.0, 0.8)])
+        return [
+            approximate(pair, f1, f2, KIND_REGION, pts),
+            scaling_transform(pair, f1, pts),
+            approximate_coefficients(pair, f1, f2, KIND_REGION).data,
+            approximate(pair, f1, f2, KIND_REGION, pts[:1]),
+            scaling_transform(pair, f1, pts[1:]),
+        ]
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_five_calls_analyze_once(self, monkeypatch, case):
+        degrees = count_analyses(monkeypatch, case)
+        samples, f2 = self.samples(case), field_of_kind(case)
+        self.calls(pair_of_kind(case, 6), samples, f2)
+        assert degrees == [6]
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_results_equal_those_of_fresh_samples(self, case):
+        pair, f2 = pair_of_kind(case, 6), field_of_kind(case)
+        kept = self.samples(case)
+        first = self.calls(pair, kept, f2)
+        again = self.calls(pair, kept, f2)
+        fresh = self.calls(pair, self.samples(case), f2)
+        for a, b, c in zip(first, again, fresh):
+            assert np.array_equal(a, c) and np.array_equal(b, c)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_another_N_replaces_the_entry(self, monkeypatch, case):
+        degrees = count_analyses(monkeypatch, case)
+        samples, f2 = self.samples(case), field_of_kind(case)
+        wide, narrow = pair_of_kind(case, 6), pair_of_kind(case, 4)
+        before = approximate_coefficients(wide, samples, f2, KIND_REGION).data
+        other = approximate_coefficients(narrow, samples, f2, KIND_REGION).data
+        after = approximate_coefficients(wide, samples, f2, KIND_REGION).data
+        assert degrees == [6, 4, 6]
+        assert np.array_equal(before, after)
+        assert np.array_equal(
+            other, approximate_coefficients(narrow, self.samples(case), f2, KIND_REGION).data)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_samples_and_entry_are_read_only(self, case):
+        samples = self.samples(case)
+        entry = _outer_coefficients(samples, 6)
+        assert _outer_coefficients(samples, 6) is entry
+        with pytest.raises(ValueError, match="read-only"):
+            samples.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            entry.data[0] = 1.0
+        with pytest.raises(AttributeError):
+            samples.values = np.zeros_like(samples.values)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_callers_array_is_copied(self, case):
+        grid = sphere_grid(1.3, 2 * self.DEGREE + 2)
+        values = transforms._synthesize(field_of_kind(case, 1.3, self.DEGREE), grid)
+        original = values.copy()
+        kind = VectorFieldSamples if case == "vector" else FieldSamples
+        samples = kind(grid, values, self.DEGREE)
+        assert values.flags.writeable
+        values[:] = 0.0
+        assert np.array_equal(samples.values, original)
+        pair, f2 = pair_of_kind(case, 6), field_of_kind(case)
+        assert np.array_equal(
+            approximate_coefficients(pair, samples, f2, KIND_REGION).data,
+            approximate_coefficients(pair, kind(grid, original, self.DEGREE), f2,
+                                     KIND_REGION).data)
+
+    def test_sphere_grid_arrays_are_read_only(self):
+        grid = sphere_grid(1.3, 12)
+        for name in ("nodes", "weights", "ct", "ct_weights", "phis"):
+            arr = getattr(grid, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestNoiseMonotonicity:
