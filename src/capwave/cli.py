@@ -4,7 +4,9 @@ Config files are line-oriented `key = value` text. `#` starts a comment,
 blank lines are skipped, list values are whitespace-separated, and unknown
 or duplicate keys are hard errors, so a typo cannot silently fall back to a
 default. Exit codes: 0 on success, 2 for any configuration problem, 3 when
-the kernel optimization fails numerically.
+the kernel optimization fails numerically, 4 when the command itself
+rejects its inputs (a ValueError such as a model that is zero on the
+evaluation region).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from dataclasses import replace
 
 from .experiments import (
+    ConfigError,
     ExperimentConfig,
     build_model,
     export_spectra,
@@ -35,10 +38,6 @@ from .transforms import NoiseSpec, add_noise, approximate_coefficients, \
     relative_error, upward_continue
 
 __all__ = ["ConfigError", "parse_config", "load_config", "main"]
-
-
-class ConfigError(ValueError):
-    """Raised for malformed config text or inconsistent key values."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +269,10 @@ def main(argv=None) -> int:
             config = replace(config, seeds=(args.seed,))
         if args.out is not None:
             config = replace(config, out=args.out)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -278,8 +281,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,10 +18,12 @@ the file, since they would break that guarantee.
 
 Everything that depends only on the run is built once: the cap-exterior
 Gram, each method's kernel pair, localization ratio and wavelet multipliers,
-and the model's norm and Legendre tiles on the evaluation cap's rule. A
-row's wall_time_s therefore times only its own assembly and scoring. Each
-error equals relative_error's bit for bit, so it does not depend on this
-reuse.
+and the model's norm on the evaluation region. The region's norm operator
+(triangular factors per azimuthal order on its Gauss rule) is memoized by
+harmonics._cap_norms, so the run's first norm builds it and a repeated run
+in one process finds it built. A row's wall_time_s therefore times only its
+own assembly and scoring. Each error equals relative_error's bit for bit,
+so it does not depend on this reuse.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .transforms import (
 from .vector_field import load_vector_coefficients
 
 __all__ = [
+    "ConfigError",
     "ExperimentConfig",
     "ResultRow",
     "TABLE_COLUMNS",
@@ -82,6 +85,11 @@ _MODEL_STREAM = 2
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+class ConfigError(ValueError):
+    """Raised for malformed config text or inconsistent key values, and by
+    a run whose configuration it cannot carry out."""
 
 
 @dataclass(frozen=True)
@@ -237,9 +245,12 @@ def build_model(config: ExperimentConfig):
     if config.model_file:
         loader = (load_coefficients if config.case == "scalar"
                   else load_vector_coefficients)
-        model = loader(config.model_file)
+        try:
+            model = loader(config.model_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read model file: {exc}") from exc
         if not math.isclose(model.radius, config.r_km, rel_tol=1e-9):
-            raise ValueError(
+            raise ConfigError(
                 f"model file radius {model.radius} does not match r_km {config.r_km}"
             )
         return model
@@ -338,19 +349,19 @@ def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
 
 class _ErrorMeter:
     """relative_error(model, candidate, region) bit for bit, for many
-    candidates. The model's norm and the cap rule's Legendre tiles are kept
-    per scoring degree max(model degree, candidate degree): the run's, taken
-    at once so that a model zero on the region fails early, and the model's
-    own, which the candidates of noise-free cells keep."""
+    candidates. The model's norm is kept per scoring degree max(model
+    degree, candidate degree): the run's, taken at once so that a model
+    zero on the region fails early, and the model's own, which the
+    candidates of noise-free cells keep. The cap's norm operator is
+    memoized by _cap_norms itself."""
 
     def __init__(self, model, region: RegionSpec, max_degree: int):
-        self.model, self.region, self.tiles, self.dens = model, region, {}, {}
+        self.model, self.region, self.dens = model, region, {}
         self.dens[max_degree] = self._norm(self.model.data, max_degree, reference=True)
 
     def _norm(self, data, degree: int, reference=False) -> float:
         return _cap_norms(_padded(data, degree)[None], self.region.center_direction,
-                          self.region.eval_rho, 2 * degree, tiles=self.tiles,
-                          reference=reference)[0]
+                          self.region.eval_rho, 2 * degree, reference=reference)[0]
 
     def error(self, candidate: HarmonicCoefficients) -> float:
         degree = max(self.model.n_max, candidate.n_max)
@@ -364,7 +375,7 @@ def _sweep(config: ExperimentConfig) -> tuple:
     """What both tables share: the model, its upward-continued outer data,
     the error meter at the run's degree, and the columns of every row."""
     if config.case != "scalar":
-        raise ValueError("table sweeps cover scalar fields; run gradient-field "
+        raise ConfigError("table sweeps cover scalar fields; run gradient-field "
                          "reconstructions through the transforms chain directly")
     g = config.geometry
     model = build_model(config)

@@ -222,7 +222,16 @@ def sobolev_norm(coeffs: HarmonicCoefficients, s: float) -> float:
 # quadrature grids
 
 
-@dataclass
+def _freeze_arrays(grid, names: tuple[str, ...]) -> None:
+    """Give a frozen grid private read-only float copies of its arrays, so
+    neither a caller's array nor a write through the grid can change it."""
+    for name in names:
+        arr = np.array(getattr(grid, name), dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(grid, name, arr)
+
+
+@dataclass(frozen=True)
 class SphereGrid:
     """Gauss-colatitude x uniform-longitude product rule on a full sphere.
 
@@ -232,7 +241,9 @@ class SphereGrid:
     colatitude axis only, so ct must be mirrored about the equator bit for
     bit, np.array_equal(ct, -ct[::-1]), as sphere_grid builds it; a grid
     built otherwise raises ValueError in synthesize, analyze,
-    vector_synthesize and vector_analyze.
+    vector_synthesize and vector_analyze. A grid is immutable: it holds
+    private read-only copies of its arrays, so samples on it can keep
+    their analysis.
     """
 
     radius: float
@@ -243,6 +254,9 @@ class SphereGrid:
     ct_weights: np.ndarray
     phis: np.ndarray
 
+    def __post_init__(self):
+        _freeze_arrays(self, ("nodes", "weights", "ct", "ct_weights", "phis"))
+
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
@@ -251,7 +265,7 @@ class SphereGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapGrid:
     """Rotated product rule on the spherical cap 1 - center.xi <= cap_rho.
 
@@ -260,7 +274,8 @@ class CapGrid:
     azimuths in the cap's own frame. Weights include radius^2 and sum to
     the cap area 2 pi cap_rho radius^2. The nodes are those of the same
     rule at the north pole times rotation.T, in the same order, so every
-    cap is a product grid in its own frame.
+    cap is a product grid in its own frame. Immutable, with private
+    read-only copies of its arrays, as SphereGrid.
     """
 
     radius: float
@@ -274,6 +289,10 @@ class CapGrid:
     phis: np.ndarray
     rotation: np.ndarray      # maps the north-pole rule onto the cap
 
+    def __post_init__(self):
+        _freeze_arrays(self, ("center", "nodes", "weights", "t_nodes", "t_weights",
+                              "phis", "rotation"))
+
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
@@ -283,11 +302,7 @@ class CapGrid:
 
 
 def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
-    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2).
-
-    Every array of the grid is read-only (ct and ct_weights are those of
-    the memoized gauss_rule), so samples on it can keep their analysis.
-    """
+    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2)."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if exact_degree < 0:
@@ -304,8 +319,6 @@ def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
     nodes[:, 1] = np.outer(st, sin_p).ravel()
     nodes[:, 2] = np.repeat(ct, n_phi)
     weights = np.repeat(cw, n_phi) * (2.0 * np.pi / n_phi) * radius * radius
-    for arr in (nodes, weights, phis):
-        arr.flags.writeable = False
     return SphereGrid(radius, exact_degree, nodes, weights, ct, cw, phis)
 
 
@@ -601,7 +614,8 @@ def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray, cut: int | None
     only when it is asked for, so a consumer that folds tiles as they
     arrive holds one at a time. The width rule is applied at degree cut,
     n_max unless given: a stored axis (_axis_tiles) fixes it, so that its
-    tiles of a lower degree are sub-blocks of those of a higher one.
+    tiles of a lower degree are sub-blocks of those of a higher one, and
+    _cap_factor passes _BLOCK_BUDGET to take one order per tile.
     """
     ct, st = np.ravel(ct), np.ravel(st)
     sub, diag, a, b = _recurrence_factors(n_max | 63)  # one table per 64 degrees
@@ -883,7 +897,7 @@ def _scalar_slots(n_max: int) -> np.ndarray:
 
 
 def _scalar_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, tiles, size=None):
-    """Amplitude blocks of scalar fields for _synthesis and _cap_norms.
+    """Amplitude blocks of scalar fields for _synthesis.
 
     data is flat coefficient data of degree n_max; a and b keep its leading
     axes. Each tile of Legendre rows in tiles takes one batched product
@@ -940,7 +954,7 @@ def _vector_slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vector_blocks(data: np.ndarray, ct: np.ndarray, st: np.ndarray, tiles, size=None):
-    """Amplitude blocks of gradient fields for _synthesis and _cap_norms.
+    """Amplitude blocks of gradient fields for _synthesis.
 
     data is a (..., 2, L) stack of type-1 and type-2 coefficients in the
     scalar flat layout; a and b are (..., 3, w, P), leading axes kept, then
@@ -1153,42 +1167,143 @@ def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
-               tiles: dict | None = None, reference=False) -> list[float]:
-    """Squared L2 norms of the fields data[i] over the cap 1 - center.xi <= cap_rho.
+def _selected(slots: np.ndarray, weights: np.ndarray, columns: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+    """Node-by-coefficient block of one amplitude channel of one order: the
+    channel is sum_n weights[n] x[slots[n]] rows[n, j] at node j, and
+    column c of the block takes the coefficient x[columns[c]]. Each entry
+    is one weight times one row value, exactly."""
+    return rows.T @ (weights[:, None] * (slots[:, None] == columns))
 
-    Azimuthal Parseval in the cap's frame: sum_j w_j [2 pi a_0^2 + pi
-    sum_{m >= 1} (a_m^2 + b_m^2)](t_j) on cap_grid's Gauss rule in t; no
-    node is built. All fields (flat, one degree) turn into the frame in one
-    call. Scalar fields, data of shape (k, L), stream through
-    _scalar_blocks; gradient fields, (k, 2, L) stacks of their type-1 and
-    type-2 channels, through _vector_blocks and sum the squared radial,
-    colatitude and azimuth channels, since turning them into Cartesian
-    axes keeps pointwise norms. Both kinds read the same Legendre tiles,
-    which a tiles dict keeps across calls. Fields are reduced one at a time
-    in fixed shapes, so a norm's bits depend on neither batch nor tile
-    source. With reference, data[0] must not vanish on the cap.
+
+@functools.lru_cache(maxsize=4)
+def _triangles(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR indices and indptr, int32 and read-only, of square upper
+    triangles of the given sizes stacked on the diagonal, rows packed one
+    after another. Memoized, so caps of one field kind, degree and
+    exactness share them."""
+    # row g starts at column g and runs to the end of its block
+    ends = np.repeat(np.cumsum(sizes, dtype=np.int32), sizes)
+    starts = np.arange(ends.size, dtype=np.int32)
+    indptr = np.concatenate([[0], np.cumsum(ends - starts, dtype=np.int32)]).astype(np.int32)
+    indices = (np.arange(indptr[-1], dtype=np.int32)
+               - np.repeat(indptr[:-1] - starts, ends - starts))
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indices, indptr
+
+
+@functools.lru_cache(maxsize=4)
+def _cap_factor(case: str, n_max: int, cap_rho: float, exact_degree: int) -> tuple:
+    """The operator of _cap_norms for one field kind, degree, cap radius
+    and exactness: (op, gather). op is a square CSR matrix holding one
+    upper-triangular factor R per block on its diagonal, and gather[:, c]
+    the slots of the cos- and sin-type coefficients that column c takes.
+    With x the flat data of a field in the cap's frame and a zero appended
+    (a raveled (2, L) stack of type-1 and type-2 channels for a gradient
+    field), the squared norm over the cap is the sum of squares of
+    op @ x[gather[0]] and op @ x[gather[1]].
+
+    Per azimuthal order m, azimuthal Parseval on cap_grid's Gauss rule in t
+    makes the norm sum_j pi w_j c_m (a_m^2 + b_m^2)(t_j), c_0 = 2 and c_m =
+    1 otherwise, where a_m and b_m are the order's amplitudes (those of
+    _scalar_blocks or _vector_blocks) from its cos- and sin-type
+    coefficients. Both come from one node-by-coefficient matrix M_m with
+    sqrt(pi w_j c_m) folded into its rows, built from the order's Legendre
+    tile and the kind's slot table; the QR of M_m leaves an upper-triangular
+    R_m with ||R_m x|| = ||M_m x||, so a norm is a sum of squares and never
+    negative. The cos- and sin-type coefficients of an order share R_m as
+    two right-hand sides (sin of order 0 reads the pad slot). A gradient
+    field has two blocks per order. Its radial channel reads type 1 only,
+    with M_m that of a scalar field times sin(theta) on the reduced rows.
+    The colatitude and azimuth channels read type 2 only; the azimuth
+    channel swaps cos and sin coefficients and flips one sign, which leaves
+    the quadratic form, so one R_m of the stacked [colatitude; azimuth]
+    matrix serves both. Type 2 of order 0 reads the order-1 tile
+    (_vector_blocks' channel 8).
+
+    The triangles hold about (n_max + 1)^3 / 6 doubles, 1.9 MB for a
+    scalar field of degree 110 and 3.7 MB for a gradient field, and their
+    int32 column indices half as much again, shared by the caps of one
+    kind, degree and exactness (_triangles). Tiles come one order at a
+    time and die once factored, and each factor is written straight into
+    op's data. Memoized read-only for the last 4 operators used: a table's
+    sweep and a reconstruction's data and evaluation caps reuse theirs.
     """
     t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)
     st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    root = np.sqrt(math.pi * tw)
+    pad = (n_max + 1) ** 2 * (1 if case == "scalar" else 2)
+    # block sizes in the order the loop below builds them: per order m the
+    # scalar or radial block of degrees m..n_max, then for a gradient field
+    # type 2's (order 0's, of degrees 1..n_max, comes with order 1's)
+    sizes = []
+    for m in range(n_max + 1):
+        sizes += [n_max + 1 - m]
+        if case == "vector" and m >= 1:
+            sizes += [n_max] * (m == 1) + [n_max + 1 - m]
+    indices, indptr = _triangles(tuple(sizes))
+    data, starts, gather = np.empty(indptr[-1]), np.cumsum([0] + sizes), []
+
+    def factor(matrix, cos_slots, sin_slots):
+        k, c = matrix.shape[1], starts[len(gather)]
+        r = np.zeros((k, k))  # zero rows below a rule of fewer nodes than degrees
+        r[:min(matrix.shape)] = np.linalg.qr(matrix, mode="r")
+        data[indptr[c]:indptr[c + k]] = r[np.triu_indices(k)]
+        gather.append(np.stack([cos_slots, sin_slots]))
+
+    # a cut this high overflows _BLOCK_BUDGET at every size, so each tile
+    # is one order m with all its degrees n = m..n_max
+    for m, _, tile in _legendre_blocks(n_max, t, st, _BLOCK_BUDGET):
+        rows = tile[0]
+        parseval = (root * (_SQRT2 if m == 0 else 1.0))[:, None]
+        if case == "scalar":
+            slots = _scalar_slots(n_max)[m, :, m:]
+            factor(rows.T * parseval * (1.0 if m == 0 else _SQRT2 * st[:, None]),
+                   slots[0], slots[1])
+            continue
+        slots, weights = (s[m, :, m:] for s in _vector_slots(n_max))
+        radial = _selected(slots[0], weights[0], slots[0], rows)
+        factor(radial * parseval * (1.0 if m == 0 else st[:, None]), slots[0], slots[1])
+        if m == 1:  # type 2 of order 0: its colatitude channel, sin(theta) B_n^1
+            colat = _selected(slots[8], weights[8], slots[8], rows) * st[:, None]
+            factor(colat * (root * _SQRT2)[:, None], slots[8], np.full(slots[8].size, pad))
+        if m >= 1:
+            colat = (_selected(slots[2], weights[2], slots[2], rows) * t[:, None]
+                     + _selected(slots[6], weights[6], slots[2], rows))
+            azimuth = _selected(slots[5], weights[5], slots[2], rows)
+            factor(np.concatenate([colat, azimuth]) * np.tile(root, 2)[:, None],
+                   slots[2], slots[3])
+    data.flags.writeable = False
+    gather = np.concatenate(gather, axis=1).astype(np.int32)
+    gather.flags.writeable = False
+    from scipy import sparse  # only cap norms need it, and it takes about 1 MB
+
+    return sparse.csr_array((data, indices, indptr), shape=(gather.shape[1],) * 2), gather
+
+
+def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int, *,
+               reference=False) -> list[float]:
+    """Squared L2 norms of the fields data[i] over the cap 1 - center.xi <= cap_rho.
+
+    All fields (flat, one degree) turn into the cap's frame in one call,
+    and each norm is then a sum of squares of the memoized triangular
+    factors of _cap_factor applied to the field's coefficients; no node
+    and no Legendre tile is built per call. Scalar fields are data of shape
+    (k, L); gradient fields (k, 2, L) stacks of their type-1 and type-2
+    channels, whose norm sums the squared radial, colatitude and azimuth
+    channels, since turning them into Cartesian axes keeps pointwise
+    norms. Fields are reduced one at a time in fixed shapes, so a norm's
+    bits depend neither on its batch nor on whether its operator was
+    memoized or fresh. With reference, data[0] must not vanish on the cap.
+    """
     frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
     n_max = math.isqrt(frame.shape[-1]) - 1
-    if tiles is None:
-        rows = _legendre_blocks(n_max, t, st)
-    else:
-        key = (frame.shape[-1], cap_rho, exact_degree)
-        if key not in tiles:
-            tiles[key] = tuple(_legendre_blocks(n_max, t, st))
-        rows = tiles[key]
-    sums = np.zeros((frame.shape[0], t.size))
-    blocks = _scalar_blocks if frame.ndim == 2 else _vector_blocks
-    for lo, a, b in blocks(frame, t, st, rows):
-        for s, a_i, b_i in zip(sums, a, b):
-            sq = a_i * a_i + b_i * b_i
-            if lo == 0:
-                sq[..., 0, :] *= 2.0
-            s += sq.reshape(-1, t.size).sum(axis=0)
-    norms = [math.pi * float(np.dot(s, tw)) for s in sums]
+    op, gather = _cap_factor("scalar" if frame.ndim == 2 else "vector",
+                             n_max, cap_rho, exact_degree)
+    norms = []
+    for f in frame.reshape(frame.shape[0], -1):
+        cos, sin = (op @ x for x in np.append(f, 0.0)[gather])
+        norms.append(float(np.sum(cos * cos) + np.sum(sin * sin)))
     if reference and not (norms[0] > 0.0 and math.isfinite(norms[0])):
         raise ValueError("reference field is zero on the cap")
     return norms

@@ -12,7 +12,7 @@ import pytest
 import capwave
 from capwave.cli import ConfigError, load_config, main, parse_config
 from capwave.experiments import read_spectra
-from capwave.harmonics import load_coefficients
+from capwave.harmonics import HarmonicCoefficients, load_coefficients, save_coefficients
 from capwave.kernels import NumericalFailure, gram_scalar, tsvd_symbols
 
 TINY = """
@@ -134,6 +134,52 @@ class TestExitCodes:
                      "--out", str(tmp_path / "pair.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_command_error_is_4_not_a_config_error(self, tiny_cfg, tmp_path,
+                                                   monkeypatch, capsys):
+        # a numerical ValueError from the command is not the config's fault
+        import capwave.cli as cli
+
+        def zero_model(config):
+            return HarmonicCoefficients(config.r_km, config.model_degree)
+
+        monkeypatch.setattr(cli, "build_model", zero_model)
+        code = main(["approximate", str(tiny_cfg), "--out", str(tmp_path / "u.txt")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "reference field is zero on the cap" in err
+        assert "config error" not in err
+
+    @pytest.mark.parametrize("command", ["table", "tsvd-table"])
+    def test_vector_case_table_is_2(self, tmp_path, capsys, command):
+        path = tmp_path / "vector.cfg"
+        path.write_text(TINY.replace("case = scalar", "case = vector"))
+        assert main([command, str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: table sweeps cover scalar")
+
+    @pytest.mark.parametrize("command", ["approximate", "table"])
+    def test_model_file_at_wrong_radius_is_2(self, tmp_path, capsys, command):
+        model = tmp_path / "model.txt"
+        save_coefficients(HarmonicCoefficients(1.0, 2), model)
+        path = tmp_path / "file.cfg"
+        path.write_text(TINY + f"model_file = {model}\n")
+        assert main([command, str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model file radius 1.0 does not match")
+
+    @pytest.mark.parametrize("text", ["# radius_km=6371.2 n_max=2\n0 1 x\n", None])
+    def test_unreadable_model_file_is_2(self, tmp_path, capsys, text):
+        model = tmp_path / "model.txt"
+        if text is not None:
+            model.write_text(text)
+        path = tmp_path / "file.cfg"
+        path.write_text(TINY + f"model_file = {model}\n")
+        assert main(["table", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read model file")
+
+    def test_bad_override_is_2(self, tiny_cfg, capsys):
+        assert main(["table", str(tiny_cfg), "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: out must name an output file\n"
 
     def test_multi_value_weights_rejected_for_optimize(self, tmp_path, capsys):
         path = tmp_path / "two.cfg"

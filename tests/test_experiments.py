@@ -19,7 +19,7 @@ from capwave.experiments import (
     write_table,
     _tsvd_apply,
 )
-from capwave.harmonics import HarmonicCoefficients, save_coefficients
+from capwave.harmonics import HarmonicCoefficients, _cap_factor, save_coefficients
 from capwave.kernels import (
     Geometry,
     NumericalFailure,
@@ -250,6 +250,22 @@ class TestRunTable:
         write_table(run_table(cfg), a)
         write_table(run_table(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_bytes_from_cold_and_warm_norm_operator(self, tmp_path):
+        # the evaluation cap's norm operator is memoized across runs: a run
+        # that builds it and one that finds it built write the same bytes
+        cfg = reduced_config(epsilon1=(0.0, 0.01), gamma=(2.0,), seeds=(3,),
+                             beta=(1.0,), alpha_tilde=(100.0,), alpha_ratio=(1.0,))
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        _cap_factor.cache_clear()
+        write_table(run_table(cfg), cold)
+        built = _cap_factor.cache_info().misses
+        write_table(run_table(cfg), warm)
+        # the data cap's for noise, and the evaluation cap's at the run's
+        # degree and at the model's, which noise-free cells score at
+        assert built == 3
+        assert _cap_factor.cache_info().misses == built
+        assert cold.read_bytes() == warm.read_bytes()
 
     def test_sweep_order_does_not_change_values(self, tmp_path):
         cfg = tiny_config(epsilon1=(0.05, 0.0), seeds=(1, 0),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
+import node_wise
 import oracles
 from capwave import harmonics
 from capwave.harmonics import (
@@ -18,6 +19,7 @@ from capwave.harmonics import (
     VectorCoefficients,
     _axis_tiles,
     _cap_frame,
+    _cap_factor,
     _cap_norms,
     _legendre_blocks,
     _rotation_from_north,
@@ -682,30 +684,54 @@ class TestVectorTransformMemory:
 
 class TestCapNorms:
     def test_same_bits_alone_batched_stored_fresh(self):
-        # degree 110 at exactness 220 spans several degree chunks; a norm
-        # must not depend on its batch or on where its tiles come from, and
-        # scalar and gradient fields (type-1 and type-2 stacks) of one
-        # degree share the stored tiles of a cap
+        # degree 110 at exactness 220 spans every order's factor; a norm
+        # must not depend on its batch or on whether the cap's operator
+        # was memoized or built afresh, for scalar and gradient fields
+        # (type-1 and type-2 stacks) alike
         rng = np.random.default_rng(5)
         for degree, lower in ((12, 7), (110, 80)):
             caps = [([0.0, 0.0, 1.0], 0.6), (random_unit(rng), 0.6), ([0.0, 0.0, -1.0], 1.3)]
             for center, rho in caps:
-                tiles = {}
                 scalar = np.stack([_padded(rng.normal(size=(n + 1) ** 2), degree)
                                    for n in (degree, lower, degree)])
                 vector = np.stack([_padded(rng.normal(size=(2, (n + 1) ** 2)), degree)
                                    for n in (degree, lower, degree)])
                 vector[:, 1, 0] = 0.0  # type 2 starts at degree 1
                 for data in (scalar, vector):
-                    batched = _cap_norms(data, center, rho, 2 * degree)
-                    kept = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
-                    stored = _cap_norms(data, center, rho, 2 * degree, tiles=tiles)
-                    assert np.array_equal(batched, kept) and np.array_equal(batched, stored)
-                    assert len(tiles) == 1
-                    for row, norm in zip(data, batched):
-                        for kw in ({}, {"tiles": tiles}):
-                            alone = _cap_norms(row[None], center, rho, 2 * degree, **kw)
-                            assert np.array_equal(alone, [norm])
+                    _cap_factor.cache_clear()
+                    fresh = _cap_norms(data, center, rho, 2 * degree)
+                    stored = _cap_norms(data, center, rho, 2 * degree)
+                    assert _cap_factor.cache_info().hits == 1
+                    assert np.array_equal(fresh, stored)
+                    for row, norm in zip(data, fresh):
+                        alone = _cap_norms(row[None], center, rho, 2 * degree)
+                        assert np.array_equal(alone, [norm])
+
+    @pytest.mark.parametrize("center, rho", [([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5),
+                                             ([0.0, 0.0, -1.0], 1.3), ([-0.5, 0.2, -0.6], 2.0)])
+    def test_degree_110_matches_node_wise(self, center, rho):
+        # polar, off-pole, south-pole and full-sphere caps at full scale
+        rng = np.random.default_rng(7)
+        c = HarmonicCoefficients(6371.2, 110, rng.normal(size=111 ** 2))
+        v = VectorCoefficients(6371.2, 110, rng.normal(size=2 * 111 ** 2 - 1))
+        (scalar,) = _cap_norms(c.data[None], center, rho, 220)
+        (vector,) = _cap_norms(np.stack([v.channel(1), v.channel(2)])[None], center, rho, 222)
+        assert math.isclose(scalar, node_wise.cap_norm(c, cap_grid(6371.2, center, rho, 220)),
+                            rel_tol=1e-13)
+        assert math.isclose(vector, node_wise.cap_norm(v, cap_grid(6371.2, center, rho, 222)),
+                            rel_tol=1e-13)
+
+    def test_operator_memory_at_degree_110(self):
+        # one triangular factor per order, shared by cos and sin: about
+        # (N + 1)^3 / 6 doubles and int32 indices for a scalar field, twice
+        # that for a gradient field (radial and tangential parts)
+        sizes = {}
+        for case, exactness in (("scalar", 220), ("vector", 222)):
+            op, gather = _cap_factor(case, 110, 0.5, exactness)
+            arrays = (op.data, op.indices, op.indptr, gather)
+            assert not any(arr.flags.writeable for arr in arrays)
+            sizes[case] = sum(arr.nbytes for arr in arrays)
+        assert sizes["scalar"] <= 3e6 and sizes["vector"] <= 4 * sizes["scalar"]
 
     def test_frame_of_a_stack_has_each_field_s_bits(self):
         # two fields of one cap turn together in every recon-offcenter

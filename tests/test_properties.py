@@ -278,6 +278,16 @@ class TestCapNorms:
         assert math.isclose(norm, oracle, rel_tol=1e-13)
 
     @PROPERTY
+    @given(n_max=degrees, radius=radii, seed=seeds, center=centers(),
+           cap_rho=st.just(2.0) | st.floats(0.05, 2.0))
+    def test_vector_norm(self, n_max, radius, seed, center, cap_rho):
+        v = vector_field(radius, n_max, seed)
+        data = np.stack([v.channel(1), v.channel(2)])
+        (norm,) = _cap_norms(data[None], center, cap_rho, 2 * n_max + 2)
+        oracle = node_wise.cap_norm(v, cap_grid(radius, center, cap_rho, 2 * n_max + 2))
+        assert math.isclose(norm, oracle, rel_tol=1e-13)
+
+    @PROPERTY
     @given(n_ref=degrees, n_approx=degrees, radius=radii, seed=seeds, region=regions())
     def test_scalar_relative_error(self, n_ref, n_approx, radius, seed, region):
         ref = scalar_field(radius, n_ref, seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import node_wise
 from capwave import transforms
 from capwave.harmonics import (
     HarmonicCoefficients,
+    SphereGrid,
     VectorCoefficients,
     cap_grid,
     sphere_grid,
@@ -711,6 +713,35 @@ class TestKeptOuterAnalysis:
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    def test_hand_built_grid_cannot_go_stale(self):
+        # a grid built by hand from writeable arrays used to keep them, so
+        # doubling its ct_weights left samples with a stale kept analysis
+        made = sphere_grid(1.3, 20)
+        arrays = {name: getattr(made, name).copy()
+                  for name in ("nodes", "weights", "ct", "ct_weights", "phis")}
+        grid = SphereGrid(made.radius, made.exact_degree, **arrays)
+        samples = FieldSamples(grid, synthesize(field_of_kind("scalar", 1.3, 8), grid), 8)
+        pair = pair_of_kind("scalar", 6)
+        before = scaling_transform(pair, samples, np.array([NORTH]))
+        with pytest.raises(ValueError, match="read-only"):
+            grid.ct_weights *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.ct_weights = arrays["ct_weights"] * 2.0
+        arrays["ct_weights"] *= 2.0  # the caller's array was copied
+        assert np.array_equal(grid.ct_weights, made.ct_weights)
+        assert np.array_equal(scaling_transform(pair, samples, np.array([NORTH])), before)
+        fresh = FieldSamples(grid, samples.values, 8)
+        assert np.array_equal(scaling_transform(pair, fresh, np.array([NORTH])), before)
+
+    def test_cap_grid_is_frozen_with_read_only_arrays(self):
+        grid = cap_grid(1.3, (0.3, 0.4, 0.8), 0.5, 12)
+        for name in ("center", "nodes", "weights", "t_nodes", "t_weights", "phis",
+                     "rotation"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.cap_rho = 1.0
 
 
 class TestNoiseMonotonicity:
