@@ -17,13 +17,14 @@ timings are kept on the in-memory rows for diagnostics but never written to
 the file, since they would break that guarantee.
 
 Everything that depends only on the run is built once: the cap-exterior
-Gram, each method's kernel pair, localization ratio and wavelet multipliers,
-and the model's norm on the evaluation region. The region's norm operator
-(triangular factors per azimuthal order on its Gauss rule) is memoized by
-harmonics._cap_norms, so the run's first norm builds it and a repeated run
-in one process finds it built. A row's wall_time_s therefore times only its
-own assembly and scoring. Each error equals relative_error's bit for bit,
-so it does not depend on this reuse.
+Gram, each method's kernel pair, localization ratio and wavelet multipliers.
+Rows are scored by relative_error itself. Process memos keep the rest: the
+Gram (kernels._gram_for), each cap's norm operator (triangular factors per
+azimuthal order on its Gauss rule, harmonics._cap_factor) and the model's
+norm on each cap, kept by the model's content (harmonics._kept_cap_norm).
+The run's first norms build them and a repeated run in one process finds
+them built, so a row's wall_time_s times only its own assembly and
+scoring. None of this reuse changes a bit of any error.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import numpy as np
 from .harmonics import (
     HarmonicCoefficients,
     VectorCoefficients,
-    _cap_norms,
-    _padded,
     load_coefficients,
 )
 from .kernels import (
@@ -48,7 +47,7 @@ from .kernels import (
     KernelPair,
     NumericalFailure,
     PenaltyWeights,
-    gram_scalar,
+    _gram_for,
     localization_ratio,
     optimize,
     shannon_reference_pair,
@@ -59,6 +58,7 @@ from .transforms import (
     RegionSpec,
     _assemble,
     add_noise,
+    relative_error,
     upward_continue,
     wavelet_multipliers,
 )
@@ -307,7 +307,7 @@ def _run_gram(geometry: Geometry) -> GramMatrix:
         size = geometry.kN + 1
         return GramMatrix(geometry.kN, geometry.rho, geometry.case,
                           np.zeros((size, size)))
-    return gram_scalar(geometry.kN, geometry.rho)
+    return _gram_for(geometry.case, geometry.kN, geometry.rho)
 
 
 def _scored_method(tag: str, pair: KernelPair, gram: GramMatrix,
@@ -347,43 +347,23 @@ def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
             for M in config.shannon_degrees]
 
 
-class _ErrorMeter:
-    """relative_error(model, candidate, region) bit for bit, for many
-    candidates. The model's norm is kept per scoring degree max(model
-    degree, candidate degree): the run's, taken at once so that a model
-    zero on the region fails early, and the model's own, which the
-    candidates of noise-free cells keep. The cap's norm operator is
-    memoized by _cap_norms itself."""
-
-    def __init__(self, model, region: RegionSpec, max_degree: int):
-        self.model, self.region, self.dens = model, region, {}
-        self.dens[max_degree] = self._norm(self.model.data, max_degree, reference=True)
-
-    def _norm(self, data, degree: int, reference=False) -> float:
-        return _cap_norms(_padded(data, degree)[None], self.region.center_direction,
-                          self.region.eval_rho, 2 * degree, reference=reference)[0]
-
-    def error(self, candidate: HarmonicCoefficients) -> float:
-        degree = max(self.model.n_max, candidate.n_max)
-        if degree not in self.dens:
-            self.dens[degree] = self._norm(self.model.data, degree, reference=True)
-        diff = _padded(candidate.data, degree) - _padded(self.model.data, degree)
-        return math.sqrt(self._norm(diff, degree) / self.dens[degree])
-
-
 def _sweep(config: ExperimentConfig) -> tuple:
-    """What both tables share: the model, its upward-continued outer data,
-    the error meter at the run's degree, and the columns of every row."""
+    """What both tables share: the model, its upward-continued outer data
+    and the columns of every row. A model that is zero on the evaluation
+    region fails here, before any row: the relative error of the zero
+    field at the run's degree raises for it, and otherwise keeps the
+    model's norm there for the rows."""
     if config.case != "scalar":
         raise ConfigError("table sweeps cover scalar fields; run gradient-field "
                          "reconstructions through the transforms chain directly")
     g = config.geometry
     model = build_model(config)
-    meter = _ErrorMeter(model, config.region, max(model.n_max, config.noise_degree))
+    degree = max(model.n_max, config.noise_degree)
+    relative_error(model, HarmonicCoefficients(model.radius, degree), config.region)
     common = dict(case=config.case, rho=g.rho, region_rho=config.region_rho,
                   scaling_degree=g.N, band_degree=g.kN,
                   model_degree=model.n_max, noise_degree=config.noise_degree)
-    return model, upward_continue(model, g.R), meter, common
+    return model, upward_continue(model, g.R), common
 
 
 def run_table(config: ExperimentConfig) -> list[ResultRow]:
@@ -396,7 +376,7 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     fails keeps its rows, carrying the failure message in the status column.
     """
     geometry, region = config.geometry, config.region
-    model, f1_clean, meter, common = _sweep(config)
+    model, f1_clean, common = _sweep(config)
     degree = max(model.n_max, config.noise_degree)
     gram = _run_gram(geometry)
     methods = (_optimized_methods(config, geometry, gram, degree)
@@ -417,7 +397,8 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
                             if lam.size != f2.n_max + 1:  # noise-free ground data
                                 lam = wavelet_multipliers(m.pair, region.kernel_rho,
                                                           f2.n_max)
-                            err = meter.error(_assemble(m.pair, f1, f2.scaled_by_degree(lam)))
+                            err = relative_error(
+                                model, _assemble(m.pair, f1, f2.scaled_by_degree(lam)), region)
                         except (ValueError, NumericalFailure) as exc:
                             status = f"evaluation-failure: {exc}"
                     rows.append(ResultRow(
@@ -437,7 +418,7 @@ def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
     list contributes one row per cell.
     """
     geometry = config.geometry
-    _, f1_clean, meter, common = _sweep(config)
+    model, f1_clean, common = _sweep(config)
     rows = []
     for eps1 in config.epsilon1:
         for seed in config.seeds:
@@ -445,7 +426,7 @@ def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
             f1 = add_noise(f1_clean, spec, "sphere")
             for M in config.tsvd_degrees:
                 start = time.perf_counter()
-                err = meter.error(_tsvd_apply(geometry, f1, M))
+                err = relative_error(model, _tsvd_apply(geometry, f1, M), config.region)
                 rows.append(ResultRow(
                     epsilon1=eps1, gamma=None, seed=seed, method=f"tsvd-{M}",
                     beta=None, alpha_tilde=None, alpha_ratio=None,

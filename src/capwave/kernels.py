@@ -12,6 +12,7 @@ positive-definite linear system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -187,14 +188,23 @@ class PenaltyWeights:
         return cls.uniform(geometry, level, level, beta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
-    """Gram matrix of kernel profiles over t in [-1, 1-rho]."""
+    """Gram matrix of kernel profiles over t in [-1, 1-rho].
+
+    Immutable: entries is a private read-only copy, so _gram_for can hand
+    one matrix to every caller of its arguments.
+    """
 
     n_max: int
     rho: float
     case: str
     entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.array(self.entries, dtype=float)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     def quadratic_form(self, coeffs: np.ndarray) -> float:
         c = np.asarray(coeffs, dtype=float)
@@ -268,8 +278,14 @@ def gram_vector(n_max: int, rho: float) -> GramMatrix:
     return GramMatrix(n_max, rho, "vector", g)
 
 
+@functools.lru_cache(maxsize=4)
 def _gram_for(case: str, n_max: int, rho: float) -> GramMatrix:
-    """The Gram builder of the field case: gram_scalar or gram_vector."""
+    """The Gram matrix of the field case, from gram_scalar or gram_vector.
+
+    Memoized for the last 4 argument triples: a noise study optimizes
+    every pair of one geometry against the same cap-exterior matrix, and
+    GramMatrix is immutable, so callers share it.
+    """
     builder = gram_scalar if case == "scalar" else gram_vector
     return builder(n_max, rho)
 
@@ -376,7 +392,9 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     with D1 = diag(alpha_n + beta/sigma_n^2), D2 = diag(alpha_tilde_n) and
     P* the Gram blocks, is symmetric positive definite, so a Cholesky solve
     applies. A factorization failure is raised as NumericalFailure, never
-    silently regularized.
+    silently regularized. Without gram, the geometry's cap-exterior Gram
+    comes from _gram_for's memo, so repeated solves for one geometry build
+    it once.
     """
     if gram is None:
         gram = _gram_for(geometry.case, geometry.kN, geometry.rho)

@@ -32,6 +32,7 @@ from .harmonics import (
     _as_directions,
     _cap_norms,
     _direction_angles,
+    _kept_cap_norm,
     _padded,
     _per_coefficient,
     cap_grid,
@@ -477,7 +478,9 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     norm_region selects both the matching norm and the noise level:
     "sphere" uses epsilon1 and the full-sphere L2 norm (outer data); a
     RegionSpec uses epsilon2 and the L2 norm over its data cap (ground
-    data), signal and noise in one harmonics._cap_norms pass. The noise
+    data): the signal's norm is kept by content (harmonics._kept_cap_norm),
+    since a noise study matches every draw to one unchanged signal, and
+    only the noise goes through harmonics._cap_norms. The noise
     field is reproducible per (seed, region kind). Scalar fields only:
     noise for gradient fields is ROADMAP item 3, and a gradient field
     raises ValueError.
@@ -505,9 +508,9 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
         signal_norm = coeffs.l2_norm()
         noise_norm = noise.l2_norm()
     else:
-        both = np.stack([_padded(coeffs.data, n_out), _padded(raw, n_out)])
-        signal_norm, noise_norm = map(math.sqrt, _cap_norms(
-            both, norm_region.center_direction, norm_region.data_rho, 2 * n_out))
+        cap = (norm_region.center_direction, norm_region.data_rho, 2 * n_out)
+        signal_norm = math.sqrt(_kept_cap_norm(_padded(coeffs.data, n_out), *cap))
+        noise_norm = math.sqrt(_cap_norms(_padded(raw, n_out)[None], *cap)[0])
     if noise_norm == 0.0:
         raise ValueError("degenerate noise draw with zero norm")
 
@@ -521,11 +524,13 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
 def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
     """L2 error over the evaluation region, relative to the reference norm.
 
-    u_approx - u_ref is formed in coefficient space at the larger degree D,
-    and it takes one harmonics._cap_norms pass with u_ref at exactness 2 D
-    (2 D + 2 for gradient fields, as channel stacks of both types). Both
-    fields must be of one kind on one sphere. A reference that is zero
-    there raises ValueError.
+    u_approx - u_ref is formed in coefficient space at the larger degree D
+    and takes one harmonics._cap_norms pass at exactness 2 D (2 D + 2 for
+    gradient fields, as channel stacks of both types). The reference's norm
+    is kept by content (harmonics._kept_cap_norm), since a study scores
+    many candidates against one unchanged reference. Both fields must be of
+    one kind on one sphere. A reference that is zero there raises
+    ValueError.
     """
     if u_ref.radius != u_approx.radius:
         raise ValueError("fields must live on the same sphere")
@@ -534,7 +539,8 @@ def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
     degree = max(u_ref.n_max, u_approx.n_max)
     ref, approx = (_padded(np.stack([u.channel(1), u.channel(2)]) if u.case == "vector"
                            else u.data, degree) for u in (u_ref, u_approx))
-    den, num = _cap_norms(np.stack([ref, approx - ref]), region.center_direction,
-                          region.eval_rho, 2 * degree + _extra_exactness(u_ref),
-                          reference=True)
-    return math.sqrt(num / den)
+    cap = (region.center_direction, region.eval_rho, 2 * degree + _extra_exactness(u_ref))
+    den = _kept_cap_norm(ref, *cap)
+    if not (den > 0.0 and math.isfinite(den)):
+        raise ValueError("reference field is zero on the cap")
+    return math.sqrt(_cap_norms((approx - ref)[None], *cap)[0] / den)

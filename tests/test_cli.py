@@ -151,6 +151,24 @@ class TestExitCodes:
         assert "config error" not in err
 
     @pytest.mark.parametrize("command", ["table", "tsvd-table"])
+    def test_zero_model_table_is_4_and_writes_nothing(self, tiny_cfg, tmp_path,
+                                                       monkeypatch, capsys, command):
+        # a sweep fails on a model that is zero on the evaluation region
+        # before it scores any row
+        import capwave.experiments as experiments
+
+        def zero_model(config):
+            return HarmonicCoefficients(config.r_km, config.model_degree)
+
+        monkeypatch.setattr(experiments, "build_model", zero_model)
+        out = tmp_path / "t.csv"
+        assert main([command, str(tiny_cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: reference field is zero on the cap\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["table", "tsvd-table"])
     def test_vector_case_table_is_2(self, tmp_path, capsys, command):
         path = tmp_path / "vector.cfg"
         path.write_text(TINY.replace("case = scalar", "case = vector"))

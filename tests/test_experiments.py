@@ -19,11 +19,17 @@ from capwave.experiments import (
     write_table,
     _tsvd_apply,
 )
-from capwave.harmonics import HarmonicCoefficients, _cap_factor, save_coefficients
+from capwave.harmonics import (
+    HarmonicCoefficients,
+    _cap_factor,
+    _cap_norm_by_content,
+    save_coefficients,
+)
 from capwave.kernels import (
     Geometry,
     NumericalFailure,
     PenaltyWeights,
+    _gram_for,
     optimize,
 )
 from capwave.transforms import (
@@ -252,19 +258,23 @@ class TestRunTable:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_bytes_from_cold_and_warm_norm_operator(self, tmp_path):
-        # the evaluation cap's norm operator is memoized across runs: a run
-        # that builds it and one that finds it built write the same bytes
+        # the caps' norm operators, the model's kept norms and the Gram are
+        # memoized across runs: a run that builds them and one that finds
+        # them built write the same bytes
         cfg = reduced_config(epsilon1=(0.0, 0.01), gamma=(2.0,), seeds=(3,),
                              beta=(1.0,), alpha_tilde=(100.0,), alpha_ratio=(1.0,))
         cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-        _cap_factor.cache_clear()
+        memos = (_cap_factor, _cap_norm_by_content, _gram_for)
+        for memo in memos:
+            memo.cache_clear()
         write_table(run_table(cfg), cold)
-        built = _cap_factor.cache_info().misses
+        built = [memo.cache_info().misses for memo in memos]
         write_table(run_table(cfg), warm)
         # the data cap's for noise, and the evaluation cap's at the run's
-        # degree and at the model's, which noise-free cells score at
-        assert built == 3
-        assert _cap_factor.cache_info().misses == built
+        # degree and at the model's, which noise-free cells score at; the
+        # model's norm on each of those; one Gram
+        assert built == [3, 3, 1]
+        assert [memo.cache_info().misses for memo in memos] == built
         assert cold.read_bytes() == warm.read_bytes()
 
     def test_sweep_order_does_not_change_values(self, tmp_path):

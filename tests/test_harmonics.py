@@ -21,6 +21,7 @@ from capwave.harmonics import (
     _cap_frame,
     _cap_factor,
     _cap_norms,
+    _kept_cap_norm,
     _legendre_blocks,
     _rotation_from_north,
     _padded,
@@ -35,6 +36,7 @@ from capwave.harmonics import (
     vector_synthesize,
     ynk,
 )
+from capwave.transforms import RegionSpec, relative_error
 
 
 def random_unit(rng, n=1):
@@ -747,11 +749,46 @@ class TestCapNorms:
                 for index in np.ndindex(stack.shape[:-1]):
                     assert np.array_equal(turned[index], _cap_frame(stack[index], rotation))
 
+    @pytest.mark.parametrize("center, rho", [([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5),
+                                             ([0.0, 0.0, -1.0], 1.3)])
+    def test_kept_norm_has_a_fresh_norm_s_bits(self, center, rho):
+        # polar, off-pole and south-pole caps, scalar and gradient fields:
+        # computed (cold), found by content (warm) or fresh, one norm
+        rng = np.random.default_rng(9)
+        scalar = rng.normal(size=111 ** 2)
+        vector = rng.normal(size=(2, 111 ** 2))
+        vector[1, 0] = 0.0
+        for data, exactness in ((scalar, 220), (vector, 222)):
+            harmonics._cap_norm_by_content.cache_clear()
+            fresh = _cap_norms(data[None], center, rho, exactness)[0]
+            cold = _kept_cap_norm(data, center, rho, exactness)
+            warm = _kept_cap_norm(data.copy(), tuple(center), rho, exactness)
+            assert harmonics._cap_norm_by_content.cache_info().hits == 1
+            assert np.array_equal([fresh, fresh], [cold, warm])
+
+    def test_kept_norm_keys_on_content_and_cap(self):
+        # another value, another cap centre or radius, another exactness:
+        # each is its own entry, and the norms differ
+        data = np.random.default_rng(4).normal(size=36)
+        changed = data.copy()
+        changed[7] += 1.0
+        harmonics._cap_norm_by_content.cache_clear()
+        norms = [_kept_cap_norm(data, [0.3, 0.4, 0.8], 0.5, 10),
+                 _kept_cap_norm(changed, [0.3, 0.4, 0.8], 0.5, 10),
+                 _kept_cap_norm(data, [0.0, 0.0, 1.0], 0.5, 10),
+                 _kept_cap_norm(data, [0.3, 0.4, 0.8], 0.7, 10),
+                 _kept_cap_norm(data, [0.3, 0.4, 0.8], 0.5, 12)]
+        assert harmonics._cap_norm_by_content.cache_info().misses == 5
+        assert len(set(norms[:4])) == 4
+        assert math.isclose(norms[4], norms[0], rel_tol=1e-13)
+
     def test_zero_reference_rejected(self):
         data = np.zeros((2, 16))
         data[1, 3] = 1.0
+        zero, other = (HarmonicCoefficients(1.0, 3, row) for row in data)
+        region = RegionSpec((0.3, 0.4, 0.8), 0.6, 0.1)  # evaluation cap radius 0.5
         with pytest.raises(ValueError, match="reference field is zero"):
-            _cap_norms(data, [0.3, 0.4, 0.8], 0.5, 6, reference=True)
+            relative_error(zero, other, region)
         assert _cap_norms(data, [0.3, 0.4, 0.8], 0.5, 6)[0] == 0.0
 
 

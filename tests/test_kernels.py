@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from capwave.kernels import (
     NumericalFailure,
     PenaltyWeights,
     SymbolSet,
+    _gram_for,
     full_interval_energy,
     functional_value,
     gram_scalar,
@@ -143,6 +145,45 @@ class TestGramVector:
             v = rng.standard_normal(n_max + 1)
             oracle = EIGHT_PI_SQ * float(v @ q @ v)
             assert g.quadratic_form(v) == pytest.approx(oracle, rel=1e-8)
+
+
+class TestGramMemo:
+    """One cap-exterior Gram per (case, degree, rho), shared read-only."""
+
+    @pytest.mark.parametrize("case, builder", [("scalar", gram_scalar), ("vector", gram_vector)])
+    def test_same_read_only_object_with_the_builder_s_bits(self, case, builder):
+        _gram_for.cache_clear()
+        first = _gram_for(case, 12, 0.5)
+        assert _gram_for(case, 12, 0.5) is first
+        assert np.array_equal(first.entries, builder(12, 0.5).entries)
+        assert not first.entries.flags.writeable
+        with pytest.raises(ValueError):
+            first.entries[0, 0] = 1.0
+
+    def test_fields_cannot_be_assigned(self):
+        gram = gram_scalar(5, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gram.entries = np.zeros((6, 6))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gram.rho = 0.4
+
+    def test_callers_array_is_copied(self):
+        entries = np.eye(3)
+        gram = GramMatrix(2, 0.5, "scalar", entries)
+        entries[0, 0] = 5.0
+        assert entries.flags.writeable and gram.entries[0, 0] == 1.0
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_optimize_same_bits_from_cold_and_warm_memo(self, case):
+        g = reduced_geometry(case)
+        w = PenaltyWeights.uniform(g, 10.0, 10.0, 0.1)
+        _gram_for.cache_clear()
+        cold = optimize(g, w)
+        warm = optimize(g, w)
+        assert _gram_for.cache_info().misses == 1
+        assert _gram_for.cache_info().hits == 1
+        for a, b in ((cold.phi, warm.phi), (cold.phi_tilde, warm.phi_tilde)):
+            assert np.array_equal(a.values, b.values)
 
 
 class TestKernelPair:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import node_wise
-from capwave import transforms
+from capwave import harmonics, transforms
 from capwave.harmonics import (
     HarmonicCoefficients,
     SphereGrid,
@@ -471,6 +471,92 @@ class TestRelativeError:
         for ref, approx in ((u, b), (b, u)):
             with pytest.raises(ValueError, match="cannot compare"):
                 relative_error(ref, approx, region)
+
+
+class TestKeptReferenceNorm:
+    """add_noise keeps the signal's norm and relative_error the reference's,
+    by content: each call norms only the field that changed."""
+
+    REGION = RegionSpec((0.3, 0.4, 0.8), 0.6, 0.5)
+
+    @staticmethod
+    def count_fields(monkeypatch):
+        """Fields per _cap_norms call, kept norms (harmonics) and others alike."""
+        fields = []
+        real = harmonics._cap_norms
+
+        def counted(data, *args):
+            fields.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(harmonics, "_cap_norms", counted)
+        monkeypatch.setattr(transforms, "_cap_norms", counted)
+        return fields
+
+    @staticmethod
+    def pair_of_fields(case, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 * 9 ** 2 - 1 if case == "vector" else 9 ** 2
+        cls = VectorCoefficients if case == "vector" else HarmonicCoefficients
+        return [cls(R_INNER, 8, rng.standard_normal(size)) for _ in range(2)]
+
+    def test_add_noise_norms_one_field_per_call(self, monkeypatch):
+        fields = self.count_fields(monkeypatch)
+        harmonics._cap_norm_by_content.cache_clear()
+        f = random_field(R_INNER, 8, 47)
+        add_noise(f, NoiseSpec(0.0, 0.1, noise_degree=10, seed=6), self.REGION)
+        assert fields == [1, 1]  # the signal, then the noise
+        add_noise(f, NoiseSpec(0.0, 0.2, noise_degree=10, seed=7), self.REGION)
+        assert fields == [1, 1, 1]  # the signal's norm is kept
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_relative_error_norms_one_field_per_call(self, monkeypatch, case):
+        fields = self.count_fields(monkeypatch)
+        harmonics._cap_norm_by_content.cache_clear()
+        u, v = self.pair_of_fields(case, 48)
+        relative_error(u, v, self.REGION)
+        assert fields == [1, 1]  # the reference, then the difference
+        relative_error(u, v.copy(), self.REGION)
+        relative_error(u.copy(), v, self.REGION)
+        assert fields == [1, 1, 1, 1]  # the reference's norm is kept
+
+    def test_add_noise_after_a_write_equals_a_cold_memo(self):
+        f = random_field(R_INNER, 8, 49)
+        spec = NoiseSpec(0.0, 0.1, noise_degree=10, seed=8)
+        before = add_noise(f, spec, self.REGION)
+        f.set_coeff(2, 3, 5.0)
+        warm = add_noise(f, spec, self.REGION)
+        harmonics._cap_norm_by_content.cache_clear()
+        assert np.array_equal(warm.data, add_noise(f, spec, self.REGION).data)
+        f.data[:] = 0.0
+        f.data[5] = 1.0
+        warm = add_noise(f, spec, self.REGION)
+        harmonics._cap_norm_by_content.cache_clear()
+        assert np.array_equal(warm.data, add_noise(f, spec, self.REGION).data)
+        assert not np.array_equal(before.data[9 ** 2:], warm.data[9 ** 2:])
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_relative_error_after_a_write_equals_a_cold_memo(self, case):
+        u, v = self.pair_of_fields(case, 50)
+        grid = self.REGION.eval_grid(R_INNER, 18)
+
+        def node_wise_error():
+            return math.sqrt(node_wise.cap_norm(v, grid, minus=u) / node_wise.cap_norm(u, grid))
+
+        relative_error(u, v, self.REGION)
+        u.data[3] *= 2.0
+        warm = relative_error(u, v, self.REGION)
+        harmonics._cap_norm_by_content.cache_clear()
+        assert warm == relative_error(u, v, self.REGION)
+        assert warm == pytest.approx(node_wise_error(), rel=1e-12)
+        if case == "vector":
+            u.set_coeff(2, 1, 1, 4.0)
+        else:
+            u.set_coeff(1, 1, 4.0)
+        warm = relative_error(u, v, self.REGION)
+        harmonics._cap_norm_by_content.cache_clear()
+        assert warm == relative_error(u, v, self.REGION)
+        assert warm == pytest.approx(node_wise_error(), rel=1e-12)
 
 
 def field_of_kind(case, radius=1.0, n_max=5):
