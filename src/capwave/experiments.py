@@ -259,14 +259,13 @@ def build_model(config: ExperimentConfig):
         np.random.Philox(key=[config.model_seed, _MODEL_STREAM]))
     d = config.model_degree
     degrees = np.repeat(np.arange(d + 1), 2 * np.arange(d + 1) + 1)
+    scale = 1.0 / np.maximum(degrees, 1)
     if config.case == "scalar":
-        scale = 1.0 / np.maximum(degrees, 1)
-        data = gen.standard_normal(degrees.size) * scale
-        return HarmonicCoefficients(config.r_km, d, data)
-    both = np.concatenate([degrees, degrees[1:]])
-    scale = 1.0 / np.maximum(both, 1)
-    data = gen.standard_normal(both.size) * scale
-    return VectorCoefficients(config.r_km, d, data)
+        return HarmonicCoefficients(config.r_km, d, gen.standard_normal(degrees.size) * scale)
+    # one draw per coefficient, type 1 and then type 2 from degree 1; the
+    # structural zero data[1, 0] takes none, so a seed keeps its model
+    data = np.insert(gen.standard_normal(2 * degrees.size - 1), degrees.size, 0.0)
+    return VectorCoefficients(config.r_km, d, data.reshape(2, -1) * scale)
 
 
 # ---------------------------------------------------------------------------

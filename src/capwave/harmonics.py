@@ -14,7 +14,11 @@ Conventions used throughout the package:
   surface factor, so ``weights @ values`` is the surface integral.
 - A gradient field restricted to a sphere splits into a radial pattern
   (type 1, xi times a scalar harmonic) and a tangential surface-gradient
-  pattern (type 2). Its synthesis and analysis use the reduced rows
+  pattern (type 2). Its coefficients are the (2, L) stack
+  data[i - 1, n^2 + k - 1] of VectorCoefficients: one row per type, each
+  in the scalar flat layout, with data[1, 0] zero since type 2 starts at
+  degree 1; the engine reads the stack as it is. Its synthesis and
+  analysis use the reduced rows
   B_n^m = A_n^m / sin(theta) for m >= 1, so every channel stays finite at
   the poles: the radial values are sin(theta) B_n^m, the colatitude
   derivative is n t B_n^m - e_nm B_{n-1}^m, the azimuthal one m B_n^m, and
@@ -60,33 +64,57 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
-class HarmonicCoefficients:
-    """Flat real coefficient store for a scalar field on a sphere.
-
-    data[n^2 + k - 1] holds c(n,k). The layout keeps whole degrees
-    contiguous so degree-wise multipliers are cheap slices. case names the
-    field kind with Geometry.case's values.
+class _Coefficients:
+    """What both coefficient containers share: a radius, a degree n_max and
+    data of shape channels + (L,), L = (n_max + 1)^2, each row in the flat
+    layout of HarmonicCoefficients. The Euclidean norm of data equals the
+    L2 surface norm of the field. case names the field kind with
+    Geometry.case's values.
     """
 
     radius: float
     n_max: int
     data: np.ndarray = field(default=None)
-    case = "scalar"
+    channels = ()
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        size = (self.n_max + 1) ** 2
+        shape = self.channels + ((self.n_max + 1) ** 2,)
         if self.data is None:
-            self.data = np.zeros(size)
+            self.data = np.zeros(shape)
         else:
             self.data = np.asarray(self.data, dtype=float)
-            if self.data.shape != (size,):
+            if self.data.shape != shape:
                 raise ValueError(
-                    f"data must have shape ({size},) for n_max={self.n_max}"
+                    f"data must have shape {shape} for n_max={self.n_max}"
                 )
+
+    def l2_norm(self) -> float:
+        """L2(sphere) norm of the represented field."""
+        return float(np.linalg.norm(self.data))
+
+    def copy(self):
+        return type(self)(self.radius, self.n_max, self.data.copy())
+
+    def scaled_by_degree(self, factors: np.ndarray, radius: float | None = None):
+        """New container with degree n (of every row) multiplied by factors[n]."""
+        return type(self)(
+            self.radius if radius is None else radius, self.n_max,
+            _per_coefficient(factors, self.n_max) * self.data,
+        )
+
+
+class HarmonicCoefficients(_Coefficients):
+    """Flat real coefficient store for a scalar field on a sphere.
+
+    data[n^2 + k - 1] holds c(n,k). The layout keeps whole degrees
+    contiguous so degree-wise multipliers are cheap slices.
+    """
+
+    case = "scalar"
 
     def coeff(self, n: int, k: int) -> float:
         self._check_index(n, k)
@@ -106,52 +134,26 @@ class HarmonicCoefficients:
         """View of the 2n+1 coefficients of degree n."""
         return self.data[n * n : (n + 1) * (n + 1)]
 
-    def l2_norm(self) -> float:
-        """L2(sphere) norm of the represented field."""
-        return float(np.linalg.norm(self.data))
 
-    def copy(self) -> "HarmonicCoefficients":
-        return HarmonicCoefficients(self.radius, self.n_max, self.data.copy())
+class VectorCoefficients(_Coefficients):
+    """Real coefficient store for a two-type vector field on a sphere.
 
-    def scaled_by_degree(self, factors: np.ndarray, radius: float | None = None) -> "HarmonicCoefficients":
-        """New container with degree n multiplied by factors[n]."""
-        return HarmonicCoefficients(
-            self.radius if radius is None else radius, self.n_max,
-            _per_coefficient(factors, self.n_max) * self.data,
-        )
-
-
-@dataclass
-class VectorCoefficients:
-    """Flat real coefficient store for a two-type vector field on a sphere.
-
-    Type 1 (radial pattern) occupies data[n^2 + k - 1] for n = 0..n_max;
-    type 2 (surface-gradient pattern) starts at degree 1 and occupies
-    data[(n_max+1)^2 + n^2 + k - 2]. The Euclidean norm of data equals the
-    L2 surface norm of the synthesized field.
+    data is the (2, L) stack the engine reads: data[i - 1, n^2 + k - 1]
+    holds c_i(n,k), type 1 (radial pattern) in row 0 and type 2
+    (surface-gradient pattern) in row 1, each in the scalar flat layout.
+    Type 2 starts at degree 1, so data[1, 0] is a structural zero, and
+    data with anything else there is rejected.
     """
 
-    radius: float
-    n_max: int
-    data: np.ndarray = field(default=None)
+    channels = (2,)
     case = "vector"
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        size = 2 * (self.n_max + 1) ** 2 - 1
-        if self.data is None:
-            self.data = np.zeros(size)
-        else:
-            self.data = np.asarray(self.data, dtype=float)
-            if self.data.shape != (size,):
-                raise ValueError(
-                    f"data must have shape ({size},) for n_max={self.n_max}"
-                )
+        super().__post_init__()
+        if self.data[1, 0] != 0.0:
+            raise ValueError("data[1, 0] must be 0: type 2 starts at degree 1")
 
-    def _index(self, i: int, n: int, k: int) -> int:
+    def _index(self, i: int, n: int, k: int) -> tuple[int, int]:
         if i not in (1, 2):
             raise ValueError("type i must be 1 or 2")
         lo = 0 if i == 1 else 1
@@ -159,46 +161,13 @@ class VectorCoefficients:
             raise ValueError(f"degree n={n} outside {lo}..{self.n_max} for type {i}")
         if not (1 <= k <= 2 * n + 1):
             raise ValueError(f"order k={k} outside 1..{2 * n + 1} for n={n}")
-        if i == 1:
-            return n * n + k - 1
-        return (self.n_max + 1) ** 2 + n * n + k - 2
+        return i - 1, n * n + k - 1
 
     def coeff(self, i: int, n: int, k: int) -> float:
         return float(self.data[self._index(i, n, k)])
 
     def set_coeff(self, i: int, n: int, k: int, value: float) -> None:
         self.data[self._index(i, n, k)] = value
-
-    def l2_norm(self) -> float:
-        """L2(sphere) norm of the represented field."""
-        return float(np.linalg.norm(self.data))
-
-    def copy(self) -> "VectorCoefficients":
-        return VectorCoefficients(self.radius, self.n_max, self.data.copy())
-
-    def channel(self, i: int) -> np.ndarray:
-        """Copy of one type's coefficients in the scalar flat layout.
-
-        Degree-0 of the returned array is zero for type 2 (that slot does
-        not exist in the vector basis).
-        """
-        size = (self.n_max + 1) ** 2
-        if i == 1:
-            return self.data[:size].copy()
-        if i == 2:
-            out = np.zeros(size)
-            out[1:] = self.data[size:]
-            return out
-        raise ValueError("type i must be 1 or 2")
-
-    def scaled_by_degree(self, factors: np.ndarray,
-                         radius: float | None = None) -> "VectorCoefficients":
-        """New container with degree n of both types multiplied by factors[n]."""
-        scale = _per_coefficient(factors, self.n_max)
-        return VectorCoefficients(
-            self.radius if radius is None else radius, self.n_max,
-            np.concatenate([scale, scale[1:]]) * self.data,
-        )
 
 
 def _per_coefficient(factors, n_max: int) -> np.ndarray:
@@ -652,10 +621,23 @@ def _direction_angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     the poles.
 
     points is an array of 3-vectors, each of which must be finite and
-    nonzero. The directions are normalized first: nodes of a rotated grid
-    miss unit length by a few ulps, and ct = z, st = hypot(x, y) taken from
-    them directly cost degree-110 values a digit.
+    nonzero. The directions are normalized first (_unit_directions): nodes
+    of a rotated grid miss unit length by a few ulps, and ct = z, st =
+    hypot(x, y) taken from them directly cost degree-110 values a digit.
     """
+    pts = _unit_directions(points)
+    ct = np.clip(pts[:, 2], -1.0, 1.0)
+    st = np.hypot(pts[:, 0], pts[:, 1])
+    safe = np.where(st > 0, st, 1.0)
+    cp = np.where(st > 0, pts[:, 0] / safe, 1.0)
+    sp = np.where(st > 0, pts[:, 1] / safe, 0.0)
+    return ct, st, cp, sp
+
+
+def _unit_directions(points) -> np.ndarray:
+    """points, an array of 3-vectors, as an (n, 3) array of unit vectors.
+    Raises ValueError before any norm divides unless every point is a
+    finite nonzero 3-vector."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (3,) or not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite nonzero 3-vectors")
@@ -663,13 +645,7 @@ def _direction_angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     norm = np.linalg.norm(pts, axis=-1, keepdims=True)
     if not np.all(norm > 0):
         raise ValueError("points must be finite nonzero 3-vectors")
-    pts = pts / norm
-    ct = np.clip(pts[:, 2], -1.0, 1.0)
-    st = np.hypot(pts[:, 0], pts[:, 1])
-    safe = np.where(st > 0, st, 1.0)
-    cp = np.where(st > 0, pts[:, 0] / safe, 1.0)
-    sp = np.where(st > 0, pts[:, 1] / safe, 0.0)
-    return ct, st, cp, sp
+    return pts / norm
 
 
 def _as_directions(points) -> np.ndarray:
@@ -922,15 +898,16 @@ def _vector_slots(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     in the layout of its Legendre tiles, [m, channel, n]: a channel's
     amplitude is the sum over n of weight * coefficient * row.
 
-    Slots index a (2, L) stack of the type-1 and type-2 channels, raveled,
-    L = (n_max + 1)^2, with a zero appended at 2L; pad slots are 2L and
-    weigh 0. With d = c2 / sqrt(n(n+1)) and orders m >= 1 weighed by
-    sqrt(2), the channels are: 0, 1 the type-1 cos and sin coefficients;
-    2, 3 n d; 4 m d_sin and 5 -m d_cos, the azimuth amplitudes; 6, 7
-    -e_{n+1,m} d_{n+1}, the lower term of the colatitude derivative with its
-    degree shift taken in coefficient space, so no tile reads another; 8,
-    on the order-1 rows B_n^1 only, -c2 of order 0, whose colatitude
-    derivative is -sqrt(n(n+1)) sin(theta) B_n^1. Memoized and read-only.
+    Slots index VectorCoefficients.data, the (2, L) stack of type-1 and
+    type-2 coefficients, raveled, L = (n_max + 1)^2, with a zero appended
+    at 2L; pad slots are 2L and weigh 0. With d = c2 / sqrt(n(n+1)) and
+    orders m >= 1 weighed by sqrt(2), the channels are: 0, 1 the type-1
+    cos and sin coefficients; 2, 3 n d; 4 m d_sin and 5 -m d_cos, the
+    azimuth amplitudes; 6, 7 -e_{n+1,m} d_{n+1}, the lower term of the
+    colatitude derivative with its degree shift taken in coefficient
+    space, so no tile reads another; 8, on the order-1 rows B_n^1 only,
+    -c2 of order 0, whose colatitude derivative is -sqrt(n(n+1))
+    sin(theta) B_n^1. Memoized and read-only.
     """
     size = (n_max + 1) ** 2
     pad = 2 * size
@@ -1092,7 +1069,7 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
     rotation-equivariant operator; the vectors found there are mapped back
     with grid.rotation.
     """
-    data = np.stack([coeffs.channel(1), coeffs.channel(2)])
+    data = coeffs.data
     rotation = points.rotation if isinstance(points, CapGrid) else None
     if rotation is not None:
         data = _cap_frame(data, rotation)
@@ -1157,7 +1134,7 @@ def vector_analyze(samples: np.ndarray, grid: SphereGrid,
     out = np.zeros(2 * size + 1)
     for tab, part in _fold_sums(_vector_columns(values, grid, n_max, st), tiles, n_max):
         out += np.bincount(slots[tab].ravel(), (weights[tab] * part).ravel(), out.size)
-    return VectorCoefficients(grid.radius, n_max, np.concatenate([out[:size], out[size + 1:-1]]))
+    return VectorCoefficients(grid.radius, n_max, out[:-1].reshape(2, size))
 
 
 def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
@@ -1198,10 +1175,10 @@ def _cap_factor(case: str, n_max: int, cap_rho: float, exact_degree: int) -> tup
     and exactness: (op, gather). op is a square CSR matrix holding one
     upper-triangular factor R per block on its diagonal, and gather[:, c]
     the slots of the cos- and sin-type coefficients that column c takes.
-    With x the flat data of a field in the cap's frame and a zero appended
-    (a raveled (2, L) stack of type-1 and type-2 channels for a gradient
-    field), the squared norm over the cap is the sum of squares of
-    op @ x[gather[0]] and op @ x[gather[1]].
+    With x a field's data in the cap's frame, raveled (a gradient field's
+    (2, L) stack row after row), and a zero appended, the squared norm
+    over the cap is the sum of squares of op @ x[gather[0]] and
+    op @ x[gather[1]].
 
     Per azimuthal order m, azimuthal Parseval on cap_grid's Gauss rule in t
     makes the norm sum_j pi w_j c_m (a_m^2 + b_m^2)(t_j), c_0 = 2 and c_m =
@@ -1287,13 +1264,14 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int) -> l
     All fields (flat, one degree) turn into the cap's frame in one call,
     and each norm is then a sum of squares of the memoized triangular
     factors of _cap_factor applied to the field's coefficients; no node
-    and no Legendre tile is built per call. Scalar fields are data of shape
-    (k, L); gradient fields (k, 2, L) stacks of their type-1 and type-2
-    channels, whose norm sums the squared radial, colatitude and azimuth
-    channels, since turning them into Cartesian axes keeps pointwise
-    norms. Fields are reduced one at a time in fixed shapes, so a norm's
-    bits depend neither on its batch nor on whether its operator was
-    memoized or fresh; a field that many calls share takes _kept_cap_norm.
+    and no Legendre tile is built per call. data[i] is the data of a
+    coefficient container: shape (L,) for a scalar field, the (2, L) stack
+    for a gradient field, whose norm sums the squared radial, colatitude
+    and azimuth channels, since turning them into Cartesian axes keeps
+    pointwise norms. Fields are reduced one at a time in fixed shapes, so
+    a norm's bits depend neither on its batch nor on whether its operator
+    was memoized or fresh; a field that many calls share takes
+    _kept_cap_norm.
     """
     frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
     n_max = math.isqrt(frame.shape[-1]) - 1
@@ -1346,15 +1324,18 @@ def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
                 fh.write(f"{n} {k} {coeffs.data[n * n + k - 1]:.17g}\n")
 
 
-def _read_coefficient_file(path, header: str, keys: tuple[str, ...],
+def _read_coefficient_file(path, kind, header: str, keys: tuple[str, ...],
                            columns: tuple[str, ...]):
     """Header fields and data lines of a coefficient text file.
 
-    header is the expected header line quoted in errors; keys are the
-    integer header fields besides radius_km; columns name the fields of a
-    data line, all integer indices except the final value. Returns
-    (radius, key values, [(line number, indices, value)]) skipping blank
-    and comment lines; malformed lines are reported with their number.
+    kind is the container class; header is the expected header line quoted
+    in errors; keys are the integer header fields besides radius_km and
+    n_max; columns name the fields of a data line, all integer indices
+    except the final value. Returns (a zero container of the header's
+    radius and n_max, key values, [(line number, indices, value)])
+    skipping blank and comment lines. Malformed lines, header values the
+    container rejects and repeated indices are reported with their line
+    number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -1369,15 +1350,19 @@ def _read_coefficient_file(path, header: str, keys: tuple[str, ...],
             raise ValueError(f"{path}: line 1: bad header token {token!r}")
         key, _, val = token.partition("=")
         fields[key] = val
-    names = ("radius_km",) + keys
+    names = ("radius_km", "n_max") + keys
     try:
         radius = float(fields["radius_km"])
-        values = tuple(int(fields[key]) for key in keys)
+        n_max, *values = (int(fields[key]) for key in names[1:])
     except (KeyError, ValueError) as exc:
         needs = ", ".join(names[:-1]) + " and " + names[-1]
         raise ValueError(f"{path}: line 1: header needs {needs}") from exc
+    try:
+        out = kind(radius, n_max)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from exc
 
-    rows = []
+    rows, seen = [], set()
     for idx, line in enumerate(lines[1:], start=2):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -1386,23 +1371,26 @@ def _read_coefficient_file(path, header: str, keys: tuple[str, ...],
         if len(parts) != len(columns):
             raise ValueError(f"{path}: line {idx}: expected `{' '.join(columns)}`")
         try:
-            rows.append((idx, tuple(int(p) for p in parts[:-1]), float(parts[-1])))
+            index, value = tuple(int(p) for p in parts[:-1]), float(parts[-1])
         except ValueError as exc:
             raise ValueError(f"{path}: line {idx}: unparsable entry") from exc
-    return radius, values, rows
+        if index in seen:
+            raise ValueError(f"{path}: line {idx}: duplicate entry")
+        seen.add(index)
+        rows.append((idx, index, value))
+    return out, tuple(values), rows
 
 
 def load_coefficients(path) -> HarmonicCoefficients:
     """Read the text format written by save_coefficients.
 
-    Missing (n, k) entries default to zero; malformed lines are reported
-    with their line number.
+    Missing (n, k) entries default to zero; malformed or repeated lines are
+    reported with their line number.
     """
-    radius, (n_max,), rows = _read_coefficient_file(
-        path, "# radius_km=... n_max=...", ("n_max",), ("n", "k", "value"))
-    out = HarmonicCoefficients(radius, n_max)
+    out, _, rows = _read_coefficient_file(
+        path, HarmonicCoefficients, "# radius_km=... n_max=...", (), ("n", "k", "value"))
     for idx, (n, k), value in rows:
-        if not (0 <= n <= n_max) or not (1 <= k <= 2 * n + 1):
+        if not (0 <= n <= out.n_max) or not (1 <= k <= 2 * n + 1):
             raise ValueError(f"{path}: line {idx}: index (n={n}, k={k}) out of range")
         out.data[n * n + k - 1] = value
     return out

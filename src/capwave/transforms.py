@@ -31,10 +31,10 @@ from .harmonics import (
     VectorCoefficients,
     _as_directions,
     _cap_norms,
-    _direction_angles,
     _kept_cap_norm,
     _padded,
     _per_coefficient,
+    _unit_directions,
     cap_grid,
     sphere_grid,
     synthesize,
@@ -109,11 +109,16 @@ class RegionSpec:
         return self.data_rho - self.kernel_rho
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        """Whether the unit direction x lies in the evaluation region."""
-        if self.eval_rho >= 2.0:
-            return True
-        d = 1.0 - float(np.asarray(x, dtype=float) @ self.center_direction)
-        return d <= self.eval_rho + tol
+        """Whether the direction of x, a finite nonzero 3-vector of any
+        length, lies in the evaluation region (within tol in t units)."""
+        (d,) = self._distances(x)
+        return self.eval_rho >= 2.0 or bool(d <= self.eval_rho + tol)
+
+    def _distances(self, points) -> np.ndarray:
+        """1 - x.center / |x| of each 3-vector x in points, its direction's
+        distance from the centre in t units; ValueError unless every point
+        is a finite nonzero 3-vector."""
+        return 1.0 - _unit_directions(points) @ self.center_direction
 
     def eval_grid(self, radius: float, exact_degree: int) -> CapGrid:
         """Quadrature rule on the evaluation region."""
@@ -280,10 +285,7 @@ def _outer_coefficients(f1, n_keep: int):
             f"(+ 2 for gradient fields): {f1.grid.exact_degree} < {need}"
         )
     kept = (vector_analyze if f1.case == "vector" else analyze)(f1.values, f1.grid, n)
-    out = type(kept)(f1.grid.radius, f1.degree)
-    head, start = (n + 1) ** 2, (f1.degree + 1) ** 2
-    out.data[:head] = kept.data[:head]
-    out.data[start : start + kept.data.size - head] = kept.data[head:]  # type 2
+    out = type(kept)(f1.grid.radius, f1.degree, _padded(kept.data, f1.degree))
     out.data.flags.writeable = False
     object.__setattr__(f1, "_outer", (n, out))
     return out
@@ -339,8 +341,11 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     by lambda_n = 2 pi * integral over [1-kernel_rho, 1] of the kernel
     profile times P_n. The 1-D rule of _cap_rule is exact for the
     polynomial integrand, so for bandlimited data the multipliers equal
-    the node-wise cap integral.
+    the node-wise cap integral. kernel_rho must lie in (0, 2], as in
+    RegionSpec; past 2 the rule would run below t = -1.
     """
+    if not (0.0 < kernel_rho <= 2.0):
+        raise ValueError("kernel_rho must lie in (0, 2]")
     g = pair.geometry
     _, w, rows, _, _ = _cap_rule(g.kN, n_max, kernel_rho)
     j = np.arange(g.kN + 1, dtype=float)
@@ -385,7 +390,7 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     n = np.arange(1, n_max + 1, dtype=float)
     mu = np.zeros(n_max + 1)
     mu[1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
-    scale = np.concatenate([_per_coefficient(lam, n_max), _per_coefficient(mu, n_max)[1:]])
+    scale = np.stack([_per_coefficient(lam, n_max), _per_coefficient(mu, n_max)])
     return VectorCoefficients(f2.radius, n_max, scale * f2.data)
 
 
@@ -409,12 +414,9 @@ def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
     (within 1e-9 in t units)."""
     if region.kernel_rho > pair.geometry.rho + 1e-12:
         raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
-    pts = _as_directions(points)
-    _direction_angles(pts)  # validates every point before any norm divides
-    if region.eval_rho < 2.0:
-        dist = 1.0 - pts @ region.center_direction / np.linalg.norm(pts, axis=-1)
-        if np.any(dist > region.eval_rho + 1e-9):
-            raise ValueError("an evaluation point lies outside the evaluation region")
+    dist = region._distances(_as_directions(points))
+    if region.eval_rho < 2.0 and np.any(dist > region.eval_rho + 1e-9):
+        raise ValueError("an evaluation point lies outside the evaluation region")
 
 
 def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
@@ -442,12 +444,8 @@ def _assemble(pair: KernelPair, f1, w_part):
     """
     t_part = _scaling_spectral_coefficients(pair, f1)
     n_out = max(t_part.n_max, w_part.n_max)
-    out = type(w_part)(pair.geometry.r, n_out)
-    for part in (t_part, w_part):
-        head, off = (part.n_max + 1) ** 2, (n_out + 1) ** 2
-        out.data[:head] += part.data[:head]
-        out.data[off : off + part.data.size - head] += part.data[head:]  # type 2
-    return out
+    return type(w_part)(pair.geometry.r, n_out,
+                        _padded(t_part.data, n_out) + _padded(w_part.data, n_out))
 
 
 def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndarray:
@@ -526,19 +524,17 @@ def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
 
     u_approx - u_ref is formed in coefficient space at the larger degree D
     and takes one harmonics._cap_norms pass at exactness 2 D (2 D + 2 for
-    gradient fields, as channel stacks of both types). The reference's norm
-    is kept by content (harmonics._kept_cap_norm), since a study scores
-    many candidates against one unchanged reference. Both fields must be of
-    one kind on one sphere. A reference that is zero there raises
-    ValueError.
+    gradient fields). The reference's norm is kept by content
+    (harmonics._kept_cap_norm), since a study scores many candidates
+    against one unchanged reference. Both fields must be of one kind on
+    one sphere. A reference that is zero there raises ValueError.
     """
     if u_ref.radius != u_approx.radius:
         raise ValueError("fields must live on the same sphere")
     if u_ref.case != u_approx.case:
         raise ValueError(f"cannot compare a {u_approx.case} field with a {u_ref.case} one")
     degree = max(u_ref.n_max, u_approx.n_max)
-    ref, approx = (_padded(np.stack([u.channel(1), u.channel(2)]) if u.case == "vector"
-                           else u.data, degree) for u in (u_ref, u_approx))
+    ref, approx = (_padded(u.data, degree) for u in (u_ref, u_approx))
     cap = (region.center_direction, region.eval_rho, 2 * degree + _extra_exactness(u_ref))
     den = _kept_cap_norm(ref, *cap)
     if not (den > 0.0 and math.isfinite(den)):

@@ -3,8 +3,9 @@ the coefficient file format, and the vector_* names of the chain.
 
 The gradient of a harmonic potential restricted to a sphere splits into a
 radial pattern (type 1, xi times a scalar harmonic) and a tangential
-surface-gradient pattern (type 2). The coefficient container and its
-synthesis and analysis live in harmonics, next to the scalar ones, and
+surface-gradient pattern (type 2). The coefficient container, whose data
+is the (2, L) stack of one row per type in the scalar flat layout, and
+its synthesis and analysis live in harmonics, next to the scalar ones, and
 the reconstruction chain in transforms serves both field kinds. This
 module adds the basis functions, the optimizer front end, the
 tensor-kernel diagnostics the localization analysis needs (kernel values,
@@ -201,16 +202,15 @@ def save_vector_coefficients(coeffs: VectorCoefficients, path) -> None:
 def load_vector_coefficients(path) -> VectorCoefficients:
     """Read the text format written by save_vector_coefficients.
 
-    Missing (i, n, k) entries default to zero; malformed lines are reported
-    with their line number.
+    Missing (i, n, k) entries default to zero; malformed or repeated lines
+    are reported with their line number.
     """
-    radius, (n_max, channels), rows = _read_coefficient_file(
-        path, "# radius_km=... n_max=... channels=2", ("n_max", "channels"),
+    out, (channels,), rows = _read_coefficient_file(
+        path, VectorCoefficients, "# radius_km=... n_max=... channels=2", ("channels",),
         ("i", "n", "k", "value"))
     if channels != 2:
         raise ValueError(f"{path}: line 1: expected channels=2, got {channels}")
 
-    out = VectorCoefficients(radius, n_max)
     for idx, (i, n, k), value in rows:
         try:
             out.set_coeff(i, n, k, value)

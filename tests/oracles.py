@@ -221,11 +221,10 @@ def _order_vector_harmonics(n_max, points):
 
 
 def _vector_split(data):
-    """Type-1 and type-2 coefficients of flat vector data in the scalar
-    flat layout, type 2 with a zero at degree 0, and their degree count."""
-    data = np.asarray(data, dtype=float)
-    size = (data.size + 1) // 2
-    return data[:size], np.concatenate([[0.0], data[size:]]), math.isqrt(size) - 1
+    """Type-1 and type-2 rows of a (2, L) vector coefficient stack, each in
+    the scalar flat layout (type 2 zero at degree 0), and their degree count."""
+    c1, c2 = np.asarray(data, dtype=float)
+    return c1, c2, math.isqrt(c1.size) - 1
 
 
 def _type2_scale(n):
@@ -236,7 +235,7 @@ def _type2_scale(n):
 def vector_synthesis(data, radius, points):
     """Cartesian values (1/radius) sum c1 xi Y + c2 grad* Y / sqrt(n(n+1))
     at the directions, shape (points, 3), summed order by order over the
-    flat vector coefficients data (type 1, then type 2 from degree 1)."""
+    (2, L) stack data of type-1 and type-2 coefficients."""
     c1, c2, n_max = _vector_split(data)
     out = 0.0
     for n, frame, (a, da, mb), ring, types in _order_vector_harmonics(n_max, points):
@@ -251,7 +250,7 @@ def vector_synthesis(data, radius, points):
 
 
 def vector_analysis(samples, nodes, weights, radius, n_max):
-    """Flat vector coefficients to degree n_max from Cartesian samples:
+    """The (2, L) vector coefficient stack to degree n_max from Cartesian samples:
     the quadrature sum_j weights_j samples_j . y(nodes_j) / radius of each
     type-1 and type-2 basis function, order by order."""
     weighted = np.asarray(weights)[:, None] * np.asarray(samples, dtype=float) / radius
@@ -265,7 +264,7 @@ def vector_analysis(samples, nodes, weights, radius, n_max):
             c1[idx] = a @ np.bincount(ring, radial * f, rings)
             c2[idx] = _type2_scale(n) * (da @ np.bincount(ring, theta * f, rings)
                                          + mb @ np.bincount(ring, azimuth * g, rings))
-    return np.concatenate([c1, c2[1:]])
+    return np.stack([c1, c2])
 
 
 def _legendre_value_and_derivatives(n, t):

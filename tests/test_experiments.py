@@ -17,6 +17,7 @@ from capwave.experiments import (
     run_tsvd_table,
     shannon_reference_pair,
     write_table,
+    _MODEL_STREAM,
     _tsvd_apply,
 )
 from capwave.harmonics import (
@@ -160,10 +161,22 @@ class TestBuildModel:
         cfg = tiny_config(case="vector", model_degree=6)
         model = build_model(cfg)
         assert isinstance(model, VectorCoefficients)
-        assert model.data.size == 2 * 49 - 1
+        assert model.data.shape == (2, 49) and model.data[1, 0] == 0.0
         again = build_model(cfg)
         assert np.array_equal(model.data, again.data)
         assert np.all(np.isfinite(model.data))
+
+    def test_vector_draw_order(self):
+        # 2L - 1 normals, type 1 and then type 2 from degree 1, each times
+        # the reciprocal 1 / max(n, 1): the bits of an independent draw
+        cfg = tiny_config(case="vector", model_degree=6)
+        model = build_model(cfg)
+        gen = np.random.Generator(np.random.Philox(key=[cfg.model_seed, _MODEL_STREAM]))
+        n = np.repeat(np.arange(7), 2 * np.arange(7) + 1)
+        n = np.concatenate([n, n[1:]])
+        expected = gen.standard_normal(n.size) * (1.0 / np.maximum(n, 1))
+        got = np.concatenate([model.data[0], model.data[1, 1:]])
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestShannonReference:

@@ -49,6 +49,14 @@ def random_coeffs(rng, radius, n_max):
     return HarmonicCoefficients(radius, n_max, rng.normal(size=(n_max + 1) ** 2))
 
 
+def random_vector_coeffs(rng, radius, n_max):
+    """Gradient field from 2L - 1 normal draws, type 1 and then type 2 from
+    degree 1, L = (n_max + 1)^2; type 2's degree-0 slot takes no draw."""
+    size = (n_max + 1) ** 2
+    flat = rng.normal(size=2 * size - 1)
+    return VectorCoefficients(radius, n_max, np.insert(flat, size, 0.0).reshape(2, size))
+
+
 class TestYnk:
     def test_constant_harmonic(self):
         xi = np.array([0.3, -0.5, 0.81])
@@ -454,8 +462,7 @@ class TestSphereGridAxis:
         rng = np.random.default_rng(21)
         g = sphere_grid(self.R, 222)
         c = {n: random_coeffs(rng, self.R, n) for n in (80, 110)}
-        v = {n: VectorCoefficients(self.R, n, rng.normal(size=2 * (n + 1) ** 2 - 1))
-             for n in (80, 110)}
+        v = {n: random_vector_coeffs(rng, self.R, n) for n in (80, 110)}
         scalar, vector = rng.normal(size=g.n_nodes), rng.normal(size=(g.n_nodes, 3))
         calls = {}
         for n in (80, 110):
@@ -525,7 +532,7 @@ class TestSphereGridAxis:
         ct[0] = math.nextafter(ct[0], 0.0)
         bad = dataclasses.replace(g, ct=ct)
         c = random_coeffs(np.random.default_rng(24), self.R, 10)
-        v = VectorCoefficients(self.R, 9, np.zeros(199))
+        v = VectorCoefficients(self.R, 9)
         calls = [lambda: synthesize(c, bad), lambda: analyze(np.ones(g.n_nodes), bad, 10),
                  lambda: vector_synthesize(v, bad),
                  lambda: vector_analyze(np.ones((g.n_nodes, 3)), bad, 9)]
@@ -607,7 +614,7 @@ class TestBlockFoldAgainstOracle:
         assert_close_to(analyze(samples, g, n_max).data, ref)
 
     def vector_coeffs(self, rng, n_max):
-        return VectorCoefficients(self.R, n_max, rng.normal(size=2 * (n_max + 1) ** 2 - 1))
+        return random_vector_coeffs(rng, self.R, n_max)
 
     @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
     def test_vector_synthesize_on_sphere_grid(self, n_max):
@@ -677,7 +684,7 @@ class TestVectorTransformMemory:
     def test_degree_110_sphere_grid_peaks(self):
         n_max = 110
         rng = np.random.default_rng(10)
-        c = VectorCoefficients(1.0, n_max, rng.normal(size=2 * (n_max + 1) ** 2 - 1))
+        c = random_vector_coeffs(rng, 1.0, n_max)
         g = sphere_grid(1.0, 2 * n_max + 2)
         values = vector_synthesize(c, g)
         vector_analyze(values, g, n_max)  # warm-up: memoized tables are built once
@@ -715,9 +722,9 @@ class TestCapNorms:
         # polar, off-pole, south-pole and full-sphere caps at full scale
         rng = np.random.default_rng(7)
         c = HarmonicCoefficients(6371.2, 110, rng.normal(size=111 ** 2))
-        v = VectorCoefficients(6371.2, 110, rng.normal(size=2 * 111 ** 2 - 1))
+        v = random_vector_coeffs(rng, 6371.2, 110)
         (scalar,) = _cap_norms(c.data[None], center, rho, 220)
-        (vector,) = _cap_norms(np.stack([v.channel(1), v.channel(2)])[None], center, rho, 222)
+        (vector,) = _cap_norms(v.data[None], center, rho, 222)
         assert math.isclose(scalar, node_wise.cap_norm(c, cap_grid(6371.2, center, rho, 220)),
                             rel_tol=1e-13)
         assert math.isclose(vector, node_wise.cap_norm(v, cap_grid(6371.2, center, rho, 222)),
@@ -850,4 +857,19 @@ class TestCoefficientFile:
         path = tmp_path / "bad3.txt"
         path.write_text("0 1 0.5\n")
         with pytest.raises(ValueError, match="header"):
+            load_coefficients(path)
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("# radius_km=1 n_max=1\n0 1 1.0\n1 2 0.5\n0 1 2.0\n")
+        with pytest.raises(ValueError, match=r"dup\.txt: line 4: duplicate entry"):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("header, message",
+                             [("radius_km=1 n_max=-1", "n_max must be >= 0"),
+                              ("radius_km=0 n_max=2", "radius must be positive")])
+    def test_rejected_header_value_names_file_and_line(self, tmp_path, header, message):
+        path = tmp_path / "head.txt"
+        path.write_text(f"# {header}\n")
+        with pytest.raises(ValueError, match=rf"head\.txt: line 1: {message}"):
             load_coefficients(path)

@@ -58,8 +58,9 @@ def scalar_field(radius, n_max, seed):
 
 def vector_field(radius, n_max, seed):
     rng = np.random.default_rng(seed)
-    size = 2 * (n_max + 1) ** 2 - 1
-    return VectorCoefficients(radius, n_max, rng.standard_normal(size))
+    size = (n_max + 1) ** 2
+    flat = rng.standard_normal(2 * size - 1)  # type 1, then type 2 from degree 1
+    return VectorCoefficients(radius, n_max, np.insert(flat, size, 0.0).reshape(2, size))
 
 
 @st.composite
@@ -154,8 +155,7 @@ def polar_twin(grid):
 
 
 def vector_in_frame(v, rotation):
-    both = _cap_frame(np.stack([v.channel(1), v.channel(2)]), rotation)
-    return VectorCoefficients(v.radius, v.n_max, np.concatenate([both[0], both[1, 1:]]))
+    return VectorCoefficients(v.radius, v.n_max, _cap_frame(v.data, rotation))
 
 
 def dense_quarter_turn(n):
@@ -282,8 +282,7 @@ class TestCapNorms:
            cap_rho=st.just(2.0) | st.floats(0.05, 2.0))
     def test_vector_norm(self, n_max, radius, seed, center, cap_rho):
         v = vector_field(radius, n_max, seed)
-        data = np.stack([v.channel(1), v.channel(2)])
-        (norm,) = _cap_norms(data[None], center, cap_rho, 2 * n_max + 2)
+        (norm,) = _cap_norms(v.data[None], center, cap_rho, 2 * n_max + 2)
         oracle = node_wise.cap_norm(v, cap_grid(radius, center, cap_rho, 2 * n_max + 2))
         assert math.isclose(norm, oracle, rel_tol=1e-13)
 
@@ -331,9 +330,7 @@ class TestOuterAnalysisKeepsScalingDegrees:
         v = vector_field(radius, n_max, seed)
         n = min(n_keep, n_max)
         kept = np.zeros_like(v.data, dtype=bool)
-        size = (n_max + 1) ** 2
-        kept[: (n + 1) ** 2] = True
-        kept[size : size + (n + 1) ** 2 - 1] = True
+        kept[:, : (n + 1) ** 2] = True  # both types
         for exact in (2 * n_max + 2, n + n_max + 2):
             grid = sphere_grid(radius, exact)
             out = vector_outer(
@@ -441,8 +438,9 @@ def kernel_pairs(draw, case="vector"):
 
 def cap_multipliers(pair, kernel_rho, n_max):
     """Type-1 and type-2 cap multipliers, read off an all-ones field."""
-    ones = VectorCoefficients(1.0, n_max, np.ones(2 * (n_max + 1) ** 2 - 1))
-    out = _cap_wavelet_coefficients(pair, ones, kernel_rho)
+    ones = np.ones((2, (n_max + 1) ** 2))
+    ones[1, 0] = 0.0  # type 2 starts at degree 1
+    out = _cap_wavelet_coefficients(pair, VectorCoefficients(1.0, n_max, ones), kernel_rho)
     lam = np.array([out.coeff(1, n, 1) for n in range(n_max + 1)])
     mu = np.array([0.0] + [out.coeff(2, n, 1) for n in range(1, n_max + 1)])
     return lam, mu

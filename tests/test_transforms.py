@@ -93,6 +93,32 @@ class TestRegionSpec:
         assert region.eval_rho == 2.0
         assert region.contains((0.0, 0.0, -1.0))
 
+    def test_contains_agrees_with_approximate_on_non_unit_points(self):
+        # a point's direction decides: (4, 0, 2) lies at 1 - 2/sqrt(20) =
+        # 0.553 from the centre, past eval_rho 0.5, though x.center = 2
+        g = reduced_geometry()
+        pair = shannon_reference_pair(g, g.N)
+        region = RegionSpec(NORTH, 1.0, 0.5)
+        f1, f2 = random_field(R_OUTER, 8, 60), random_field(R_INNER, 8, 61)
+        for x, inside in (((4.0, 0.0, 2.0), False), ((-3.0, 0.0, 0.1), False),
+                          ((1.0, 0.0, 2.0), True), ((0.0, 0.0, 5.0), True),
+                          ((0.0, 0.3, 0.4), True)):
+            assert region.contains(x) == inside
+            if inside:
+                approximate(pair, f1, f2, region, np.array([x]))
+            else:
+                with pytest.raises(ValueError, match="outside the evaluation region"):
+                    approximate(pair, f1, f2, region, np.array([x]))
+
+    @pytest.mark.parametrize("data_rho", [1.0, 2.0])
+    @pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (0.0, np.inf, 1.0)])
+    def test_contains_rejects_zero_and_non_finite_points(self, data_rho, bad):
+        region = RegionSpec(NORTH, data_rho, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
+                region.contains(bad)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RegionSpec(NORTH, 0.5, 0.5)
@@ -267,6 +293,13 @@ class TestWaveletTransformLocal:
         spec = wavelet_transform_local(pair, f2, x, region)
         assert quad == pytest.approx(spec, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("kernel_rho", [0.0, -0.1, 2.0 + 1e-12, 3.0, np.nan])
+    def test_multipliers_reject_cap_radius_outside_zero_two(self, kernel_rho):
+        # past 2 the Gauss rule would run below t = -1
+        pair = random_pair(Geometry(1.0, 1.11, 10, kappa=1.5, rho=2.0, case="scalar"), 20)
+        with pytest.raises(ValueError, match=r"kernel_rho must lie in \(0, 2\]"):
+            wavelet_multipliers(pair, kernel_rho, 10)
+
     def test_multipliers_at_full_cap_equal_symbols(self):
         g = Geometry(1.0, 1.11, 10, kappa=1.5, rho=2.0, case="scalar")
         pair = random_pair(g, 20)
@@ -418,7 +451,7 @@ class TestAddNoise:
     def test_gradient_field_rejected(self, norm_region):
         # noise for gradient fields is not implemented; adding the vector
         # data into scalar slots would return a wrong scalar field
-        f = VectorCoefficients(1.0, 4, np.ones(49))
+        f = VectorCoefficients(1.0, 4, np.insert(np.ones(49), 25, 0.0).reshape(2, 25))
         with pytest.raises(ValueError, match="gradient fields"):
             add_noise(f, NoiseSpec(0.1, 0.1, 20, 0), norm_region)
 
@@ -496,9 +529,7 @@ class TestKeptReferenceNorm:
     @staticmethod
     def pair_of_fields(case, seed):
         rng = np.random.default_rng(seed)
-        size = 2 * 9 ** 2 - 1 if case == "vector" else 9 ** 2
-        cls = VectorCoefficients if case == "vector" else HarmonicCoefficients
-        return [cls(R_INNER, 8, rng.standard_normal(size)) for _ in range(2)]
+        return [field_of_kind(case, R_INNER, 8, rng) for _ in range(2)]
 
     def test_add_noise_norms_one_field_per_call(self, monkeypatch):
         fields = self.count_fields(monkeypatch)
@@ -544,7 +575,7 @@ class TestKeptReferenceNorm:
             return math.sqrt(node_wise.cap_norm(v, grid, minus=u) / node_wise.cap_norm(u, grid))
 
         relative_error(u, v, self.REGION)
-        u.data[3] *= 2.0
+        u.data.flat[3] *= 2.0
         warm = relative_error(u, v, self.REGION)
         harmonics._cap_norm_by_content.cache_clear()
         assert warm == relative_error(u, v, self.REGION)
@@ -559,11 +590,13 @@ class TestKeptReferenceNorm:
         assert warm == pytest.approx(node_wise_error(), rel=1e-12)
 
 
-def field_of_kind(case, radius=1.0, n_max=5):
-    rng = np.random.default_rng(46)
+def field_of_kind(case, radius=1.0, n_max=5, rng=None):
+    rng = np.random.default_rng(46) if rng is None else rng
+    size = (n_max + 1) ** 2
     if case == "vector":
-        return VectorCoefficients(radius, n_max, rng.standard_normal(2 * (n_max + 1) ** 2 - 1))
-    return HarmonicCoefficients(radius, n_max, rng.standard_normal((n_max + 1) ** 2))
+        flat = rng.standard_normal(2 * size - 1)  # type 1, then type 2 from degree 1
+        return VectorCoefficients(radius, n_max, np.insert(flat, size, 0.0).reshape(2, size))
+    return HarmonicCoefficients(radius, n_max, rng.standard_normal(size))
 
 
 def pair_of_kind(case, N=6):

@@ -50,8 +50,9 @@ def reduced_geometry(rho=0.5, case="vector"):
 
 def random_vector_field(radius, n_max, seed):
     rng = np.random.default_rng(seed)
-    size = 2 * (n_max + 1) ** 2 - 1
-    return VectorCoefficients(radius, n_max, rng.standard_normal(size))
+    size = (n_max + 1) ** 2
+    flat = rng.standard_normal(2 * size - 1)  # type 1, then type 2 from degree 1
+    return VectorCoefficients(radius, n_max, np.insert(flat, size, 0.0).reshape(2, size))
 
 
 def random_unit(rng):
@@ -84,13 +85,15 @@ class TestVectorCoefficients:
     def test_index_layout_round_trip(self):
         c = VectorCoefficients(1.0, 3)
         triples = basis_index_list(3)
-        assert len(triples) == c.data.size
+        assert len(triples) == c.data.size - 1  # all but type 2's degree 0
         for value, (i, n, k) in enumerate(triples, start=1):
             c.set_coeff(i, n, k, float(value))
         for value, (i, n, k) in enumerate(triples, start=1):
             assert c.coeff(i, n, k) == float(value)
-        # storage slots are all distinct: every write landed somewhere new
-        assert np.all(np.sort(c.data) == np.arange(1.0, c.data.size + 1.0))
+        # storage slots are all distinct: every write landed somewhere new,
+        # and none on the structural zero
+        assert c.data[1, 0] == 0.0
+        assert np.all(np.sort(c.data, axis=None) == np.arange(float(c.data.size)))
 
     def test_type2_degree_zero_rejected(self):
         c = VectorCoefficients(1.0, 2)
@@ -101,10 +104,22 @@ class TestVectorCoefficients:
         with pytest.raises(ValueError):
             c.coeff(1, 1, 4)
 
+    def test_flat_layout_rejected(self):
+        # 2L - 1 values, type 2 from degree 1, is not the container's layout
+        with pytest.raises(ValueError, match=r"shape \(2, 16\)"):
+            VectorCoefficients(1.0, 3, np.zeros(2 * 16 - 1))
+
+    @pytest.mark.parametrize("value", [1e-300, -1.0, np.nan])
+    def test_type2_degree_zero_slot_must_be_zero(self, value):
+        data = np.zeros((2, 16))
+        data[1, 0] = value
+        with pytest.raises(ValueError, match=r"data\[1, 0\] must be 0"):
+            VectorCoefficients(1.0, 3, data)
+
     def test_channel_extraction(self):
         c = random_vector_field(2.0, 2, seed=1)
-        c1 = c.channel(1)
-        c2 = c.channel(2)
+        c1 = c.data[0]
+        c2 = c.data[1]
         assert c1.shape == (9,)
         assert c2.shape == (9,)
         assert c2[0] == 0.0
@@ -229,12 +244,11 @@ class TestSynthesizeAnalyze:
         n_max = 6
         c = VectorCoefficients(1.0, n_max)
         rng = np.random.default_rng(9)
-        size1 = (n_max + 1) ** 2
-        c.data[size1:] = rng.standard_normal(c.data.size - size1)
+        c.data[1, 1:] = rng.standard_normal(c.data[1].size - 1)
         grid = sphere_grid(1.0, 2 * n_max + 2)
         back = vector_analyze(vector_synthesize(c, grid), grid, n_max)
-        np.testing.assert_allclose(back.data[:size1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(back.data[size1:], c.data[size1:], atol=1e-12)
+        np.testing.assert_allclose(back.data[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(back.data[1], c.data[1], atol=1e-12)
 
     def test_product_and_points_paths_agree(self):
         c = random_vector_field(1.0, 8, seed=10)
@@ -274,7 +288,7 @@ class TestSynthesizeAnalyze:
 
 class TestUpwardContinue:
     def test_degree_zero_factor(self):
-        c = VectorCoefficients(R_INNER, 0, np.array([1.0]))
+        c = VectorCoefficients(R_INNER, 0, np.array([[1.0], [0.0]]))
         up = vector_upward_continue(c, R_OUTER)
         assert up.radius == R_OUTER
         assert up.coeff(1, 0, 1) == pytest.approx(R_INNER / R_OUTER, rel=1e-15)
@@ -670,6 +684,19 @@ class TestFileFormat:
             load_vector_coefficients(path)
         path.write_text("# radius_km=1.0 n_max=2 channels=3\n")
         with pytest.raises(ValueError, match="channels"):
+            load_vector_coefficients(path)
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("# radius_km=1.0 n_max=1 channels=2\n1 0 1 1.0\n2 1 1 0.5\n"
+                        "1 0 1 2.0\n")
+        with pytest.raises(ValueError, match=r"dup\.txt: line 4: duplicate entry"):
+            load_vector_coefficients(path)
+
+    def test_rejected_header_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text("# radius_km=1.0 n_max=-1 channels=2\n")
+        with pytest.raises(ValueError, match=r"head\.txt: line 1: n_max must be >= 0"):
             load_vector_coefficients(path)
 
     def test_bad_line_reports_number(self, tmp_path):
