@@ -16,15 +16,20 @@ coordinates and the written CSV is byte-identical across runs. Wall-clock
 timings are kept on the in-memory rows for diagnostics but never written to
 the file, since they would break that guarantee.
 
-Everything that depends only on the run is built once: the cap-exterior
-Gram, each method's kernel pair, localization ratio and wavelet multipliers.
-Rows are scored by relative_error itself. Process memos keep the rest: the
-Gram (kernels._gram_for), each cap's norm operator (triangular factors per
-azimuthal order on its Gauss rule, harmonics._cap_factor) and the model's
-norm on each cap, kept by the model's content (harmonics._kept_cap_norm).
-The run's first norms build them and a repeated run in one process finds
-them built, so a row's wall_time_s times only its own assembly and
-scoring. None of this reuse changes a bit of any error.
+A run builds once what depends only on its configuration: the model, its
+upward-continued outer data, and each method's kernel pair and
+localization ratio. Every row then runs the library chain, the
+approximate_coefficients of its method's pair on the cell's noisy data
+scored by relative_error, so the table and a single reconstruction share
+one code path. Process memos keep what the chain rebuilds from unchanged
+arguments: the cap-exterior Gram (kernels._gram_for, zero for a
+full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre rows
+(transforms._cap_rule), each cap's norm operator (harmonics._cap_factor)
+and the model's norm on each cap, kept by the model's content
+(harmonics._kept_cap_norm). A run's first rows build them and a repeated
+run in one process finds them built. A row's wall_time_s times its own
+reconstruction and scoring: the wavelet multipliers, the assembly and the
+error norm. None of this reuse changes a bit of any error.
 """
 
 from __future__ import annotations
@@ -43,11 +48,9 @@ from .harmonics import (
 )
 from .kernels import (
     Geometry,
-    GramMatrix,
     KernelPair,
     NumericalFailure,
     PenaltyWeights,
-    _gram_for,
     localization_ratio,
     optimize,
     shannon_reference_pair,
@@ -56,11 +59,10 @@ from .kernels import (
 from .transforms import (
     NoiseSpec,
     RegionSpec,
-    _assemble,
     add_noise,
+    approximate_coefficients,
     relative_error,
     upward_continue,
-    wavelet_multipliers,
 )
 from .vector_field import load_vector_coefficients
 
@@ -294,32 +296,16 @@ class _Method:
     pair: KernelPair | None
     localization: float | None
     status: str
-    # wavelet_multipliers(pair, kernel_rho, n) for the run's data degree n
-    multipliers: np.ndarray | None = None
 
 
-def _run_gram(geometry: Geometry) -> GramMatrix:
-    """The cap-exterior Gram shared by every method of a run."""
-    if geometry.rho >= 2.0:
-        # Full-sphere cap: the exterior [-1, 1-rho] is empty, the
-        # localization penalty vanishes and the optimizer decouples.
-        size = geometry.kN + 1
-        return GramMatrix(geometry.kN, geometry.rho, geometry.case,
-                          np.zeros((size, size)))
-    return _gram_for(geometry.case, geometry.kN, geometry.rho)
-
-
-def _scored_method(tag: str, pair: KernelPair, gram: GramMatrix,
-                   kernel_rho: float, degree: int, **weights) -> _Method:
+def _scored_method(tag: str, pair: KernelPair, **weights) -> _Method:
     g = pair.geometry
     return _Method(tag, pair=pair, status="ok",
-                   localization=localization_ratio(pair.psi_tilde, g.rho, g, gram),
-                   multipliers=wavelet_multipliers(pair, kernel_rho, degree),
+                   localization=localization_ratio(pair.psi_tilde, g.rho, g),
                    **weights)
 
 
-def _optimized_methods(config: ExperimentConfig, geometry: Geometry,
-                       gram: GramMatrix, degree: int) -> list[_Method]:
+def _optimized_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
     out = []
     for beta in config.beta:
         for alpha_tilde in config.alpha_tilde:
@@ -328,20 +314,17 @@ def _optimized_methods(config: ExperimentConfig, geometry: Geometry,
                 w = PenaltyWeights.uniform(
                     geometry, alpha_tilde / ratio, alpha_tilde, beta)
                 try:
-                    pair = optimize(geometry, w, gram=gram)
+                    pair = optimize(geometry, w)
                 except NumericalFailure as exc:
                     out.append(_Method("optimized", pair=None, localization=None,
                                        status=f"numerical-failure: {exc}", **weights))
                     continue
-                out.append(_scored_method("optimized", pair, gram, config.kernel_rho,
-                                          degree, **weights))
+                out.append(_scored_method("optimized", pair, **weights))
     return out
 
 
-def _shannon_methods(config: ExperimentConfig, geometry: Geometry,
-                     gram: GramMatrix, degree: int) -> list[_Method]:
+def _shannon_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
     return [_scored_method(f"shannon-{M}", shannon_reference_pair(geometry, M),
-                           gram, config.kernel_rho, degree,
                            beta=None, alpha_tilde=None, alpha_ratio=None)
             for M in config.shannon_degrees]
 
@@ -376,10 +359,7 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     """
     geometry, region = config.geometry, config.region
     model, f1_clean, common = _sweep(config)
-    degree = max(model.n_max, config.noise_degree)
-    gram = _run_gram(geometry)
-    methods = (_optimized_methods(config, geometry, gram, degree)
-               + _shannon_methods(config, geometry, gram, degree))
+    methods = _optimized_methods(config, geometry) + _shannon_methods(config, geometry)
     rows = []
     for eps1 in config.epsilon1:
         for gamma in config.gamma:
@@ -392,12 +372,8 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
                     err, status = None, m.status
                     if m.pair is not None:
                         try:
-                            lam = m.multipliers
-                            if lam.size != f2.n_max + 1:  # noise-free ground data
-                                lam = wavelet_multipliers(m.pair, region.kernel_rho,
-                                                          f2.n_max)
                             err = relative_error(
-                                model, _assemble(m.pair, f1, f2.scaled_by_degree(lam)), region)
+                                model, approximate_coefficients(m.pair, f1, f2, region), region)
                         except (ValueError, NumericalFailure) as exc:
                             status = f"evaluation-failure: {exc}"
                     rows.append(ResultRow(

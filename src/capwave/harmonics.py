@@ -63,7 +63,7 @@ _SQRT2 = math.sqrt(2.0)
 # coefficient container
 
 
-@dataclass
+@dataclass(eq=False)
 class _Coefficients:
     """What both coefficient containers share: a radius, a degree n_max and
     data of shape channels + (L,), L = (n_max + 1)^2, each row in the flat
@@ -200,7 +200,7 @@ def _freeze_arrays(grid, names: tuple[str, ...]) -> None:
         object.__setattr__(grid, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Gauss-colatitude x uniform-longitude product rule on a full sphere.
 
@@ -234,7 +234,7 @@ class SphereGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapGrid:
     """Rotated product rule on the spherical cap 1 - center.xi <= cap_rho.
 

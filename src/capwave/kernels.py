@@ -58,8 +58,10 @@ class Geometry:
 
     sigma(n) is the degree-n damping factor of upward continuation:
     (r/R)^n for potential values, (r/R)^(n+1) for gradient fields.
-    rho = 2 denotes the degenerate full-sphere cap; Gram construction
-    requires rho < 2, the transforms do not.
+    rho = 2 denotes the degenerate full-sphere cap. Its cap exterior
+    [-1, 1-rho] is empty, so _gram_for gives the zero Gram there and the
+    optimizer decouples; gram_scalar and gram_vector still require
+    rho < 2.
     """
 
     r: float
@@ -99,7 +101,7 @@ def _sigma_exponents(case: str, n_hi: int) -> np.ndarray:
     return n if case == "scalar" else n + 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class SymbolSet:
     """Degree-indexed multipliers value(0..n_max) of a zonal kernel."""
 
@@ -127,7 +129,7 @@ class SymbolSet:
         return cls(n_max, np.ones(n_max + 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelPair:
     """Coupled scaling/wavelet symbols for one geometry.
 
@@ -152,7 +154,7 @@ class KernelPair:
         self.psi_tilde = SymbolSet(g.kN, psi)
 
 
-@dataclass
+@dataclass(eq=False)
 class PenaltyWeights:
     """Strictly positive weights of the minimization functional."""
 
@@ -188,7 +190,7 @@ class PenaltyWeights:
         return cls.uniform(geometry, level, level, beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Gram matrix of kernel profiles over t in [-1, 1-rho].
 
@@ -282,10 +284,13 @@ def gram_vector(n_max: int, rho: float) -> GramMatrix:
 def _gram_for(case: str, n_max: int, rho: float) -> GramMatrix:
     """The Gram matrix of the field case, from gram_scalar or gram_vector.
 
+    For rho >= 2 the exterior [-1, 1-rho] is empty and the Gram is zero.
     Memoized for the last 4 argument triples: a noise study optimizes
     every pair of one geometry against the same cap-exterior matrix, and
     GramMatrix is immutable, so callers share it.
     """
+    if rho >= 2.0:
+        return GramMatrix(n_max, rho, case, np.zeros((n_max + 1, n_max + 1)))
     builder = gram_scalar if case == "scalar" else gram_vector
     return builder(n_max, rho)
 
@@ -313,8 +318,7 @@ def full_interval_energy(symbols: SymbolSet, case: str = "scalar") -> float:
     return float(np.sum(scale * c * symbols.values**2))
 
 
-def _check_dimensions(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix) -> None:
-    g = pair.geometry
+def _check_dimensions(g: Geometry, w: PenaltyWeights, gram: GramMatrix) -> None:
     if w.alpha.shape != (g.N + 1,):
         raise ValueError(f"alpha must have length N+1 = {g.N + 1}")
     if w.alpha_tilde.shape != (g.kN + 1,):
@@ -343,8 +347,8 @@ def functional_value(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
     term penalizes the raw scaling symbols; the Gram quadratic form is the
     wavelet energy outside the cap.
     """
-    _check_dimensions(pair, w, gram)
     g = pair.geometry
+    _check_dimensions(g, w, gram)
     tgt = _resolve_targets(g, targets)
     x = pair.phi.values * g.sigmas(g.N)
     y = pair.phi_tilde.values
@@ -364,8 +368,8 @@ def stationarity_residual(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
     The gradient is taken with respect to the solver unknowns
     x_n = phi(n) sigma(n) and y_n = phi_tilde(n).
     """
-    _check_dimensions(pair, w, gram)
     g = pair.geometry
+    _check_dimensions(g, w, gram)
     tgt = _resolve_targets(g, targets)
     sig = g.sigmas(g.N)
     x = pair.phi.values * sig
@@ -400,9 +404,7 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
         gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
     n_x = geometry.N + 1
     n_y = geometry.kN + 1
-    probe = KernelPair(geometry, SymbolSet.zeros(geometry.N),
-                       SymbolSet.zeros(geometry.kN))
-    _check_dimensions(probe, w, gram)
+    _check_dimensions(geometry, w, gram)
     tgt = _resolve_targets(geometry, targets)
     sig = geometry.sigmas(geometry.N)
 
@@ -495,26 +497,18 @@ def kernel_eval(symbols: SymbolSet, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry,
-                       gram: GramMatrix | None = None) -> float:
+def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry) -> float:
     """Fraction of the wavelet kernel's energy lying outside the cap.
 
     Ratio of the squared L2 norm of the kernel profile over [-1, 1-rho] to
     the squared norm over the whole interval; near 0 for a well-localized
-    kernel, near 1 as rho shrinks to nothing. gram, when given, must be the
-    Gram matrix of the geometry's case for psi_tilde's degree and rho; it
-    saves rebuilding the same matrix for many symbol sets.
+    kernel, near 1 as rho shrinks to nothing, and 0 for the full-sphere cap
+    rho = 2. The exterior Gram of the geometry's case at psi_tilde's degree
+    and rho comes from _gram_for's memo, so many symbol sets share one.
     """
     if not np.any(psi_tilde.values):
         raise ValueError("localization ratio of an all-zero symbol set is undefined")
-    if rho >= 2.0:
-        return 0.0
-    if gram is None:
-        gram = _gram_for(geometry.case, psi_tilde.n_max, rho)
-    elif (gram.n_max, gram.rho, gram.case) != (psi_tilde.n_max, rho, geometry.case):
-        raise ValueError(
-            f"gram is for (n_max, rho, case) = {(gram.n_max, gram.rho, gram.case)}, "
-            f"need {(psi_tilde.n_max, rho, geometry.case)}")
+    gram = _gram_for(geometry.case, psi_tilde.n_max, rho)
     num = gram.quadratic_form(psi_tilde.values)
     den = full_interval_energy(psi_tilde, geometry.case)
     return float(min(max(num / den, 0.0), 1.0))

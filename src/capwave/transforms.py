@@ -156,7 +156,7 @@ class NoiseSpec:
             raise ValueError("noise_degree must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldSamples:
     """Point samples of a bandlimited field on a full-sphere rule.
 
@@ -176,7 +176,7 @@ class FieldSamples:
     grid: SphereGrid
     values: np.ndarray
     degree: int
-    _outer: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _outer: tuple | None = field(default=None, init=False, repr=False)
     case = "scalar"
 
     def __post_init__(self):
@@ -429,19 +429,11 @@ def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
     FieldSamples (analyzed first, needing grid exactness >= min(N, degree)
     + degree, + 2 for gradient fields) or coefficients at R. A sample set
     keeps its analysis, so repeated calls with it analyze it once. f1 must
-    lie at R and f2 at r; data at another radius raises ValueError.
+    lie at R and f2 at r; data at another radius raises ValueError. The
+    result has the larger of the two data degrees.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
-    return _assemble(pair, f1, _cap_wavelet_coefficients(pair, f2, region.kernel_rho))
-
-
-def _assemble(pair: KernelPair, f1, w_part):
-    """Scaling part of f1 plus the wavelet part w_part, at the larger degree.
-
-    w_part is _cap_wavelet_coefficients of the ground data; callers that
-    combine many data sets with one pair scale by wavelet_multipliers
-    computed once.
-    """
+    w_part = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)
     t_part = _scaling_spectral_coefficients(pair, f1)
     n_out = max(t_part.n_max, w_part.n_max)
     return type(w_part)(pair.geometry.r, n_out,
@@ -527,9 +519,10 @@ def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
     gradient fields). The reference's norm is kept by content
     (harmonics._kept_cap_norm), since a study scores many candidates
     against one unchanged reference. Both fields must be of one kind on
-    one sphere. A reference that is zero there raises ValueError.
+    one sphere (radii equal within 1e-9 relative, as build_model checks a
+    model file). A reference that is zero there raises ValueError.
     """
-    if u_ref.radius != u_approx.radius:
+    if not math.isclose(u_ref.radius, u_approx.radius, rel_tol=1e-9):
         raise ValueError("fields must live on the same sphere")
     if u_ref.case != u_approx.case:
         raise ValueError(f"cannot compare a {u_approx.case} field with a {u_ref.case} one")

@@ -207,6 +207,39 @@ class TestExitCodes:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("command", ["optimize", "spectra", "approximate", "gram"])
+    def test_full_sphere_kernel_cap(self, tmp_path, command):
+        # kernel_rho = region_rho = 2: global ground data and an empty cap
+        # exterior, whose Gram is zero
+        path = tmp_path / "global.cfg"
+        path.write_text(TINY.replace("kernel_rho = 0.5", "kernel_rho = 2")
+                        .replace("region_rho = 1.0", "region_rho = 2"))
+        out = tmp_path / "out.csv"
+        assert main([command, str(path), "--out", str(out)]) == 0
+        if command == "gram":
+            with open(out, newline="") as fh:
+                records = list(csv.reader(fh))
+            assert records[0] == ["n", "m", "value"] and len(records) == 1 + 100
+            assert all(float(rec[2]) == 0.0 for rec in records[1:])
+
+    @pytest.mark.parametrize("command", ["approximate", "table"])
+    def test_model_file_within_radius_tolerance(self, tmp_path, capsys, command):
+        # a file radius 1e-12 relative off r_km passes build_model's check,
+        # and so every later radius check
+        rng = np.random.default_rng(5)
+        model = tmp_path / "model.txt"
+        save_coefficients(HarmonicCoefficients(6371.2 * (1.0 + 1e-12), 9,
+                                               rng.standard_normal(100)), model)
+        assert load_coefficients(model).radius != 6371.2
+        path = tmp_path / "file.cfg"
+        path.write_text(TINY + f"model_file = {model}\n")
+        out = tmp_path / "out.csv"
+        assert main([command, str(path), "--out", str(out)]) == 0
+        if command == "table":
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
+
     def test_table(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["table", str(tiny_cfg), "--out", str(out)]) == 0

@@ -319,6 +319,29 @@ class TestRunTable:
         assert all(r.relative_error is None for r in bad)
         assert all(r.status == "ok" for r in good)
 
+    def test_rows_run_the_library_chain(self, monkeypatch):
+        # one approximate_coefficients call per row that has a kernel pair
+        import capwave.experiments as exp
+
+        real_optimize, real_chain = optimize, approximate_coefficients
+        calls = []
+
+        def flaky(geometry, w, targets=None, gram=None):
+            if w.beta == 13.0:
+                raise NumericalFailure("synthetic breakdown")
+            return real_optimize(geometry, w, targets=targets, gram=gram)
+
+        def counted(pair, f1, f2, region):
+            calls.append(pair)
+            return real_chain(pair, f1, f2, region)
+
+        monkeypatch.setattr(exp, "optimize", flaky)
+        monkeypatch.setattr(exp, "approximate_coefficients", counted)
+        rows = run_table(tiny_config(beta=(1.0, 13.0), epsilon1=(0.0, 0.05),
+                                     seeds=(0, 1)))
+        assert len(rows) == 4 * 4
+        assert len(calls) == sum(r.status == "ok" for r in rows) == 4 * 3
+
     def test_vector_case_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             run_table(tiny_config(case="vector"))

@@ -167,6 +167,16 @@ class TestGramMemo:
         with pytest.raises(dataclasses.FrozenInstanceError):
             gram.rho = 0.4
 
+    @pytest.mark.parametrize("case, builder", [("scalar", gram_scalar), ("vector", gram_vector)])
+    def test_full_sphere_cap_has_the_zero_gram(self, case, builder):
+        # rho = 2 leaves the exterior [-1, 1 - rho] empty; the builders
+        # themselves still need a nonempty interval
+        gram = _gram_for(case, 12, 2.0)
+        assert (gram.n_max, gram.rho, gram.case) == (12, 2.0, case)
+        assert gram.entries.shape == (13, 13) and not np.any(gram.entries)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            builder(12, 2.0)
+
     def test_callers_array_is_copied(self):
         entries = np.eye(3)
         gram = GramMatrix(2, 0.5, "scalar", entries)
@@ -280,6 +290,19 @@ def decoupled_reference(g, w, channel_weight):
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_full_sphere_cap_matches_decoupled_closed_form(self, case):
+        # rho = 2: no cap exterior, so each degree balances fidelity and
+        # regularization alone
+        g = reduced_geometry(case, rho=2.0)
+        w = PenaltyWeights(np.linspace(0.5, 2.0, g.N + 1),
+                           np.linspace(1.0, 3.0, g.kN + 1), 0.3)
+        pair = optimize(g, w)
+        sig = g.sigmas(g.N)
+        expected = w.alpha / (w.alpha + w.beta / sig**2)
+        assert np.max(np.abs(pair.phi_tilde.values - 1.0)) < 1e-14
+        assert np.max(np.abs(pair.phi.values * sig - expected)) < 1e-14
+
     def test_near_decoupled_limit_scalar(self):
         g = reduced_geometry("scalar", rho=1e-9)
         w = PenaltyWeights.uniform(g, 0.1, 0.1, 0.5)
@@ -546,22 +569,6 @@ class TestLocalizationRatio:
         g = reduced_geometry()
         with pytest.raises(ValueError):
             localization_ratio(SymbolSet.zeros(5), 0.5, g)
-
-    def test_given_gram_gives_same_ratio(self):
-        g = reduced_geometry()
-        psi = optimize(g, PenaltyWeights.uniform(g, 10.0, 10.0, 1.0)).psi_tilde
-        for rho in (0.3, 0.5):
-            gram = gram_scalar(g.kN, rho)
-            assert localization_ratio(psi, rho, g, gram=gram) == \
-                localization_ratio(psi, rho, g)
-
-    def test_mismatched_gram_rejected(self):
-        g = reduced_geometry()
-        psi = shannon_reference_pair(g, g.N).psi_tilde
-        for gram in (gram_scalar(g.kN, 0.7), gram_scalar(g.kN - 1, 0.5),
-                     gram_vector(g.kN, 0.5)):
-            with pytest.raises(ValueError):
-                localization_ratio(psi, 0.5, g, gram=gram)
 
 
 class TestMonotoneLocalization:

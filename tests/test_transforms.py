@@ -497,6 +497,17 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(u, v, region)
 
+    def test_radii_equal_within_1e_9_relative(self):
+        # the rule of build_model and the transforms' radius checks
+        region = RegionSpec(NORTH, 0.6, 0.5)
+        u = random_field(R_INNER, 5, 43)
+        near = HarmonicCoefficients(R_INNER * (1.0 + 1e-12), 5, u.data)
+        assert near.radius != u.radius
+        assert relative_error(u, near, region) == 0.0
+        for a, b in ((1.0, 2.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="same sphere"):
+                relative_error(random_field(a, 5, 1), random_field(b, 5, 2), region)
+
     def test_mixed_field_kinds_rejected(self):
         region = RegionSpec(NORTH, 0.6, 0.5)
         u = random_field(R_INNER, 5, 43)
