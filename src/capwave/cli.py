@@ -36,6 +36,7 @@ from .kernels import (
 )
 from .transforms import NoiseSpec, add_noise, approximate_coefficients, \
     relative_error, upward_continue
+from .vector_field import save_vector_coefficients
 
 __all__ = ["ConfigError", "parse_config", "load_config", "main"]
 
@@ -146,11 +147,6 @@ def _single_weights(config: ExperimentConfig, command: str) -> PenaltyWeights:
         config.geometry, alpha_tilde / ratio, alpha_tilde, beta)
 
 
-def _require_scalar(config: ExperimentConfig, command: str) -> None:
-    if config.case != "scalar":
-        raise ConfigError(f"the {command} command covers the scalar chain only")
-
-
 def _cmd_gram(config: ExperimentConfig) -> int:
     geometry = config.geometry
     gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
@@ -189,7 +185,6 @@ def _cmd_tsvd(config: ExperimentConfig) -> int:
 
 
 def _cmd_approximate(config: ExperimentConfig) -> int:
-    _require_scalar(config, "approximate")
     eps1 = _single(config.epsilon1, "epsilon1", "approximate")
     gamma = _single(config.gamma, "gamma", "approximate")
     seed = _single(config.seeds, "seeds", "approximate")
@@ -201,7 +196,7 @@ def _cmd_approximate(config: ExperimentConfig) -> int:
     f2 = add_noise(model, spec, region)
     pair = optimize(geometry, _single_weights(config, "approximate"))
     u = approximate_coefficients(pair, f1, f2, region)
-    save_coefficients(u, config.out)
+    (save_vector_coefficients if u.case == "vector" else save_coefficients)(u, config.out)
     err = relative_error(model, u, region)
     print(f"wrote approximation coefficients to {config.out}")
     print(f"relative_error = {err:.17g}")

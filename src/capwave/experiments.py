@@ -21,15 +21,18 @@ upward-continued outer data, and each method's kernel pair and
 localization ratio. Every row then runs the library chain, the
 approximate_coefficients of its method's pair on the cell's noisy data
 scored by relative_error, so the table and a single reconstruction share
-one code path. Process memos keep what the chain rebuilds from unchanged
-arguments: the cap-exterior Gram (kernels._gram_for, zero for a
-full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre rows
-(transforms._cap_rule), each cap's norm operator (harmonics._cap_factor)
-and the model's norm on each cap, kept by the model's content
-(harmonics._kept_cap_norm). A run's first rows build them and a repeated
-run in one process finds them built. A row's wall_time_s times its own
-reconstruction and scoring: the wavelet multipliers, the assembly and the
-error norm. None of this reuse changes a bit of any error.
+one code path, for scalar and gradient fields alike (config.case). Process
+memos keep what the chain rebuilds from unchanged arguments: the
+cap-exterior Gram (kernels._gram_for, zero for a full-sphere kernel cap),
+the cap multipliers' Gauss rule and Legendre rows (transforms._cap_rule),
+each method's cap multipliers, kept by its pair's content
+(transforms._cap_multipliers), each cap's norm operator
+(harmonics._cap_factor) and the model's norm on each cap, kept by the
+model's content (harmonics._kept_cap_norm). A run's first cell builds them
+and a repeated run in one process finds them built. A row's wall_time_s
+times its own reconstruction and scoring: the assembly and the error norm,
+and in its run's first cell the method's multipliers. None of this reuse
+changes a bit of any error.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ from .kernels import (
 from .transforms import (
     NoiseSpec,
     RegionSpec,
+    _noise_generator,
+    _normal_field,
     add_noise,
     approximate_coefficients,
     relative_error,
@@ -90,8 +95,9 @@ _MODEL_STREAM = 2
 
 
 class ConfigError(ValueError):
-    """Raised for malformed config text or inconsistent key values, and by
-    a run whose configuration it cannot carry out."""
+    """Raised for malformed config text or key values a run cannot carry
+    out (inconsistent, non-finite, or a seed outside [0, 2^64)), and by a
+    run whose model file cannot be read or lies at another radius."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,14 @@ class ExperimentConfig:
                      "gamma", "seeds", "shannon_degrees", "tsvd_degrees",
                      "region_center"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("r_km", "R_km", "kappa", "kernel_rho", "region_rho",
+                     "region_center", "beta", "alpha_tilde", "alpha_ratio",
+                     "epsilon1", "gamma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        for name, vals in (("seeds", self.seeds), ("model_seed", (self.model_seed,))):
+            if any(not 0 <= s < 2 ** 64 for s in vals):
+                raise ValueError(f"{name} must lie in [0, 2^64)")
         geometry = self.geometry
         self.region
         for name in ("beta", "alpha_tilde", "alpha_ratio", "gamma"):
@@ -239,10 +253,11 @@ def write_table(rows, path) -> None:
 def build_model(config: ExperimentConfig):
     """Truth field on the inner sphere, from file or synthesized.
 
-    The synthetic model draws i.i.d. normal coefficients and scales degree n
-    by 1/max(n, 1), a power-law degree variance n^(-2) continued by 1 at
-    degree zero; both channels of a gradient field draw independently. A
-    file model must live on the configured inner radius.
+    The synthetic model draws i.i.d. normal coefficients in add_noise's
+    draw order (transforms._normal_field) from the stream keyed by
+    (model_seed, 2) and scales degree n by 1/max(n, 1), a power-law degree
+    variance n^(-2) continued by 1 at degree zero. A file model must live
+    on the configured inner radius.
     """
     if config.model_file:
         loader = (load_coefficients if config.case == "scalar"
@@ -257,17 +272,11 @@ def build_model(config: ExperimentConfig):
             )
         return model
 
-    gen = np.random.Generator(
-        np.random.Philox(key=[config.model_seed, _MODEL_STREAM]))
+    kind = HarmonicCoefficients if config.case == "scalar" else VectorCoefficients
     d = config.model_degree
-    degrees = np.repeat(np.arange(d + 1), 2 * np.arange(d + 1) + 1)
-    scale = 1.0 / np.maximum(degrees, 1)
-    if config.case == "scalar":
-        return HarmonicCoefficients(config.r_km, d, gen.standard_normal(degrees.size) * scale)
-    # one draw per coefficient, type 1 and then type 2 from degree 1; the
-    # structural zero data[1, 0] takes none, so a seed keeps its model
-    data = np.insert(gen.standard_normal(2 * degrees.size - 1), degrees.size, 0.0)
-    return VectorCoefficients(config.r_km, d, data.reshape(2, -1) * scale)
+    gen = _noise_generator(config.model_seed, _MODEL_STREAM)
+    draw = _normal_field(kind, config.r_km, d, gen)
+    return draw.scaled_by_degree(1.0 / np.maximum(np.arange(d + 1), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +344,10 @@ def _sweep(config: ExperimentConfig) -> tuple:
     region fails here, before any row: the relative error of the zero
     field at the run's degree raises for it, and otherwise keeps the
     model's norm there for the rows."""
-    if config.case != "scalar":
-        raise ConfigError("table sweeps cover scalar fields; run gradient-field "
-                         "reconstructions through the transforms chain directly")
     g = config.geometry
     model = build_model(config)
     degree = max(model.n_max, config.noise_degree)
-    relative_error(model, HarmonicCoefficients(model.radius, degree), config.region)
+    relative_error(model, type(model)(model.radius, degree), config.region)
     common = dict(case=config.case, rho=g.rho, region_rho=config.region_rho,
                   scaling_degree=g.N, band_degree=g.kN,
                   model_degree=model.n_max, noise_degree=config.noise_degree)

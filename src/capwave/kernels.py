@@ -72,8 +72,8 @@ class Geometry:
     case: str = "scalar"
 
     def __post_init__(self):
-        if not (0 < self.r < self.R):
-            raise ValueError("need 0 < r < R")
+        if not (0 < self.r < self.R < math.inf and math.isfinite(self.kappa)):
+            raise ValueError("need 0 < r < R, both finite, and a finite kappa")
         if self.N < 0:
             raise ValueError("N must be >= 0")
         if self.kN <= self.N:

@@ -87,8 +87,8 @@ class RegionSpec:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         norm = np.linalg.norm(c)
-        if norm == 0:
-            raise ValueError("center must be a nonzero direction")
+        if norm == 0 or not np.isfinite(norm):
+            raise ValueError("center must be a finite nonzero direction")
         object.__setattr__(self, "center", tuple(c / norm))
         if not (0.0 < self.kernel_rho <= 2.0):
             raise ValueError("kernel_rho must lie in (0, 2]")
@@ -139,8 +139,10 @@ def default_region(center, kernel_rho: float) -> RegionSpec:
 class NoiseSpec:
     """Noise levels, bandlimit of the noise, and the deterministic seed.
 
-    epsilon1 scales the outer-sphere noise, epsilon2 the ground noise. The
-    noise field has i.i.d. standard normal coefficients up to noise_degree,
+    epsilon1 scales the outer-sphere noise, epsilon2 the ground noise;
+    both must be finite and nonnegative. The noise field is of the
+    signal's kind, with i.i.d. standard normal coefficients up to
+    noise_degree (both types of a gradient field, type 2 from degree 1),
     rescaled so its norm over the relevant region matches the signal's.
     """
 
@@ -150,10 +152,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon1 < 0 or self.epsilon2 < 0:
-            raise ValueError("noise levels must be nonnegative")
+        if not (0 <= self.epsilon1 < math.inf and 0 <= self.epsilon2 < math.inf):
+            raise ValueError("noise levels must be finite and nonnegative")
         if self.noise_degree < 0:
             raise ValueError("noise_degree must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +358,45 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
 
 
 def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
-    """Coefficient-space action of the cap-restricted wavelet convolution.
+    """Coefficient-space action of the cap-restricted wavelet convolution:
+    each degree (and type, for a gradient field) of f2 times its cap
+    multiplier from _cap_multipliers."""
+    _check_case(pair, f2)
+    _check_radius(f2, pair.geometry.r, "ground data f2", "r")
+    lam, mu = _cap_multipliers(pair, kernel_rho, f2.n_max)
+    if mu is None:
+        return f2.scaled_by_degree(lam)
+    scale = np.stack([_per_coefficient(lam, f2.n_max), _per_coefficient(mu, f2.n_max)])
+    return VectorCoefficients(f2.radius, f2.n_max, scale * f2.data)
+
+
+# The cap multipliers last asked, oldest first, by content. A table scores
+# every method of a cell before the next cell, so the memo must hold one
+# cell's methods (100 in both shipped configs), or each row would evict
+# the entry the next cell needs; 256 degree-110 entries take about 0.8 MB.
+_MAX_KEPT_MULTIPLIERS = 256
+_kept_multipliers: dict = {}
+
+
+def _cap_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> tuple:
+    """(lambda_n, mu_n) of _fresh_multipliers, kept by content: the key is
+    what they read, the pair's psi_tilde bytes, kN and field kind, with
+    kernel_rho and n_max, so a later write into a pair's symbols cannot
+    return stale multipliers."""
+    g = pair.geometry
+    key = (pair.psi_tilde.values.tobytes(), g.kN, g.case, kernel_rho, n_max)
+    kept = _kept_multipliers.pop(key, None)
+    if kept is None:
+        kept = _fresh_multipliers(pair, kernel_rho, n_max)
+        if len(_kept_multipliers) >= _MAX_KEPT_MULTIPLIERS:
+            del _kept_multipliers[next(iter(_kept_multipliers))]
+    _kept_multipliers[key] = kept
+    return kept
+
+
+def _fresh_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> tuple:
+    """(lambda_n, mu_n) for n = 0..n_max, read-only; mu_n is None for a
+    scalar pair.
 
     A scalar field takes wavelet_multipliers. For a gradient field,
     restricting the zonal tensor kernel to a cap keeps it equivariant under
@@ -373,13 +415,11 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     The integrand has degree at most kN + n_max, so the rule of _cap_rule
     is exact. On the full-sphere cap mu_n = psi_tilde(n).
     """
-    _check_case(pair, f2)
-    _check_radius(f2, pair.geometry.r, "ground data f2", "r")
     g = pair.geometry
-    n_max = f2.n_max
     lam = wavelet_multipliers(pair, kernel_rho, n_max)
-    if f2.case == "scalar":
-        return f2.scaled_by_degree(lam)
+    lam.flags.writeable = False
+    if g.case == "scalar":
+        return lam, None
     t, w, _, dp, d2p = _cap_rule(g.kN, n_max, kernel_rho)
     j = np.arange(1, g.kN + 1, dtype=float)
     k = (j + 0.5) * pair.psi_tilde.values[1:] / (j * (j + 1.0))
@@ -390,8 +430,8 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     n = np.arange(1, n_max + 1, dtype=float)
     mu = np.zeros(n_max + 1)
     mu[1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
-    scale = np.stack([_per_coefficient(lam, n_max), _per_coefficient(mu, n_max)])
-    return VectorCoefficients(f2.radius, n_max, scale * f2.data)
+    mu.flags.writeable = False
+    return lam, mu
 
 
 def wavelet_transform_local(pair: KernelPair, f2, x, region: RegionSpec):
@@ -457,12 +497,29 @@ def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndar
 
 
 def _noise_generator(seed: int, field_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, field index): stable across runs."""
-    return np.random.Generator(np.random.Philox(key=[seed, field_index]))
+    """Counter-based stream keyed by (seed, field index): stable across runs.
+
+    The key is built as uint64, since a list holding a seed of 2^63 or more
+    becomes float64, which rounds it (or, at 2^64 - 1, overflows); a seed
+    outside [0, 2^64) raises OverflowError.
+    """
+    key = np.array([seed, field_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
-              norm_region) -> HarmonicCoefficients:
+def _normal_field(kind, radius: float, n_max: int, gen: np.random.Generator):
+    """A field of container type kind with i.i.d. standard normal
+    coefficients from gen: one draw per coefficient, for a gradient field
+    type 1 and then type 2 from degree 1, whose structural zero data[1, 0]
+    takes none, so a stream gives a scalar field its first L draws."""
+    size = (n_max + 1) ** 2
+    if kind.case == "scalar":
+        return kind(radius, n_max, gen.standard_normal(size))
+    data = np.insert(gen.standard_normal(2 * size - 1), size, 0.0)
+    return kind(radius, n_max, data.reshape(2, size))
+
+
+def add_noise(coeffs, spec: NoiseSpec, norm_region):
     """Signal plus epsilon times a norm-matched bandlimited noise field.
 
     norm_region selects both the matching norm and the noise level:
@@ -470,14 +527,11 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
     RegionSpec uses epsilon2 and the L2 norm over its data cap (ground
     data): the signal's norm is kept by content (harmonics._kept_cap_norm),
     since a noise study matches every draw to one unchanged signal, and
-    only the noise goes through harmonics._cap_norms. The noise
-    field is reproducible per (seed, region kind). Scalar fields only:
-    noise for gradient fields is ROADMAP item 3, and a gradient field
-    raises ValueError.
+    only the noise goes through harmonics._cap_norms. The noise field is
+    of the signal's kind, drawn by _normal_field from the stream keyed by
+    (seed, region kind), so it is reproducible per pair; the result has
+    the larger of the two degrees.
     """
-    if coeffs.case != "scalar":
-        raise ValueError("add_noise covers scalar fields; noise for gradient "
-                         "fields is not implemented yet (ROADMAP item 3)")
     if norm_region == "sphere":
         eps = spec.epsilon1
         field_index = 0
@@ -490,25 +544,22 @@ def add_noise(coeffs: HarmonicCoefficients, spec: NoiseSpec,
         return coeffs.copy()
 
     gen = _noise_generator(spec.seed, field_index)
-    raw = gen.standard_normal((spec.noise_degree + 1) ** 2)
-    noise = HarmonicCoefficients(coeffs.radius, spec.noise_degree, raw)
+    noise = _normal_field(type(coeffs), coeffs.radius, spec.noise_degree, gen)
     n_out = max(coeffs.n_max, spec.noise_degree)
+    signal, raw = _padded(coeffs.data, n_out), _padded(noise.data, n_out)
 
     if norm_region == "sphere":
         signal_norm = coeffs.l2_norm()
         noise_norm = noise.l2_norm()
     else:
-        cap = (norm_region.center_direction, norm_region.data_rho, 2 * n_out)
-        signal_norm = math.sqrt(_kept_cap_norm(_padded(coeffs.data, n_out), *cap))
-        noise_norm = math.sqrt(_cap_norms(_padded(raw, n_out)[None], *cap)[0])
+        cap = (norm_region.center_direction, norm_region.data_rho,
+               2 * n_out + _extra_exactness(coeffs))
+        signal_norm = math.sqrt(_kept_cap_norm(signal, *cap))
+        noise_norm = math.sqrt(_cap_norms(raw[None], *cap)[0])
     if noise_norm == 0.0:
         raise ValueError("degenerate noise draw with zero norm")
-
     scale = eps * signal_norm / noise_norm
-    out = HarmonicCoefficients(coeffs.radius, n_out)
-    out.data[: coeffs.data.size] += coeffs.data
-    out.data[: noise.data.size] += scale * noise.data
-    return out
+    return type(coeffs)(coeffs.radius, n_out, signal + scale * raw)
 
 
 def relative_error(u_ref, u_approx, region: RegionSpec) -> float:

@@ -11,9 +11,11 @@ import pytest
 
 import capwave
 from capwave.cli import ConfigError, load_config, main, parse_config
-from capwave.experiments import read_spectra
+from capwave.experiments import build_model, read_spectra
 from capwave.harmonics import HarmonicCoefficients, load_coefficients, save_coefficients
 from capwave.kernels import NumericalFailure, gram_scalar, tsvd_symbols
+from capwave.transforms import relative_error
+from capwave.vector_field import load_vector_coefficients
 
 TINY = """
 # smoke geometry
@@ -168,12 +170,41 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["table", "tsvd-table"])
-    def test_vector_case_table_is_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, rows", [("table", 3), ("tsvd-table", 1)])
+    def test_vector_case_table_is_0(self, tmp_path, capsys, command, rows):
+        # sweeps run gradient fields through the same chain: TINY has one
+        # cell, one optimized and two Shannon methods, and one cut
         path = tmp_path / "vector.cfg"
         path.write_text(TINY.replace("case = scalar", "case = vector"))
-        assert main([command, str(path), "--out", str(tmp_path / "t.csv")]) == 2
-        assert capsys.readouterr().err.startswith("config error: table sweeps cover scalar")
+        out = tmp_path / "t.csv"
+        assert main([command, str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+        with open(out, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == rows
+        assert all(r["case"] == "vector" and r["status"] == "ok" for r in records)
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon1", "nan"), ("gamma", "inf"), ("kappa", "inf"),
+        ("seeds", str(2 ** 64)), ("seeds", "-1"), ("model_seed", "-1"),
+        ("beta", "nan"), ("alpha_tilde", "inf"), ("R_km", "inf"),
+        ("region_center", "nan 0 1"),
+    ])
+    @pytest.mark.parametrize("command", ["approximate", "table"])
+    def test_value_a_run_cannot_carry_out_is_2(self, tmp_path, capsys, command,
+                                               key, value):
+        # non-finite values and seeds outside [0, 2^64) are rejected with
+        # the config, before a run could print nan, overflow or warn
+        kept = [line for line in TINY.splitlines()
+                if line.partition("=")[0].strip() != key]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "out.txt"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key} must ")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["approximate", "table"])
     def test_model_file_at_wrong_radius_is_2(self, tmp_path, capsys, command):
@@ -333,6 +364,22 @@ class TestCommands:
         coeffs = load_coefficients(out)
         assert coeffs.radius == pytest.approx(6371.2)
         assert coeffs.n_max == 10
+
+    def test_vector_approximate_writes_gradient_field(self, tmp_path, capsys):
+        # the file reads back as a gradient field, and the printed error is
+        # that of the field as read
+        path = tmp_path / "vector.cfg"
+        path.write_text(TINY.replace("case = scalar", "case = vector"))
+        out = tmp_path / "u.txt"
+        assert main(["approximate", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == f"wrote approximation coefficients to {out}"
+        coeffs = load_vector_coefficients(out)
+        assert (coeffs.radius, coeffs.n_max, coeffs.data.shape) == (6371.2, 10, (2, 121))
+        cfg = load_config(path)
+        err = relative_error(build_model(cfg), coeffs, cfg.region)
+        assert 0.0 < err < 1.0
+        assert printed[1] == f"relative_error = {err:.17g}"
 
     def test_module_entry_point(self, tiny_cfg, tmp_path):
         out = tmp_path / "pair.csv"

@@ -342,13 +342,47 @@ class TestRunTable:
         assert len(rows) == 4 * 4
         assert len(calls) == sum(r.status == "ok" for r in rows) == 4 * 3
 
-    def test_vector_case_rejected(self):
-        with pytest.raises(ValueError, match="scalar"):
-            run_table(tiny_config(case="vector"))
+    def test_vector_csv_bytes_repeat_and_ignore_sweep_order(self, tmp_path):
+        cfg = tiny_config(case="vector", epsilon1=(0.05, 0.0), seeds=(1, 0),
+                          shannon_degrees=(6, 0))
+        permuted = tiny_config(case="vector", epsilon1=(0.0, 0.05), seeds=(0, 1),
+                               shannon_degrees=(0, 6))
+        paths = [tmp_path / f"{k}.csv" for k in "abc"]
+        for c, path in zip((cfg, cfg, permuted), paths):
+            write_table(run_table(c), path)
+        data = [path.read_bytes() for path in paths]
+        assert data[0] == data[1] == data[2]
+        assert data[0].count(b"\r\nvector,") == 2 * 2 * 3
+
+    def test_multipliers_computed_once_per_method(self, monkeypatch):
+        # the cap multipliers are kept by content across cells: a 2-cell
+        # table computes each method's once, not once per row
+        import capwave.transforms as transforms
+
+        real, calls = transforms.wavelet_multipliers, []
+
+        def counted(pair, kernel_rho, n_max):
+            calls.append(pair.psi_tilde.values.tobytes())
+            return real(pair, kernel_rho, n_max)
+
+        monkeypatch.setattr(transforms, "_kept_multipliers", {})
+        monkeypatch.setattr(transforms, "wavelet_multipliers", counted)
+        for case in ("scalar", "vector"):
+            calls.clear()
+            rows = run_table(tiny_config(case=case, beta=(1.0, 10.0), seeds=(0, 1)))
+            assert len({(r.epsilon1, r.seed) for r in rows}) == 2
+            assert len(rows) == 2 * 4 and len(calls) == len(set(calls)) == 4
 
     def test_reduced_noisy_cell_ordering(self):
+        self._noisy_cell_ordering("scalar")
+
+    def test_reduced_noisy_cell_ordering_vector(self):
+        self._noisy_cell_ordering("vector")
+
+    @staticmethod
+    def _noisy_cell_ordering(case):
         cfg = reduced_config(
-            beta=(1.0, 10.0, 100.0), alpha_tilde=(1e3, 1e4),
+            case=case, beta=(1.0, 10.0, 100.0), alpha_tilde=(1e3, 1e4),
             alpha_ratio=(1.0, 5.0), epsilon1=(0.1,), gamma=(1.0,),
             seeds=(0, 1, 2))
         rows = run_table(cfg)
@@ -416,6 +450,13 @@ class TestScoringMatchesLibrary:
         self._check(tiny_config(epsilon1=(0.0, 0.01), seeds=(0,),
                                 region_center=(0.3, 0.4, 0.8)))
 
+    def test_vector_polar_region(self):
+        self._check(tiny_config(case="vector", epsilon1=(0.0, 0.1), beta=(0.1, 10.0)))
+
+    def test_vector_off_pole_region(self):
+        self._check(tiny_config(case="vector", epsilon1=(0.01,), seeds=(0, 5),
+                                region_center=(0.3, 0.4, 0.8)))
+
 
 class TestTsvdTable:
     def test_noise_free_full_cut_is_exact(self):
@@ -447,9 +488,25 @@ class TestTsvdTable:
         expected = (7071.2 / 6371.2) ** 20
         assert expected / 3.0 < e100 / e80 < expected * 3.0
 
-    def test_vector_case_rejected(self):
-        with pytest.raises(ValueError, match="scalar"):
-            run_tsvd_table(tiny_config(case="vector"))
+    def test_vector_noise_amplification_grows_with_cut(self):
+        # a gradient field's sigma_n is (r/R)^(n+1), so the amplification
+        # ratio of two cuts is the scalar one
+        cfg = ExperimentConfig(
+            case="vector", scaling_degree=80, kappa=1.25, kernel_rho=0.5,
+            region_rho=1.0, model_degree=40, model_seed=7, noise_degree=110,
+            epsilon1=(0.1,), gamma=(1.0,), seeds=(0, 1, 2),
+            shannon_degrees=(0,), tsvd_degrees=(50, 80, 100))
+        rows = run_tsvd_table(cfg)
+        assert all(r.case == "vector" and r.status == "ok" for r in rows)
+
+        def med(m):
+            return statistics.median(r.relative_error for r in rows
+                                     if r.method == f"tsvd-{m}")
+
+        e50, e80, e100 = med(50), med(80), med(100)
+        assert e50 < e80 < e100
+        expected = (7071.2 / 6371.2) ** 20
+        assert expected / 3.0 < e100 / e80 < expected * 3.0
 
 
 class TestWriteTable:

@@ -80,6 +80,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry(1.0, 2.0, 10, case="tensor")
 
+    @pytest.mark.parametrize("r, R, kappa", [
+        (math.nan, 2.0, 1.25), (1.0, math.inf, 1.25), (1.0, math.nan, 1.25),
+        (1.0, 2.0, math.inf), (1.0, 2.0, math.nan),
+    ])
+    def test_non_finite_values_rejected(self, r, R, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            Geometry(r, R, 10, kappa=kappa)
+
 
 class TestGramScalar:
     def test_degree_zero_entry(self):

@@ -119,6 +119,11 @@ class TestRegionSpec:
             with pytest.raises(ValueError, match="finite nonzero 3-vectors"):
                 region.contains(bad)
 
+    @pytest.mark.parametrize("center", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0)])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="finite nonzero direction"):
+            RegionSpec(center, 1.0, 0.5)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RegionSpec(NORTH, 0.5, 0.5)
@@ -448,12 +453,50 @@ class TestAddNoise:
             add_noise(f, NoiseSpec(0.1, 0.1), "cap")
 
     @pytest.mark.parametrize("norm_region", ["sphere", RegionSpec(NORTH, 0.6, 0.5)])
-    def test_gradient_field_rejected(self, norm_region):
-        # noise for gradient fields is not implemented; adding the vector
-        # data into scalar slots would return a wrong scalar field
-        f = VectorCoefficients(1.0, 4, np.insert(np.ones(49), 25, 0.0).reshape(2, 25))
-        with pytest.raises(ValueError, match="gradient fields"):
-            add_noise(f, NoiseSpec(0.1, 0.1, 20, 0), norm_region)
+    def test_gradient_field_noise(self, norm_region):
+        # a gradient field's noise is 2L - 1 draws of the (seed, region
+        # kind) stream, type 1 and then type 2 from degree 1, with the
+        # structural zero data[1, 0] inserted, as build_model draws
+        sphere = norm_region == "sphere"
+        eps = 0.1 if sphere else 0.2
+        f = field_of_kind("vector", R_INNER, 12)
+        out = add_noise(f, NoiseSpec(0.1, 0.2, noise_degree=16, seed=9), norm_region)
+        size = 17 ** 2
+        gen = np.random.Generator(np.random.Philox(key=[9, 0 if sphere else 1]))
+        raw = np.insert(gen.standard_normal(2 * size - 1), size, 0.0).reshape(2, size)
+        signal = harmonics._padded(f.data, 16)
+        if sphere:
+            norms = (f.l2_norm(), float(np.linalg.norm(raw)))
+            grid = sphere_grid(R_INNER, 2 * 16 + 2)
+        else:
+            cap = (norm_region.center_direction, 0.6, 2 * 16 + 2)
+            norms = [math.sqrt(harmonics._cap_norms(x[None], *cap)[0]) for x in (signal, raw)]
+            grid = norm_region.data_grid(R_INNER, 2 * 16 + 2)
+        assert isinstance(out, VectorCoefficients) and out.n_max == 16
+        assert np.array_equal(out.data, signal + eps * norms[0] / norms[1] * raw)
+        assert out.data[1, 0] == 0.0
+        ratio = math.sqrt(node_wise.cap_norm(out, grid, minus=f) / node_wise.cap_norm(f, grid))
+        assert ratio == pytest.approx(eps, rel=1e-12)
+
+    def test_seeds_past_2_63_keep_their_own_stream(self):
+        # a seed list of 2^63 or more used to become float64: 2^63 and
+        # 2^63 + 1 drew one stream, and 2^64 - 1 overflowed in a cast
+        f = random_field(R_OUTER, 5, 36)
+        seeds = (2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+        draws = [add_noise(f, NoiseSpec(0.1, 0.0, 5, s), "sphere").data for s in seeds]
+        assert not np.array_equal(draws[0], draws[1])
+        for s, data in zip(seeds, draws):
+            gen = np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
+            raw = gen.standard_normal(36)
+            assert np.array_equal(data, f.data + 0.1 * f.l2_norm() / np.linalg.norm(raw) * raw)
+        for s in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+                NoiseSpec(0.1, 0.0, 5, s)
+
+    @pytest.mark.parametrize("levels", [(math.nan, 0.1), (0.1, math.inf), (-0.1, 0.0)])
+    def test_levels_must_be_finite_and_nonnegative(self, levels):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseSpec(*levels)
 
 
 class TestRelativeError:
