@@ -36,7 +36,6 @@ from .kernels import (
 )
 from .transforms import NoiseSpec, add_noise, approximate_coefficients, \
     relative_error, upward_continue
-from .vector_field import save_vector_coefficients
 
 __all__ = ["ConfigError", "parse_config", "load_config", "main"]
 
@@ -196,7 +195,7 @@ def _cmd_approximate(config: ExperimentConfig) -> int:
     f2 = add_noise(model, spec, region)
     pair = optimize(geometry, _single_weights(config, "approximate"))
     u = approximate_coefficients(pair, f1, f2, region)
-    (save_vector_coefficients if u.case == "vector" else save_coefficients)(u, config.out)
+    save_coefficients(u, config.out)
     err = relative_error(model, u, region)
     print(f"wrote approximation coefficients to {config.out}")
     print(f"relative_error = {err:.17g}")

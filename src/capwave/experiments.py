@@ -69,7 +69,6 @@ from .transforms import (
     relative_error,
     upward_continue,
 )
-from .vector_field import load_vector_coefficients
 
 __all__ = [
     "ConfigError",
@@ -256,16 +255,18 @@ def build_model(config: ExperimentConfig):
     The synthetic model draws i.i.d. normal coefficients in add_noise's
     draw order (transforms._normal_field) from the stream keyed by
     (model_seed, 2) and scales degree n by 1/max(n, 1), a power-law degree
-    variance n^(-2) continued by 1 at degree zero. A file model must live
-    on the configured inner radius.
+    variance n^(-2) continued by 1 at degree zero. A file model must hold
+    a field of the configured case and live on the configured inner radius.
     """
     if config.model_file:
-        loader = (load_coefficients if config.case == "scalar"
-                  else load_vector_coefficients)
         try:
-            model = loader(config.model_file)
+            model = load_coefficients(config.model_file)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read model file: {exc}") from exc
+        if model.case != config.case:
+            raise ConfigError(
+                f"model file holds a {model.case} field, but case = {config.case}"
+            )
         if not math.isclose(model.radius, config.r_km, rel_tol=1e-9):
             raise ConfigError(
                 f"model file radius {model.radius} does not match r_km {config.r_km}"

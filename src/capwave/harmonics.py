@@ -48,8 +48,6 @@ __all__ = [
     "cap_grid",
     "synthesize",
     "analyze",
-    "vector_synthesize",
-    "vector_analyze",
     "sobolev_norm",
     "save_coefficients",
     "load_coefficients",
@@ -178,13 +176,14 @@ def _per_coefficient(factors, n_max: int) -> np.ndarray:
     return np.repeat(factors[: n_max + 1], 2 * np.arange(n_max + 1) + 1)
 
 
-def sobolev_norm(coeffs: HarmonicCoefficients, s: float) -> float:
-    """Norm with degree weights (n + 1/2)^(2s) on squared coefficients."""
+def sobolev_norm(coeffs, s: float) -> float:
+    """Norm with degree weights (n + 1/2)^(2s) on squared coefficients, of
+    every row of data: both types of a gradient field."""
     if s < 0:
         raise ValueError("s must be >= 0")
     n = np.arange(coeffs.n_max + 1)
     weights = _per_coefficient((n + 0.5) ** (2 * s), coeffs.n_max)
-    return math.sqrt(float(weights @ (coeffs.data * coeffs.data)))
+    return math.sqrt(float(np.sum((coeffs.data * coeffs.data) @ weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +208,9 @@ class SphereGrid:
     The transforms read Legendre rows on the northern half of the
     colatitude axis only, so ct must be mirrored about the equator bit for
     bit, np.array_equal(ct, -ct[::-1]), as sphere_grid builds it; a grid
-    built otherwise raises ValueError in synthesize, analyze,
-    vector_synthesize and vector_analyze. A grid is immutable: it holds
-    private read-only copies of its arrays, so samples on it can keep
-    their analysis.
+    built otherwise raises ValueError in synthesize and analyze. A grid is
+    immutable: it holds private read-only copies of its arrays, so samples
+    on it can keep their analysis and sphere_grid can share it.
     """
 
     radius: float
@@ -270,8 +268,13 @@ class CapGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
+@functools.lru_cache(maxsize=4)
 def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
-    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2)."""
+    """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2).
+
+    The last 4 grids asked are kept and shared: a grid is immutable, and a
+    study samples every field on the same one.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if exact_degree < 0:
@@ -993,13 +996,17 @@ def ynk(n: int, k: int, xi) -> float | np.ndarray:
 # synthesis and analysis
 
 
-def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
-    """Evaluate the field at unit directions, a SphereGrid, or a CapGrid.
+def synthesize(coeffs, points) -> np.ndarray:
+    """Evaluate a field of either kind at unit directions, a SphereGrid, or
+    a CapGrid. A scalar field gives one value per point (a float for a
+    single direction), a gradient field (coeffs.case == "vector") one
+    Cartesian 3-vector per point (shape (3,) for a single direction).
 
     Runs the tiled Legendre engine: each tile of rows takes one batched
     matrix product with the coefficients of its orders and degrees
-    (_scalar_blocks). Grids evaluate the rows on their colatitude axis only,
-    in tiles of every order and a chunk of degrees whose products are
+    (_scalar_blocks; _vector_blocks on the radial, colatitude and azimuth
+    channels at once). Grids evaluate the rows on their colatitude axis
+    only, in tiles of every order and a chunk of degrees whose products are
     summed, and sum the orders with one azimuth matrix product. A
     SphereGrid reads the stored tiles of the northern half of its axis
     (_axis_tiles), and one product per tile also gives the mirror nodes;
@@ -1007,72 +1014,20 @@ def synthesize(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     tiles; off the pole it does so in its own frame, on coefficients
     turned into it degree by degree (_cap_frame), which holds degree-110
     values to 1.5e-13 of the largest one there, against 1.4e-14 on the
-    polar cap. At loose directions each range of orders is folded
+    polar cap. Both types of a gradient field turn by the same per-degree
+    rotation, since each comes from Y_nk through a rotation-equivariant
+    operator, and the vectors found there are mapped back with
+    grid.rotation. At loose directions each range of orders is folded
     against cos(m phi), sin(m phi) point by point once its last tile is
-    in; large point sets take one order per range. A single direction gives a
-    float, a grid one value per node. Points must be finite nonzero
-    3-vectors (ValueError otherwise).
+    in; large point sets take one order per range. Points must be finite
+    nonzero 3-vectors (ValueError otherwise).
     """
-    data = (_cap_frame(coeffs.data, points.rotation) if isinstance(points, CapGrid)
-            else coeffs.data)
-    vals, _ = _synthesis(functools.partial(_scalar_blocks, data), coeffs.n_max, points)
-    out = np.reshape(vals / coeffs.radius, _leading_shape(points))
-    return float(out) if out.ndim == 0 else out
-
-
-def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int) -> HarmonicCoefficients:
-    """Coefficients of a sampled field by exact quadrature.
-
-    Requires grid.exact_degree >= 2 * n_max so products of the field with any
-    basis function of degree <= n_max integrate exactly when the field itself
-    is bandlimited to n_max. The transpose of grid synthesis: azimuth sums
-    first, times sqrt(2) sin(theta) for orders m >= 1, folded onto the
-    northern half of the axis as north + south and north - south
-    (_fold_sums), then one batched product of each stored half-axis tile of Legendre rows
-    (_axis_tiles: every order, a chunk of degrees) with the folded sums of
-    its orders, the sum kept for even n + m and the difference for odd,
-    scattered to the flat layout through _scalar_slots[:, :, n0:n1]. The
-    grid's ct must be mirrored (ValueError otherwise).
-    """
-    if not isinstance(grid, SphereGrid):
-        raise TypeError("analyze needs samples on a SphereGrid")
-    if grid.exact_degree < 2 * n_max:
-        raise ValueError(
-            f"grid exact_degree {grid.exact_degree} < 2*n_max = {2 * n_max}"
-        )
-    values = np.asarray(samples, dtype=float)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError("samples must match the grid node count")
-    tiles = _axis_tiles(grid, n_max)
-    tc, ts = _azimuth_sums(values.reshape(grid.ct.size, grid.phis.size), grid, n_max)
-    st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    cols = np.stack([tc.T, ts.T], axis=1)  # (order, cos/sin, colatitude)
-    cols[1:] *= _SQRT2 * st
-    slots = _scalar_slots(n_max)
-    out = np.empty((n_max + 1) ** 2 + 1)
-    for tab, part in _fold_sums(cols, tiles, n_max):
-        out[slots[tab]] = part
-    return HarmonicCoefficients(grid.radius, n_max, out[:-1])
-
-
-def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
-    """Cartesian field values at unit directions, a SphereGrid, or a CapGrid.
-
-    Returns one 3-vector per point (shape (3,) for a single direction).
-    Runs the tiled Legendre engine on the radial, colatitude and azimuth
-    channels at once: each tile of rows takes one batched product with the
-    coefficients of its orders and degrees (_vector_blocks), and grids sum
-    the orders with one azimuth matrix product. A SphereGrid reads the
-    stored tiles of the northern half of its axis, as in synthesize. On a
-    CapGrid both types turn into the cap's own frame by the same
-    per-degree rotation, since each comes from Y_nk through a
-    rotation-equivariant operator; the vectors found there are mapped back
-    with grid.rotation.
-    """
-    data = coeffs.data
     rotation = points.rotation if isinstance(points, CapGrid) else None
-    if rotation is not None:
-        data = _cap_frame(data, rotation)
+    data = coeffs.data if rotation is None else _cap_frame(coeffs.data, rotation)
+    if coeffs.case == "scalar":
+        vals, _ = _synthesis(functools.partial(_scalar_blocks, data), coeffs.n_max, points)
+        out = np.reshape(vals / coeffs.radius, _leading_shape(points))
+        return float(out) if out.ndim == 0 else out
     (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(
         functools.partial(_vector_blocks, data), coeffs.n_max, points)
     horiz = f_r * st + f_t * ct
@@ -1084,9 +1039,10 @@ def vector_synthesize(coeffs: VectorCoefficients, points) -> np.ndarray:
 
 
 def _vector_columns(values: np.ndarray, grid: SphereGrid, n_max: int, st: np.ndarray) -> np.ndarray:
-    """Columns of vector_analyze, [m, channel, colatitude]: quadrature sums of
-    the three spherical components against cos(m phi) and sin(m phi), times
-    each channel's factor in synthesis. Its temporaries die before any tile."""
+    """Columns of the analysis of a gradient field, [m, channel, colatitude]:
+    quadrature sums of the three spherical components against cos(m phi)
+    and sin(m phi), times each channel's factor in synthesis. Its
+    temporaries die before any tile."""
     ct = grid.ct
     v = values.reshape(ct.size, grid.phis.size, 3)
     cp, sp = np.cos(grid.phis), np.sin(grid.phis)
@@ -1104,37 +1060,54 @@ def _vector_columns(values: np.ndarray, grid: SphereGrid, n_max: int, st: np.nda
     return cols
 
 
-def vector_analyze(samples: np.ndarray, grid: SphereGrid,
-                   n_max: int) -> VectorCoefficients:
-    """Vector coefficients of sampled Cartesian values by exact quadrature.
+def analyze(samples: np.ndarray, grid: SphereGrid, n_max: int):
+    """Coefficients of a sampled field by exact quadrature. The samples'
+    shape decides the kind: one value per node, (P,), gives
+    HarmonicCoefficients, and one Cartesian 3-vector per node, (P, 3),
+    VectorCoefficients; any other shape raises ValueError.
 
-    Requires grid.exact_degree >= 2 n_max + 2: basis components carry one
-    polynomial degree more than the scalar harmonics, so products of a
-    degree-n_max field with any basis function reach degree 2 n_max + 2.
-    The exact transpose of vector_synthesize on the grid: azimuth sums of
-    the three spherical components, folded onto the northern half of the
-    axis as in analyze, then one batched product of each stored half-axis
-    tile of Legendre rows with the folded columns of its orders,
-    scatter-added through the table that synthesis gathers through
-    (_vector_slots). The grid's ct must be mirrored (ValueError otherwise).
+    Requires grid.exact_degree >= 2 n_max, plus 2 for a gradient field, so
+    products of a field bandlimited to n_max with any basis function of
+    degree <= n_max integrate exactly: vector basis components carry one
+    polynomial degree more than the scalar harmonics. The transpose of grid
+    synthesis: azimuth sums first (of the three spherical components for a
+    gradient field), times sqrt(2) sin(theta) for scalar orders m >= 1,
+    folded onto the northern half of the axis as north + south and north -
+    south (_fold_sums), then one batched product of each stored half-axis
+    tile of Legendre rows (_axis_tiles: every order, a chunk of degrees)
+    with the folded sums of its orders, the sum kept for even n + m and the
+    difference for odd. Scalar sums scatter to the flat layout through
+    _scalar_slots[:, :, n0:n1]; gradient-field sums scatter-add through the
+    table that synthesis gathers through (_vector_slots). The grid's ct
+    must be mirrored (ValueError otherwise).
     """
     if not isinstance(grid, SphereGrid):
-        raise TypeError("vector_analyze needs samples on a SphereGrid")
-    if grid.exact_degree < 2 * n_max + 2:
-        raise ValueError(
-            f"grid exact_degree {grid.exact_degree} < 2*n_max+2 = {2 * n_max + 2}"
-        )
+        raise TypeError("analyze needs samples on a SphereGrid")
     values = np.asarray(samples, dtype=float)
-    if values.shape != (grid.n_nodes, 3):
-        raise ValueError("samples must be one 3-vector per grid node")
+    if values.shape not in ((grid.n_nodes,), (grid.n_nodes, 3)):
+        raise ValueError("samples must be one value or one 3-vector per grid node")
+    vector = values.ndim == 2
+    need = 2 * n_max + (2 if vector else 0)
+    if grid.exact_degree < need:
+        raise ValueError(f"grid exact_degree {grid.exact_degree} < 2*n_max"
+                         f"{'+2' if vector else ''} = {need}")
     tiles = _axis_tiles(grid, n_max)
     st = np.sqrt(np.maximum(0.0, 1.0 - grid.ct * grid.ct))
-    slots, weights = _vector_slots(n_max)
     size = (n_max + 1) ** 2
-    out = np.zeros(2 * size + 1)
-    for tab, part in _fold_sums(_vector_columns(values, grid, n_max, st), tiles, n_max):
-        out += np.bincount(slots[tab].ravel(), (weights[tab] * part).ravel(), out.size)
-    return VectorCoefficients(grid.radius, n_max, out[:-1].reshape(2, size))
+    if vector:
+        slots, weights = _vector_slots(n_max)
+        out = np.zeros(2 * size + 1)
+        for tab, part in _fold_sums(_vector_columns(values, grid, n_max, st), tiles, n_max):
+            out += np.bincount(slots[tab].ravel(), (weights[tab] * part).ravel(), out.size)
+        return VectorCoefficients(grid.radius, n_max, out[:-1].reshape(2, size))
+    tc, ts = _azimuth_sums(values.reshape(grid.ct.size, grid.phis.size), grid, n_max)
+    cols = np.stack([tc.T, ts.T], axis=1)  # (order, cos/sin, colatitude)
+    cols[1:] *= _SQRT2 * st
+    slots = _scalar_slots(n_max)
+    out = np.empty(size + 1)
+    for tab, part in _fold_sums(cols, tiles, n_max):
+        out[slots[tab]] = part
+    return HarmonicCoefficients(grid.radius, n_max, out[:-1])
 
 
 def _padded(data: np.ndarray, n_max: int) -> np.ndarray:
@@ -1315,27 +1288,33 @@ def _cap_norm_by_content(raw: bytes, shape: tuple, center: tuple, cap_rho: float
 # text file format
 
 
-def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
-    """Write `n k value` lines under a `# radius_km=... n_max=...` header."""
+def save_coefficients(coeffs, path) -> None:
+    """Write `n k value` lines under a `# radius_km=... n_max=...` header.
+
+    A gradient field adds channels=2 to the header and writes `i n k value`
+    lines, type i = 1 from degree 0, then type 2 from degree 1.
+    """
+    vector = coeffs.case == "vector"
+    rows = coeffs.data.reshape(-1, coeffs.data.shape[-1])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# radius_km={coeffs.radius:.17g} n_max={coeffs.n_max}\n")
-        for n in range(coeffs.n_max + 1):
-            for k in range(1, 2 * n + 2):
-                fh.write(f"{n} {k} {coeffs.data[n * n + k - 1]:.17g}\n")
+        fh.write(f"# radius_km={coeffs.radius:.17g} n_max={coeffs.n_max}"
+                 f"{' channels=2' if vector else ''}\n")
+        for i, row in enumerate(rows, start=1):
+            prefix = f"{i} " if vector else ""
+            for n in range(i - 1, coeffs.n_max + 1):
+                for k in range(1, 2 * n + 2):
+                    fh.write(f"{prefix}{n} {k} {row[n * n + k - 1]:.17g}\n")
 
 
-def _read_coefficient_file(path, kind, header: str, keys: tuple[str, ...],
-                           columns: tuple[str, ...]):
-    """Header fields and data lines of a coefficient text file.
+def load_coefficients(path):
+    """Read the text format written by save_coefficients.
 
-    kind is the container class; header is the expected header line quoted
-    in errors; keys are the integer header fields besides radius_km and
-    n_max; columns name the fields of a data line, all integer indices
-    except the final value. Returns (a zero container of the header's
-    radius and n_max, key values, [(line number, indices, value)])
-    skipping blank and comment lines. Malformed lines, header values the
-    container rejects and repeated indices are reported with their line
-    number.
+    The header decides the kind: channels=2 gives VectorCoefficients from
+    `i n k value` lines, no channels key HarmonicCoefficients from `n k
+    value` lines, and any other channels value is rejected at line 1.
+    Missing entries default to zero. Malformed lines, header values the
+    container rejects, indices out of range and repeated indices are
+    reported with their line number; blank and comment lines are skipped.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -1343,26 +1322,27 @@ def _read_coefficient_file(path, kind, header: str, keys: tuple[str, ...],
         raise ValueError(f"{path}: empty coefficient file")
     text = lines[0].strip()
     if not text.startswith("#"):
-        raise ValueError(f"{path}: line 1: missing `{header}` header")
+        raise ValueError(f"{path}: line 1: missing `# radius_km=... n_max=...` header")
     fields = dict()
     for token in text[1:].split():
         if "=" not in token:
             raise ValueError(f"{path}: line 1: bad header token {token!r}")
         key, _, val = token.partition("=")
         fields[key] = val
-    names = ("radius_km", "n_max") + keys
     try:
-        radius = float(fields["radius_km"])
-        n_max, *values = (int(fields[key]) for key in names[1:])
+        radius, n_max = float(fields["radius_km"]), int(fields["n_max"])
     except (KeyError, ValueError) as exc:
-        needs = ", ".join(names[:-1]) + " and " + names[-1]
-        raise ValueError(f"{path}: line 1: header needs {needs}") from exc
+        raise ValueError(f"{path}: line 1: header needs radius_km and n_max") from exc
+    vector = "channels" in fields
+    if vector and fields["channels"] != "2":
+        raise ValueError(f"{path}: line 1: expected channels=2, got {fields['channels']}")
     try:
-        out = kind(radius, n_max)
+        out = (VectorCoefficients if vector else HarmonicCoefficients)(radius, n_max)
     except ValueError as exc:
         raise ValueError(f"{path}: line 1: {exc}") from exc
 
-    rows, seen = [], set()
+    columns = ("i", "n", "k", "value") if vector else ("n", "k", "value")
+    seen = set()
     for idx, line in enumerate(lines[1:], start=2):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -1377,20 +1357,8 @@ def _read_coefficient_file(path, kind, header: str, keys: tuple[str, ...],
         if index in seen:
             raise ValueError(f"{path}: line {idx}: duplicate entry")
         seen.add(index)
-        rows.append((idx, index, value))
-    return out, tuple(values), rows
-
-
-def load_coefficients(path) -> HarmonicCoefficients:
-    """Read the text format written by save_coefficients.
-
-    Missing (n, k) entries default to zero; malformed or repeated lines are
-    reported with their line number.
-    """
-    out, _, rows = _read_coefficient_file(
-        path, HarmonicCoefficients, "# radius_km=... n_max=...", (), ("n", "k", "value"))
-    for idx, (n, k), value in rows:
-        if not (0 <= n <= out.n_max) or not (1 <= k <= 2 * n + 1):
-            raise ValueError(f"{path}: line {idx}: index (n={n}, k={k}) out of range")
-        out.data[n * n + k - 1] = value
+        try:
+            out.set_coeff(*index, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {idx}: {exc}") from exc
     return out

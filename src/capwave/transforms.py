@@ -39,8 +39,6 @@ from .harmonics import (
     sphere_grid,
     synthesize,
     analyze,
-    vector_analyze,
-    vector_synthesize,
 )
 from .kernels import KernelPair, _sigma_exponents
 from .legendre import gauss_rule, legendre_all
@@ -49,7 +47,6 @@ __all__ = [
     "RegionSpec",
     "NoiseSpec",
     "FieldSamples",
-    "VectorFieldSamples",
     "default_region",
     "field_samples",
     "upward_continue",
@@ -164,11 +161,11 @@ class NoiseSpec:
 class FieldSamples:
     """Point samples of a bandlimited field on a full-sphere rule.
 
-    One value per node; VectorFieldSamples, of a gradient field, hold one
-    Cartesian 3-vector per node. case names the field kind as the
-    coefficient containers do. degree declares the bandlimit of the sampled
-    field so exactness preconditions can be checked; the caller is the
-    authority on it.
+    values holds one value per node, shape (P,), for a scalar field, or one
+    Cartesian 3-vector per node, shape (P, 3), for a gradient field; case
+    names the kind that shape gives, as the coefficient containers do.
+    degree declares the bandlimit of the sampled field so exactness
+    preconditions can be checked; the caller is the authority on it.
 
     Samples are immutable: values is a private read-only copy, so the
     caller's array stays writeable and later writes to it do not reach the
@@ -181,7 +178,6 @@ class FieldSamples:
     values: np.ndarray
     degree: int
     _outer: tuple | None = field(default=None, init=False, repr=False)
-    case = "scalar"
 
     def __post_init__(self):
         if not isinstance(self.grid, SphereGrid):
@@ -194,32 +190,22 @@ class FieldSamples:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         values = np.array(self.values, dtype=float)
-        shape = (self.grid.n_nodes,) + ((3,) if self.case == "vector" else ())
-        if values.shape != shape:
-            raise ValueError(f"values must have shape {shape}, one per grid node")
+        n = self.grid.n_nodes
+        if values.shape not in ((n,), (n, 3)):
+            raise ValueError(f"values must have shape ({n},) or ({n}, 3), one per grid node")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "degree", degree)
 
-
-class VectorFieldSamples(FieldSamples):
-    """Cartesian 3-vector samples of a bandlimited gradient field."""
-
-    case = "vector"
+    @property
+    def case(self) -> str:
+        return "vector" if self.values.ndim == 2 else "scalar"
 
 
 def field_samples(coeffs, exact_degree: int) -> FieldSamples:
-    """Sample a coefficient field on a fresh grid of the stated exactness."""
+    """Sample a coefficient field on the sphere_grid of the stated exactness."""
     grid = sphere_grid(coeffs.radius, exact_degree)
-    kind = VectorFieldSamples if coeffs.case == "vector" else FieldSamples
-    return kind(grid, _synthesize(coeffs, grid), coeffs.n_max)
-
-
-def _synthesize(coeffs, points):
-    """synthesize or vector_synthesize, as the field's kind needs."""
-    if coeffs.case == "vector":
-        return vector_synthesize(coeffs, points)
-    return synthesize(coeffs, points)
+    return FieldSamples(grid, synthesize(coeffs, grid), coeffs.n_max)
 
 
 def _extra_exactness(field) -> int:
@@ -288,7 +274,7 @@ def _outer_coefficients(f1, n_keep: int):
             "outer analysis needs grid exactness >= min(N, degree) + degree "
             f"(+ 2 for gradient fields): {f1.grid.exact_degree} < {need}"
         )
-    kept = (vector_analyze if f1.case == "vector" else analyze)(f1.values, f1.grid, n)
+    kept = analyze(f1.values, f1.grid, n)
     out = type(kept)(f1.grid.radius, f1.degree, _padded(kept.data, f1.degree))
     out.data.flags.writeable = False
     object.__setattr__(f1, "_outer", (n, out))
@@ -307,7 +293,7 @@ def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
     min(N, degree), however many points or calls follow.
     """
     out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, pair.geometry.N))
-    return _synthesize(out, points)
+    return synthesize(out, points)
 
 
 def _scaling_spectral_coefficients(pair: KernelPair, f1):
@@ -444,7 +430,7 @@ def wavelet_transform_local(pair: KernelPair, f2, x, region: RegionSpec):
     their caps would leave the data region.
     """
     _check_evaluation(pair, region, x)
-    out = _synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x)
+    out = synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x)
     return out if f2.case == "vector" else float(out)
 
 
@@ -489,7 +475,7 @@ def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndar
     bandlimited data.
     """
     _check_evaluation(pair, region, points)
-    return _synthesize(approximate_coefficients(pair, f1, f2, region), points)
+    return synthesize(approximate_coefficients(pair, f1, f2, region), points)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +516,8 @@ def add_noise(coeffs, spec: NoiseSpec, norm_region):
     only the noise goes through harmonics._cap_norms. The noise field is
     of the signal's kind, drawn by _normal_field from the stream keyed by
     (seed, region kind), so it is reproducible per pair; the result has
-    the larger of the two degrees.
+    the larger of the two degrees. At a zero level the result is a copy of
+    the signal at its own degree.
     """
     if norm_region == "sphere":
         eps = spec.epsilon1

@@ -1,17 +1,17 @@
 """Gradient-field reconstruction: vector basis functions, tensor kernels,
-the coefficient file format, and the vector_* names of the chain.
+and the vector_* names of the chain.
 
 The gradient of a harmonic potential restricted to a sphere splits into a
 radial pattern (type 1, xi times a scalar harmonic) and a tangential
 surface-gradient pattern (type 2). The coefficient container, whose data
-is the (2, L) stack of one row per type in the scalar flat layout, and
-its synthesis and analysis live in harmonics, next to the scalar ones, and
-the reconstruction chain in transforms serves both field kinds. This
-module adds the basis functions, the optimizer front end, the
+is the (2, L) stack of one row per type in the scalar flat layout, its
+synthesis, analysis and file format live in harmonics, where synthesize,
+analyze, save_coefficients and load_coefficients serve both field kinds,
+and the reconstruction chain in transforms serves both kinds too. This
+module adds the basis functions, the optimizer front end and the
 tensor-kernel diagnostics the localization analysis needs (kernel values,
-Frobenius-profile moments) and the coefficient text format. The vector_*
-chain functions are the transforms functions under their gradient-field
-names.
+Frobenius-profile moments). The vector_* chain functions are the
+harmonics and transforms functions under their gradient-field names.
 """
 
 from __future__ import annotations
@@ -20,16 +20,10 @@ import math
 
 import numpy as np
 
-from .harmonics import (
-    VectorCoefficients,
-    _read_coefficient_file,
-    vector_analyze,
-    vector_synthesize,
-)
+from .harmonics import VectorCoefficients, synthesize
 from .kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
 from .legendre import legendre_all
 from .transforms import (
-    VectorFieldSamples,
     approximate,
     approximate_coefficients,
     field_samples,
@@ -41,11 +35,8 @@ from .transforms import (
 
 __all__ = [
     "VectorCoefficients",
-    "TensorKernelPair",
-    "VectorFieldSamples",
     "vsh",
     "vector_synthesize",
-    "vector_analyze",
     "vector_field_samples",
     "vector_upward_continue",
     "vector_optimize",
@@ -56,13 +47,7 @@ __all__ = [
     "vector_relative_error",
     "tensor_kernel_eval",
     "tensor_first_moment",
-    "save_vector_coefficients",
-    "load_vector_coefficients",
 ]
-
-# The coupled symbols behave identically for scalar and tensor kernels; the
-# tensor structure enters only through evaluation, so the pair type is shared.
-TensorKernelPair = KernelPair
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +71,7 @@ def vsh(i: int, n: int, k: int, xi) -> np.ndarray:
         raise ValueError(f"order k={k} outside 1..{2 * n + 1}")
     single = VectorCoefficients(1.0, n)
     single.set_coeff(i, n, k, 1.0)
-    return vector_synthesize(single, xi)
+    return synthesize(single, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +80,7 @@ def vsh(i: int, n: int, k: int, xi) -> np.ndarray:
 
 def vector_optimize(geometry: Geometry, w: PenaltyWeights,
                     targets: SymbolSet | None = None,
-                    gram=None) -> TensorKernelPair:
+                    gram=None) -> KernelPair:
     """Unique minimizer of the tensor-kernel functional.
 
     The quadratic structure is identical to the scalar optimizer; the vector
@@ -166,6 +151,7 @@ def tensor_first_moment(symbols: SymbolSet) -> float:
 # ---------------------------------------------------------------------------
 # the chain under its gradient-field names
 
+vector_synthesize = synthesize
 vector_field_samples = field_samples
 vector_upward_continue = upward_continue
 vector_wavelet_transform_local = wavelet_transform_local
@@ -174,7 +160,7 @@ vector_approximate = approximate
 vector_relative_error = relative_error
 
 
-def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
+def vector_scaling_transform(pair: KernelPair, f1, points, *,
                              method: str = "spectral") -> np.ndarray:
     """scaling_transform. method names that path and accepts only
     "spectral"; it stays for callers that name it."""
@@ -182,38 +168,3 @@ def vector_scaling_transform(pair: TensorKernelPair, f1, points, *,
         raise ValueError("method must be 'spectral', the only path")
     return scaling_transform(pair, f1, points)
 
-
-# ---------------------------------------------------------------------------
-# text file format
-
-
-def save_vector_coefficients(coeffs: VectorCoefficients, path) -> None:
-    """Write `i n k value` lines under a channels=2 header."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"# radius_km={coeffs.radius:.17g} n_max={coeffs.n_max} channels=2\n"
-        )
-        for i in (1, 2):
-            for n in range(0 if i == 1 else 1, coeffs.n_max + 1):
-                for k in range(1, 2 * n + 2):
-                    fh.write(f"{i} {n} {k} {coeffs.coeff(i, n, k):.17g}\n")
-
-
-def load_vector_coefficients(path) -> VectorCoefficients:
-    """Read the text format written by save_vector_coefficients.
-
-    Missing (i, n, k) entries default to zero; malformed or repeated lines
-    are reported with their line number.
-    """
-    out, (channels,), rows = _read_coefficient_file(
-        path, VectorCoefficients, "# radius_km=... n_max=... channels=2", ("channels",),
-        ("i", "n", "k", "value"))
-    if channels != 2:
-        raise ValueError(f"{path}: line 1: expected channels=2, got {channels}")
-
-    for idx, (i, n, k), value in rows:
-        try:
-            out.set_coeff(i, n, k, value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {idx}: {exc}") from exc
-    return out

@@ -12,11 +12,7 @@ import numpy as np
 import oracles
 from capwave.harmonics import HarmonicCoefficients, cap_grid, synthesize
 from capwave.transforms import field_samples
-from capwave.vector_field import (
-    VectorCoefficients,
-    vector_field_samples,
-    vector_synthesize,
-)
+from capwave.vector_field import VectorCoefficients, vector_field_samples
 
 
 def scaling(pair, f1, points):
@@ -60,7 +56,7 @@ def vector_wavelet(pair, f2, x, kernel_rho):
     """Tensor wavelet kernel integrated against f2 over the cap about x."""
     g = pair.geometry
     cap = cap_grid(g.r, x, kernel_rho, g.kN + f2.n_max + 2)
-    weighted = cap.weights[:, None] * vector_synthesize(f2, cap)
+    weighted = cap.weights[:, None] * synthesize(f2, cap)
     return oracles.tensor_convolution(pair.psi_tilde.values, x, cap.nodes,
                                       weighted) / (g.r * g.r)
 
@@ -75,8 +71,7 @@ def cap_norm(field, grid, minus=None):
     """Squared L2 norm over a cap rule (region.data_grid or eval_grid) of a
     scalar or vector field, or of field - minus: each field synthesized at
     the nodes, subtracted there, squared and integrated node by node."""
-    synth = vector_synthesize if isinstance(field, VectorCoefficients) else synthesize
-    values = synth(field, grid)
+    values = synthesize(field, grid)
     if minus is not None:
-        values = values - synth(minus, grid)
+        values = values - synthesize(minus, grid)
     return grid.integrate((values * values).reshape(grid.n_nodes, -1).sum(axis=1))

@@ -12,10 +12,14 @@ import pytest
 import capwave
 from capwave.cli import ConfigError, load_config, main, parse_config
 from capwave.experiments import build_model, read_spectra
-from capwave.harmonics import HarmonicCoefficients, load_coefficients, save_coefficients
+from capwave.harmonics import (
+    HarmonicCoefficients,
+    VectorCoefficients,
+    load_coefficients,
+    save_coefficients,
+)
 from capwave.kernels import NumericalFailure, gram_scalar, tsvd_symbols
 from capwave.transforms import relative_error
-from capwave.vector_field import load_vector_coefficients
 
 TINY = """
 # smoke geometry
@@ -216,6 +220,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: model file radius 1.0 does not match")
 
+    @pytest.mark.parametrize("command", ["approximate", "table"])
+    def test_model_file_of_the_other_kind_is_2(self, tmp_path, capsys, command):
+        model = tmp_path / "model.txt"
+        save_coefficients(VectorCoefficients(6371.2, 2), model)
+        path = tmp_path / "file.cfg"
+        path.write_text(TINY + f"model_file = {model}\n")
+        assert main([command, str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model file holds a vector field, but case = scalar")
+
     @pytest.mark.parametrize("text", ["# radius_km=6371.2 n_max=2\n0 1 x\n", None])
     def test_unreadable_model_file_is_2(self, tmp_path, capsys, text):
         model = tmp_path / "model.txt"
@@ -362,6 +376,7 @@ class TestCommands:
         printed = capsys.readouterr().out
         assert "relative_error = " in printed
         coeffs = load_coefficients(out)
+        assert coeffs.case == "scalar"
         assert coeffs.radius == pytest.approx(6371.2)
         assert coeffs.n_max == 10
 
@@ -374,7 +389,7 @@ class TestCommands:
         assert main(["approximate", str(path), "--out", str(out)]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert printed[0] == f"wrote approximation coefficients to {out}"
-        coeffs = load_vector_coefficients(out)
+        coeffs = load_coefficients(out)
         assert (coeffs.radius, coeffs.n_max, coeffs.data.shape) == (6371.2, 10, (2, 121))
         cfg = load_config(path)
         err = relative_error(build_model(cfg), coeffs, cfg.region)

@@ -8,6 +8,7 @@ import pytest
 
 from capwave.experiments import (
     TABLE_COLUMNS,
+    ConfigError,
     ExperimentConfig,
     ResultRow,
     build_model,
@@ -156,6 +157,14 @@ class TestBuildModel:
         save_coefficients(HarmonicCoefficients(1.0, 2), path)
         with pytest.raises(ValueError, match="radius"):
             build_model(tiny_config(model_file=str(path)))
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_file_of_the_other_kind_rejected(self, tmp_path, case):
+        other = "vector" if case == "scalar" else "scalar"
+        path = tmp_path / "model.txt"
+        save_coefficients(build_model(tiny_config(case=other, model_degree=3)), path)
+        with pytest.raises(ConfigError, match=f"model file holds a {other} field"):
+            build_model(tiny_config(case=case, model_file=str(path)))
 
     def test_vector_synthetic(self):
         cfg = tiny_config(case="vector", model_degree=6)

@@ -32,8 +32,6 @@ from capwave.harmonics import (
     sobolev_norm,
     sphere_grid,
     synthesize,
-    vector_analyze,
-    vector_synthesize,
     ynk,
 )
 from capwave.transforms import RegionSpec, relative_error
@@ -468,8 +466,8 @@ class TestSphereGridAxis:
         for n in (80, 110):
             calls[f"synthesize {n}"] = lambda n=n: synthesize(c[n], g)
             calls[f"analyze {n}"] = lambda n=n: analyze(scalar, g, n).data
-            calls[f"vector_synthesize {n}"] = lambda n=n: vector_synthesize(v[n], g)
-            calls[f"vector_analyze {n}"] = lambda n=n: vector_analyze(vector, g, n).data
+            calls[f"vector_synthesize {n}"] = lambda n=n: synthesize(v[n], g)
+            calls[f"vector_analyze {n}"] = lambda n=n: analyze(vector, g, n).data
         fresh = {}
         for name, call in calls.items():
             harmonics._AXIS_TILES.clear()
@@ -534,8 +532,8 @@ class TestSphereGridAxis:
         c = random_coeffs(np.random.default_rng(24), self.R, 10)
         v = VectorCoefficients(self.R, 9)
         calls = [lambda: synthesize(c, bad), lambda: analyze(np.ones(g.n_nodes), bad, 10),
-                 lambda: vector_synthesize(v, bad),
-                 lambda: vector_analyze(np.ones((g.n_nodes, 3)), bad, 9)]
+                 lambda: synthesize(v, bad),
+                 lambda: analyze(np.ones((g.n_nodes, 3)), bad, 9)]
         for call in calls:
             with pytest.raises(ValueError, match="mirrored"):
                 call()
@@ -585,7 +583,7 @@ class TestBlockFoldAgainstOracle:
     def test_vector_synthesize_degree_110_on_off_pole_caps(self, center):
         v = self.vector_coeffs(np.random.default_rng(113), 110)
         g = cap_grid(self.R, center, 0.6, 220)
-        assert_close_to(vector_synthesize(v, g),
+        assert_close_to(synthesize(v, g),
                         oracles.vector_synthesis(v.data, self.R, g.nodes), rel=self.CAP_110)
 
     @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
@@ -620,7 +618,7 @@ class TestBlockFoldAgainstOracle:
     def test_vector_synthesize_on_sphere_grid(self, n_max):
         c = self.vector_coeffs(np.random.default_rng(n_max + 5), n_max)
         g = sphere_grid(self.R, 2 * n_max + 2)
-        assert_close_to(vector_synthesize(c, g),
+        assert_close_to(synthesize(c, g),
                         oracles.vector_synthesis(c.data, self.R, g.nodes))
 
     @pytest.mark.parametrize("center", [[0.0, 0.0, 1.0], [0.3, 0.4, 0.8]],
@@ -629,7 +627,7 @@ class TestBlockFoldAgainstOracle:
     def test_vector_synthesize_on_caps(self, center, n_max):
         c = self.vector_coeffs(np.random.default_rng(n_max + 6), n_max)
         g = cap_grid(self.R, center, 0.6, 2 * n_max)
-        assert_close_to(vector_synthesize(c, g),
+        assert_close_to(synthesize(c, g),
                         oracles.vector_synthesis(c.data, self.R, g.nodes))
 
     @pytest.mark.parametrize("n_max", [0, 1, 44, 110])
@@ -639,7 +637,7 @@ class TestBlockFoldAgainstOracle:
         rms = c.l2_norm() / (self.R * math.sqrt(4.0 * math.pi))
         for x in (random_unit(rng), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
             ref = oracles.vector_synthesis(c.data, self.R, x)[0]
-            err = np.max(np.abs(vector_synthesize(c, x) - ref))
+            err = np.max(np.abs(synthesize(c, x) - ref))
             assert err <= 1e-13 * max(np.max(np.abs(ref)), rms)
 
     @pytest.mark.parametrize("n_max", [1, 44])
@@ -649,7 +647,7 @@ class TestBlockFoldAgainstOracle:
         c = self.vector_coeffs(rng, n_max)
         pts = random_unit(rng, harmonics._BLOCK_BUDGET // (n_max + 1) + 1)
         pts[0], pts[-1] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
-        assert_close_to(vector_synthesize(c, pts),
+        assert_close_to(synthesize(c, pts),
                         oracles.vector_synthesis(c.data, self.R, pts))
 
     @pytest.mark.parametrize("n_max", [0, 1, 12, 60, 110])
@@ -658,7 +656,7 @@ class TestBlockFoldAgainstOracle:
         g = sphere_grid(self.R, 2 * n_max + 3)
         samples = rng.normal(size=(g.n_nodes, 3))
         ref = oracles.vector_analysis(samples, g.nodes, g.weights, self.R, n_max)
-        assert_close_to(vector_analyze(samples, g, n_max).data, ref)
+        assert_close_to(analyze(samples, g, n_max).data, ref)
 
 
 class TestVectorTransformMemory:
@@ -686,10 +684,10 @@ class TestVectorTransformMemory:
         rng = np.random.default_rng(10)
         c = random_vector_coeffs(rng, 1.0, n_max)
         g = sphere_grid(1.0, 2 * n_max + 2)
-        values = vector_synthesize(c, g)
-        vector_analyze(values, g, n_max)  # warm-up: memoized tables are built once
-        assert self.traced_peak(lambda: vector_synthesize(c, g)) <= self.LIMIT
-        assert self.traced_peak(lambda: vector_analyze(values, g, n_max)) <= self.LIMIT
+        values = synthesize(c, g)
+        analyze(values, g, n_max)  # warm-up: memoized tables are built once
+        assert self.traced_peak(lambda: synthesize(c, g)) <= self.LIMIT
+        assert self.traced_peak(lambda: analyze(values, g, n_max)) <= self.LIMIT
 
 class TestCapNorms:
     def test_same_bits_alone_batched_stored_fresh(self):
@@ -829,6 +827,26 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sobolev_norm(c, -0.5)
 
+    def test_scalar_value_is_the_weighted_dot_product(self):
+        # the bits of weights @ (data * data), the scalar-only formula
+        rng = np.random.default_rng(17)
+        c = random_coeffs(rng, 1.0, 12)
+        for s in (0.0, 0.5, 1.0, 2.5):
+            weights = harmonics._per_coefficient((np.arange(13) + 0.5) ** (2 * s), 12)
+            assert sobolev_norm(c, s) == math.sqrt(float(weights @ (c.data * c.data)))
+
+    def test_gradient_field_s_zero_is_l2(self):
+        rng = np.random.default_rng(18)
+        data = rng.normal(size=(2, 100))
+        data[1, 0] = 0.0
+        v = VectorCoefficients(1.0, 9, data)
+        assert sobolev_norm(v, 0.0) == pytest.approx(v.l2_norm(), rel=1e-14)
+
+    def test_gradient_field_single_type_two_coefficient(self):
+        v = VectorCoefficients(1.0, 3)
+        v.set_coeff(2, 3, 5, 2.0)
+        assert sobolev_norm(v, 1.0) == pytest.approx(7.0, abs=1e-13)
+
 
 class TestCoefficientFile:
     def test_round_trip(self, tmp_path):
@@ -864,6 +882,46 @@ class TestCoefficientFile:
         path.write_text("# radius_km=1 n_max=1\n0 1 1.0\n1 2 0.5\n0 1 2.0\n")
         with pytest.raises(ValueError, match=r"dup\.txt: line 4: duplicate entry"):
             load_coefficients(path)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_round_trip_both_kinds(self, tmp_path, case):
+        rng = np.random.default_rng(19)
+        data = rng.normal(size=(2, 64))
+        data[1, 0] = 0.0
+        c = (VectorCoefficients(6371.2, 7, data) if case == "vector"
+             else HarmonicCoefficients(6371.2, 7, data[0]))
+        path = tmp_path / "field.txt"
+        save_coefficients(c, path)
+        back = load_coefficients(path)
+        assert type(back) is type(c) and back.case == case
+        assert (back.radius, back.n_max) == (c.radius, c.n_max)
+        assert np.array_equal(back.data, c.data)
+
+    # Files written before both kinds shared one saver and one loader.
+    EARLIER_FILES = {
+        "vector": ("# radius_km=6371.1999999999998 n_max=1 channels=2\n"
+                   "1 0 1 0.5\n1 1 1 -1.25\n1 1 2 2\n1 1 3 0.33333333333333331\n"
+                   "2 1 1 0.10000000000000001\n2 1 2 -7.0000000000000001e-20\n"
+                   "2 1 3 6371.1999999999998\n"),
+        "scalar": ("# radius_km=7071.1999999999998 n_max=1\n"
+                   "0 1 0.5\n1 1 -1.25\n1 2 2\n1 3 0.33333333333333331\n"),
+    }
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_earlier_files_load_and_save_unchanged(self, tmp_path, case):
+        path = tmp_path / "earlier.txt"
+        path.write_text(self.EARLIER_FILES[case])
+        c = load_coefficients(path)
+        rows = np.array([[0.5, -1.25, 2.0, 1 / 3], [0.0, 0.1, -7.0e-20, 6371.2]])
+        if case == "vector":
+            assert type(c) is VectorCoefficients and c.radius == 6371.2
+            assert np.array_equal(c.data, rows)
+        else:
+            assert type(c) is HarmonicCoefficients and c.radius == 7071.2
+            assert np.array_equal(c.data, rows[0])
+        again = tmp_path / "again.txt"
+        save_coefficients(c, again)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("header, message",
                              [("radius_km=1 n_max=-1", "n_max must be >= 0"),

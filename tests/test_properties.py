@@ -37,8 +37,6 @@ from capwave.transforms import _outer_coefficients as scalar_outer
 from capwave.transforms import _outer_coefficients as vector_outer
 from capwave.vector_field import (
     VectorCoefficients,
-    VectorFieldSamples,
-    vector_analyze,
     vector_approximate,
     vector_relative_error,
     vector_synthesize,
@@ -90,7 +88,7 @@ class TestRoundTrip:
     def test_vector(self, n_max, radius, seed):
         c = vector_field(radius, n_max, seed)
         grid = sphere_grid(radius, 2 * n_max + 2)
-        back = vector_analyze(vector_synthesize(c, grid), grid, n_max)
+        back = analyze(vector_synthesize(c, grid), grid, n_max)
         np.testing.assert_allclose(back.data, c.data, atol=1e-11 * c.l2_norm())
 
 
@@ -334,7 +332,7 @@ class TestOuterAnalysisKeepsScalingDegrees:
         for exact in (2 * n_max + 2, n + n_max + 2):
             grid = sphere_grid(radius, exact)
             out = vector_outer(
-                VectorFieldSamples(grid, vector_synthesize(v, grid), n_max), n_keep)
+                FieldSamples(grid, vector_synthesize(v, grid), n_max), n_keep)
             assert out.n_max == n_max and out.radius == radius
             np.testing.assert_allclose(out.data[kept], v.data[kept],
                                        rtol=0.0, atol=1e-11 * v.l2_norm())

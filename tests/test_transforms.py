@@ -28,7 +28,6 @@ from capwave.transforms import (
     FieldSamples,
     NoiseSpec,
     RegionSpec,
-    VectorFieldSamples,
     _check_evaluation,
     _outer_coefficients,
     add_noise,
@@ -765,7 +764,7 @@ class TestFieldSamplesConstruction:
         with pytest.raises(TypeError, match="SphereGrid"):
             FieldSamples(grid, np.zeros(grid.n_nodes), 4)
         with pytest.raises(TypeError, match="SphereGrid"):
-            VectorFieldSamples(grid, np.zeros((grid.n_nodes, 3)), 4)
+            FieldSamples(grid, np.zeros((grid.n_nodes, 3)), 4)
 
     @pytest.mark.parametrize("degree", [12.5, 12.0, "12", None])
     def test_non_integer_degree_rejected(self, degree):
@@ -785,20 +784,26 @@ class TestFieldSamplesConstruction:
         with pytest.raises(ValueError, match="one per grid node"):
             FieldSamples(grid, np.zeros(grid.n_nodes + 1), 4)
         with pytest.raises(ValueError, match="one per grid node"):
-            VectorFieldSamples(grid, np.zeros(grid.n_nodes), 4)
+            FieldSamples(grid, np.zeros((grid.n_nodes, 2)), 4)
+
+    def test_field_samples_share_one_grid(self):
+        a = field_samples(field_of_kind("scalar", 1.3, 4), 10)
+        b = field_samples(field_of_kind("vector", 1.3, 4), 10)
+        assert a.grid is b.grid and (a.case, b.case) == ("scalar", "vector")
+        with pytest.raises(ValueError, match="exact_degree must be >= 0"):
+            field_samples(field_of_kind("scalar", 1.3, 4), -1)
 
 
-def count_analyses(monkeypatch, case):
+def count_analyses(monkeypatch):
     """Record the kept degree of every outer analysis the chain runs."""
-    name = "vector_analyze" if case == "vector" else "analyze"
-    original = getattr(transforms, name)
+    original = transforms.analyze
     degrees = []
 
     def counted(values, grid, n_max):
         degrees.append(n_max)
         return original(values, grid, n_max)
 
-    monkeypatch.setattr(transforms, name, counted)
+    monkeypatch.setattr(transforms, "analyze", counted)
     return degrees
 
 
@@ -823,7 +828,7 @@ class TestKeptOuterAnalysis:
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_five_calls_analyze_once(self, monkeypatch, case):
-        degrees = count_analyses(monkeypatch, case)
+        degrees = count_analyses(monkeypatch)
         samples, f2 = self.samples(case), field_of_kind(case)
         self.calls(pair_of_kind(case, 6), samples, f2)
         assert degrees == [6]
@@ -840,7 +845,7 @@ class TestKeptOuterAnalysis:
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_another_N_replaces_the_entry(self, monkeypatch, case):
-        degrees = count_analyses(monkeypatch, case)
+        degrees = count_analyses(monkeypatch)
         samples, f2 = self.samples(case), field_of_kind(case)
         wide, narrow = pair_of_kind(case, 6), pair_of_kind(case, 4)
         before = approximate_coefficients(wide, samples, f2, KIND_REGION).data
@@ -866,17 +871,16 @@ class TestKeptOuterAnalysis:
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_callers_array_is_copied(self, case):
         grid = sphere_grid(1.3, 2 * self.DEGREE + 2)
-        values = transforms._synthesize(field_of_kind(case, 1.3, self.DEGREE), grid)
+        values = synthesize(field_of_kind(case, 1.3, self.DEGREE), grid)
         original = values.copy()
-        kind = VectorFieldSamples if case == "vector" else FieldSamples
-        samples = kind(grid, values, self.DEGREE)
+        samples = FieldSamples(grid, values, self.DEGREE)
         assert values.flags.writeable
         values[:] = 0.0
         assert np.array_equal(samples.values, original)
         pair, f2 = pair_of_kind(case, 6), field_of_kind(case)
         assert np.array_equal(
             approximate_coefficients(pair, samples, f2, KIND_REGION).data,
-            approximate_coefficients(pair, kind(grid, original, self.DEGREE), f2,
+            approximate_coefficients(pair, FieldSamples(grid, original, self.DEGREE), f2,
                                      KIND_REGION).data)
 
     def test_sphere_grid_arrays_are_read_only(self):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from capwave.harmonics import sphere_grid, ynk
+from capwave import harmonics
+from capwave.harmonics import (
+    HarmonicCoefficients,
+    analyze,
+    load_coefficients,
+    save_coefficients,
+    sphere_grid,
+    ynk,
+)
 from capwave.kernels import (
     Geometry,
     KernelPair,
@@ -15,15 +23,11 @@ from capwave.kernels import (
     shannon_reference_pair,
     stationarity_residual,
 )
-from capwave.transforms import RegionSpec
+from capwave.transforms import FieldSamples, RegionSpec
 from capwave.vector_field import (
     VectorCoefficients,
-    VectorFieldSamples,
-    load_vector_coefficients,
-    save_vector_coefficients,
     tensor_first_moment,
     tensor_kernel_eval,
-    vector_analyze,
     vector_approximate,
     vector_approximate_coefficients,
     vector_field_samples,
@@ -228,7 +232,7 @@ class TestSynthesizeAnalyze:
         c = random_vector_field(R_INNER, 10, seed=7)
         grid = sphere_grid(R_INNER, 2 * 10 + 2)
         vals = vector_synthesize(c, grid)
-        back = vector_analyze(vals, grid, 10)
+        back = analyze(vals, grid, 10)
         np.testing.assert_allclose(back.data, c.data, atol=1e-9 * c.l2_norm())
 
     def test_single_basis_field(self):
@@ -246,7 +250,7 @@ class TestSynthesizeAnalyze:
         rng = np.random.default_rng(9)
         c.data[1, 1:] = rng.standard_normal(c.data[1].size - 1)
         grid = sphere_grid(1.0, 2 * n_max + 2)
-        back = vector_analyze(vector_synthesize(c, grid), grid, n_max)
+        back = analyze(vector_synthesize(c, grid), grid, n_max)
         np.testing.assert_allclose(back.data[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(back.data[1], c.data[1], atol=1e-12)
 
@@ -271,11 +275,16 @@ class TestSynthesizeAnalyze:
     def test_analyze_validation(self):
         grid = sphere_grid(1.0, 10)
         with pytest.raises(ValueError):
-            vector_analyze(np.zeros((grid.n_nodes, 3)), grid, 5)
+            analyze(np.zeros((grid.n_nodes, 3)), grid, 5)
+        # one value per node is a scalar field, analyzed to 2 n_max <= 10
+        assert type(analyze(np.zeros(grid.n_nodes), grid, 4)) is HarmonicCoefficients
         with pytest.raises(ValueError):
-            vector_analyze(np.zeros(grid.n_nodes), grid, 4)
+            analyze(np.zeros((grid.n_nodes, 2)), grid, 4)
         with pytest.raises(TypeError):
-            vector_analyze(np.zeros((4, 3)), np.zeros((4, 3)), 1)
+            analyze(np.zeros((4, 3)), np.zeros((4, 3)), 1)
+
+    def test_vector_synthesize_is_the_one_synthesize(self):
+        assert vector_synthesize is harmonics.synthesize
 
     def test_field_samples_wrapper(self):
         c = random_vector_field(R_OUTER, 5, seed=11)
@@ -283,7 +292,7 @@ class TestSynthesizeAnalyze:
         assert samples.degree == 5
         assert samples.values.shape == (samples.grid.n_nodes, 3)
         with pytest.raises(ValueError):
-            VectorFieldSamples(samples.grid, samples.values[:, :2], 5)
+            FieldSamples(samples.grid, samples.values[:, :2], 5)
 
 
 class TestUpwardContinue:
@@ -671,8 +680,8 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         c = random_vector_field(6371.2, 5, seed=43)
         path = tmp_path / "field.txt"
-        save_vector_coefficients(c, path)
-        back = load_vector_coefficients(path)
+        save_coefficients(c, path)
+        back = load_coefficients(path)
         assert back.radius == c.radius
         assert back.n_max == c.n_max
         np.testing.assert_array_equal(back.data, c.data)
@@ -680,24 +689,23 @@ class TestFileFormat:
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# radius_km=1.0 n_max=2\n")
-        with pytest.raises(ValueError, match="channels"):
-            load_vector_coefficients(path)
+        assert type(load_coefficients(path)) is HarmonicCoefficients
         path.write_text("# radius_km=1.0 n_max=2 channels=3\n")
-        with pytest.raises(ValueError, match="channels"):
-            load_vector_coefficients(path)
+        with pytest.raises(ValueError, match=r"bad\.txt: line 1: expected channels=2"):
+            load_coefficients(path)
 
     def test_duplicate_entry_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("# radius_km=1.0 n_max=1 channels=2\n1 0 1 1.0\n2 1 1 0.5\n"
                         "1 0 1 2.0\n")
         with pytest.raises(ValueError, match=r"dup\.txt: line 4: duplicate entry"):
-            load_vector_coefficients(path)
+            load_coefficients(path)
 
     def test_rejected_header_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "head.txt"
         path.write_text("# radius_km=1.0 n_max=-1 channels=2\n")
         with pytest.raises(ValueError, match=r"head\.txt: line 1: n_max must be >= 0"):
-            load_vector_coefficients(path)
+            load_coefficients(path)
 
     def test_bad_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -705,4 +713,4 @@ class TestFileFormat:
             "# radius_km=1.0 n_max=2 channels=2\n1 0 1 0.5\n2 0 1 0.25\n"
         )
         with pytest.raises(ValueError, match="line 3"):
-            load_vector_coefficients(path)
+            load_coefficients(path)
