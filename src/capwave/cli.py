@@ -3,15 +3,17 @@
 Config files are line-oriented `key = value` text. `#` starts a comment,
 blank lines are skipped, list values are whitespace-separated, and unknown
 or duplicate keys are hard errors, so a typo cannot silently fall back to a
-default. Exit codes: 0 on success, 2 for any configuration problem, 3 when
-the kernel optimization fails numerically, 4 when the command itself
-rejects its inputs (a ValueError such as a model that is zero on the
-evaluation region).
+default. Exit codes: 0 on success, 2 for any configuration problem (an
+output path that cannot be written among them), 3 when the kernel
+optimization fails numerically, 4 when the command itself rejects its
+inputs (a ValueError such as a model that is zero on the evaluation
+region).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -146,15 +148,28 @@ def _single_weights(config: ExperimentConfig, command: str) -> PenaltyWeights:
         config.geometry, alpha_tilde / ratio, alpha_tilde, beta)
 
 
+def _check_writable(path) -> None:
+    """Raise ConfigError unless path opens for writing. A file the check
+    creates is removed again, so a command that fails later leaves none."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="ascii"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_gram(config: ExperimentConfig) -> int:
     geometry = config.geometry
     gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
     with open(config.out, "w", encoding="ascii", newline="") as fh:
         fh.write("n,m,value\n")
-        for n in range(gram.n_max + 1):
-            for m in range(gram.n_max + 1):
-                fh.write(f"{n},{m},{gram.entries[n, m]:.17g}\n")
-    print(f"wrote {(gram.n_max + 1) ** 2} gram entries to {config.out}")
+        for n, row in enumerate(gram):
+            for m, value in enumerate(row):
+                fh.write(f"{n},{m},{value:.17g}\n")
+    print(f"wrote {gram.size} gram entries to {config.out}")
     return 0
 
 
@@ -267,6 +282,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        _check_writable(config.out)
         return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

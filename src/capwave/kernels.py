@@ -26,7 +26,6 @@ __all__ = [
     "SymbolSet",
     "KernelPair",
     "PenaltyWeights",
-    "GramMatrix",
     "NumericalFailure",
     "gram_scalar",
     "gram_vector",
@@ -94,6 +93,11 @@ class Geometry:
         return (self.r / self.R) ** _sigma_exponents(self.case, n_hi)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _sigma_exponents(case: str, n_hi: int) -> np.ndarray:
     """Exponent of r/R in sigma_n for n = 0..n_hi: n for potential values,
     n + 1 for gradient fields, which differentiate the potential first."""
@@ -101,19 +105,24 @@ def _sigma_exponents(case: str, n_hi: int) -> np.ndarray:
     return n if case == "scalar" else n + 1.0
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SymbolSet:
-    """Degree-indexed multipliers value(0..n_max) of a zonal kernel."""
+    """Degree-indexed multipliers value(0..n_max) of a zonal kernel.
+
+    Immutable: values is a private read-only copy, so later writes to the
+    caller's array do not reach the symbols.
+    """
 
     n_max: int
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.n_max + 1,):
+        values = _read_only(np.array(self.values, dtype=float))
+        if values.shape != (self.n_max + 1,):
             raise ValueError(f"values must have shape ({self.n_max + 1},)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("symbols must be finite")
+        object.__setattr__(self, "values", values)
 
     def value(self, n: int) -> float:
         if not (0 <= n <= self.n_max):
@@ -129,13 +138,14 @@ class SymbolSet:
         return cls(n_max, np.ones(n_max + 1))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KernelPair:
     """Coupled scaling/wavelet symbols for one geometry.
 
     The wavelet symbols are derived, never set directly:
     psi_tilde(n) = phi_tilde(n) - phi(n) sigma(n) for n <= N, and
-    psi_tilde(n) = phi_tilde(n) for N < n <= kN.
+    psi_tilde(n) = phi_tilde(n) for N < n <= kN. The pair and its symbol
+    sets are immutable, so the three always agree.
     """
 
     geometry: Geometry
@@ -151,22 +161,28 @@ class KernelPair:
             raise ValueError(f"phi_tilde must have n_max = kN = {g.kN}")
         psi = self.phi_tilde.values.copy()
         psi[: g.N + 1] -= self.phi.values * g.sigmas(g.N)
-        self.psi_tilde = SymbolSet(g.kN, psi)
+        object.__setattr__(self, "psi_tilde", SymbolSet(g.kN, psi))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PenaltyWeights:
-    """Strictly positive weights of the minimization functional."""
+    """Strictly positive weights of the minimization functional.
+
+    Immutable: alpha and alpha_tilde are private read-only copies, so the
+    positivity check holds for the weights' whole life.
+    """
 
     alpha: np.ndarray        # length N+1, outer-sphere fidelity
     alpha_tilde: np.ndarray  # length kN+1, inner-sphere fidelity
     beta: float              # downward-continuation regularization
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.alpha_tilde = np.asarray(self.alpha_tilde, dtype=float)
-        if np.any(self.alpha <= 0) or np.any(self.alpha_tilde <= 0) or self.beta <= 0:
+        alpha = _read_only(np.array(self.alpha, dtype=float))
+        alpha_tilde = _read_only(np.array(self.alpha_tilde, dtype=float))
+        if np.any(alpha <= 0) or np.any(alpha_tilde <= 0) or self.beta <= 0:
             raise ValueError("all weights must be strictly positive")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_tilde", alpha_tilde)
 
     @classmethod
     def uniform(cls, geometry: Geometry, alpha: float, alpha_tilde: float,
@@ -190,29 +206,6 @@ class PenaltyWeights:
         return cls.uniform(geometry, level, level, beta)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Gram matrix of kernel profiles over t in [-1, 1-rho].
-
-    Immutable: entries is a private read-only copy, so _gram_for can hand
-    one matrix to every caller of its arguments.
-    """
-
-    n_max: int
-    rho: float
-    case: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def quadratic_form(self, coeffs: np.ndarray) -> float:
-        c = np.asarray(coeffs, dtype=float)
-        return float(c @ self.entries @ c)
-
-
 # ---------------------------------------------------------------------------
 # Gram construction
 
@@ -223,12 +216,13 @@ def _truncated_rule(n_points: int, rho: float):
     return gauss_rule(n_points, -1.0, 1.0 - rho)
 
 
-def gram_scalar(n_max: int, rho: float) -> GramMatrix:
+def gram_scalar(n_max: int, rho: float) -> np.ndarray:
     """Entries (2n+1)(2m+1)/2 * integral of P_n P_m over [-1, 1-rho].
 
     The quadratic form of the wavelet symbols in this matrix equals
     8 pi^2 r^4 times the squared L2 norm of the wavelet profile outside
-    the cap (both 1/r^2 kernel factors included).
+    the cap (both 1/r^2 kernel factors included). The (n_max+1)^2 array
+    is read-only, so _gram_for can share it.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -237,11 +231,10 @@ def gram_scalar(n_max: int, rho: float) -> GramMatrix:
     scale = np.arange(1, 2 * n_max + 2, 2, dtype=float)  # 2n+1
     g = (p * w) @ p.T
     g *= np.outer(scale, scale) / 2.0
-    g = 0.5 * (g + g.T)
-    return GramMatrix(n_max, rho, "scalar", g)
+    return _read_only(0.5 * (g + g.T))
 
 
-def gram_vector(n_max: int, rho: float) -> GramMatrix:
+def gram_vector(n_max: int, rho: float) -> np.ndarray:
     """Tensor-kernel analogue of gram_scalar with derivative-weighted terms.
 
     For n, m >= 1 the integrand adds, on top of P_n P_m, the combination
@@ -251,7 +244,7 @@ def gram_vector(n_max: int, rho: float) -> GramMatrix:
     (2n+1)(2m+1)/2 matches the scalar convention, so the quadratic form
     again equals 8 pi^2 r^4 times the squared cap-exterior L2 norm of the
     tensor kernel's Frobenius profile; this is the convention the
-    surface-integration oracle confirms.
+    surface-integration oracle confirms. The array is read-only.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -276,21 +269,20 @@ def gram_vector(n_max: int, rho: float) -> GramMatrix:
 
     scale = np.arange(1, 2 * n_max + 2, 2, dtype=float)
     g *= np.outer(scale, scale) / 2.0
-    g = 0.5 * (g + g.T)
-    return GramMatrix(n_max, rho, "vector", g)
+    return _read_only(0.5 * (g + g.T))
 
 
 @functools.lru_cache(maxsize=4)
-def _gram_for(case: str, n_max: int, rho: float) -> GramMatrix:
+def _gram_for(case: str, n_max: int, rho: float) -> np.ndarray:
     """The Gram matrix of the field case, from gram_scalar or gram_vector.
 
     For rho >= 2 the exterior [-1, 1-rho] is empty and the Gram is zero.
     Memoized for the last 4 argument triples: a noise study optimizes
     every pair of one geometry against the same cap-exterior matrix, and
-    GramMatrix is immutable, so callers share it.
+    the array is read-only, so callers share it.
     """
     if rho >= 2.0:
-        return GramMatrix(n_max, rho, case, np.zeros((n_max + 1, n_max + 1)))
+        return _read_only(np.zeros((n_max + 1, n_max + 1)))
     builder = gram_scalar if case == "scalar" else gram_vector
     return builder(n_max, rho)
 
@@ -318,15 +310,11 @@ def full_interval_energy(symbols: SymbolSet, case: str = "scalar") -> float:
     return float(np.sum(scale * c * symbols.values**2))
 
 
-def _check_dimensions(g: Geometry, w: PenaltyWeights, gram: GramMatrix) -> None:
+def _check_dimensions(g: Geometry, w: PenaltyWeights) -> None:
     if w.alpha.shape != (g.N + 1,):
         raise ValueError(f"alpha must have length N+1 = {g.N + 1}")
     if w.alpha_tilde.shape != (g.kN + 1,):
         raise ValueError(f"alpha_tilde must have length kN+1 = {g.kN + 1}")
-    if gram.n_max != g.kN:
-        raise ValueError(f"gram must have n_max = kN = {g.kN}")
-    if gram.case != g.case:
-        raise ValueError(f"gram case {gram.case!r} does not match geometry {g.case!r}")
 
 
 def _resolve_targets(geometry: Geometry, targets: SymbolSet | None) -> np.ndarray:
@@ -337,7 +325,7 @@ def _resolve_targets(geometry: Geometry, targets: SymbolSet | None) -> np.ndarra
     return targets.values
 
 
-def functional_value(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
+def functional_value(pair: KernelPair, w: PenaltyWeights,
                      targets: SymbolSet | None = None) -> float:
     """Value of the minimized functional at the given pair.
 
@@ -345,23 +333,24 @@ def functional_value(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
     (phi sigma on the outer sphere, phi_tilde on the inner sphere) from the
     targets (all ones unless a filtered target set is supplied); the beta
     term penalizes the raw scaling symbols; the Gram quadratic form is the
-    wavelet energy outside the cap.
+    wavelet energy outside the cap, in the geometry's Gram.
     """
     g = pair.geometry
-    _check_dimensions(g, w, gram)
+    _check_dimensions(g, w)
     tgt = _resolve_targets(g, targets)
     x = pair.phi.values * g.sigmas(g.N)
     y = pair.phi_tilde.values
+    psi = pair.psi_tilde.values
     value = float(
         w.alpha_tilde @ (tgt - y) ** 2
         + w.alpha @ (tgt[: g.N + 1] - x) ** 2
         + w.beta * pair.phi.values @ pair.phi.values
-        + gram.quadratic_form(pair.psi_tilde.values)
+        + float(psi @ _gram_for(g.case, g.kN, g.rho) @ psi)
     )
     return value
 
 
-def stationarity_residual(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
+def stationarity_residual(pair: KernelPair, w: PenaltyWeights,
                           targets: SymbolSet | None = None) -> float:
     """Max-norm of the analytic gradient of the functional at the pair.
 
@@ -369,13 +358,13 @@ def stationarity_residual(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
     x_n = phi(n) sigma(n) and y_n = phi_tilde(n).
     """
     g = pair.geometry
-    _check_dimensions(g, w, gram)
+    _check_dimensions(g, w)
     tgt = _resolve_targets(g, targets)
     sig = g.sigmas(g.N)
     x = pair.phi.values * sig
     y = pair.phi_tilde.values
     psi = pair.psi_tilde.values
-    gpsi = gram.entries @ psi
+    gpsi = _gram_for(g.case, g.kN, g.rho) @ psi
     grad_x = -2.0 * w.alpha * (tgt[: g.N + 1] - x) \
         + 2.0 * w.beta * x / sig**2 - 2.0 * gpsi[: g.N + 1]
     grad_y = -2.0 * w.alpha_tilde * (tgt - y) + 2.0 * gpsi
@@ -383,8 +372,7 @@ def stationarity_residual(pair: KernelPair, w: PenaltyWeights, gram: GramMatrix,
 
 
 def optimize(geometry: Geometry, w: PenaltyWeights,
-             targets: SymbolSet | None = None,
-             gram: GramMatrix | None = None) -> KernelPair:
+             targets: SymbolSet | None = None) -> KernelPair:
     """Unique minimizer of the functional for the given weights.
 
     Unknowns are x_n = phi(n) sigma(n) (n = 0..N) and y_n = phi_tilde(n)
@@ -396,19 +384,16 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     with D1 = diag(alpha_n + beta/sigma_n^2), D2 = diag(alpha_tilde_n) and
     P* the Gram blocks, is symmetric positive definite, so a Cholesky solve
     applies. A factorization failure is raised as NumericalFailure, never
-    silently regularized. Without gram, the geometry's cap-exterior Gram
-    comes from _gram_for's memo, so repeated solves for one geometry build
-    it once.
+    silently regularized. The geometry's cap-exterior Gram comes from
+    _gram_for's memo, so repeated solves for one geometry build it once.
     """
-    if gram is None:
-        gram = _gram_for(geometry.case, geometry.kN, geometry.rho)
     n_x = geometry.N + 1
     n_y = geometry.kN + 1
-    _check_dimensions(geometry, w, gram)
+    _check_dimensions(geometry, w)
     tgt = _resolve_targets(geometry, targets)
     sig = geometry.sigmas(geometry.N)
 
-    G = gram.entries
+    G = _gram_for(geometry.case, geometry.kN, geometry.rho)
     M = np.empty((n_x + n_y, n_x + n_y))
     M[:n_x, :n_x] = G[:n_x, :n_x]
     M[:n_x, :n_x][np.diag_indices(n_x)] += w.alpha + w.beta / sig**2
@@ -508,8 +493,8 @@ def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry) -> 
     """
     if not np.any(psi_tilde.values):
         raise ValueError("localization ratio of an all-zero symbol set is undefined")
-    gram = _gram_for(geometry.case, psi_tilde.n_max, rho)
-    num = gram.quadratic_form(psi_tilde.values)
+    psi = psi_tilde.values
+    num = float(psi @ _gram_for(geometry.case, psi_tilde.n_max, rho) @ psi)
     den = full_interval_energy(psi_tilde, geometry.case)
     return float(min(max(num / den, 0.0), 1.0))
 

@@ -367,8 +367,9 @@ _kept_multipliers: dict = {}
 def _cap_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> tuple:
     """(lambda_n, mu_n) of _fresh_multipliers, kept by content: the key is
     what they read, the pair's psi_tilde bytes, kN and field kind, with
-    kernel_rho and n_max, so a later write into a pair's symbols cannot
-    return stale multipliers."""
+    kernel_rho and n_max. A pair's symbols are read-only, but every
+    optimize call returns a new pair, so a key by the pair itself would
+    miss a repeated solve's equal symbols."""
     g = pair.geometry
     key = (pair.psi_tilde.values.tobytes(), g.kN, g.case, kernel_rho, n_max)
     kept = _kept_multipliers.pop(key, None)

@@ -79,8 +79,7 @@ def vsh(i: int, n: int, k: int, xi) -> np.ndarray:
 
 
 def vector_optimize(geometry: Geometry, w: PenaltyWeights,
-                    targets: SymbolSet | None = None,
-                    gram=None) -> KernelPair:
+                    targets: SymbolSet | None = None) -> KernelPair:
     """Unique minimizer of the tensor-kernel functional.
 
     The quadratic structure is identical to the scalar optimizer; the vector
@@ -89,7 +88,7 @@ def vector_optimize(geometry: Geometry, w: PenaltyWeights,
     """
     if geometry.case != "vector":
         raise ValueError("vector_optimize needs geometry.case == 'vector'")
-    return optimize(geometry, w, targets, gram)
+    return optimize(geometry, w, targets)
 
 
 # ---------------------------------------------------------------------------

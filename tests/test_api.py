@@ -18,7 +18,6 @@ from capwave.kernels import (
     Geometry,
     PenaltyWeights,
     SymbolSet,
-    gram_scalar,
     shannon_reference_pair,
 )
 from capwave.transforms import field_samples
@@ -46,7 +45,6 @@ ARRAY_HOLDERS = {
     "SymbolSet": lambda: SymbolSet.ones(3),
     "KernelPair": lambda: shannon_reference_pair(GEOMETRY, 4),
     "PenaltyWeights": lambda: PenaltyWeights.uniform(GEOMETRY, 1.0, 1.0, 1.0),
-    "GramMatrix": lambda: gram_scalar(4, 0.5),
     "FieldSamples": lambda: field_samples(HarmonicCoefficients(1.0, 2), 4),
 }
 

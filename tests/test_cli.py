@@ -174,6 +174,51 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gram", "table"])
+    def test_unwritable_output_is_2(self, tiny_cfg, tmp_path, monkeypatch,
+                                    capsys, command):
+        # the output path is checked before any work: no model, no sweep
+        import capwave.experiments as experiments
+
+        def no_model(config):
+            raise AssertionError("the command ran before checking its output")
+
+        monkeypatch.setattr(experiments, "build_model", no_model)
+        out = tmp_path / "missing" / "t.csv"
+        assert main([command, str(tiny_cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: cannot write {out}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_unwritable_output_exits_2_without_traceback(self, tiny_cfg, tmp_path):
+        src = str(Path(capwave.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "capwave", "gram", str(tiny_cfg),
+             "--out", str(tmp_path / "missing" / "g.csv")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: cannot write ")
+        assert "Traceback" not in proc.stderr
+
+    def test_output_check_keeps_an_existing_file(self, tiny_cfg, tmp_path,
+                                                 monkeypatch, capsys):
+        # checking the output path neither truncates nor deletes a file
+        # that is already there when the command then fails
+        import capwave.experiments as experiments
+
+        def zero_model(config):
+            return HarmonicCoefficients(config.r_km, config.model_degree)
+
+        monkeypatch.setattr(experiments, "build_model", zero_model)
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        assert main(["table", str(tiny_cfg), "--out", str(out)]) == 4
+        assert out.read_text() == "old\n"
+
     @pytest.mark.parametrize("command, rows", [("table", 3), ("tsvd-table", 1)])
     def test_vector_case_table_is_0(self, tmp_path, capsys, command, rows):
         # sweeps run gradient fields through the same chain: TINY has one
@@ -351,7 +396,7 @@ class TestCommands:
         gram = gram_scalar(9, 0.5)
         rec = records[1 + 2 * 10 + 3]
         assert (int(rec[0]), int(rec[1])) == (2, 3)
-        assert float(rec[2]) == gram.entries[2, 3]
+        assert float(rec[2]) == gram[2, 3]
 
     def test_tsvd_symbols_file(self, tiny_cfg, tmp_path):
         out = tmp_path / "sv.csv"

@@ -315,10 +315,10 @@ class TestRunTable:
 
         real = optimize
 
-        def flaky(geometry, w, targets=None, gram=None):
+        def flaky(geometry, w, targets=None):
             if w.beta == 13.0:
                 raise NumericalFailure("synthetic breakdown")
-            return real(geometry, w, targets=targets, gram=gram)
+            return real(geometry, w, targets=targets)
 
         monkeypatch.setattr(exp, "optimize", flaky)
         rows = run_table(tiny_config(beta=(1.0, 13.0)))
@@ -335,10 +335,10 @@ class TestRunTable:
         real_optimize, real_chain = optimize, approximate_coefficients
         calls = []
 
-        def flaky(geometry, w, targets=None, gram=None):
+        def flaky(geometry, w, targets=None):
             if w.beta == 13.0:
                 raise NumericalFailure("synthetic breakdown")
-            return real_optimize(geometry, w, targets=targets, gram=gram)
+            return real_optimize(geometry, w, targets=targets)
 
         def counted(pair, f1, f2, region):
             calls.append(pair)

@@ -7,7 +7,6 @@ import pytest
 
 from capwave.kernels import (
     Geometry,
-    GramMatrix,
     KernelPair,
     NumericalFailure,
     PenaltyWeights,
@@ -92,20 +91,20 @@ class TestGeometry:
 class TestGramScalar:
     def test_degree_zero_entry(self):
         g = gram_scalar(0, 0.5)
-        assert g.entries[0, 0] == pytest.approx(0.75, abs=1e-13)
+        assert g[0, 0] == pytest.approx(0.75, abs=1e-13)
 
     def test_cross_entry(self):
         g = gram_scalar(1, 0.5)
-        assert g.entries[0, 1] == pytest.approx(-0.5625, abs=1e-13)
+        assert g[0, 1] == pytest.approx(-0.5625, abs=1e-13)
 
     def test_small_rho_limit(self):
         g = gram_scalar(5, 1e-9)
         expected = np.diag(2.0 * np.arange(6) + 1.0)
-        assert np.max(np.abs(g.entries - expected)) < 1e-6
+        assert np.max(np.abs(g - expected)) < 1e-6
 
     def test_symmetry_exact(self):
         g = gram_scalar(30, 0.7)
-        assert np.array_equal(g.entries, g.entries.T)
+        assert np.array_equal(g, g.T)
 
     def test_quadratic_form_matches_profile_energy(self):
         rng = np.random.default_rng(11)
@@ -113,7 +112,7 @@ class TestGramScalar:
             g = gram_scalar(25, rho)
             v = rng.standard_normal(26)
             oracle = EIGHT_PI_SQ * scalar_profile_energy(v, rho)
-            assert g.quadratic_form(v) == pytest.approx(oracle, rel=1e-9)
+            assert v @ g @ v == pytest.approx(oracle, rel=1e-9)
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
@@ -125,23 +124,23 @@ class TestGramScalar:
 class TestGramVector:
     def test_degree_zero_entry(self):
         g = gram_vector(0, 0.5)
-        assert g.entries[0, 0] == pytest.approx(0.75, abs=1e-13)
+        assert g[0, 0] == pytest.approx(0.75, abs=1e-13)
 
     def test_reduced_row_matches_scalar(self):
         gv = gram_vector(5, 0.7)
         gs = gram_scalar(5, 0.7)
-        assert np.allclose(gv.entries[0, :], gs.entries[0, :], atol=1e-13)
-        assert np.allclose(gv.entries[:, 0], gs.entries[:, 0], atol=1e-13)
+        assert np.allclose(gv[0, :], gs[0, :], atol=1e-13)
+        assert np.allclose(gv[:, 0], gs[:, 0], atol=1e-13)
 
     def test_small_rho_limit(self):
         g = gram_vector(5, 1e-9)
         c = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0])
         expected = np.diag((2.0 * np.arange(6) + 1.0) * c)
-        assert np.max(np.abs(g.entries - expected)) < 1e-5
+        assert np.max(np.abs(g - expected)) < 1e-5
 
     def test_symmetry_exact(self):
         g = gram_vector(30, 0.7)
-        assert np.array_equal(g.entries, g.entries.T)
+        assert np.array_equal(g, g.T)
 
     def test_quadratic_form_matches_surface_quadrature(self):
         rho = 0.6
@@ -152,7 +151,7 @@ class TestGramVector:
         for _ in range(5):
             v = rng.standard_normal(n_max + 1)
             oracle = EIGHT_PI_SQ * float(v @ q @ v)
-            assert g.quadratic_form(v) == pytest.approx(oracle, rel=1e-8)
+            assert v @ g @ v == pytest.approx(oracle, rel=1e-8)
 
 
 class TestGramMemo:
@@ -163,33 +162,27 @@ class TestGramMemo:
         _gram_for.cache_clear()
         first = _gram_for(case, 12, 0.5)
         assert _gram_for(case, 12, 0.5) is first
-        assert np.array_equal(first.entries, builder(12, 0.5).entries)
-        assert not first.entries.flags.writeable
+        assert np.array_equal(first, builder(12, 0.5))
+        assert not first.flags.writeable
         with pytest.raises(ValueError):
-            first.entries[0, 0] = 1.0
+            first[0, 0] = 1.0
 
-    def test_fields_cannot_be_assigned(self):
-        gram = gram_scalar(5, 0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gram.entries = np.zeros((6, 6))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gram.rho = 0.4
+    def test_builders_return_read_only_arrays(self):
+        for builder in (gram_scalar, gram_vector):
+            gram = builder(5, 0.5)
+            assert gram.shape == (6, 6) and not gram.flags.writeable
+            with pytest.raises(ValueError):
+                gram[0, 0] = 1.0
 
     @pytest.mark.parametrize("case, builder", [("scalar", gram_scalar), ("vector", gram_vector)])
     def test_full_sphere_cap_has_the_zero_gram(self, case, builder):
         # rho = 2 leaves the exterior [-1, 1 - rho] empty; the builders
         # themselves still need a nonempty interval
         gram = _gram_for(case, 12, 2.0)
-        assert (gram.n_max, gram.rho, gram.case) == (12, 2.0, case)
-        assert gram.entries.shape == (13, 13) and not np.any(gram.entries)
+        assert gram.shape == (13, 13) and not np.any(gram)
+        assert not gram.flags.writeable
         with pytest.raises(ValueError, match="rho must lie in"):
             builder(12, 2.0)
-
-    def test_callers_array_is_copied(self):
-        entries = np.eye(3)
-        gram = GramMatrix(2, 0.5, "scalar", entries)
-        entries[0, 0] = 5.0
-        assert entries.flags.writeable and gram.entries[0, 0] == 1.0
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_optimize_same_bits_from_cold_and_warm_memo(self, case):
@@ -228,20 +221,46 @@ class TestKernelPair:
         with pytest.raises(ValueError):
             KernelPair(g, SymbolSet.zeros(g.N), SymbolSet.zeros(g.kN - 1))
 
+    def test_writes_to_the_callers_arrays_do_not_reach_the_pair(self):
+        g = reduced_geometry()
+        phi = np.linspace(1.0, 2.0, g.N + 1)
+        pair = KernelPair(g, SymbolSet(g.N, phi), SymbolSet.ones(g.kN))
+        psi = pair.psi_tilde.values.copy()
+        phi[:] = 0.0
+        assert np.array_equal(pair.phi.values, np.linspace(1.0, 2.0, g.N + 1))
+        assert np.array_equal(pair.psi_tilde.values, psi)
+        alpha = np.ones(g.N + 1)
+        w = PenaltyWeights(alpha, np.ones(g.kN + 1), 1.0)
+        alpha[0] = -1.0
+        assert w.alpha[0] == 1.0
+
+    def test_symbols_and_weights_are_read_only(self):
+        g = reduced_geometry()
+        pair = shannon_reference_pair(g, g.N)
+        w = PenaltyWeights.uniform(g, 1.0, 1.0, 1.0)
+        for values in (pair.phi.values, pair.phi_tilde.values,
+                       pair.psi_tilde.values, w.alpha, w.alpha_tilde):
+            with pytest.raises(ValueError):
+                values[0] = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.phi = SymbolSet.zeros(g.N)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.phi_tilde.values = np.zeros(g.kN + 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.beta = -1.0
+
 
 class TestFunctionalValue:
     def test_all_zero_symbols(self):
         g = reduced_geometry()
         w = PenaltyWeights.uniform(g, 2.0, 3.0, 0.5)
         pair = KernelPair(g, SymbolSet.zeros(g.N), SymbolSet.zeros(g.kN))
-        gram = gram_scalar(g.kN, g.rho)
         expected = 2.0 * (g.N + 1) + 3.0 * (g.kN + 1)
-        assert functional_value(pair, w, gram) == pytest.approx(expected, rel=1e-15)
+        assert functional_value(pair, w) == pytest.approx(expected, rel=1e-15)
 
     def test_tail_term_matches_profile_energy(self):
         g = reduced_geometry()
         w = PenaltyWeights.uniform(g, 2.0, 3.0, 0.5)
-        gram = gram_scalar(g.kN, g.rho)
         rng = np.random.default_rng(5)
         phi_tilde = rng.standard_normal(g.kN + 1)
         pair = KernelPair(g, SymbolSet.zeros(g.N), SymbolSet(g.kN, phi_tilde))
@@ -249,27 +268,52 @@ class TestFunctionalValue:
             w.alpha_tilde @ (1.0 - phi_tilde) ** 2
             + w.alpha @ np.ones(g.N + 1)
         )
-        tail = functional_value(pair, w, gram) - fit
+        tail = functional_value(pair, w) - fit
         oracle = EIGHT_PI_SQ * scalar_profile_energy(phi_tilde, g.rho)
         assert tail == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("case, builder", [("scalar", gram_scalar), ("vector", gram_vector)])
+    def test_value_and_gradient_read_the_geometry_gram(self, case, builder):
+        # the formulas written out with the builder's Gram of (kN, rho)
+        g = reduced_geometry(case)
+        w = PenaltyWeights(np.linspace(0.5, 2.0, g.N + 1),
+                           np.linspace(1.0, 3.0, g.kN + 1), 0.3)
+        rng = np.random.default_rng(37)
+        pair = KernelPair(g, SymbolSet(g.N, rng.standard_normal(g.N + 1)),
+                          SymbolSet(g.kN, rng.standard_normal(g.kN + 1)))
+        gram = builder(g.kN, g.rho)
+        tgt = np.ones(g.kN + 1)
+        sig = g.sigmas(g.N)
+        x = pair.phi.values * sig
+        y = pair.phi_tilde.values
+        psi = pair.psi_tilde.values
+        value = float(
+            w.alpha_tilde @ (tgt - y) ** 2
+            + w.alpha @ (tgt[: g.N + 1] - x) ** 2
+            + w.beta * pair.phi.values @ pair.phi.values
+            + float(psi @ gram @ psi)
+        )
+        gpsi = gram @ psi
+        grad_x = -2.0 * w.alpha * (tgt[: g.N + 1] - x) \
+            + 2.0 * w.beta * x / sig**2 - 2.0 * gpsi[: g.N + 1]
+        grad_y = -2.0 * w.alpha_tilde * (tgt - y) + 2.0 * gpsi
+        assert functional_value(pair, w) == value
+        assert stationarity_residual(pair, w) == max(np.max(np.abs(grad_x)),
+                                                     np.max(np.abs(grad_y)))
 
     def test_dimension_mismatch(self):
         g = reduced_geometry()
         w = PenaltyWeights.uniform(g, 1.0, 1.0, 1.0)
         pair = shannon_reference_pair(g, g.N)
-        with pytest.raises(ValueError):
-            functional_value(pair, w, gram_scalar(g.kN + 1, g.rho))
         bad_w = PenaltyWeights(np.ones(g.N + 2), np.ones(g.kN + 1), 1.0)
         with pytest.raises(ValueError):
-            functional_value(pair, bad_w, gram_scalar(g.kN, g.rho))
+            functional_value(pair, bad_w)
 
     def test_shannon_bound_both_cases(self):
         for case in ("scalar", "vector"):
             g = reduced_geometry(case)
             w = PenaltyWeights.uniform(g, 1.0, 1.0, 0.01)
-            gram = gram_scalar(g.kN, g.rho) if case == "scalar" \
-                else gram_vector(g.kN, g.rho)
-            value = functional_value(shannon_reference_pair(g, g.N), w, gram)
+            value = functional_value(shannon_reference_pair(g, g.N), w)
             assert value <= shannon_bound(g, w.beta)
 
 
@@ -336,18 +380,16 @@ class TestOptimize:
     def test_stationarity(self, rho):
         g = reduced_geometry("scalar", rho=rho)
         w = PenaltyWeights.uniform(g, 10.0, 10.0, 0.1)
-        gram = gram_scalar(g.kN, g.rho)
-        pair = optimize(g, w, gram=gram)
+        pair = optimize(g, w)
         scale = 1.0 + np.linalg.norm(np.concatenate([w.alpha, w.alpha_tilde]))
-        assert stationarity_residual(pair, w, gram) < 1e-8 * scale
+        assert stationarity_residual(pair, w) < 1e-8 * scale
 
     def test_minimality_against_shannon_and_perturbations(self):
         g = reduced_geometry("scalar", rho=0.5)
         w = PenaltyWeights.uniform(g, 5.0, 5.0, 0.05)
-        gram = gram_scalar(g.kN, g.rho)
-        pair = optimize(g, w, gram=gram)
-        f_opt = functional_value(pair, w, gram)
-        assert f_opt < functional_value(shannon_reference_pair(g, g.N), w, gram)
+        pair = optimize(g, w)
+        f_opt = functional_value(pair, w)
+        assert f_opt < functional_value(shannon_reference_pair(g, g.N), w)
 
         sig = g.sigmas(g.N)
         x = pair.phi.values * sig
@@ -361,21 +403,21 @@ class TestOptimize:
                 SymbolSet(g.N, (x + d[: x.size]) / sig),
                 SymbolSet(g.kN, y + d[x.size :]),
             )
-            assert functional_value(perturbed, w, gram) >= f_opt - 1e-12
+            assert functional_value(perturbed, w) >= f_opt - 1e-12
 
     def test_permuted_assembly_uniqueness(self):
         g = reduced_geometry("scalar", rho=0.5)
         w = PenaltyWeights.uniform(g, 2.0, 4.0, 0.3)
         gram = gram_scalar(g.kN, g.rho)
-        pair = optimize(g, w, gram=gram)
+        pair = optimize(g, w)
 
         n_x, n_y = g.N + 1, g.kN + 1
         sig = g.sigmas(g.N)
         m = np.zeros((n_x + n_y, n_x + n_y))
-        m[:n_x, :n_x] = gram.entries[:n_x, :n_x] + np.diag(w.alpha + w.beta / sig**2)
-        m[:n_x, n_x:] = -gram.entries[:n_x, :]
-        m[n_x:, :n_x] = -gram.entries[:, :n_x]
-        m[n_x:, n_x:] = gram.entries + np.diag(w.alpha_tilde)
+        m[:n_x, :n_x] = gram[:n_x, :n_x] + np.diag(w.alpha + w.beta / sig**2)
+        m[:n_x, n_x:] = -gram[:n_x, :]
+        m[n_x:, :n_x] = -gram[:, :n_x]
+        m[n_x:, n_x:] = gram + np.diag(w.alpha_tilde)
         rhs = np.concatenate([w.alpha, w.alpha_tilde])
 
         rng = np.random.default_rng(23)
@@ -399,13 +441,12 @@ class TestOptimize:
         g = reduced_geometry("scalar", rho=0.5)
         targets = raised_cosine_targets(g)
         w = PenaltyWeights.uniform(g, 1e10, 1e10, 1e-10)
-        gram = gram_scalar(g.kN, g.rho)
-        pair = optimize(g, w, targets=targets, gram=gram)
+        pair = optimize(g, w, targets=targets)
         x = pair.phi.values * g.sigmas(g.N)
         assert np.max(np.abs(x - targets.values[: g.N + 1])) < 1e-4
         assert np.max(np.abs(pair.phi_tilde.values - targets.values)) < 1e-4
         scale = 1.0 + np.linalg.norm(np.concatenate([w.alpha, w.alpha_tilde]))
-        resid = stationarity_residual(pair, w, gram, targets=targets)
+        resid = stationarity_residual(pair, w, targets=targets)
         assert resid < 1e-8 * scale
 
     def test_coupling_after_optimize(self):
@@ -445,14 +486,14 @@ class TestGramPositiveDefiniteness:
         builder = gram_scalar if case == "scalar" else gram_vector
         for rho, sizes in self.CHOLESKY_GRID[case]:
             for n_max in sizes:
-                np.linalg.cholesky(builder(n_max, rho).entries)
+                np.linalg.cholesky(builder(n_max, rho))
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_eigenvalue_floor_full_grid(self, case):
         builder = gram_scalar if case == "scalar" else gram_vector
         for rho in (0.01, 0.1, 0.5, 1.0, 1.9):
             for n_max in (20, 40, 80, 120):
-                eig = np.linalg.eigvalsh(builder(n_max, rho).entries)
+                eig = np.linalg.eigvalsh(builder(n_max, rho))
                 assert eig[-1] > 0.0
                 assert eig[0] >= -1e-10 * eig[-1]
 

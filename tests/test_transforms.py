@@ -325,7 +325,7 @@ class TestWaveletTransformLocal:
             psi[: g.kN + 1] = pair.psi_tilde.values
             full_value = float(synthesize(f2.scaled_by_degree(psi), x[None, :])[0])
             tail_norm = math.sqrt(
-                max(gram.quadratic_form(pair.psi_tilde.values), 0.0)
+                max(float(pair.psi_tilde.values @ gram @ pair.psi_tilde.values), 0.0)
                 / (eight_pi_sq * g.r**4)
             )
             bound = math.sqrt(2.0 * math.pi) * g.r * tail_norm * f2.l2_norm()

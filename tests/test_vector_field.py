@@ -336,10 +336,9 @@ class TestVectorOptimize:
         for rho in (0.5, 0.1, 0.01):
             g = reduced_geometry(rho=rho)
             w = PenaltyWeights.uniform(g, 2.0, 3.0, 0.5)
-            gram = gram_vector(g.kN, rho)
-            pair = vector_optimize(g, w, gram=gram)
+            pair = vector_optimize(g, w)
             scale = 1.0 + float(np.linalg.norm(np.concatenate([w.alpha, w.alpha_tilde])))
-            assert stationarity_residual(pair, w, gram) < 1e-8 * scale
+            assert stationarity_residual(pair, w) < 1e-8 * scale
 
     def test_near_decoupled_limit(self):
         # as rho -> 0 the Gram matrix becomes diag((2n+1) c_n) with both
@@ -347,7 +346,7 @@ class TestVectorOptimize:
         # per-degree 2x2 systems
         g = reduced_geometry(rho=1e-9)
         w = PenaltyWeights.uniform(g, 0.1, 0.1, 0.5)
-        pair = vector_optimize(g, w, gram=gram_vector(g.kN, 1e-9))
+        pair = vector_optimize(g, w)
         sig = g.sigmas(g.N)
         x = pair.phi.values * sig
         y = pair.phi_tilde.values
@@ -368,10 +367,9 @@ class TestVectorOptimize:
     def test_beats_shannon(self):
         g = reduced_geometry(rho=0.5)
         w = PenaltyWeights.uniform(g, 2.0, 3.0, 0.5)
-        gram = gram_vector(g.kN, g.rho)
-        pair = vector_optimize(g, w, gram=gram)
-        assert functional_value(pair, w, gram) < functional_value(
-            shannon_reference_pair(g, g.N), w, gram
+        pair = vector_optimize(g, w)
+        assert functional_value(pair, w) < functional_value(
+            shannon_reference_pair(g, g.N), w
         )
 
 
@@ -669,10 +667,10 @@ class TestTensorKernel:
     def test_gram_form_for_optimized_pair(self):
         g = Geometry(R_INNER, R_OUTER, 6, kappa=4.0 / 3.0, rho=0.6, case="vector")
         w = PenaltyWeights.uniform(g, 1.0, 1.0, 1.0)
-        gram = gram_vector(g.kN, g.rho)
-        pair = vector_optimize(g, w, gram=gram)
+        pair = vector_optimize(g, w)
         direct = oracles.vector_profile_energy(pair.psi_tilde.values, g.rho)
-        form = gram.quadratic_form(pair.psi_tilde.values)
+        psi = pair.psi_tilde.values
+        form = psi @ gram_vector(g.kN, g.rho) @ psi
         assert form == pytest.approx(8.0 * math.pi**2 * direct, rel=1e-8)
 
 
