@@ -217,13 +217,18 @@ def _cmd_approximate(config: ExperimentConfig) -> int:
     return 0
 
 
-def _table_command(run):
-    def command(config: ExperimentConfig) -> int:
-        rows = run(config)
-        write_table(rows, config.out)
-        print(f"wrote {len(rows)} rows to {config.out}")
-        return 0
-    return command
+def _cmd_table(config: ExperimentConfig) -> int:
+    return _write_rows(run_table(config), config.out)
+
+
+def _cmd_tsvd_table(config: ExperimentConfig) -> int:
+    return _write_rows(run_tsvd_table(config), config.out)
+
+
+def _write_rows(rows, path) -> int:
+    write_table(rows, path)
+    print(f"wrote {len(rows)} rows to {path}")
+    return 0
 
 
 def _cmd_spectra(config: ExperimentConfig) -> int:
@@ -239,8 +244,8 @@ _COMMANDS = {
     "shannon": _cmd_shannon,
     "tsvd": _cmd_tsvd,
     "approximate": _cmd_approximate,
-    "table": _table_command(run_table),
-    "tsvd-table": _table_command(run_tsvd_table),
+    "table": _cmd_table,
+    "tsvd-table": _cmd_tsvd_table,
     "spectra": _cmd_spectra,
 }
 

@@ -20,24 +20,28 @@ A run builds once what depends only on its configuration: the model, its
 upward-continued outer data, and each method's kernel pair and
 localization ratio. Every row then runs the library chain, the
 approximate_coefficients of its method's pair on the cell's noisy data
-scored by relative_error, so the table and a single reconstruction share
-one code path, for scalar and gradient fields alike (config.case). Process
-memos keep what the chain rebuilds from unchanged arguments: the
-cap-exterior Gram (kernels._gram_for, zero for a full-sphere kernel cap),
-the cap multipliers' Gauss rule and Legendre rows (transforms._cap_rule),
-each method's cap multipliers, kept by its pair's content
-(transforms._cap_multipliers), each cap's norm operator
+scored by relative_errors, so the table and a single reconstruction share
+one code path, for scalar and gradient fields alike (config.case). A cell
+is scored as one stream: its candidates are assembled one at a time and
+normed in stacked runs, each entry == to its own relative_error call, so
+at most one run is alive. Process memos keep what the chain rebuilds from
+unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
+full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre
+rows (transforms._cap_rule), each method's cap multipliers, kept by its
+pair's content (transforms._cap_multipliers), each cap's norm operator
 (harmonics._cap_factor) and the model's norm on each cap, kept by the
 model's content (harmonics._kept_cap_norm). A run's first cell builds them
 and a repeated run in one process finds them built. A row's wall_time_s
-times its own reconstruction and scoring: the assembly and the error norm,
-and in its run's first cell the method's multipliers. None of this reuse
-changes a bit of any error.
+is its own assembly time (in its run's first cell with the method's
+multipliers) plus an equal share of its cell's stacked scoring time; a
+row without a candidate takes no share. None of this reuse changes a bit
+of any error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -67,6 +71,7 @@ from .transforms import (
     add_noise,
     approximate_coefficients,
     relative_error,
+    relative_errors,
     upward_continue,
 )
 
@@ -183,7 +188,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (cell, method) outcome; None marks fields a method does not have."""
+    """One (cell, method) outcome; None marks fields a method does not have.
+
+    wall_time_s, kept in memory only, is the row's assembly time plus an
+    equal share of its cell's stacked scoring time (0 for a row without a
+    candidate, such as a failed optimization).
+    """
 
     case: str
     rho: float
@@ -374,21 +384,17 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
                 spec = NoiseSpec(eps1, gamma * eps1, config.noise_degree, seed)
                 f1 = add_noise(f1_clean, spec, "sphere")
                 f2 = add_noise(model, spec, region)
-                for m in methods:
-                    start = time.perf_counter()
-                    err, status = None, m.status
-                    if m.pair is not None:
-                        try:
-                            err = relative_error(
-                                model, approximate_coefficients(m.pair, f1, f2, region), region)
-                        except (ValueError, NumericalFailure) as exc:
-                            status = f"evaluation-failure: {exc}"
+                scores = _score_cell(model, region, [
+                    None if m.pair is None
+                    else functools.partial(approximate_coefficients, m.pair, f1, f2, region)
+                    for m in methods])
+                for m, (err, failure, seconds) in zip(methods, scores):
                     rows.append(ResultRow(
                         epsilon1=eps1, gamma=gamma, seed=seed, method=m.tag,
                         beta=m.beta, alpha_tilde=m.alpha_tilde,
                         alpha_ratio=m.alpha_ratio, relative_error=err,
-                        localization_ratio=m.localization, status=status,
-                        wall_time_s=time.perf_counter() - start, **common))
+                        localization_ratio=m.localization, status=failure or m.status,
+                        wall_time_s=seconds, **common))
     return sorted(rows, key=_row_key)
 
 
@@ -406,15 +412,54 @@ def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
         for seed in config.seeds:
             spec = NoiseSpec(eps1, 0.0, config.noise_degree, seed)
             f1 = add_noise(f1_clean, spec, "sphere")
-            for M in config.tsvd_degrees:
-                start = time.perf_counter()
-                err = relative_error(model, _tsvd_apply(geometry, f1, M), config.region)
+            scores = _score_cell(model, config.region, [
+                functools.partial(_tsvd_apply, geometry, f1, M) for M in config.tsvd_degrees])
+            for M, (err, failure, seconds) in zip(config.tsvd_degrees, scores):
                 rows.append(ResultRow(
                     epsilon1=eps1, gamma=None, seed=seed, method=f"tsvd-{M}",
                     beta=None, alpha_tilde=None, alpha_ratio=None,
-                    relative_error=err, localization_ratio=None, status="ok",
-                    wall_time_s=time.perf_counter() - start, **common))
+                    relative_error=err, localization_ratio=None, status=failure or "ok",
+                    wall_time_s=seconds, **common))
     return sorted(rows, key=_row_key)
+
+
+def _score_cell(model, region: RegionSpec, assemblies: list) -> list[tuple]:
+    """(relative_error, failure, wall_time_s) of each assembly of one cell.
+
+    An assembly is a callable of no arguments that returns one candidate
+    field, or None for a method without one (error and failure None).
+    Candidates are scored by one relative_errors call that draws them from
+    a generator, so at most one run of them is alive. An assembly that
+    raises ValueError or NumericalFailure leaves its error None and its
+    failure "evaluation-failure: <message>", and the others are still
+    scored; scoring itself cannot fail once _sweep has checked the model.
+    wall_time_s is the assembly's own time plus an equal share of the
+    time the scoring took beyond all assemblies.
+    """
+    seconds, failures, scored = [0.0] * len(assemblies), [None] * len(assemblies), []
+
+    def candidates():
+        for i, assemble in enumerate(assemblies):
+            if assemble is None:
+                continue
+            start = time.perf_counter()
+            try:
+                u = assemble()
+            except (ValueError, NumericalFailure) as exc:
+                failures[i] = f"evaluation-failure: {exc}"
+                continue
+            finally:
+                seconds[i] = time.perf_counter() - start
+            scored.append(i)
+            yield u
+
+    start = time.perf_counter()
+    errors = relative_errors(model, candidates(), region)
+    share = (time.perf_counter() - start - sum(seconds)) / max(len(scored), 1)
+    for i in scored:
+        seconds[i] += share
+    kept = dict(zip(scored, errors))
+    return [(kept.get(i), failures[i], seconds[i]) for i in range(len(assemblies))]
 
 
 # ---------------------------------------------------------------------------

@@ -1234,27 +1234,34 @@ def _cap_factor(case: str, n_max: int, cap_rho: float, exact_degree: int) -> tup
 def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int) -> list[float]:
     """Squared L2 norms of the fields data[i] over the cap 1 - center.xi <= cap_rho.
 
-    All fields (flat, one degree) turn into the cap's frame in one call,
+    All k fields (flat, one degree) turn into the cap's frame in one call,
     and each norm is then a sum of squares of the memoized triangular
     factors of _cap_factor applied to the field's coefficients; no node
     and no Legendre tile is built per call. data[i] is the data of a
     coefficient container: shape (L,) for a scalar field, the (2, L) stack
     for a gradient field, whose norm sums the squared radial, colatitude
     and azimuth channels, since turning them into Cartesian axes keeps
-    pointwise norms. Fields are reduced one at a time in fixed shapes, so
-    a norm's bits depend neither on its batch nor on whether its operator
-    was memoized or fresh; a field that many calls share takes
-    _kept_cap_norm.
+    pointwise norms.
+
+    The factor takes the cos- and sin-type coefficients of all k fields
+    as 2 k columns of one CSR product, which sums each column in the
+    order of a one-column product (SciPy's csr_matvecs), and each
+    column's squares are summed alone as a contiguous array, in numpy's
+    pairwise order. So a norm's bits depend neither on its batch nor on
+    whether its operator was memoized or fresh. The transient arrays grow
+    with k, so callers bound it (transforms.relative_errors takes runs of
+    at most 8). A field that many calls share takes _kept_cap_norm.
     """
     frame = _cap_frame(np.asarray(data, dtype=float), _rotation_from_north(center))
-    n_max = math.isqrt(frame.shape[-1]) - 1
+    k, n_max = frame.shape[0], math.isqrt(frame.shape[-1]) - 1
     op, gather = _cap_factor("scalar" if frame.ndim == 2 else "vector",
                              n_max, cap_rho, exact_degree)
-    norms = []
-    for f in frame.reshape(frame.shape[0], -1):
-        cos, sin = (op @ x for x in np.append(f, 0.0)[gather])
-        norms.append(float(np.sum(cos * cos) + np.sum(sin * sin)))
-    return norms
+    columns = np.zeros((frame[0].size + 1, k))  # one per field, and the pad slot
+    columns[:-1] = frame.reshape(k, -1).T
+    # (C, cos/sin, k) -> (C, 2 k): the k cos-type columns, then the k sin-type
+    products = op @ columns[gather.T].reshape(-1, 2 * k)
+    sums = [np.sum(x * x) for x in products.T]  # each column's squares, contiguous
+    return [float(sums[i] + sums[k + i]) for i in range(k)]
 
 
 def _kept_cap_norm(data: np.ndarray, center, cap_rho: float, exact_degree: int) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .legendre import _legendre_values, gauss_rule, legendre_all
 
@@ -45,6 +45,11 @@ __all__ = [
 
 class NumericalFailure(RuntimeError):
     """A linear solve failed; the weight configuration is pathological."""
+
+
+# The LAPACK routines scipy.linalg's cho_factor and cho_solve call for
+# float64, called directly: the same bits without the wrappers' checks.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +388,14 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
 
     with D1 = diag(alpha_n + beta/sigma_n^2), D2 = diag(alpha_tilde_n) and
     P* the Gram blocks, is symmetric positive definite, so a Cholesky solve
-    applies. A factorization failure is raised as NumericalFailure, never
-    silently regularized. The geometry's cap-exterior Gram comes from
-    _gram_for's memo, so repeated solves for one geometry build it once.
+    applies: LAPACK's potrf and potrs, the routines of scipy.linalg's
+    cho_factor and cho_solve, called directly on the system assembled in
+    column-major order, so the symbols have those functions' bits. A
+    nonzero LAPACK info (a factorization failure) is raised as
+    NumericalFailure, never silently regularized; at uniform weights of
+    1e-16 the singular Gram part prevails and it is raised. The geometry's
+    cap-exterior Gram comes from _gram_for's memo on every call, so
+    repeated solves for one geometry build it once.
     """
     n_x = geometry.N + 1
     n_y = geometry.kN + 1
@@ -394,23 +404,22 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     sig = geometry.sigmas(geometry.N)
 
     G = _gram_for(geometry.case, geometry.kN, geometry.rho)
-    M = np.empty((n_x + n_y, n_x + n_y))
+    M = np.empty((n_x + n_y, n_x + n_y), order="F")  # LAPACK's order: no copy
     M[:n_x, :n_x] = G[:n_x, :n_x]
-    M[:n_x, :n_x][np.diag_indices(n_x)] += w.alpha + w.beta / sig**2
     M[:n_x, n_x:] = -G[:n_x, :]
     M[n_x:, :n_x] = -G[:, :n_x]
     M[n_x:, n_x:] = G
-    M[n_x:, n_x:][np.diag_indices(n_y)] += w.alpha_tilde
+    M.flat[:: n_x + n_y + 1] += np.concatenate([w.alpha + w.beta / sig**2, w.alpha_tilde])
 
     rhs = np.concatenate([w.alpha * tgt[:n_x], w.alpha_tilde * tgt])
-    try:
-        factor = cho_factor(M, lower=True, check_finite=False)
-        sol = cho_solve(factor, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    factor, info = _potrf(M, lower=True, clean=False, overwrite_a=True)
+    if info == 0:
+        sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
+    if info != 0:
         raise NumericalFailure(
             "kernel optimizer system is numerically singular; "
             "the weight configuration is pathological"
-        ) from exc
+        )
     x = sol[:n_x]
     y = sol[n_x:]
     return KernelPair(geometry, SymbolSet(geometry.N, x / sig),

@@ -57,6 +57,7 @@ __all__ = [
     "approximate_coefficients",
     "add_noise",
     "relative_error",
+    "relative_errors",
 ]
 
 
@@ -550,25 +551,68 @@ def add_noise(coeffs, spec: NoiseSpec, norm_region):
     return type(coeffs)(coeffs.radius, n_out, signal + scale * raw)
 
 
-def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
-    """L2 error over the evaluation region, relative to the reference norm.
+# Candidates that relative_errors norms in one _cap_norms call, at most.
+# On a 2-vCPU host, runs of 8 scored degree-110 fields as fast as runs of
+# 16 or faster (0.42 ms per polar scalar field, 1.0 ms per polar gradient
+# field, against 0.76 and 1.5 ms alone), and held half the transient
+# arrays: 0.55 MB more peak RSS than scoring one at a time on a reduced
+# table, against 1.25 MB for 16.
+_RUN_WIDTH = 8
 
-    u_approx - u_ref is formed in coefficient space at the larger degree D
-    and takes one harmonics._cap_norms pass at exactness 2 D (2 D + 2 for
-    gradient fields). The reference's norm is kept by content
-    (harmonics._kept_cap_norm), since a study scores many candidates
-    against one unchanged reference. Both fields must be of one kind on
-    one sphere (radii equal within 1e-9 relative, as build_model checks a
-    model file). A reference that is zero there raises ValueError.
+
+def relative_error(u_ref, u_approx, region: RegionSpec) -> float:
+    """L2 error of u_approx over the evaluation region, relative to the
+    reference norm: the one-candidate case of relative_errors."""
+    (error,) = relative_errors(u_ref, (u_approx,), region)
+    return error
+
+
+def relative_errors(u_ref, candidates, region: RegionSpec) -> list[float]:
+    """L2 errors of candidates over the evaluation region, each relative
+    to the reference norm, in the order of the iterable.
+
+    Each u - u_ref is formed in coefficient space at the larger degree D
+    and normed by harmonics._cap_norms at exactness 2 D (2 D + 2 for
+    gradient fields). Candidates are drawn in runs of one D, at most
+    _RUN_WIDTH long, and each run's stack of differences takes one
+    _cap_norms call, which keeps every field's bits as alone: each entry
+    is == to the single call, whatever its run. At most one candidate of
+    the next run is drawn before a run is normed, so a generator keeps
+    memory bounded by the run width. The reference's norm is kept by
+    content (harmonics._kept_cap_norm), since a study scores many
+    candidates against one unchanged reference. Every field must be of
+    the reference's kind on its sphere (radii equal within 1e-9 relative,
+    as build_model checks a model file). A reference that is zero there
+    raises ValueError.
     """
-    if not math.isclose(u_ref.radius, u_approx.radius, rel_tol=1e-9):
-        raise ValueError("fields must live on the same sphere")
-    if u_ref.case != u_approx.case:
-        raise ValueError(f"cannot compare a {u_approx.case} field with a {u_ref.case} one")
-    degree = max(u_ref.n_max, u_approx.n_max)
-    ref, approx = (_padded(u.data, degree) for u in (u_ref, u_approx))
+    errors, run, degree = [], [], None
+    for u in candidates:
+        if not math.isclose(u_ref.radius, u.radius, rel_tol=1e-9):
+            raise ValueError("fields must live on the same sphere")
+        if u_ref.case != u.case:
+            raise ValueError(f"cannot compare a {u.case} field with a {u_ref.case} one")
+        if run and max(u_ref.n_max, u.n_max) != degree:
+            errors += _run_errors(u_ref, run, degree, region)
+            run = []
+        degree = max(u_ref.n_max, u.n_max)
+        run.append(u)
+        if len(run) == _RUN_WIDTH:
+            errors += _run_errors(u_ref, run, degree, region)
+            run = []
+    if run:
+        errors += _run_errors(u_ref, run, degree, region)
+    return errors
+
+
+def _run_errors(u_ref, run: list, degree: int, region: RegionSpec) -> list[float]:
+    """relative_errors of one run of candidates, all at the larger degree D."""
+    ref = _padded(u_ref.data, degree)
     cap = (region.center_direction, region.eval_rho, 2 * degree + _extra_exactness(u_ref))
     den = _kept_cap_norm(ref, *cap)
     if not (den > 0.0 and math.isfinite(den)):
         raise ValueError("reference field is zero on the cap")
-    return math.sqrt(_cap_norms((approx - ref)[None], *cap)[0] / den)
+    stack = np.zeros((len(run),) + ref.shape)
+    for row, u in zip(stack, run):
+        row[..., :u.data.shape[-1]] = u.data
+    stack -= ref
+    return [math.sqrt(num / den) for num in _cap_norms(stack, *cap)]

@@ -372,6 +372,26 @@ class TestCommands:
         method_col = records[0].index("method")
         assert records[1][method_col] == "tsvd-6"
 
+    @pytest.mark.parametrize("command, name", [("table", "run_table"),
+                                               ("tsvd-table", "run_tsvd_table")])
+    def test_table_commands_call_the_module_binding(self, tiny_cfg, tmp_path,
+                                                    monkeypatch, command, name):
+        # the commands look their run up when called, so a wrapper bound
+        # into cli afterwards (as a call tracer does) sees every run
+        import capwave.cli as cli
+
+        calls = []
+        real = getattr(cli, name)
+
+        def counted(config):
+            calls.append(config.out)
+            return real(config)
+
+        monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "t.csv"
+        assert main([command, str(tiny_cfg), "--out", str(out)]) == 0
+        assert calls == [str(out)]
+
     def test_optimize_writes_pair(self, tiny_cfg, tmp_path):
         out = tmp_path / "pair.csv"
         assert main(["optimize", str(tiny_cfg), "--out", str(out)]) == 0

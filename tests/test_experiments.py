@@ -328,6 +328,43 @@ class TestRunTable:
         assert all(r.relative_error is None for r in bad)
         assert all(r.status == "ok" for r in good)
 
+    def test_real_optimizer_breakdown_recorded_in_row(self):
+        # no monkeypatch: at weights 1e-16 the reduced system is singular
+        rows = run_table(reduced_config(beta=(1e-16,), alpha_tilde=(1e-16,),
+                                        alpha_ratio=(1.0,), epsilon1=(0.1,),
+                                        gamma=(2.0,), seeds=(0,)))
+        bad = [r for r in rows if r.method == "optimized"]
+        good = [r for r in rows if r.method != "optimized"]
+        assert len(bad) == 1 and len(good) == 4
+        assert bad[0].status == ("numerical-failure: kernel optimizer system is "
+                                 "numerically singular; the weight configuration "
+                                 "is pathological")
+        assert bad[0].relative_error is None and bad[0].localization_ratio is None
+        assert all(r.status == "ok" and r.relative_error > 0.0 for r in good)
+
+    def test_failed_assembly_recorded_and_others_scored(self, monkeypatch):
+        # a method whose assembly raises gets its evaluation-failure row,
+        # and every other method of the cell keeps the library's error
+        import capwave.experiments as exp
+
+        real_chain = approximate_coefficients
+
+        def flaky(pair, f1, f2, region):
+            if pair.geometry.N == 6 and np.all(pair.phi.values[1:] == 0.0):
+                raise ValueError("synthetic assembly failure")
+            return real_chain(pair, f1, f2, region)
+
+        cfg = tiny_config(beta=(1.0, 3.0), shannon_degrees=(0, 3, 6))
+        expected = {(r.method, r.beta): r.relative_error for r in run_table(cfg)}
+        monkeypatch.setattr(exp, "approximate_coefficients", flaky)
+        rows = run_table(cfg)
+        (bad,) = [r for r in rows if r.method == "shannon-0"]
+        assert bad.status == "evaluation-failure: synthetic assembly failure"
+        assert bad.relative_error is None
+        others = [r for r in rows if r is not bad]
+        assert len(others) == 4 and all(r.status == "ok" for r in others)
+        assert all(r.relative_error == expected[r.method, r.beta] for r in others)
+
     def test_rows_run_the_library_chain(self, monkeypatch):
         # one approximate_coefficients call per row that has a kernel pair
         import capwave.experiments as exp

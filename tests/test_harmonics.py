@@ -714,6 +714,27 @@ class TestCapNorms:
                         alone = _cap_norms(row[None], center, rho, 2 * degree)
                         assert np.array_equal(alone, [norm])
 
+    def test_stack_has_one_vector_products_bits(self):
+        # the factor takes a stack's cos- and sin-type coefficients as
+        # columns of one CSR product; each norm must keep the bits of the
+        # one-field reduction: one product per coefficient vector, then
+        # numpy's sum of each vector's squares
+        rng = np.random.default_rng(8)
+        for degree in (12, 110):
+            for center, rho in (([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5),
+                                ([0.0, 0.0, -1.0], 1.3)):
+                for case, shape in (("scalar", (9, (degree + 1) ** 2)),
+                                    ("vector", (9, 2, (degree + 1) ** 2))):
+                    data = rng.normal(size=shape)
+                    exactness = 2 * degree + (2 if case == "vector" else 0)
+                    op, gather = _cap_factor(case, degree, rho, exactness)
+                    frame = _cap_frame(data, _rotation_from_north(center))
+                    expected = []
+                    for f in frame.reshape(len(data), -1):
+                        cos, sin = (op @ x for x in np.append(f, 0.0)[gather])
+                        expected.append(float(np.sum(cos * cos) + np.sum(sin * sin)))
+                    assert _cap_norms(data, center, rho, exactness) == expected
+
     @pytest.mark.parametrize("center, rho", [([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5),
                                              ([0.0, 0.0, -1.0], 1.3), ([-0.5, 0.2, -0.6], 2.0)])
     def test_degree_110_matches_node_wise(self, center, rho):

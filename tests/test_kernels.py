@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from capwave.kernels import (
     Geometry,
@@ -465,6 +466,58 @@ class TestOptimize:
             PenaltyWeights.uniform(g, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             PenaltyWeights.uniform(g, 1.0, 1.0, -0.5)
+
+
+def cho_reference(geometry, w, targets=None):
+    """(phi, phi_tilde) of optimize's system assembled block by block and
+    solved through scipy.linalg's cho_factor and cho_solve."""
+    n_x, n_y = geometry.N + 1, geometry.kN + 1
+    tgt = np.ones(n_y) if targets is None else targets.values
+    sig = geometry.sigmas(geometry.N)
+    G = _gram_for(geometry.case, geometry.kN, geometry.rho)
+    M = np.empty((n_x + n_y, n_x + n_y))
+    M[:n_x, :n_x] = G[:n_x, :n_x]
+    M[:n_x, :n_x][np.diag_indices(n_x)] += w.alpha + w.beta / sig**2
+    M[:n_x, n_x:] = -G[:n_x, :]
+    M[n_x:, :n_x] = -G[:, :n_x]
+    M[n_x:, n_x:] = G
+    M[n_x:, n_x:][np.diag_indices(n_y)] += w.alpha_tilde
+    rhs = np.concatenate([w.alpha * tgt[:n_x], w.alpha_tilde * tgt])
+    sol = cho_solve(cho_factor(M, lower=True, check_finite=False), rhs, check_finite=False)
+    return sol[:n_x] / sig, sol[n_x:]
+
+
+class TestOptimizeOracle:
+    """optimize calls LAPACK's potrf and potrs itself; its symbols must
+    keep the bits of the block assembly solved by cho_factor and cho_solve,
+    and a system that is not positive definite must still raise."""
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_same_bits_as_cho_factor_and_cho_solve(self, case, rho, filtered):
+        g = reduced_geometry(case, rho=rho)
+        targets = raised_cosine_targets(g) if filtered else None
+        weights = [PenaltyWeights.uniform(g, 2.0, 4.0, 0.3),
+                   PenaltyWeights.uniform(g, 1e-3 / 5, 1e-3, 100.0),
+                   PenaltyWeights(np.linspace(0.5, 2.0, g.N + 1),
+                                  np.linspace(1.0, 3.0, g.kN + 1), 1e-2)]
+        for w in weights:
+            pair = optimize(g, w, targets=targets)
+            phi, phi_tilde = cho_reference(g, w, targets)
+            assert np.array_equal(pair.phi.values, phi)
+            assert np.array_equal(pair.phi_tilde.values, phi_tilde)
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_tiny_uniform_weights_raise(self, case):
+        # at weights 1e-16 the Gram part dominates, and it has an
+        # (N+1)-dimensional null space: potrf stops at a nonpositive pivot
+        g = reduced_geometry(case)
+        w = PenaltyWeights.uniform(g, 1e-16, 1e-16, 1e-16)
+        with pytest.raises(NumericalFailure, match="^kernel optimizer system is "
+                           "numerically singular; the weight configuration is "
+                           "pathological$"):
+            optimize(g, w)
 
 
 class TestGramPositiveDefiniteness:

@@ -36,6 +36,7 @@ from capwave.transforms import (
     default_region,
     field_samples,
     relative_error,
+    relative_errors,
     scaling_transform,
     upward_continue,
     wavelet_multipliers,
@@ -641,6 +642,81 @@ class TestKeptReferenceNorm:
         harmonics._cap_norm_by_content.cache_clear()
         assert warm == relative_error(u, v, self.REGION)
         assert warm == pytest.approx(node_wise_error(), rel=1e-12)
+
+
+class TestRelativeErrors:
+    """relative_errors norms runs of candidates as one stack; every entry
+    must be == to the one-candidate call, whatever its run."""
+
+    WIDTH = transforms._RUN_WIDTH
+    CAPS = [RegionSpec(NORTH, 1.0, 0.5), RegionSpec((0.3, 0.4, 0.8), 1.0, 0.5),
+            RegionSpec((0.0, 0.0, -1.0), 1.8, 0.5)]
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    @pytest.mark.parametrize("region", CAPS, ids=["polar", "off-pole", "south-pole"])
+    def test_entries_equal_single_calls(self, case, region):
+        rng = np.random.default_rng(51)
+        ref = field_of_kind(case, R_INNER, 40, rng)
+        candidates = [field_of_kind(case, R_INNER, 44, rng) for _ in range(2 * self.WIDTH + 1)]
+        alone = [relative_error(ref, u, region) for u in candidates]
+        for count in (1, self.WIDTH - 1, self.WIDTH, self.WIDTH + 1, 2 * self.WIDTH + 1):
+            assert relative_errors(ref, candidates[:count], region) == alone[:count]
+            assert relative_errors(ref, iter(candidates[:count]), region) == alone[:count]
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_mixed_degrees_keep_each_entry_s_own_exactness(self, case):
+        # candidates of degrees 12 and 14 against a degree-10 reference are
+        # normed at exactness 24 and 28: a run must never mix them
+        rng = np.random.default_rng(52)
+        region = self.CAPS[1]
+        ref = field_of_kind(case, R_INNER, 10, rng)
+        degrees = [12, 14, 12, 12, 14, 14, 8, 10] + [12] * (self.WIDTH + 2) + [14]
+        candidates = [field_of_kind(case, R_INNER, n, rng) for n in degrees]
+        alone = [relative_error(ref, u, region) for u in candidates]
+        assert relative_errors(ref, candidates, region) == alone
+        assert len(set(alone)) == len(alone)
+
+    def test_empty_iterable(self):
+        assert relative_errors(random_field(R_INNER, 5, 1), [], self.CAPS[0]) == []
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_generator_drawn_at_most_one_ahead(self, monkeypatch, case):
+        # each _cap_norms call norms one run; by then at most one candidate
+        # of the next run may have been drawn, and a run holds <= WIDTH
+        rng = np.random.default_rng(53)
+        ref = field_of_kind(case, R_INNER, 10, rng)
+        degrees = [12] * (self.WIDTH + 3) + [14] * 2 + [10, 12] + [12] * (2 * self.WIDTH)
+        candidates = [field_of_kind(case, R_INNER, n, rng) for n in degrees]
+        drawn, calls = [0], []
+        real = transforms._cap_norms
+
+        def recorded(data, *args):
+            calls.append((drawn[0], len(data)))
+            return real(data, *args)
+
+        def generate():
+            for u in candidates:
+                drawn[0] += 1
+                yield u
+
+        monkeypatch.setattr(transforms, "_cap_norms", recorded)
+        errors = relative_errors(ref, generate(), self.CAPS[0])
+        assert len(errors) == len(candidates)
+        normed = 0
+        for seen, size in calls:
+            normed += size
+            assert 1 <= size <= self.WIDTH
+            assert normed <= seen <= normed + 1
+        assert normed == len(candidates)
+        assert [size for _, size in calls] == [self.WIDTH, 3, 2, 1, self.WIDTH, self.WIDTH, 1]
+
+    def test_mismatched_candidate_rejected_in_any_position(self):
+        ref = random_field(R_INNER, 5, 54)
+        good = [random_field(R_INNER, 5, seed) for seed in range(3)]
+        with pytest.raises(ValueError, match="same sphere"):
+            relative_errors(ref, good + [random_field(R_OUTER, 5, 4)], self.CAPS[0])
+        with pytest.raises(ValueError, match="cannot compare"):
+            relative_errors(ref, good + [field_of_kind("vector", R_INNER)], self.CAPS[0])
 
 
 def field_of_kind(case, radius=1.0, n_max=5, rng=None):
