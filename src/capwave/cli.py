@@ -3,7 +3,7 @@
 Config files are line-oriented `key = value` text. `#` starts a comment,
 blank lines are skipped, list values are whitespace-separated, and unknown
 or duplicate keys are hard errors, so a typo cannot silently fall back to a
-default. Exit codes: 0 on success, 2 for any configuration problem (an
+default. Each key's parser comes from its ExperimentConfig field. Exit codes: 0 on success, 2 for any configuration problem (an
 output path that cannot be written among them), 3 when the kernel
 optimization fails numerically, 4 when the command itself rejects its
 inputs (a ValueError such as a model that is zero on the evaluation
@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _item_type,
     build_model,
     export_spectra,
     run_table,
@@ -56,10 +57,6 @@ def _parse_list(item):
     return parse
 
 
-_FLOATS = _parse_list(float)
-_INTS = _parse_list(int)
-
-
 def _parse_center(text: str) -> tuple[float, float, float]:
     items = text.split()
     if len(items) != 3:
@@ -67,29 +64,13 @@ def _parse_center(text: str) -> tuple[float, float, float]:
     return tuple(float(x) for x in items)
 
 
+# one parser per ExperimentConfig field: a tuple default takes a list of its
+# items' type, any other default its own type
 _PARSERS = {
-    "case": str,
-    "r_km": float,
-    "R_km": float,
-    "scaling_degree": int,
-    "kappa": float,
-    "kernel_rho": float,
-    "region_center": _parse_center,
-    "region_rho": float,
-    "model_file": str,
-    "model_degree": int,
-    "model_seed": int,
-    "noise_degree": int,
-    "beta": _FLOATS,
-    "alpha_tilde": _FLOATS,
-    "alpha_ratio": _FLOATS,
-    "epsilon1": _FLOATS,
-    "gamma": _FLOATS,
-    "seeds": _INTS,
-    "shannon_degrees": _INTS,
-    "tsvd_degrees": _INTS,
-    "out": str,
+    f.name: _parse_list(_item_type(f)) if isinstance(f.default, tuple) else _item_type(f)
+    for f in fields(ExperimentConfig)
 }
+_PARSERS["region_center"] = _parse_center
 
 
 def parse_config(text: str) -> ExperimentConfig:

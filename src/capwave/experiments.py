@@ -12,16 +12,18 @@ the outer data alone.
 Determinism contract: rows depend only on the configuration. Noise fields
 are keyed by (seed, data channel) exactly as in add_noise, so permuting the
 sweep lists permutes nothing; rows always come out sorted by their numeric
-coordinates and the written CSV is byte-identical across runs. Wall-clock
-timings are kept on the in-memory rows for diagnostics but never written to
-the file, since they would break that guarantee.
+coordinates and the written CSV is byte-identical across runs. No row
+carries a wall-clock time, in memory or in the file.
 
-A run builds once what depends only on its configuration: the model, its
-upward-continued outer data, and each method's kernel pair and
-localization ratio. Every row then runs the library chain, the
-approximate_coefficients of its method's pair on the cell's noisy data
-scored by relative_errors, so the table and a single reconstruction share
-one code path, for scalar and gradient fields alike (config.case). A cell
+Both tables run one sweep (_sweep): it builds once what depends only on
+the configuration, the model, its upward-continued outer data, and each
+method's row columns and assembly (for a kernel pair, the pair and its
+localization ratio), then loops over the cells. Every row of the main
+table runs the library chain, the approximate_coefficients of its
+method's pair on the cell's noisy data scored by relative_errors, so the
+table and a single reconstruction share one code path, for scalar and
+gradient fields alike (config.case); a truncation row assembles
+_tsvd_apply of the outer data instead. A cell
 is scored as one stream: its candidates are assembled one at a time and
 normed in stacked runs, each entry == to its own relative_error call, so
 at most one run is alive. Process memos keep what the chain rebuilds from
@@ -31,19 +33,15 @@ rows (transforms._cap_rule), each method's cap multipliers, kept by its
 pair's content (transforms._cap_multipliers), each cap's norm operator
 (harmonics._cap_factor) and the model's norm on each cap, kept by the
 model's content (harmonics._kept_cap_norm). A run's first cell builds them
-and a repeated run in one process finds them built. A row's wall_time_s
-is its own assembly time (in its run's first cell with the method's
-multipliers) plus an equal share of its cell's stacked scoring time; a
-row without a candidate takes no share. None of this reuse changes a bit
-of any error.
+and a repeated run in one process finds them built. None of this reuse
+changes a bit of any error.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -139,15 +137,15 @@ class ExperimentConfig:
     out: str = "table.csv"
 
     def __post_init__(self):
-        for name in ("beta", "alpha_tilde", "alpha_ratio", "epsilon1",
-                     "gamma", "seeds", "shannon_degrees", "tsvd_degrees",
-                     "region_center"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("r_km", "R_km", "kappa", "kernel_rho", "region_rho",
-                     "region_center", "beta", "alpha_tilde", "alpha_ratio",
-                     "epsilon1", "gamma"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+                if f.name != "region_center" and len(set(value)) < len(value):
+                    raise ValueError(f"{f.name} lists a value twice")
+            if _item_type(f) is float and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite")
         for name, vals in (("seeds", self.seeds), ("model_seed", (self.model_seed,))):
             if any(not 0 <= s < 2 ** 64 for s in vals):
                 raise ValueError(f"{name} must lie in [0, 2^64)")
@@ -182,6 +180,12 @@ class ExperimentConfig:
         return RegionSpec(self.region_center, self.region_rho, self.kernel_rho)
 
 
+def _item_type(f) -> type:
+    """Type of a config field's value, or of its items for a list field:
+    read from the field's default, so the dataclass is the one schema."""
+    return type(f.default[0]) if isinstance(f.default, tuple) else type(f.default)
+
+
 # ---------------------------------------------------------------------------
 # result rows
 
@@ -190,9 +194,8 @@ class ExperimentConfig:
 class ResultRow:
     """One (cell, method) outcome; None marks fields a method does not have.
 
-    wall_time_s, kept in memory only, is the row's assembly time plus an
-    equal share of its cell's stacked scoring time (0 for a row without a
-    candidate, such as a failed optimization).
+    Every field is a table column, so a row carries nothing that varies
+    from run to run, such as a wall-clock time.
     """
 
     case: str
@@ -212,10 +215,9 @@ class ResultRow:
     relative_error: float | None
     localization_ratio: float | None
     status: str
-    wall_time_s: float
 
 
-TABLE_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_time_s")
+TABLE_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _method_order(tag: str) -> tuple[int, int]:
@@ -246,7 +248,7 @@ def _cell(value) -> str:
 
 
 def write_table(rows, path) -> None:
-    """Rows as RFC-4180 CSV, floats at 17 significant digits, timings omitted."""
+    """Rows as RFC-4180 CSV, floats at 17 significant digits."""
     ordered = sorted(rows, key=_row_key)
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
@@ -309,23 +311,27 @@ def _tsvd_apply(geometry: Geometry, f1: HarmonicCoefficients,
 
 @dataclass(frozen=True)
 class _Method:
+    """One method's row columns and its assemble(f1, f2), the candidate
+    field of a cell's outer and ground data; None for a method without
+    one, such as a failed optimization."""
+
     tag: str
-    beta: float | None
-    alpha_tilde: float | None
-    alpha_ratio: float | None
-    pair: KernelPair | None
-    localization: float | None
-    status: str
+    assemble: Callable | None
+    localization: float | None = None
+    status: str = "ok"
+    beta: float | None = None
+    alpha_tilde: float | None = None
+    alpha_ratio: float | None = None
 
 
-def _scored_method(tag: str, pair: KernelPair, **weights) -> _Method:
+def _pair_method(tag: str, pair: KernelPair, region: RegionSpec, **weights) -> _Method:
     g = pair.geometry
-    return _Method(tag, pair=pair, status="ok",
-                   localization=localization_ratio(pair.psi_tilde, g.rho, g),
-                   **weights)
+    return _Method(tag, lambda f1, f2: approximate_coefficients(pair, f1, f2, region),
+                   localization_ratio(pair.psi_tilde, g.rho, g), **weights)
 
 
-def _optimized_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
+def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
+    geometry, region = config.geometry, config.region
     out = []
     for beta in config.beta:
         for alpha_tilde in config.alpha_tilde:
@@ -336,33 +342,50 @@ def _optimized_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Me
                 try:
                     pair = optimize(geometry, w)
                 except NumericalFailure as exc:
-                    out.append(_Method("optimized", pair=None, localization=None,
+                    out.append(_Method("optimized", None,
                                        status=f"numerical-failure: {exc}", **weights))
                     continue
-                out.append(_scored_method("optimized", pair, **weights))
+                out.append(_pair_method("optimized", pair, region, **weights))
     return out
 
 
-def _shannon_methods(config: ExperimentConfig, geometry: Geometry) -> list[_Method]:
-    return [_scored_method(f"shannon-{M}", shannon_reference_pair(geometry, M),
-                           beta=None, alpha_tilde=None, alpha_ratio=None)
-            for M in config.shannon_degrees]
+def _sweep(config: ExperimentConfig, gammas, make_methods) -> list[ResultRow]:
+    """Every (cell, method) row of one table, sorted.
 
-
-def _sweep(config: ExperimentConfig) -> tuple:
-    """What both tables share: the model, its upward-continued outer data
-    and the columns of every row. A model that is zero on the evaluation
-    region fails here, before any row: the relative error of the zero
-    field at the run's degree raises for it, and otherwise keeps the
-    model's norm there for the rows."""
-    g = config.geometry
+    The model, its upward-continued outer data and the columns of every
+    row are built once. A model that is zero on the evaluation region
+    fails first, before make_methods() runs and before any row: the
+    relative error of the zero field at the run's degree raises for it,
+    and otherwise keeps the model's norm there for the rows. Cells are
+    (epsilon1, gamma, seed) triples; a gamma of None gives epsilon2 = 0,
+    so the ground data is a copy of the model and draws no noise.
+    """
+    g, region = config.geometry, config.region
     model = build_model(config)
     degree = max(model.n_max, config.noise_degree)
-    relative_error(model, type(model)(model.radius, degree), config.region)
+    relative_error(model, type(model)(model.radius, degree), region)
+    f1_clean = upward_continue(model, g.R)
+    methods = make_methods()
     common = dict(case=config.case, rho=g.rho, region_rho=config.region_rho,
                   scaling_degree=g.N, band_degree=g.kN,
                   model_degree=model.n_max, noise_degree=config.noise_degree)
-    return model, upward_continue(model, g.R), common
+    rows = []
+    for eps1 in config.epsilon1:
+        for gamma in gammas:
+            for seed in config.seeds:
+                eps2 = 0.0 if gamma is None else gamma * eps1
+                spec = NoiseSpec(eps1, eps2, config.noise_degree, seed)
+                f1 = add_noise(f1_clean, spec, "sphere")
+                f2 = add_noise(model, spec, region)
+                scores = _score_cell(model, region, methods, f1, f2)
+                for m, (err, failure) in zip(methods, scores):
+                    rows.append(ResultRow(
+                        epsilon1=eps1, gamma=gamma, seed=seed, method=m.tag,
+                        beta=m.beta, alpha_tilde=m.alpha_tilde,
+                        alpha_ratio=m.alpha_ratio, relative_error=err,
+                        localization_ratio=m.localization, status=failure or m.status,
+                        **common))
+    return sorted(rows, key=_row_key)
 
 
 def run_table(config: ExperimentConfig) -> list[ResultRow]:
@@ -375,91 +398,53 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     fails keeps its rows, carrying the failure message in the status column.
     """
     geometry, region = config.geometry, config.region
-    model, f1_clean, common = _sweep(config)
-    methods = _optimized_methods(config, geometry) + _shannon_methods(config, geometry)
-    rows = []
-    for eps1 in config.epsilon1:
-        for gamma in config.gamma:
-            for seed in config.seeds:
-                spec = NoiseSpec(eps1, gamma * eps1, config.noise_degree, seed)
-                f1 = add_noise(f1_clean, spec, "sphere")
-                f2 = add_noise(model, spec, region)
-                scores = _score_cell(model, region, [
-                    None if m.pair is None
-                    else functools.partial(approximate_coefficients, m.pair, f1, f2, region)
-                    for m in methods])
-                for m, (err, failure, seconds) in zip(methods, scores):
-                    rows.append(ResultRow(
-                        epsilon1=eps1, gamma=gamma, seed=seed, method=m.tag,
-                        beta=m.beta, alpha_tilde=m.alpha_tilde,
-                        alpha_ratio=m.alpha_ratio, relative_error=err,
-                        localization_ratio=m.localization, status=failure or m.status,
-                        wall_time_s=seconds, **common))
-    return sorted(rows, key=_row_key)
+    return _sweep(config, config.gamma, lambda: _optimized_methods(config) + [
+        _pair_method(f"shannon-{M}", shannon_reference_pair(geometry, M), region)
+        for M in config.shannon_degrees])
 
 
 def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
     """Satellite-only rows: truncated inversion of the outer data.
 
-    Ground data and gamma play no part, so those columns stay empty; cells
-    are (epsilon1, seed) pairs and each truncation degree M in the config
-    list contributes one row per cell.
+    The same sweep as run_table with the single gamma None: ground data
+    plays no part, so the gamma column stays empty and draws no noise,
+    cells are (epsilon1, seed) pairs, and each truncation degree M in the
+    config list contributes one row per cell.
     """
     geometry = config.geometry
-    model, f1_clean, common = _sweep(config)
-    rows = []
-    for eps1 in config.epsilon1:
-        for seed in config.seeds:
-            spec = NoiseSpec(eps1, 0.0, config.noise_degree, seed)
-            f1 = add_noise(f1_clean, spec, "sphere")
-            scores = _score_cell(model, config.region, [
-                functools.partial(_tsvd_apply, geometry, f1, M) for M in config.tsvd_degrees])
-            for M, (err, failure, seconds) in zip(config.tsvd_degrees, scores):
-                rows.append(ResultRow(
-                    epsilon1=eps1, gamma=None, seed=seed, method=f"tsvd-{M}",
-                    beta=None, alpha_tilde=None, alpha_ratio=None,
-                    relative_error=err, localization_ratio=None, status=failure or "ok",
-                    wall_time_s=seconds, **common))
-    return sorted(rows, key=_row_key)
+    return _sweep(config, (None,), lambda: [
+        _Method(f"tsvd-{M}", lambda f1, f2, M=M: _tsvd_apply(geometry, f1, M))
+        for M in config.tsvd_degrees])
 
 
-def _score_cell(model, region: RegionSpec, assemblies: list) -> list[tuple]:
-    """(relative_error, failure, wall_time_s) of each assembly of one cell.
+def _score_cell(model, region: RegionSpec, methods: list[_Method],
+                f1, f2) -> list[tuple]:
+    """(relative_error, failure) of each method on one cell's data f1, f2.
 
-    An assembly is a callable of no arguments that returns one candidate
-    field, or None for a method without one (error and failure None).
-    Candidates are scored by one relative_errors call that draws them from
-    a generator, so at most one run of them is alive. An assembly that
+    A method without an assembly gets error and failure None. Candidates
+    are scored by one relative_errors call that draws them from a
+    generator, so at most one run of them is alive. An assembly that
     raises ValueError or NumericalFailure leaves its error None and its
     failure "evaluation-failure: <message>", and the others are still
     scored; scoring itself cannot fail once _sweep has checked the model.
-    wall_time_s is the assembly's own time plus an equal share of the
-    time the scoring took beyond all assemblies.
     """
-    seconds, failures, scored = [0.0] * len(assemblies), [None] * len(assemblies), []
+    failures, scored = [None] * len(methods), []
 
     def candidates():
-        for i, assemble in enumerate(assemblies):
-            if assemble is None:
+        for i, m in enumerate(methods):
+            if m.assemble is None:
                 continue
-            start = time.perf_counter()
             try:
-                u = assemble()
+                u = m.assemble(f1, f2)
             except (ValueError, NumericalFailure) as exc:
                 failures[i] = f"evaluation-failure: {exc}"
                 continue
-            finally:
-                seconds[i] = time.perf_counter() - start
             scored.append(i)
             yield u
 
-    start = time.perf_counter()
     errors = relative_errors(model, candidates(), region)
-    share = (time.perf_counter() - start - sum(seconds)) / max(len(scored), 1)
-    for i in scored:
-        seconds[i] += share
     kept = dict(zip(scored, errors))
-    return [(kept.get(i), failures[i], seconds[i]) for i in range(len(assemblies))]
+    return [(kept.get(i), failures[i]) for i in range(len(methods))]
 
 
 # ---------------------------------------------------------------------------

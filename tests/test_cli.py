@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import capwave
 from capwave.cli import ConfigError, load_config, main, parse_config
-from capwave.experiments import build_model, read_spectra
+from capwave.experiments import ExperimentConfig, build_model, read_spectra
 from capwave.harmonics import (
     HarmonicCoefficients,
     VectorCoefficients,
@@ -89,6 +90,29 @@ class TestParseConfig:
             parse_config("scaling_degree = 6\nkappa = 1.5\n"
                          "shannon_degrees = 7\n")
 
+    def test_defaults_round_trip_through_config_text(self):
+        # every key's parser comes from its ExperimentConfig default, so
+        # the defaults written out as text parse back to the defaults
+        def text(value):
+            if isinstance(value, tuple):
+                return " ".join(text(v) for v in value)
+            return format(value, ".17g") if isinstance(value, float) else str(value)
+
+        default = ExperimentConfig()
+        lines = [f"{f.name} = {text(getattr(default, f.name))}" for f in fields(default)]
+        parsed = parse_config("\n".join(lines) + "\n")
+        assert parsed == default
+        assert [type(getattr(parsed, f.name)) for f in fields(default)] == \
+            [type(getattr(default, f.name)) for f in fields(default)]
+
+    def test_float_key_takes_an_integer_literal(self):
+        cfg = parse_config("r_km = 6371\n")
+        assert cfg.r_km == 6371.0 and type(cfg.r_km) is float
+
+    def test_int_key_rejects_a_fraction(self):
+        with pytest.raises(ConfigError, match="line 1: bad value for 'model_degree'"):
+            parse_config("model_degree = 1.5\n")
+
     def test_empty_list_value(self):
         with pytest.raises(ConfigError, match="at least one value"):
             parse_config("beta =\n")
@@ -124,6 +148,18 @@ class TestExitCodes:
         bad.write_text("bogus = 1\n")
         assert main(["table", str(bad)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["table", "tsvd-table"])
+    def test_repeated_list_value_is_2_and_writes_nothing(self, tmp_path, capsys,
+                                                         command):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(TINY.replace("seeds = 0", "seeds = 0 0"))
+        out = tmp_path / "t.csv"
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: seeds lists a value twice\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_config_is_2(self, tmp_path, capsys):
         assert main(["table", str(tmp_path / "none.cfg")]) == 2
@@ -166,13 +202,23 @@ class TestExitCodes:
         def zero_model(config):
             return HarmonicCoefficients(config.r_km, config.model_degree)
 
+        optimized = []
+
+        def counted_optimize(*args, **kwargs):
+            optimized.append(args)
+            return real_optimize(*args, **kwargs)
+
+        real_optimize = experiments.optimize
         monkeypatch.setattr(experiments, "build_model", zero_model)
+        monkeypatch.setattr(experiments, "optimize", counted_optimize)
         out = tmp_path / "t.csv"
         assert main([command, str(tiny_cfg), "--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert captured.err == "error: reference field is zero on the cap\n"
         assert captured.out == ""
         assert not out.exists()
+        # the model is checked before any kernel pair is optimized
+        assert len(optimized) == 0
 
     @pytest.mark.parametrize("command", ["gram", "table"])
     def test_unwritable_output_is_2(self, tiny_cfg, tmp_path, monkeypatch,

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from capwave.experiments import TABLE_COLUMNS
+
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                    re.S)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
 # the relative error each block prints, to three decimals: the library
 # quick start at 5% noise, then the noise-free gradient-field one
 PRINTED = [0.079, 0.067]
@@ -28,3 +30,12 @@ def test_block_prints_its_error(index):
                          text=True, env=env, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
     assert round(float(run.stdout.split()[-1]), 3) == PRINTED[index]
+
+
+def test_table_columns_are_the_documented_ones():
+    # the file format section lists every column a table file holds
+    listed = re.search(r"Tables \(`table`, `tsvd-table`\): CSV with columns `(.*?)`",
+                       README, re.S).group(1)
+    names = tuple(name.strip() for name in listed.split(","))
+    assert len(names) == 17
+    assert TABLE_COLUMNS == names
