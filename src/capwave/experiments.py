@@ -23,14 +23,16 @@ table runs the library chain, the approximate_coefficients of its
 method's pair on the cell's noisy data scored by relative_errors, so the
 table and a single reconstruction share one code path, for scalar and
 gradient fields alike (config.case); a truncation row assembles
-_tsvd_apply of the outer data instead. A cell
+_tsvd_apply of the outer data instead, the downward step of the scaling
+part (transforms._downward) with the truncation symbols for phi. A cell
 is scored as one stream: its candidates are assembled one at a time and
 normed in stacked runs, each entry == to its own relative_error call, so
 at most one run is alive. Process memos keep what the chain rebuilds from
 unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
 full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre
-rows (transforms._cap_rule), each method's cap multipliers, kept by its
-pair's content (transforms._cap_multipliers), each cap's norm operator
+rows (transforms._cap_rule), each method's read-only table of cap
+multipliers, kept by its pair's content in one lru_cache
+(transforms._multipliers_by_content), each cap's norm operator
 (harmonics._cap_factor) and the model's norm on each cap, kept by the
 model's content (harmonics._kept_cap_norm). A run's first cell builds them
 and a repeated run in one process finds them built. None of this reuse
@@ -64,6 +66,7 @@ from .kernels import (
 from .transforms import (
     NoiseSpec,
     RegionSpec,
+    _downward,
     _noise_generator,
     _normal_field,
     add_noise,
@@ -299,10 +302,7 @@ def build_model(config: ExperimentConfig):
 def _tsvd_apply(geometry: Geometry, f1: HarmonicCoefficients,
                 M: int) -> HarmonicCoefficients:
     """Hard-truncation inversion of outer-sphere data, back on the inner sphere."""
-    keep = min(M, f1.n_max)
-    factors = np.zeros(f1.n_max + 1)
-    factors[: keep + 1] = tsvd_symbols(geometry, keep).values
-    return f1.scaled_by_degree(factors, radius=geometry.r)
+    return _downward(f1, tsvd_symbols(geometry, min(M, f1.n_max)).values, geometry.r)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,7 @@ class _Coefficients:
     channels = ()
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _check_sphere_radius(self.radius)
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         shape = self.channels + ((self.n_max + 1) ** 2,)
@@ -98,7 +97,9 @@ class _Coefficients:
         return type(self)(self.radius, self.n_max, self.data.copy())
 
     def scaled_by_degree(self, factors: np.ndarray, radius: float | None = None):
-        """New container with degree n (of every row) multiplied by factors[n]."""
+        """New container with degree n multiplied by factors[..., n]: of
+        every row for one factor per degree, of row i for a (types,
+        degrees) table's row i."""
         return type(self)(
             self.radius if radius is None else radius, self.n_max,
             _per_coefficient(factors, self.n_max) * self.data,
@@ -168,12 +169,19 @@ class VectorCoefficients(_Coefficients):
         self.data[self._index(i, n, k)] = value
 
 
+def _check_sphere_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, not {radius!r}")
+
+
 def _per_coefficient(factors, n_max: int) -> np.ndarray:
-    """factors[n] repeated over the 2n+1 flat slots of degree n, n = 0..n_max."""
+    """factors[..., n] repeated over the 2n+1 flat slots of degree n,
+    n = 0..n_max, along the last axis: one row per type of a
+    (types, degrees) table."""
     factors = np.asarray(factors, dtype=float)
-    if factors.shape[0] < n_max + 1:
+    if factors.shape[-1] < n_max + 1:
         raise ValueError("need one factor per degree")
-    return np.repeat(factors[: n_max + 1], 2 * np.arange(n_max + 1) + 1)
+    return np.repeat(factors[..., : n_max + 1], 2 * np.arange(n_max + 1) + 1, axis=-1)
 
 
 def sobolev_norm(coeffs, s: float) -> float:
@@ -275,23 +283,27 @@ def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
     The last 4 grids asked are kept and shared: a grid is immutable, and a
     study samples every field on the same one.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_sphere_radius(radius)
     if exact_degree < 0:
         raise ValueError("exact_degree must be >= 0")
     L = (exact_degree + 1) // 2
     ct, cw = gauss_rule(L + 1, -1.0, 1.0)
-    n_phi = 2 * L + 1
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    nodes = np.empty((ct.size * n_phi, 3))
-    nodes[:, 0] = np.outer(st, cos_p).ravel()
-    nodes[:, 1] = np.outer(st, sin_p).ravel()
-    nodes[:, 2] = np.repeat(ct, n_phi)
-    weights = np.repeat(cw, n_phi) * (2.0 * np.pi / n_phi) * radius * radius
+    phis, nodes, weights = _product_rule(ct, cw, 2 * L + 1, radius)
     return SphereGrid(radius, exact_degree, nodes, weights, ct, cw, phis)
+
+
+def _product_rule(t: np.ndarray, tw: np.ndarray, n_phi: int, radius: float) -> tuple:
+    """(phis, nodes, weights) of Gauss nodes t in cos(colatitude), weights
+    tw, times n_phi uniform azimuths about the north pole: unit nodes
+    ordered colatitude-major, weights times radius^2."""
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    nodes = np.empty((t.size * n_phi, 3))
+    nodes[:, 0] = np.outer(st, np.cos(phis)).ravel()
+    nodes[:, 1] = np.outer(st, np.sin(phis)).ravel()
+    nodes[:, 2] = np.repeat(t, n_phi)
+    weights = np.repeat(tw, n_phi) * (2.0 * np.pi / n_phi) * radius * radius
+    return phis, nodes, weights
 
 
 def _rotation_from_north(center: np.ndarray) -> np.ndarray:
@@ -335,29 +347,16 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
     azimuths integrate it exactly. cap_rho may equal 2, in which case the
     rule covers the full sphere (the degenerate cap).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_sphere_radius(radius)
     if not (0.0 < cap_rho <= 2.0):
         raise ValueError("cap_rho must lie in (0, 2]")
     if exact_degree < 0:
         raise ValueError("exact_degree must be >= 0")
     t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)
-    n_phi = exact_degree + 1
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-
+    phis, local, weights = _product_rule(t, tw, exact_degree + 1, radius)
     rot = _rotation_from_north(center)
-    center = rot @ np.array([0.0, 0.0, 1.0])
-
-    st = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    local = np.empty((t.size * n_phi, 3))
-    local[:, 0] = np.outer(st, cos_p).ravel()
-    local[:, 1] = np.outer(st, sin_p).ravel()
-    local[:, 2] = np.repeat(t, n_phi)
-    nodes = local @ rot.T
-    weights = np.repeat(tw, n_phi) * (2.0 * np.pi / n_phi) * radius * radius
-    return CapGrid(radius, center, cap_rho, exact_degree, nodes, weights,
-                   t, tw, phis, rot)
+    return CapGrid(radius, rot @ np.array([0.0, 0.0, 1.0]), cap_rho, exact_degree,
+                   local @ rot.T, weights, t, tw, phis, rot)
 
 
 # ---------------------------------------------------------------------------

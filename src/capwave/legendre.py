@@ -8,6 +8,7 @@ module keeps those two jobs in one place.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -81,13 +82,23 @@ def gauss_rule(m: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.
     sum(weights) == b - a up to rounding. Rules are memoized, so both
     arrays are read-only and shared between callers.
     """
+    m = _as_index(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     a = float(a)
     b = float(b)
     if not np.isfinite(a) or not np.isfinite(b) or a >= b:
         raise ValueError("need finite a < b")
-    return _gauss_rule(int(m), a, b)
+    return _gauss_rule(m, a, b)
+
+
+def _as_index(value, name: str) -> int:
+    """value as an int, or TypeError unless operator.index takes it: a
+    float count, 3.5 or even 3.0, is rejected rather than cut to an int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 @functools.lru_cache(maxsize=64)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ from .harmonics import (
     _cap_norms,
     _kept_cap_norm,
     _padded,
-    _per_coefficient,
     _unit_directions,
     cap_grid,
     sphere_grid,
@@ -41,7 +39,7 @@ from .harmonics import (
     analyze,
 )
 from .kernels import KernelPair, _sigma_exponents
-from .legendre import gauss_rule, legendre_all
+from .legendre import _as_index, gauss_rule, legendre_all
 
 __all__ = [
     "RegionSpec",
@@ -152,10 +150,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0 <= self.epsilon1 < math.inf and 0 <= self.epsilon2 < math.inf):
             raise ValueError("noise levels must be finite and nonnegative")
-        if self.noise_degree < 0:
+        noise_degree = _as_index(self.noise_degree, "noise_degree")
+        seed = _as_index(self.seed, "seed")
+        if noise_degree < 0:
             raise ValueError("noise_degree must be >= 0")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2^64)")
+        object.__setattr__(self, "noise_degree", noise_degree)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +186,7 @@ class FieldSamples:
         if not isinstance(self.grid, SphereGrid):
             raise TypeError("samples need a SphereGrid (a full-sphere rule), "
                             f"not a {type(self.grid).__name__}")
-        try:
-            degree = operator.index(self.degree)
-        except TypeError:
-            raise TypeError(f"degree must be an integer, not {self.degree!r}") from None
+        degree = _as_index(self.degree, "degree")
         if degree < 0:
             raise ValueError("degree must be >= 0")
         values = np.array(self.values, dtype=float)
@@ -235,15 +234,15 @@ def _check_radius(field, radius: float, name: str, symbol: str) -> None:
 
 
 def upward_continue(u_plus, R: float):
-    """Field coefficients on the sphere of radius R > r.
+    """Field coefficients on the sphere of finite radius R > r.
 
     Degree n is damped by sigma_n = (r/R)^n under the orthonormal-basis
     normalization used throughout; both types of a gradient field by
     (r/R)^(n+1), since the potential is differentiated before restricting.
     """
     r = u_plus.radius
-    if R <= r:
-        raise ValueError("upward continuation needs R > r")
+    if not r < R < math.inf:
+        raise ValueError("upward continuation needs R > r, and R finite")
     sigmas = (r / R) ** _sigma_exponents(u_plus.case, u_plus.n_max)
     return u_plus.scaled_by_degree(sigmas, radius=R)
 
@@ -301,11 +300,17 @@ def _scaling_spectral_coefficients(pair: KernelPair, f1):
     """Coefficient-space action of the scaling transform, output at radius r."""
     _check_case(pair, f1)
     _check_radius(f1, pair.geometry.R, "outer data f1", "R")
-    g = pair.geometry
-    n_keep = min(g.N, f1.n_max)
+    return _downward(f1, pair.phi.values, pair.geometry.r)
+
+
+def _downward(f1, symbols: np.ndarray, r: float):
+    """f1 at radius r with degree n times symbols[n], and zero past the
+    last symbol: a downward continuation by per-degree symbols, as the
+    scaling transform's phi and the truncation inversion's 1/sigma_n."""
+    keep = min(len(symbols), f1.n_max + 1)
     factors = np.zeros(f1.n_max + 1)
-    factors[: n_keep + 1] = pair.phi.values[: n_keep + 1]
-    return f1.scaled_by_degree(factors, radius=g.r)
+    factors[:keep] = symbols[:keep]
+    return f1.scaled_by_degree(factors, radius=r)
 
 
 @functools.lru_cache(maxsize=8)
@@ -325,23 +330,75 @@ def _cap_rule(kN: int, n_max: int, kernel_rho: float) -> tuple[np.ndarray, ...]:
 
 
 def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.ndarray:
-    """Degree-wise action of the cap-restricted wavelet convolution.
+    """lambda_n for n = 0..n_max, the scalar (and type-1) cap multipliers
+    of _multipliers_by_content: row 0 of the pair's table, read-only.
+    kernel_rho must lie in (0, 2], as in RegionSpec."""
+    return _cap_multipliers(pair, kernel_rho, n_max)[0]
+
+
+def _cap_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.ndarray:
+    """The pair's cap multiplier table from _multipliers_by_content, kept by
+    what it reads: psi_tilde's bytes and the field kind, with kernel_rho
+    and n_max. A pair's symbols are read-only, but every optimize call
+    returns a new pair, so a key by the pair itself would miss a repeated
+    solve's equal symbols."""
+    return _multipliers_by_content(pair.psi_tilde.values.tobytes(), pair.geometry.case,
+                                   kernel_rho, n_max)
+
+
+# A table scores every method of a cell before the next cell, so the memo
+# must hold one cell's methods (100 in both shipped configs), or each row
+# would evict the entry the next cell needs; 256 degree-110 gradient-field
+# tables take about 0.7 MB with their keys.
+@functools.lru_cache(maxsize=256)
+def _multipliers_by_content(psi_tilde: bytes, case: str, kernel_rho: float,
+                            n_max: int) -> np.ndarray:
+    """Read-only (types, n_max + 1) table of the degree-wise action of the
+    cap-restricted wavelet convolution: row 0 holds lambda_n, and a
+    gradient field's row 1 holds mu_n (0 at n = 0, where type 2 starts).
 
     For a field bandlimited to n_max, integrating the zonal wavelet kernel
     over a cap of radius kernel_rho multiplies the coefficient of degree n
     by lambda_n = 2 pi * integral over [1-kernel_rho, 1] of the kernel
-    profile times P_n. The 1-D rule of _cap_rule is exact for the
-    polynomial integrand, so for bandlimited data the multipliers equal
-    the node-wise cap integral. kernel_rho must lie in (0, 2], as in
-    RegionSpec; past 2 the rule would run below t = -1.
+    profile times P_n. For a gradient field, restricting the zonal tensor
+    kernel to a cap keeps it equivariant under rotations and reflections,
+    so it still acts degree by degree and type by type (a tensor
+    Funk-Hecke formula). Type 1 is the radial channel, whose profile is
+    the scalar one, so it takes lambda_n. By Schur's lemma the type-2
+    multiplier of degree n is the trace of the restricted operator over
+    that space divided by its dimension:
+
+        mu_n = 1/(n(n+1)) * integral over [1-kernel_rho, 1] of
+               P_n' ((1+t^2) K' - t(1-t^2) K'')
+               + P_n'' ((1-t^2)^2 K'' - t(1-t^2) K')
+
+    with K = sum_j (j+1/2) psi_tilde(j) / (j(j+1)) P_j, the tangential
+    Frobenius product that gram_vector integrates over the cap exterior.
+    Both integrands have degree at most kN + n_max, so the rule of
+    _cap_rule is exact and, for bandlimited data, the multipliers equal
+    the node-wise cap integral. On the full-sphere cap lambda_n and mu_n
+    equal psi_tilde(n). kernel_rho must lie in (0, 2]; past 2 the rule
+    would run below t = -1.
     """
     if not (0.0 < kernel_rho <= 2.0):
         raise ValueError("kernel_rho must lie in (0, 2]")
-    g = pair.geometry
-    _, w, rows, _, _ = _cap_rule(g.kN, n_max, kernel_rho)
-    j = np.arange(g.kN + 1, dtype=float)
-    prof = ((j + 0.5) * pair.psi_tilde.values) @ rows[: g.kN + 1]
-    return rows[: n_max + 1] @ (w * prof)
+    psi = np.frombuffer(psi_tilde)
+    kN = psi.size - 1
+    t, w, p, dp, d2p = _cap_rule(kN, n_max, kernel_rho)
+    table = np.zeros((1 if case == "scalar" else 2, n_max + 1))
+    j = np.arange(kN + 1, dtype=float)
+    table[0] = p[: n_max + 1] @ (w * (((j + 0.5) * psi) @ p[: kN + 1]))
+    if case == "vector":
+        j = j[1:]
+        k = (j + 0.5) * psi[1:] / (j * (j + 1.0))
+        dk, d2k = k @ dp[1 : kN + 1], k @ d2p[1 : kN + 1]
+        s = 1.0 - t * t
+        first = w * ((1.0 + t * t) * dk - t * s * d2k)
+        second = w * (s * s * d2k - t * s * dk)
+        n = np.arange(1, n_max + 1, dtype=float)
+        table[1, 1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
+    table.flags.writeable = False
+    return table
 
 
 def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
@@ -350,76 +407,8 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     multiplier from _cap_multipliers."""
     _check_case(pair, f2)
     _check_radius(f2, pair.geometry.r, "ground data f2", "r")
-    lam, mu = _cap_multipliers(pair, kernel_rho, f2.n_max)
-    if mu is None:
-        return f2.scaled_by_degree(lam)
-    scale = np.stack([_per_coefficient(lam, f2.n_max), _per_coefficient(mu, f2.n_max)])
-    return VectorCoefficients(f2.radius, f2.n_max, scale * f2.data)
-
-
-# The cap multipliers last asked, oldest first, by content. A table scores
-# every method of a cell before the next cell, so the memo must hold one
-# cell's methods (100 in both shipped configs), or each row would evict
-# the entry the next cell needs; 256 degree-110 entries take about 0.8 MB.
-_MAX_KEPT_MULTIPLIERS = 256
-_kept_multipliers: dict = {}
-
-
-def _cap_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> tuple:
-    """(lambda_n, mu_n) of _fresh_multipliers, kept by content: the key is
-    what they read, the pair's psi_tilde bytes, kN and field kind, with
-    kernel_rho and n_max. A pair's symbols are read-only, but every
-    optimize call returns a new pair, so a key by the pair itself would
-    miss a repeated solve's equal symbols."""
-    g = pair.geometry
-    key = (pair.psi_tilde.values.tobytes(), g.kN, g.case, kernel_rho, n_max)
-    kept = _kept_multipliers.pop(key, None)
-    if kept is None:
-        kept = _fresh_multipliers(pair, kernel_rho, n_max)
-        if len(_kept_multipliers) >= _MAX_KEPT_MULTIPLIERS:
-            del _kept_multipliers[next(iter(_kept_multipliers))]
-    _kept_multipliers[key] = kept
-    return kept
-
-
-def _fresh_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> tuple:
-    """(lambda_n, mu_n) for n = 0..n_max, read-only; mu_n is None for a
-    scalar pair.
-
-    A scalar field takes wavelet_multipliers. For a gradient field,
-    restricting the zonal tensor kernel to a cap keeps it equivariant under
-    rotations and reflections, so it still acts degree by degree and type
-    by type (a tensor Funk-Hecke formula). Type 1 is the radial channel,
-    whose profile is the scalar one, so it takes wavelet_multipliers. By
-    Schur's lemma the type-2 multiplier of degree n is the trace of the
-    restricted operator over that space divided by its dimension:
-
-        mu_n = 1/(n(n+1)) * integral over [1-kernel_rho, 1] of
-               P_n' ((1+t^2) K' - t(1-t^2) K'')
-               + P_n'' ((1-t^2)^2 K'' - t(1-t^2) K')
-
-    with K = sum_j (j+1/2) psi_tilde(j) / (j(j+1)) P_j, the tangential
-    Frobenius product that gram_vector integrates over the cap exterior.
-    The integrand has degree at most kN + n_max, so the rule of _cap_rule
-    is exact. On the full-sphere cap mu_n = psi_tilde(n).
-    """
-    g = pair.geometry
-    lam = wavelet_multipliers(pair, kernel_rho, n_max)
-    lam.flags.writeable = False
-    if g.case == "scalar":
-        return lam, None
-    t, w, _, dp, d2p = _cap_rule(g.kN, n_max, kernel_rho)
-    j = np.arange(1, g.kN + 1, dtype=float)
-    k = (j + 0.5) * pair.psi_tilde.values[1:] / (j * (j + 1.0))
-    dk, d2k = k @ dp[1 : g.kN + 1], k @ d2p[1 : g.kN + 1]
-    s = 1.0 - t * t
-    first = w * ((1.0 + t * t) * dk - t * s * d2k)
-    second = w * (s * s * d2k - t * s * dk)
-    n = np.arange(1, n_max + 1, dtype=float)
-    mu = np.zeros(n_max + 1)
-    mu[1:] = (dp[1:n_max + 1] @ first + d2p[1:n_max + 1] @ second) / (n * (n + 1.0))
-    mu.flags.writeable = False
-    return lam, mu
+    table = _cap_multipliers(pair, kernel_rho, f2.n_max)
+    return f2.scaled_by_degree(table[0] if f2.case == "scalar" else table)
 
 
 def wavelet_transform_local(pair: KernelPair, f2, x, region: RegionSpec):

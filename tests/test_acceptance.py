@@ -4,18 +4,22 @@ Each test pins a contract of the finished package: analytic Gram entries
 and the surface-integration oracle, optimizer exactness and stationarity,
 the closed-form Shannon energy bound, exact noise-free recovery on the
 degenerate full cap, the method orderings of the noisy reduced-scale
-sweeps, satellite-only noise amplification, monotone localization of the
-optimized wavelet, the gradient-field identities, and byte-level
-determinism of the table command. Run with -v for one line per behavior.
+sweeps, satellite-only noise amplification, the paper's orderings on a
+full-scale slice (polar, off-pole and gradient field), monotone
+localization of the optimized wavelet, the gradient-field identities, and
+byte-level determinism of the table command. Run with -v for one line per
+behavior.
 """
 
+import dataclasses
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capwave.cli import main
+from capwave.cli import load_config, main
 from capwave.experiments import (
     ExperimentConfig,
     build_model,
@@ -54,6 +58,7 @@ from capwave.vector_field import (
 
 import oracles
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NORTH = (0.0, 0.0, 1.0)
 EIGHT_PI_SQ = 8.0 * math.pi ** 2
 
@@ -100,7 +105,7 @@ def median_best(rows, eps, gamma, kind):
 
 
 # ---------------------------------------------------------------------------
-# the nine pinned behaviors
+# the pinned behaviors
 
 
 def test_gram_entries_match_analytic_values_and_surface_oracle():
@@ -210,6 +215,23 @@ def test_tsvd_noise_amplification_and_combined_advantage(reduced_sweep):
         for s in seeds)
     best_combined = median_best(table_a, 0.05, 1.0, "optimized")
     assert best_combined < best_tsvd
+
+
+@pytest.mark.parametrize("variant", [{}, {"region_center": (0.3, 0.4, 0.8)},
+                                     {"case": "vector"}], ids=["polar", "off-pole", "vector"])
+def test_paper_orderings_on_a_full_scale_slice(variant):
+    # full.cfg (N = 80, wavelet band to 100, noise degree 110) cut to
+    # epsilon1 = 0.01 0.1, gamma = 1 and seeds 0 1 2: the orderings, not values
+    config = dataclasses.replace(load_config(CONFIGS / "full.cfg"), epsilon1=(0.01, 0.1),
+                                 gamma=(1.0,), seeds=(0, 1, 2), **variant)
+    table, tsvd_rows = run_table(config), run_tsvd_table(config)
+    assert all(r.status == "ok" for r in table + tsvd_rows)
+    truncation = [median_best(tsvd_rows, eps, None, "tsvd") for eps in (0.01, 0.1)]
+    for eps, best_tsvd in zip((0.01, 0.1), truncation):
+        combined = median_best(table, eps, 1.0, "optimized")
+        assert combined <= median_best(table, eps, 1.0, "shannon")
+        assert combined < best_tsvd
+    assert truncation[0] < truncation[1]
 
 
 def test_localization_ratio_non_increasing_in_bandwidth():

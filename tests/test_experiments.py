@@ -415,24 +415,18 @@ class TestRunTable:
         assert data[0] == data[1] == data[2]
         assert data[0].count(b"\r\nvector,") == 2 * 2 * 3
 
-    def test_multipliers_computed_once_per_method(self, monkeypatch):
+    def test_multipliers_computed_once_per_method(self):
         # the cap multipliers are kept by content across cells: a 2-cell
         # table computes each method's once, not once per row
-        import capwave.transforms as transforms
+        from capwave.transforms import _multipliers_by_content as memo
 
-        real, calls = transforms.wavelet_multipliers, []
-
-        def counted(pair, kernel_rho, n_max):
-            calls.append(pair.psi_tilde.values.tobytes())
-            return real(pair, kernel_rho, n_max)
-
-        monkeypatch.setattr(transforms, "_kept_multipliers", {})
-        monkeypatch.setattr(transforms, "wavelet_multipliers", counted)
         for case in ("scalar", "vector"):
-            calls.clear()
+            memo.cache_clear()
             rows = run_table(tiny_config(case=case, beta=(1.0, 10.0), seeds=(0, 1)))
             assert len({(r.epsilon1, r.seed) for r in rows}) == 2
-            assert len(rows) == 2 * 4 and len(calls) == len(set(calls)) == 4
+            info = memo.cache_info()
+            assert len(rows) == 2 * 4 and info.misses == info.currsize == 4
+            assert info.hits == 4
 
     def test_reduced_noisy_cell_ordering(self):
         self._noisy_cell_ordering("scalar")

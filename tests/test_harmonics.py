@@ -120,6 +120,16 @@ class TestYnk:
 
 
 class TestGrids:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # nan used to pass every check, and sphere_grid gave nan weights
+        for build in (lambda: HarmonicCoefficients(radius, 2),
+                      lambda: VectorCoefficients(radius, 2),
+                      lambda: sphere_grid(radius, 4),
+                      lambda: cap_grid(radius, (0.0, 0.0, 1.0), 0.5, 4)):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                build()
+
     def test_sphere_grid_weight_sum(self):
         for r in (1.0, 6371.2):
             g = sphere_grid(r, 40)

@@ -94,6 +94,12 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_rule(0)
 
+    def test_rejects_a_fractional_point_count(self):
+        # 3.5 used to build a 3-point rule quietly
+        with pytest.raises(TypeError, match="m must be an integer, not 3.5"):
+            gauss_rule(3.5)
+        assert np.array_equal(gauss_rule(np.int64(3))[0], gauss_rule(3)[0])
+
     def test_rules_are_read_only_and_repeatable(self):
         x, w = gauss_rule(7, -0.5, 1.0)
         with pytest.raises(ValueError):

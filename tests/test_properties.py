@@ -30,6 +30,7 @@ from capwave.transforms import (
     approximate,
     approximate_coefficients,
     relative_error,
+    upward_continue,
     wavelet_multipliers,
 )
 from capwave.transforms import _cap_wavelet_coefficients
@@ -494,3 +495,53 @@ class TestVectorCapMultipliers:
         psi = pair.psi_tilde.values
         np.testing.assert_allclose(mu[1:], psi[1:], rtol=0.0,
                                    atol=1e-13 * np.abs(psi).max())
+
+
+def zonal_sums(n_max, symbols, centres):
+    """Coefficients of sum_j sum_n symbols[i, n] (2n+1)/(4 pi) P_n(x.xi_ij)
+    for centres[..., i, j, :] = xi_ij, shape centres.shape[:-2] + (rows,
+    L): by the addition theorem, degree n of row i is symbols[i, n] times
+    the sum over j of Y_nk(xi_ij), which ynk evaluates at loose points."""
+    basis = np.array([ynk(n, k, centres.reshape(-1, 3)) for n in range(n_max + 1)
+                      for k in range(1, 2 * n + 2)]).reshape(-1, *centres.shape[:-1])
+    return (np.repeat(symbols, 2 * np.arange(n_max + 1) + 1, axis=-1)
+            * np.moveaxis(basis.sum(axis=-1), 0, -1))
+
+
+class TestRotationEquivariance:
+    # a model of zonal kernels centred at xi_j, turned by Q, is the same
+    # sum centred at Q xi_j; with the region moved from c to Q c as well,
+    # the noise-free error of the combined approximation cannot change.
+    # Both models come from their centres in closed form, so the cap-frame
+    # turn inside relative_error is checked against a path that takes none
+    @PROPERTY
+    @given(pair=kernel_pairs("scalar"), n_max=st.integers(0, 30), seed=seeds,
+           rotation=rotations(), center=centers(), margin=st.floats(0.05, 1.0))
+    def test_scalar(self, pair, n_max, seed, rotation, center, margin):
+        self._check(pair, n_max, seed, rotation, center, margin)
+
+    @PROPERTY
+    @given(pair=kernel_pairs(), n_max=st.integers(0, 30), seed=seeds,
+           rotation=rotations(), center=centers(), margin=st.floats(0.05, 1.0))
+    def test_vector(self, pair, n_max, seed, rotation, center, margin):
+        # type 1 and type 2 are two such sums, type 2 from degree 1
+        self._check(pair, n_max, seed, rotation, center, margin)
+
+    @staticmethod
+    def _check(pair, n_max, seed, rotation, center, margin):
+        g = pair.geometry
+        rng = np.random.default_rng(seed)
+        types = 1 if g.case == "scalar" else 2
+        symbols = rng.standard_normal((types, n_max + 1))
+        symbols[1:, 0] = 0.0
+        centres = rng.standard_normal((types, int(rng.integers(1, 4)), 3))
+        centres /= np.linalg.norm(centres, axis=-1, keepdims=True)
+        kind = HarmonicCoefficients if types == 1 else VectorCoefficients
+        models = zonal_sums(n_max, symbols, np.stack([centres, centres @ rotation.T]))
+        errors = []
+        for data, c in zip(models, (center, rotation @ center)):
+            u = kind(g.r, n_max, data[0] if types == 1 else data)
+            region = RegionSpec(c, min(g.rho + margin, 2.0), g.rho)
+            approx = approximate_coefficients(pair, upward_continue(u, g.R), u, region)
+            errors.append(relative_error(u, approx, region))
+        assert abs(errors[1] - errors[0]) <= 1e-12 * errors[0]

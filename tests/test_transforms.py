@@ -177,6 +177,12 @@ class TestUpwardContinue:
         with pytest.raises(ValueError):
             upward_continue(u, R_INNER)
 
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_requires_finite_radius(self, R):
+        # inf used to give a field at radius inf, nan one of nan symbols
+        with pytest.raises(ValueError, match="upward continuation needs R > r"):
+            upward_continue(random_field(R_INNER, 5, 3), R)
+
 
 class TestScalingTransform:
     def test_zero_symbols_give_zero(self):
@@ -492,6 +498,16 @@ class TestAddNoise:
         for s in (-1, 2 ** 64):
             with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
                 NoiseSpec(0.1, 0.0, 5, s)
+
+    def test_counts_must_be_integers(self):
+        # seed 1.5 used to draw seed 1's noise through the uint64 key, and
+        # noise_degree 3.5 to fail only inside the draw
+        with pytest.raises(TypeError, match="seed must be an integer, not 1.5"):
+            NoiseSpec(0.1, 0.0, 5, 1.5)
+        with pytest.raises(TypeError, match="noise_degree must be an integer, not 3.5"):
+            NoiseSpec(0.1, 0.0, 3.5, 1)
+        spec = NoiseSpec(0.1, 0.0, np.int64(5), np.uint64(2 ** 64 - 1))
+        assert type(spec.noise_degree) is int and spec.seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("levels", [(math.nan, 0.1), (0.1, math.inf), (-0.1, 0.0)])
     def test_levels_must_be_finite_and_nonnegative(self, levels):
