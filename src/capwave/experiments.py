@@ -15,19 +15,16 @@ sweep lists permutes nothing; rows always come out sorted by their numeric
 coordinates and the written CSV is byte-identical across runs. No row
 carries a wall-clock time, in memory or in the file.
 
-Both tables run one sweep (_sweep): it builds once what depends only on
-the configuration, the model, its upward-continued outer data, and each
-method's row columns and assembly (for a kernel pair, the pair and its
-localization ratio), then loops over the cells. Every row of the main
-table runs the library chain, the approximate_coefficients of its
-method's pair on the cell's noisy data scored by relative_errors, so the
-table and a single reconstruction share one code path, for scalar and
-gradient fields alike (config.case); a truncation row assembles
-_tsvd_apply of the outer data instead, the downward step of the scaling
-part (transforms._downward) with the truncation symbols for phi. A cell
-is scored as one stream: its candidates are assembled one at a time and
-normed in stacked runs, each entry == to its own relative_error call, so
-at most one run is alive. Process memos keep what the chain rebuilds from
+Both tables run one sweep (_sweep): it builds once the model, its
+upward-continued outer data and each method's row columns and per-degree
+factors (phi and the kernel pair, or the truncation symbols), then loops
+over the cells, for scalar and gradient fields alike (config.case). A
+cell's candidates a * f1 + b * f2 (b the pair's cap multipliers, none for
+truncation) are formed in runs of at most _RUN_WIDTH methods by the
+helper of approximate_coefficients (transforms._formed) and normed by
+that of relative_errors (transforms._run_errors), so at most one run is
+alive and every error is == to relative_error of the method's
+approximate_coefficients, or of _tsvd_apply. Process memos keep what the chain rebuilds from
 unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
 full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre
 rows (transforms._cap_rule), each method's read-only table of cap
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,15 +60,17 @@ from .kernels import (
     tsvd_symbols,
 )
 from .transforms import (
+    _RUN_WIDTH,
     NoiseSpec,
     RegionSpec,
+    _cap_multipliers,
     _downward,
+    _formed,
     _noise_generator,
     _normal_field,
+    _run_errors,
     add_noise,
-    approximate_coefficients,
     relative_error,
-    relative_errors,
     upward_continue,
 )
 
@@ -311,12 +309,14 @@ def _tsvd_apply(geometry: Geometry, f1: HarmonicCoefficients,
 
 @dataclass(frozen=True)
 class _Method:
-    """One method's row columns and its assemble(f1, f2), the candidate
-    field of a cell's outer and ground data; None for a method without
-    one, such as a failed optimization."""
+    """One method's row columns and its per-degree factors: scaling on a
+    cell's outer data (phi, or the truncation symbols; None for a failed
+    optimization) and pair's cap multipliers on its ground data (none for
+    a truncation)."""
 
     tag: str
-    assemble: Callable | None
+    scaling: np.ndarray | None
+    pair: KernelPair | None = None
     localization: float | None = None
     status: str = "ok"
     beta: float | None = None
@@ -324,14 +324,14 @@ class _Method:
     alpha_ratio: float | None = None
 
 
-def _pair_method(tag: str, pair: KernelPair, region: RegionSpec, **weights) -> _Method:
+def _pair_method(tag: str, pair: KernelPair, **weights) -> _Method:
     g = pair.geometry
-    return _Method(tag, lambda f1, f2: approximate_coefficients(pair, f1, f2, region),
+    return _Method(tag, pair.phi.values, pair,
                    localization_ratio(pair.psi_tilde, g.rho, g), **weights)
 
 
 def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
-    geometry, region = config.geometry, config.region
+    geometry = config.geometry
     out = []
     for beta in config.beta:
         for alpha_tilde in config.alpha_tilde:
@@ -345,7 +345,7 @@ def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
                     out.append(_Method("optimized", None,
                                        status=f"numerical-failure: {exc}", **weights))
                     continue
-                out.append(_pair_method("optimized", pair, region, **weights))
+                out.append(_pair_method("optimized", pair, **weights))
     return out
 
 
@@ -377,13 +377,13 @@ def _sweep(config: ExperimentConfig, gammas, make_methods) -> list[ResultRow]:
                 spec = NoiseSpec(eps1, eps2, config.noise_degree, seed)
                 f1 = add_noise(f1_clean, spec, "sphere")
                 f2 = add_noise(model, spec, region)
-                scores = _score_cell(model, region, methods, f1, f2)
-                for m, (err, failure) in zip(methods, scores):
+                errors = _score_cell(model, region, methods, f1, f2)
+                for m, err in zip(methods, errors):
                     rows.append(ResultRow(
                         epsilon1=eps1, gamma=gamma, seed=seed, method=m.tag,
                         beta=m.beta, alpha_tilde=m.alpha_tilde,
                         alpha_ratio=m.alpha_ratio, relative_error=err,
-                        localization_ratio=m.localization, status=failure or m.status,
+                        localization_ratio=m.localization, status=m.status,
                         **common))
     return sorted(rows, key=_row_key)
 
@@ -397,9 +397,9 @@ def run_table(config: ExperimentConfig) -> list[ResultRow]:
     model on the evaluation region. A method whose kernel optimization
     fails keeps its rows, carrying the failure message in the status column.
     """
-    geometry, region = config.geometry, config.region
+    geometry = config.geometry
     return _sweep(config, config.gamma, lambda: _optimized_methods(config) + [
-        _pair_method(f"shannon-{M}", shannon_reference_pair(geometry, M), region)
+        _pair_method(f"shannon-{M}", shannon_reference_pair(geometry, M))
         for M in config.shannon_degrees])
 
 
@@ -413,38 +413,27 @@ def run_tsvd_table(config: ExperimentConfig) -> list[ResultRow]:
     """
     geometry = config.geometry
     return _sweep(config, (None,), lambda: [
-        _Method(f"tsvd-{M}", lambda f1, f2, M=M: _tsvd_apply(geometry, f1, M))
+        _Method(f"tsvd-{M}", tsvd_symbols(geometry, M).values)
         for M in config.tsvd_degrees])
 
 
 def _score_cell(model, region: RegionSpec, methods: list[_Method],
-                f1, f2) -> list[tuple]:
-    """(relative_error, failure) of each method on one cell's data f1, f2.
-
-    A method without an assembly gets error and failure None. Candidates
-    are scored by one relative_errors call that draws them from a
-    generator, so at most one run of them is alive. An assembly that
-    raises ValueError or NumericalFailure leaves its error None and its
-    failure "evaluation-failure: <message>", and the others are still
-    scored; scoring itself cannot fail once _sweep has checked the model.
-    """
-    failures, scored = [None] * len(methods), []
-
-    def candidates():
-        for i, m in enumerate(methods):
-            if m.assemble is None:
-                continue
-            try:
-                u = m.assemble(f1, f2)
-            except (ValueError, NumericalFailure) as exc:
-                failures[i] = f"evaluation-failure: {exc}"
-                continue
-            scored.append(i)
-            yield u
-
-    errors = relative_errors(model, candidates(), region)
-    kept = dict(zip(scored, errors))
-    return [(kept.get(i), failures[i]) for i in range(len(methods))]
+                f1, f2) -> list[float | None]:
+    """relative_error of each method on one cell's data f1, f2, None for a
+    method without factors. Each run of at most _RUN_WIDTH methods is one
+    stack, formed and normed at once. _sweep has checked the model, and the
+    data's kind and radii follow from the config, so scoring cannot fail."""
+    scored = [m for m in methods if m.scaling is not None]
+    degree = max(model.n_max, f1.n_max, f2.n_max)
+    errors = []
+    for lo in range(0, len(scored), _RUN_WIDTH):
+        run = scored[lo : lo + _RUN_WIDTH]
+        tables = [_cap_multipliers(m.pair, region.kernel_rho, f2.n_max)
+                  for m in run if m.pair is not None] or None
+        stack = _formed(degree, f1, [m.scaling for m in run], f2, tables)
+        errors += _run_errors(model, stack, region)
+    kept = iter(errors)
+    return [None if m.scaling is None else next(kept) for m in methods]
 
 
 # ---------------------------------------------------------------------------

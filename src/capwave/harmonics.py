@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .legendre import gauss_rule
+from .legendre import _as_index, gauss_rule
 
 __all__ = [
     "HarmonicCoefficients",
@@ -77,6 +77,7 @@ class _Coefficients:
 
     def __post_init__(self):
         _check_sphere_radius(self.radius)
+        self.n_max = _as_index(self.n_max, "n_max")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         shape = self.channels + ((self.n_max + 1) ** 2,)
@@ -276,7 +277,7 @@ class CapGrid:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)  # typed: 4.0 raises though 4 is kept
 def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
     """Full-sphere rule with (L+1) x (2L+1) nodes, L = ceil(exact_degree/2).
 
@@ -284,6 +285,7 @@ def sphere_grid(radius: float, exact_degree: int) -> SphereGrid:
     study samples every field on the same one.
     """
     _check_sphere_radius(radius)
+    exact_degree = _as_index(exact_degree, "exact_degree")
     if exact_degree < 0:
         raise ValueError("exact_degree must be >= 0")
     L = (exact_degree + 1) // 2
@@ -350,6 +352,7 @@ def cap_grid(radius: float, center, cap_rho: float, exact_degree: int) -> CapGri
     _check_sphere_radius(radius)
     if not (0.0 < cap_rho <= 2.0):
         raise ValueError("cap_rho must lie in (0, 2]")
+    exact_degree = _as_index(exact_degree, "exact_degree")
     if exact_degree < 0:
         raise ValueError("exact_degree must be >= 0")
     t, tw = gauss_rule((exact_degree + 2) // 2, 1.0 - cap_rho, 1.0)

@@ -18,6 +18,7 @@ vector basis components carry one polynomial degree more.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ from .harmonics import (
     _cap_norms,
     _kept_cap_norm,
     _padded,
+    _per_coefficient,
     _unit_directions,
     cap_grid,
     sphere_grid,
@@ -214,16 +216,15 @@ def _extra_exactness(field) -> int:
     return 2 if field.case == "vector" else 0
 
 
-def _check_case(pair: KernelPair, field) -> None:
-    """Reject a field whose kind is not the one the kernel pair was built for."""
-    if field.case != pair.geometry.case:
+def _check_data(pair: KernelPair, field, outer: bool) -> None:
+    """Reject data of another kind than the kernel pair was built for, or
+    off the sphere the pair expects it on: outer data f1 at R, ground data
+    f2 at r (within 1e-9 relative, as build_model checks a model file)."""
+    g = pair.geometry
+    if field.case != g.case:
         raise ValueError(f"a {field.case} field needs a kernel pair with "
-                         f"geometry.case == {field.case!r}, not {pair.geometry.case!r}")
-
-
-def _check_radius(field, radius: float, name: str, symbol: str) -> None:
-    """Reject data that does not lie on the sphere the kernel pair expects
-    (within 1e-9 relative, as build_model checks a model file)."""
+                         f"geometry.case == {field.case!r}, not {g.case!r}")
+    name, symbol, radius = ("outer data f1", "R", g.R) if outer else ("ground data f2", "r", g.r)
     if not math.isclose(field.radius, radius, rel_tol=1e-9):
         raise ValueError(f"{name} must lie at {symbol} = {radius:.17g}, "
                          f"not at radius {field.radius:.17g}")
@@ -292,25 +293,16 @@ def scaling_transform(pair: KernelPair, f1, points) -> np.ndarray:
     oracle). A sample set is analyzed once for every call with the same
     min(N, degree), however many points or calls follow.
     """
-    out = _scaling_spectral_coefficients(pair, _outer_coefficients(f1, pair.geometry.N))
-    return synthesize(out, points)
-
-
-def _scaling_spectral_coefficients(pair: KernelPair, f1):
-    """Coefficient-space action of the scaling transform, output at radius r."""
-    _check_case(pair, f1)
-    _check_radius(f1, pair.geometry.R, "outer data f1", "R")
-    return _downward(f1, pair.phi.values, pair.geometry.r)
+    f1 = _outer_coefficients(f1, pair.geometry.N)
+    _check_data(pair, f1, outer=True)
+    return synthesize(_downward(f1, pair.phi.values, pair.geometry.r), points)
 
 
 def _downward(f1, symbols: np.ndarray, r: float):
     """f1 at radius r with degree n times symbols[n], and zero past the
     last symbol: a downward continuation by per-degree symbols, as the
     scaling transform's phi and the truncation inversion's 1/sigma_n."""
-    keep = min(len(symbols), f1.n_max + 1)
-    factors = np.zeros(f1.n_max + 1)
-    factors[:keep] = symbols[:keep]
-    return f1.scaled_by_degree(factors, radius=r)
+    return type(f1)(r, f1.n_max, _formed(f1.n_max, f1, [symbols])[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -405,8 +397,7 @@ def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     """Coefficient-space action of the cap-restricted wavelet convolution:
     each degree (and type, for a gradient field) of f2 times its cap
     multiplier from _cap_multipliers."""
-    _check_case(pair, f2)
-    _check_radius(f2, pair.geometry.r, "ground data f2", "r")
+    _check_data(pair, f2, outer=False)
     table = _cap_multipliers(pair, kernel_rho, f2.n_max)
     return f2.scaled_by_degree(table[0] if f2.case == "scalar" else table)
 
@@ -450,11 +441,32 @@ def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
     result has the larger of the two data degrees.
     """
     f1 = _outer_coefficients(f1, pair.geometry.N)
-    w_part = _cap_wavelet_coefficients(pair, f2, region.kernel_rho)
-    t_part = _scaling_spectral_coefficients(pair, f1)
-    n_out = max(t_part.n_max, w_part.n_max)
-    return type(w_part)(pair.geometry.r, n_out,
-                        _padded(t_part.data, n_out) + _padded(w_part.data, n_out))
+    _check_data(pair, f2, outer=False)
+    _check_data(pair, f1, outer=True)
+    table = _cap_multipliers(pair, region.kernel_rho, f2.n_max)
+    n_out = max(f1.n_max, f2.n_max)
+    return type(f2)(pair.geometry.r, n_out,
+                    _formed(n_out, f1, [pair.phi.values], f2, [table])[0])
+
+
+def _formed(n_out: int, f1, scaling: list, f2=None, tables: list | None = None) -> np.ndarray:
+    """Candidate data at degree n_out, one per method i: f1's degree n
+    times scaling[i][n] (zero past its last), plus, given tables, f2's
+    degree n times the (types, degrees) table tables[i][:, n], each part
+    zero-padded to n_out. Each entry takes the same elementwise operations
+    whatever the number of methods, so approximate_coefficients is the
+    one-method case of a table cell's runs (experiments._score_cell)."""
+    k, lead = len(scaling), (1,) * (f1.data.ndim - 1)
+    a = np.zeros((k, f1.n_max + 1))
+    for row, symbols in zip(a, scaling):
+        keep = min(len(symbols), f1.n_max + 1)
+        row[:keep] = symbols[:keep]
+    a = _per_coefficient(a, f1.n_max).reshape((k,) + lead + (-1,))
+    out = _padded(a * f1.data, n_out)
+    if tables is not None:
+        b = _per_coefficient(np.stack(tables), f2.n_max) * f2.data
+        out += _padded(b.reshape((k,) + f2.data.shape), n_out)
+    return out
 
 
 def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndarray:
@@ -540,7 +552,8 @@ def add_noise(coeffs, spec: NoiseSpec, norm_region):
     return type(coeffs)(coeffs.radius, n_out, signal + scale * raw)
 
 
-# Candidates that relative_errors norms in one _cap_norms call, at most.
+# Candidates that relative_errors, or a table cell (experiments._score_cell),
+# norms in one _cap_norms call, at most.
 # On a 2-vCPU host, runs of 8 scored degree-110 fields as fast as runs of
 # 16 or faster (0.42 ms per polar scalar field, 1.0 ms per polar gradient
 # field, against 0.76 and 1.5 ms alone), and held half the transient
@@ -574,34 +587,28 @@ def relative_errors(u_ref, candidates, region: RegionSpec) -> list[float]:
     as build_model checks a model file). A reference that is zero there
     raises ValueError.
     """
-    errors, run, degree = [], [], None
-    for u in candidates:
+    def degree(u) -> int:
         if not math.isclose(u_ref.radius, u.radius, rel_tol=1e-9):
             raise ValueError("fields must live on the same sphere")
         if u_ref.case != u.case:
             raise ValueError(f"cannot compare a {u.case} field with a {u_ref.case} one")
-        if run and max(u_ref.n_max, u.n_max) != degree:
-            errors += _run_errors(u_ref, run, degree, region)
-            run = []
-        degree = max(u_ref.n_max, u.n_max)
-        run.append(u)
-        if len(run) == _RUN_WIDTH:
-            errors += _run_errors(u_ref, run, degree, region)
-            run = []
-    if run:
-        errors += _run_errors(u_ref, run, degree, region)
+        return max(u_ref.n_max, u.n_max)
+
+    errors = []
+    for d, same_degree in itertools.groupby(candidates, key=degree):
+        while run := list(itertools.islice(same_degree, _RUN_WIDTH)):
+            errors += _run_errors(u_ref, np.stack([_padded(u.data, d) for u in run]), region)
     return errors
 
 
-def _run_errors(u_ref, run: list, degree: int, region: RegionSpec) -> list[float]:
-    """relative_errors of one run of candidates, all at the larger degree D."""
+def _run_errors(u_ref, stack: np.ndarray, region: RegionSpec) -> list[float]:
+    """relative_errors of one run of candidates, given as the stack of
+    their data at one degree D >= u_ref.n_max; the stack is overwritten."""
+    degree = math.isqrt(stack.shape[-1]) - 1
     ref = _padded(u_ref.data, degree)
     cap = (region.center_direction, region.eval_rho, 2 * degree + _extra_exactness(u_ref))
     den = _kept_cap_norm(ref, *cap)
     if not (den > 0.0 and math.isfinite(den)):
         raise ValueError("reference field is zero on the cap")
-    stack = np.zeros((len(run),) + ref.shape)
-    for row, u in zip(stack, run):
-        row[..., :u.data.shape[-1]] = u.data
     stack -= ref
     return [math.sqrt(num / den) for num in _cap_norms(stack, *cap)]

@@ -35,6 +35,7 @@ from capwave.kernels import (
     optimize,
 )
 from capwave.transforms import (
+    _RUN_WIDTH,
     NoiseSpec,
     add_noise,
     approximate_coefficients,
@@ -357,51 +358,35 @@ class TestRunTable:
         assert bad[0].relative_error is None and bad[0].localization_ratio is None
         assert all(r.status == "ok" and r.relative_error > 0.0 for r in good)
 
-    def test_failed_assembly_recorded_and_others_scored(self, monkeypatch):
-        # a method whose assembly raises gets its evaluation-failure row,
-        # and every other method of the cell keeps the library's error
-        import capwave.experiments as exp
-
-        real_chain = approximate_coefficients
-
-        def flaky(pair, f1, f2, region):
-            if pair.geometry.N == 6 and np.all(pair.phi.values[1:] == 0.0):
-                raise ValueError("synthetic assembly failure")
-            return real_chain(pair, f1, f2, region)
-
-        cfg = tiny_config(beta=(1.0, 3.0), shannon_degrees=(0, 3, 6))
-        expected = {(r.method, r.beta): r.relative_error for r in run_table(cfg)}
-        monkeypatch.setattr(exp, "approximate_coefficients", flaky)
-        rows = run_table(cfg)
-        (bad,) = [r for r in rows if r.method == "shannon-0"]
-        assert bad.status == "evaluation-failure: synthetic assembly failure"
-        assert bad.relative_error is None
-        others = [r for r in rows if r is not bad]
-        assert len(others) == 4 and all(r.status == "ok" for r in others)
-        assert all(r.relative_error == expected[r.method, r.beta] for r in others)
-
     def test_rows_run_the_library_chain(self, monkeypatch):
-        # one approximate_coefficients call per row that has a kernel pair
+        # every row that has a kernel pair is == to relative_error of that
+        # pair's approximate_coefficients on the cell's data
         import capwave.experiments as exp
 
-        real_optimize, real_chain = optimize, approximate_coefficients
-        calls = []
+        real_optimize = optimize
 
         def flaky(geometry, w, targets=None):
             if w.beta == 13.0:
                 raise NumericalFailure("synthetic breakdown")
             return real_optimize(geometry, w, targets=targets)
 
-        def counted(pair, f1, f2, region):
-            calls.append(pair)
-            return real_chain(pair, f1, f2, region)
-
         monkeypatch.setattr(exp, "optimize", flaky)
-        monkeypatch.setattr(exp, "approximate_coefficients", counted)
-        rows = run_table(tiny_config(beta=(1.0, 13.0), epsilon1=(0.0, 0.05),
-                                     seeds=(0, 1)))
+        cfg = tiny_config(beta=(1.0, 13.0), epsilon1=(0.0, 0.05), seeds=(0, 1))
+        rows = run_table(cfg)
         assert len(rows) == 4 * 4
-        assert len(calls) == sum(r.status == "ok" for r in rows) == 4 * 3
+        ok = [r for r in rows if r.status == "ok"]
+        assert len(ok) == 4 * 3
+        g, region = cfg.geometry, cfg.region
+        model = build_model(cfg)
+        f1_clean = upward_continue(model, g.R)
+        for row in ok:
+            spec = NoiseSpec(row.epsilon1, row.gamma * row.epsilon1,
+                             cfg.noise_degree, row.seed)
+            f1 = add_noise(f1_clean, spec, "sphere")
+            f2 = add_noise(model, spec, region)
+            pair = TestScoringMatchesLibrary._pair(cfg, row)
+            assert row.relative_error == relative_error(
+                model, approximate_coefficients(pair, f1, f2, region), region)
 
     def test_vector_csv_bytes_repeat_and_ignore_sweep_order(self, tmp_path):
         cfg = tiny_config(case="vector", epsilon1=(0.05, 0.0), seeds=(1, 0),
@@ -511,6 +496,17 @@ class TestScoringMatchesLibrary:
     def test_vector_off_pole_region(self):
         self._check(tiny_config(case="vector", epsilon1=(0.01,), seeds=(0, 5),
                                 region_center=(0.3, 0.4, 0.8)))
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_cells_longer_than_one_run(self, case):
+        # 3 x 3 x 2 weights and 2 Shannon cuts score in three runs per cell,
+        # 9 truncation cuts in two
+        cfg = tiny_config(case=case, epsilon1=(0.0, 0.01), seeds=(0,),
+                          region_center=(0.3, 0.4, 0.8), beta=(0.1, 1.0, 10.0),
+                          alpha_tilde=(1.0, 10.0, 100.0), alpha_ratio=(1.0, 5.0),
+                          tsvd_degrees=tuple(range(1, 10)))
+        assert 2 * _RUN_WIDTH < 3 * 3 * 2 + 2 and _RUN_WIDTH < 9
+        self._check(cfg)
 
 
 class TestTsvdTable:

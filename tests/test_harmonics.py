@@ -130,6 +130,21 @@ class TestGrids:
             with pytest.raises(ValueError, match="radius must be positive"):
                 build()
 
+    def test_sphere_grid_degree_must_be_an_integer(self):
+        sphere_grid(1.0, 4)  # kept, yet a float equal to it still raises
+        for degree in (4.5, 4.0):
+            with pytest.raises(TypeError, match=f"exact_degree must be an integer, not {degree}"):
+                sphere_grid(1.0, degree)
+
+    def test_cap_grid_degree_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="exact_degree must be an integer, not 4.0"):
+            cap_grid(1.0, (0.0, 0.0, 1.0), 0.5, 4.0)
+
+    @pytest.mark.parametrize("kind", [HarmonicCoefficients, VectorCoefficients])
+    def test_coefficient_degree_must_be_an_integer(self, kind):
+        with pytest.raises(TypeError, match="n_max must be an integer, not 2.0"):
+            kind(1.0, 2.0)
+
     def test_sphere_grid_weight_sum(self):
         for r in (1.0, 6371.2):
             g = sphere_grid(r, 40)
