@@ -24,9 +24,13 @@ truncation) are formed in runs of at most _RUN_WIDTH methods by the
 helper of approximate_coefficients (transforms._formed) and normed by
 that of relative_errors (transforms._run_errors), so at most one run is
 alive and every error is == to relative_error of the method's
-approximate_coefficients, or of _tsvd_apply. Process memos keep what the chain rebuilds from
+approximate_coefficients, or of _tsvd_apply. The optimized pairs of the
+weight grid come from one batch solve (kernels._optimize_all), each with
+optimize's bits. Process memos keep what the chain rebuilds from
 unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
-full-sphere kernel cap), the cap multipliers' Gauss rule and Legendre
+full-sphere kernel cap), the optimizer's system of Gram blocks
+(kernels._system_for), the localization ratio's degree weights
+(kernels._energy_scale), the cap multipliers' Gauss rule and Legendre
 rows (transforms._cap_rule), each method's read-only table of cap
 multipliers, kept by its pair's content in one lru_cache
 (transforms._multipliers_by_content), each cap's norm operator
@@ -39,6 +43,7 @@ changes a bit of any error.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -54,8 +59,8 @@ from .kernels import (
     KernelPair,
     NumericalFailure,
     PenaltyWeights,
+    _optimize_all,
     localization_ratio,
-    optimize,
     shannon_reference_pair,
     tsvd_symbols,
 )
@@ -332,20 +337,18 @@ def _pair_method(tag: str, pair: KernelPair, **weights) -> _Method:
 
 def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
     geometry = config.geometry
+    grid = list(itertools.product(config.beta, config.alpha_tilde, config.alpha_ratio))
+    solved = _optimize_all(geometry, [
+        PenaltyWeights.uniform(geometry, alpha_tilde / ratio, alpha_tilde, beta)
+        for beta, alpha_tilde, ratio in grid])
     out = []
-    for beta in config.beta:
-        for alpha_tilde in config.alpha_tilde:
-            for ratio in config.alpha_ratio:
-                weights = dict(beta=beta, alpha_tilde=alpha_tilde, alpha_ratio=ratio)
-                w = PenaltyWeights.uniform(
-                    geometry, alpha_tilde / ratio, alpha_tilde, beta)
-                try:
-                    pair = optimize(geometry, w)
-                except NumericalFailure as exc:
-                    out.append(_Method("optimized", None,
-                                       status=f"numerical-failure: {exc}", **weights))
-                    continue
-                out.append(_pair_method("optimized", pair, **weights))
+    for (beta, alpha_tilde, ratio), pair in zip(grid, solved):
+        weights = dict(beta=beta, alpha_tilde=alpha_tilde, alpha_ratio=ratio)
+        if isinstance(pair, NumericalFailure):
+            out.append(_Method("optimized", None, status=f"numerical-failure: {pair}",
+                               **weights))
+        else:
+            out.append(_pair_method("optimized", pair, **weights))
     return out
 
 

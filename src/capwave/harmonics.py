@@ -1247,10 +1247,11 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int) -> l
 
     The factor takes the cos- and sin-type coefficients of all k fields
     as 2 k columns of one CSR product, which sums each column in the
-    order of a one-column product (SciPy's csr_matvecs), and each
-    column's squares are summed alone as a contiguous array, in numpy's
-    pairwise order. So a norm's bits depend neither on its batch nor on
-    whether its operator was memoized or fresh. The transient arrays grow
+    order of a one-column product (SciPy's csr_matvecs). The product is
+    copied to one contiguous row per column, and one sum along the rows
+    adds each column's squares alone, in the pairwise order of numpy's
+    sum of that column by itself. So a norm's bits depend neither on its
+    batch nor on whether its operator was memoized or fresh. The transient arrays grow
     with k, so callers bound it (transforms.relative_errors takes runs of
     at most 8). A field that many calls share takes _kept_cap_norm.
     """
@@ -1261,8 +1262,8 @@ def _cap_norms(data: np.ndarray, center, cap_rho: float, exact_degree: int) -> l
     columns = np.zeros((frame[0].size + 1, k))  # one per field, and the pad slot
     columns[:-1] = frame.reshape(k, -1).T
     # (C, cos/sin, k) -> (C, 2 k): the k cos-type columns, then the k sin-type
-    products = op @ columns[gather.T].reshape(-1, 2 * k)
-    sums = [np.sum(x * x) for x in products.T]  # each column's squares, contiguous
+    products = np.ascontiguousarray((op @ columns[gather.T].reshape(-1, 2 * k)).T)
+    sums = np.sum(products * products, axis=1)  # each column's squares, one row each
     return [float(sums[i] + sums[k + i]) for i in range(k)]
 
 

@@ -8,6 +8,10 @@ quadratic functional that scores a candidate pair (fidelity on both spheres,
 regularization of the downward continuation, energy of the wavelet outside
 its cap) and returns its unique minimizer as the solution of one symmetric
 positive-definite linear system.
+
+Systems of one geometry differ only in their diagonal weights: the Gram
+blocks are assembled once per geometry and kept read-only, and optimize is
+the one-weight case of the batch solve a table's weight grid makes.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ class PenaltyWeights:
     def __post_init__(self):
         alpha = _read_only(np.array(self.alpha, dtype=float))
         alpha_tilde = _read_only(np.array(self.alpha_tilde, dtype=float))
-        if np.any(alpha <= 0) or np.any(alpha_tilde <= 0) or self.beta <= 0:
+        if (alpha <= 0).any() or (alpha_tilde <= 0).any() or self.beta <= 0:
             raise ValueError("all weights must be strictly positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_tilde", alpha_tilde)
@@ -296,12 +300,15 @@ def _gram_for(case: str, n_max: int, rho: float) -> np.ndarray:
 # functional, gradient, optimizer
 
 
-def _channel_factors(case: str, n_max: int) -> np.ndarray:
-    """Per-degree channel multiplicity in full-interval kernel energy."""
+@functools.lru_cache(maxsize=8)
+def _energy_scale(case: str, n_max: int) -> np.ndarray:
+    """Degree weights (2n+1) c_n of full_interval_energy for n = 0..n_max,
+    with c_0 = 1 and c_n = 2 (n >= 1) for tensor kernels (two channels per
+    degree), else 1. Read-only and memoized, so a sweep's pairs share it."""
     c = np.ones(n_max + 1)
     if case == "vector":
         c[1:] = 2.0
-    return c
+    return _read_only(np.arange(1, 2 * n_max + 2, 2, dtype=float) * c)
 
 
 def full_interval_energy(symbols: SymbolSet, case: str = "scalar") -> float:
@@ -310,9 +317,7 @@ def full_interval_energy(symbols: SymbolSet, case: str = "scalar") -> float:
     Equals sum (2n+1) c_n value(n)^2 with c_n = 1 for scalar kernels and
     c_0 = 1, c_n = 2 (n >= 1) for tensor kernels (two channels per degree).
     """
-    scale = np.arange(1, 2 * symbols.n_max + 2, 2, dtype=float)
-    c = _channel_factors(case, symbols.n_max)
-    return float(np.sum(scale * c * symbols.values**2))
+    return float(np.sum(_energy_scale(case, symbols.n_max) * symbols.values**2))
 
 
 def _check_dimensions(g: Geometry, w: PenaltyWeights) -> None:
@@ -376,6 +381,77 @@ def stationarity_residual(pair: KernelPair, w: PenaltyWeights,
     return float(max(np.max(np.abs(grad_x)), np.max(np.abs(grad_y))))
 
 
+@functools.lru_cache(maxsize=4)
+def _system_for(case: str, N: int, kN: int, rho: float) -> np.ndarray:
+    """optimize's system without its diagonal weights, [[G11, -G1], [-G1^T, G]]
+    for G = _gram_for(case, kN, rho) and G1 its first N + 1 rows, in
+    column-major order (LAPACK's). Read-only and memoized for the last 4
+    geometries: the systems of a weight grid differ only on the diagonal."""
+    G = _gram_for(case, kN, rho)
+    n_x = N + 1
+    M = np.empty((n_x + kN + 1, n_x + kN + 1), order="F")
+    M[:n_x, :n_x] = G[:n_x, :n_x]
+    M[:n_x, n_x:] = -G[:n_x, :]
+    M[n_x:, :n_x] = -G[:, :n_x]
+    M[n_x:, n_x:] = G
+    return _read_only(M)
+
+
+def _frozen(cls, **attrs):
+    """An instance of a frozen dataclass holding already-checked attributes,
+    built without running __post_init__ again."""
+    obj = object.__new__(cls)
+    vars(obj).update(attrs)
+    return obj
+
+
+def _optimize_all(geometry: Geometry, weights: list[PenaltyWeights],
+                  targets: SymbolSet | None = None) -> list[KernelPair | NumericalFailure]:
+    """optimize for each of the weights, in order: its pair, or the
+    NumericalFailure its solve raised.
+
+    Each weight copies the memoized system (_system_for), adds its diagonal
+    and is solved by potrf and potrs. The pair is built from the solver's
+    arrays, made read-only, with psi_tilde formed as KernelPair forms it,
+    so every symbol has optimize's bits. A finiteness check of phi and
+    psi_tilde (which covers phi_tilde) stands in for SymbolSet's, and a
+    non-finite symbol raises its ValueError for the whole call.
+    """
+    n_x = geometry.N + 1
+    tgt = _resolve_targets(geometry, targets)
+    sig = geometry.sigmas(geometry.N)
+    sig2 = sig**2
+    system = _system_for(geometry.case, geometry.N, geometry.kN, geometry.rho)
+    out = []
+    for w in weights:
+        _check_dimensions(geometry, w)
+        M = system.copy(order="F")
+        diagonal = M.reshape(-1, order="F")[:: M.shape[0] + 1]  # a view
+        diagonal[:n_x] += w.alpha + w.beta / sig2
+        diagonal[n_x:] += w.alpha_tilde
+        rhs = np.concatenate([w.alpha * tgt[:n_x], w.alpha_tilde * tgt])
+        factor, info = _potrf(M, lower=True, clean=False, overwrite_a=True)
+        if info == 0:
+            sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
+        if info != 0:
+            out.append(NumericalFailure(
+                "kernel optimizer system is numerically singular; "
+                "the weight configuration is pathological"))
+            continue
+        phi = _read_only(sol[:n_x] / sig)
+        phi_tilde = _read_only(sol)[n_x:]
+        psi = phi_tilde.copy()
+        psi[:n_x] -= phi * sig
+        if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+            raise ValueError("symbols must be finite")
+        out.append(_frozen(
+            KernelPair, geometry=geometry,
+            phi=_frozen(SymbolSet, n_max=geometry.N, values=phi),
+            phi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=phi_tilde),
+            psi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=_read_only(psi))))
+    return out
+
+
 def optimize(geometry: Geometry, w: PenaltyWeights,
              targets: SymbolSet | None = None) -> KernelPair:
     """Unique minimizer of the functional for the given weights.
@@ -393,37 +469,18 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     column-major order, so the symbols have those functions' bits. A
     nonzero LAPACK info (a factorization failure) is raised as
     NumericalFailure, never silently regularized; at uniform weights of
-    1e-16 the singular Gram part prevails and it is raised. The geometry's
-    cap-exterior Gram comes from _gram_for's memo on every call, so
-    repeated solves for one geometry build it once.
+    1e-16 the singular Gram part prevails and it is raised.
+
+    This is the one-weight case of the private batch solve _optimize_all,
+    which a table's weight grid calls once. The Gram blocks of the system
+    are assembled once per geometry and memoized read-only (_system_for,
+    from _gram_for's cap-exterior Gram), so a solve copies them and adds
+    only its weights' diagonal.
     """
-    n_x = geometry.N + 1
-    n_y = geometry.kN + 1
-    _check_dimensions(geometry, w)
-    tgt = _resolve_targets(geometry, targets)
-    sig = geometry.sigmas(geometry.N)
-
-    G = _gram_for(geometry.case, geometry.kN, geometry.rho)
-    M = np.empty((n_x + n_y, n_x + n_y), order="F")  # LAPACK's order: no copy
-    M[:n_x, :n_x] = G[:n_x, :n_x]
-    M[:n_x, n_x:] = -G[:n_x, :]
-    M[n_x:, :n_x] = -G[:, :n_x]
-    M[n_x:, n_x:] = G
-    M.flat[:: n_x + n_y + 1] += np.concatenate([w.alpha + w.beta / sig**2, w.alpha_tilde])
-
-    rhs = np.concatenate([w.alpha * tgt[:n_x], w.alpha_tilde * tgt])
-    factor, info = _potrf(M, lower=True, clean=False, overwrite_a=True)
-    if info == 0:
-        sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
-    if info != 0:
-        raise NumericalFailure(
-            "kernel optimizer system is numerically singular; "
-            "the weight configuration is pathological"
-        )
-    x = sol[:n_x]
-    y = sol[n_x:]
-    return KernelPair(geometry, SymbolSet(geometry.N, x / sig),
-                      SymbolSet(geometry.kN, y))
+    (result,) = _optimize_all(geometry, [w], targets)
+    if isinstance(result, NumericalFailure):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +557,7 @@ def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry) -> 
     rho = 2. The exterior Gram of the geometry's case at psi_tilde's degree
     and rho comes from _gram_for's memo, so many symbol sets share one.
     """
-    if not np.any(psi_tilde.values):
+    if not psi_tilde.values.any():
         raise ValueError("localization ratio of an all-zero symbol set is undefined")
     psi = psi_tilde.values
     num = float(psi @ _gram_for(geometry.case, psi_tilde.n_max, rho) @ psi)

@@ -204,13 +204,13 @@ class TestExitCodes:
 
         optimized = []
 
-        def counted_optimize(*args, **kwargs):
-            optimized.append(args)
-            return real_optimize(*args, **kwargs)
+        def counted_optimize_all(geometry, weights, targets=None):
+            optimized.extend(weights)
+            return real_optimize_all(geometry, weights, targets)
 
-        real_optimize = experiments.optimize
+        real_optimize_all = experiments._optimize_all
         monkeypatch.setattr(experiments, "build_model", zero_model)
-        monkeypatch.setattr(experiments, "optimize", counted_optimize)
+        monkeypatch.setattr(experiments, "_optimize_all", counted_optimize_all)
         out = tmp_path / "t.csv"
         assert main([command, str(tiny_cfg), "--out", str(out)]) == 4
         captured = capsys.readouterr()

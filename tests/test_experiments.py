@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+import capwave.experiments as exp
 from capwave.experiments import (
     TABLE_COLUMNS,
     ConfigError,
@@ -32,6 +33,9 @@ from capwave.kernels import (
     NumericalFailure,
     PenaltyWeights,
     _gram_for,
+    _optimize_all,
+    _system_for,
+    localization_ratio,
     optimize,
 )
 from capwave.transforms import (
@@ -43,6 +47,15 @@ from capwave.transforms import (
     upward_continue,
 )
 from capwave.vector_field import VectorCoefficients
+
+from test_kernels import cho_reference
+
+
+def _flaky_optimize_all(geometry, weights, targets=None):
+    """The sweep's batch solve, with a synthetic breakdown for beta = 13."""
+    solved = _optimize_all(geometry, weights, targets)
+    return [NumericalFailure("synthetic breakdown") if w.beta == 13.0 else pair
+            for w, pair in zip(weights, solved)]
 
 
 def tiny_config(**overrides):
@@ -296,13 +309,13 @@ class TestRunTable:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_bytes_from_cold_and_warm_norm_operator(self, tmp_path):
-        # the caps' norm operators, the model's kept norms and the Gram are
-        # memoized across runs: a run that builds them and one that finds
-        # them built write the same bytes
+        # the caps' norm operators, the model's kept norms, the Gram and
+        # the optimizer's system are memoized across runs: a run that
+        # builds them and one that finds them built write the same bytes
         cfg = reduced_config(epsilon1=(0.0, 0.01), gamma=(2.0,), seeds=(3,),
                              beta=(1.0,), alpha_tilde=(100.0,), alpha_ratio=(1.0,))
         cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-        memos = (_cap_factor, _cap_norm_by_content, _gram_for)
+        memos = (_cap_factor, _cap_norm_by_content, _gram_for, _system_for)
         for memo in memos:
             memo.cache_clear()
         write_table(run_table(cfg), cold)
@@ -310,8 +323,8 @@ class TestRunTable:
         write_table(run_table(cfg), warm)
         # the data cap's for noise, and the evaluation cap's at the run's
         # degree and at the model's, which noise-free cells score at; the
-        # model's norm on each of those; one Gram
-        assert built == [3, 3, 1]
+        # model's norm on each of those; one Gram, one system
+        assert built == [3, 3, 1, 1]
         assert [memo.cache_info().misses for memo in memos] == built
         assert cold.read_bytes() == warm.read_bytes()
 
@@ -327,16 +340,7 @@ class TestRunTable:
         assert a.read_bytes() == b.read_bytes()
 
     def test_optimizer_failure_recorded_in_row(self, monkeypatch):
-        import capwave.experiments as exp
-
-        real = optimize
-
-        def flaky(geometry, w, targets=None):
-            if w.beta == 13.0:
-                raise NumericalFailure("synthetic breakdown")
-            return real(geometry, w, targets=targets)
-
-        monkeypatch.setattr(exp, "optimize", flaky)
+        monkeypatch.setattr(exp, "_optimize_all", _flaky_optimize_all)
         rows = run_table(tiny_config(beta=(1.0, 13.0)))
         bad = [r for r in rows if r.beta == 13.0]
         good = [r for r in rows if r.beta != 13.0]
@@ -361,16 +365,7 @@ class TestRunTable:
     def test_rows_run_the_library_chain(self, monkeypatch):
         # every row that has a kernel pair is == to relative_error of that
         # pair's approximate_coefficients on the cell's data
-        import capwave.experiments as exp
-
-        real_optimize = optimize
-
-        def flaky(geometry, w, targets=None):
-            if w.beta == 13.0:
-                raise NumericalFailure("synthetic breakdown")
-            return real_optimize(geometry, w, targets=targets)
-
-        monkeypatch.setattr(exp, "optimize", flaky)
+        monkeypatch.setattr(exp, "_optimize_all", _flaky_optimize_all)
         cfg = tiny_config(beta=(1.0, 13.0), epsilon1=(0.0, 0.05), seeds=(0, 1))
         rows = run_table(cfg)
         assert len(rows) == 4 * 4
@@ -435,6 +430,46 @@ class TestRunTable:
         opt = statistics.median(best(s, "optimized") for s in (0, 1, 2))
         sha = statistics.median(best(s, "shannon") for s in (0, 1, 2))
         assert opt <= sha
+
+
+class TestOptimizedGrid:
+    """A table's weight grid is solved in one batch against one kept system;
+    each pair must keep the bits of its own block-assembled Cholesky solve."""
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_grid_keeps_each_solve_s_bits(self, case):
+        # the reduced grid plus alpha_tilde = 1e-16, where the singular
+        # Gram part prevails: a shared system factored in place, or a
+        # diagonal left over from another weight, changes a solve
+        cfg = reduced_config(case=case,
+                             alpha_tilde=(1e-16,) + ExperimentConfig.alpha_tilde)
+        g = cfg.geometry
+        methods = exp._optimized_methods(cfg)
+        assert len(methods) == 6 * 9 * 2
+        failed = set()
+        for m in methods:
+            w = PenaltyWeights.uniform(g, m.alpha_tilde / m.alpha_ratio,
+                                       m.alpha_tilde, m.beta)
+            if m.status != "ok":
+                assert m.status == ("numerical-failure: kernel optimizer system is "
+                                    "numerically singular; the weight configuration "
+                                    "is pathological")
+                assert m.scaling is m.pair is m.localization is None
+                with pytest.raises(np.linalg.LinAlgError):
+                    cho_reference(g, w)
+                failed.add((m.beta, m.alpha_tilde, m.alpha_ratio))
+                continue
+            pair = m.pair
+            phi, phi_tilde = cho_reference(g, w)
+            assert np.array_equal(pair.phi.values, phi)
+            assert np.array_equal(pair.phi_tilde.values, phi_tilde)
+            assert m.scaling is pair.phi.values
+            assert m.localization == localization_ratio(pair.psi_tilde, g.rho, g)
+            for symbols in (pair.phi, pair.phi_tilde, pair.psi_tilde):
+                assert not symbols.values.flags.writeable
+        # only the tiny ground weight breaks a solve, and it breaks most
+        assert {at for _, at, _ in failed} == {1e-16}
+        assert len(failed) >= 6 * 2 - 1
 
 
 class TestScoringMatchesLibrary:

@@ -760,6 +760,26 @@ class TestCapNorms:
                         expected.append(float(np.sum(cos * cos) + np.sum(sin * sin)))
                     assert _cap_norms(data, center, rho, exactness) == expected
 
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_one_reduction_has_each_column_s_sum(self, k):
+        # the squares of all 2 k product columns are summed in one call;
+        # each norm must keep the bits of numpy's sum over its cos- and
+        # sin-type columns taken one at a time
+        rng = np.random.default_rng(12)
+        degree = 24
+        for center, rho in (([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5)):
+            for case, shape in (("scalar", (k, (degree + 1) ** 2)),
+                                ("vector", (k, 2, (degree + 1) ** 2))):
+                data = rng.normal(size=shape)
+                exactness = 2 * degree + (2 if case == "vector" else 0)
+                op, gather = _cap_factor(case, degree, rho, exactness)
+                frame = _cap_frame(data, _rotation_from_north(center)).reshape(k, -1)
+                columns = np.vstack([frame.T, np.zeros((1, k))])
+                products = op @ columns[gather.T].reshape(-1, 2 * k)
+                sums = [np.sum(x * x) for x in products.T]
+                expected = [float(sums[i] + sums[k + i]) for i in range(k)]
+                assert _cap_norms(data, center, rho, exactness) == expected
+
     @pytest.mark.parametrize("center, rho", [([0.0, 0.0, 1.0], 0.6), ([0.3, 0.4, 0.8], 0.5),
                                              ([0.0, 0.0, -1.0], 1.3), ([-0.5, 0.2, -0.6], 2.0)])
     def test_degree_110_matches_node_wise(self, center, rho):

@@ -13,6 +13,7 @@ from capwave.kernels import (
     PenaltyWeights,
     SymbolSet,
     _gram_for,
+    _system_for,
     full_interval_energy,
     functional_value,
     gram_scalar,
@@ -187,13 +188,18 @@ class TestGramMemo:
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_optimize_same_bits_from_cold_and_warm_memo(self, case):
+        # the system memo builds from the Gram memo once; a warm solve
+        # copies the kept system and never asks for the Gram again
         g = reduced_geometry(case)
         w = PenaltyWeights.uniform(g, 10.0, 10.0, 0.1)
         _gram_for.cache_clear()
+        _system_for.cache_clear()
         cold = optimize(g, w)
         warm = optimize(g, w)
         assert _gram_for.cache_info().misses == 1
-        assert _gram_for.cache_info().hits == 1
+        assert _gram_for.cache_info().hits == 0
+        assert _system_for.cache_info().misses == 1
+        assert _system_for.cache_info().hits == 1
         for a, b in ((cold.phi, warm.phi), (cold.phi_tilde, warm.phi_tilde)):
             assert np.array_equal(a.values, b.values)
 
