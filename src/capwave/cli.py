@@ -13,6 +13,7 @@ region).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -242,7 +243,10 @@ _HELP = {
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, so each call sees only its own arguments."""
     parser = argparse.ArgumentParser(
         prog="capwave",
         description="two-step reconstruction of a harmonic field from "
@@ -256,7 +260,11 @@ def main(argv=None) -> int:
                        help="replace the configured seeds list with one seed")
         p.add_argument("--out", default=None,
                        help="override the configured output path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.config)

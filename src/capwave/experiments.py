@@ -24,20 +24,21 @@ truncation) are formed in runs of at most _RUN_WIDTH methods by the
 helper of approximate_coefficients (transforms._formed) and normed by
 that of relative_errors (transforms._run_errors), so at most one run is
 alive and every error is == to relative_error of the method's
-approximate_coefficients, or of _tsvd_apply. The optimized pairs of the
-weight grid come from one batch solve (kernels._optimize_all), each with
-optimize's bits. Process memos keep what the chain rebuilds from
+approximate_coefficients, or of _tsvd_apply. The weight grid goes to
+one stacked solve (kernels._optimize_all) as arrays with one weight triple
+per row, and each pair comes back with optimize's bits and its
+localization ratio. Process memos keep what the chain rebuilds from
 unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
 full-sphere kernel cap), the optimizer's system of Gram blocks
-(kernels._system_for), the localization ratio's degree weights
-(kernels._energy_scale), the cap multipliers' Gauss rule and Legendre
-rows (transforms._cap_rule), each method's read-only table of cap
-multipliers, kept by its pair's content in one lru_cache
-(transforms._multipliers_by_content), each cap's norm operator
-(harmonics._cap_factor) and the model's norm on each cap, kept by the
-model's content (harmonics._kept_cap_norm). A run's first cell builds them
-and a repeated run in one process finds them built. None of this reuse
-changes a bit of any error.
+(kernels._system_for) and its sigma_n table (kernels._continuation), the
+localization ratio's degree weights (kernels._energy_scale), the cap
+multipliers' Gauss rule and Legendre rows (transforms._cap_rule), each
+method's read-only table of cap multipliers, kept by its pair's content
+in one lru_cache (transforms._multipliers_by_content), each cap's norm
+operator (harmonics._cap_factor) and the model's norm on each cap, kept
+by the model's content (harmonics._kept_cap_norm). A run's first cell
+builds them and a repeated run in one process finds them built. None of
+this reuse changes a bit of any error.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .kernels import (
     Geometry,
     KernelPair,
     NumericalFailure,
-    PenaltyWeights,
     _optimize_all,
     localization_ratio,
     shannon_reference_pair,
@@ -329,26 +329,31 @@ class _Method:
     alpha_ratio: float | None = None
 
 
-def _pair_method(tag: str, pair: KernelPair, **weights) -> _Method:
+def _pair_method(tag: str, pair: KernelPair) -> _Method:
     g = pair.geometry
-    return _Method(tag, pair.phi.values, pair,
-                   localization_ratio(pair.psi_tilde, g.rho, g), **weights)
+    return _Method(tag, pair.phi.values, pair, localization_ratio(pair.psi_tilde, g.rho, g))
 
 
 def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
+    """One method per weight triple (beta, alpha_tilde, alpha_ratio), in
+    itertools.product order, all solved by one stacked _optimize_all call."""
     geometry = config.geometry
     grid = list(itertools.product(config.beta, config.alpha_tilde, config.alpha_ratio))
-    solved = _optimize_all(geometry, [
-        PenaltyWeights.uniform(geometry, alpha_tilde / ratio, alpha_tilde, beta)
-        for beta, alpha_tilde, ratio in grid])
+    beta, alpha_tilde, ratio = np.array(grid, dtype=float).T
+    solved = _optimize_all(
+        geometry,
+        np.broadcast_to((alpha_tilde / ratio)[:, None], (len(grid), geometry.N + 1)),
+        np.broadcast_to(alpha_tilde[:, None], (len(grid), geometry.kN + 1)),
+        beta)
     out = []
-    for (beta, alpha_tilde, ratio), pair in zip(grid, solved):
-        weights = dict(beta=beta, alpha_tilde=alpha_tilde, alpha_ratio=ratio)
-        if isinstance(pair, NumericalFailure):
-            out.append(_Method("optimized", None, status=f"numerical-failure: {pair}",
+    for (b, at, r), result in zip(grid, solved):
+        weights = dict(beta=b, alpha_tilde=at, alpha_ratio=r)
+        if isinstance(result, NumericalFailure):
+            out.append(_Method("optimized", None, status=f"numerical-failure: {result}",
                                **weights))
         else:
-            out.append(_pair_method("optimized", pair, **weights))
+            pair, localization = result
+            out.append(_Method("optimized", pair.phi.values, pair, localization, **weights))
     return out
 
 

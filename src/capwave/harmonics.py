@@ -621,16 +621,14 @@ def _legendre_blocks(n_max: int, ct: np.ndarray, st: np.ndarray, cut: int | None
             yield lo, n0, rows.transpose(1, 0, 2)
 
 
-def _direction_angles(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _direction_angles(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ct, st, cos phi, sin phi) of directions, one axis over them, safe at
     the poles.
 
-    points is an array of 3-vectors, each of which must be finite and
-    nonzero. The directions are normalized first (_unit_directions): nodes
-    of a rotated grid miss unit length by a few ulps, and ct = z, st =
+    pts is an (n, 3) array of unit vectors from _unit_directions: nodes of
+    a rotated grid miss unit length by a few ulps, and ct = z, st =
     hypot(x, y) taken from them directly cost degree-110 values a digit.
     """
-    pts = _unit_directions(points)
     ct = np.clip(pts[:, 2], -1.0, 1.0)
     st = np.hypot(pts[:, 0], pts[:, 1])
     safe = np.where(st > 0, st, 1.0)
@@ -788,7 +786,7 @@ def _product_axes(points):
     return None
 
 
-def _synthesis(blocks, n_max: int, points):
+def _synthesis(blocks, n_max: int, points, units=None):
     """Sum amplitudes over azimuth, on a product grid or at points.
 
     blocks(ct, st, tiles, size=None) yields (lo, a, b) for consecutive
@@ -808,11 +806,14 @@ def _synthesis(blocks, n_max: int, points):
     orders, so no more than one block of orders is held. Returns the
     values (last axes over the grid's colatitudes and azimuths, or over the
     points) and (ct, st, cos phi, sin phi) broadcastable against them, in
-    the frame the values were summed in.
+    the frame the values were summed in. Loose points are normalized by
+    _unit_directions, unless units holds that result already.
     """
     axes = _product_axes(points)
     if axes is None:
-        ct, st, cp, sp = _direction_angles(_as_directions(points))
+        if units is None:
+            units = _unit_directions(_as_directions(points))
+        ct, st, cp, sp = _direction_angles(units)
         phi = np.arctan2(sp, cp)
         vals = 0.0
         for lo, a, b in blocks(ct, st, _legendre_blocks(n_max, ct, st)):
@@ -1024,14 +1025,22 @@ def synthesize(coeffs, points) -> np.ndarray:
     in; large point sets take one order per range. Points must be finite
     nonzero 3-vectors (ValueError otherwise).
     """
+    return _synthesize(coeffs, points)
+
+
+def _synthesize(coeffs, points, units=None):
+    """synthesize, given for loose points their unit directions
+    _unit_directions(points) (units), which it then does not compute
+    again; a grid ignores units."""
     rotation = points.rotation if isinstance(points, CapGrid) else None
     data = coeffs.data if rotation is None else _cap_frame(coeffs.data, rotation)
     if coeffs.case == "scalar":
-        vals, _ = _synthesis(functools.partial(_scalar_blocks, data), coeffs.n_max, points)
+        vals, _ = _synthesis(functools.partial(_scalar_blocks, data), coeffs.n_max,
+                             points, units)
         out = np.reshape(vals / coeffs.radius, _leading_shape(points))
         return float(out) if out.ndim == 0 else out
     (f_r, f_t, f_p), (ct, st, cp, sp) = _synthesis(
-        functools.partial(_vector_blocks, data), coeffs.n_max, points)
+        functools.partial(_vector_blocks, data), coeffs.n_max, points, units)
     horiz = f_r * st + f_t * ct
     out = np.stack([horiz * cp - f_p * sp, horiz * sp + f_p * cp,
                     f_r * ct - f_t * st], axis=-1)

@@ -11,7 +11,8 @@ positive-definite linear system.
 
 Systems of one geometry differ only in their diagonal weights: the Gram
 blocks are assembled once per geometry and kept read-only, and optimize is
-the one-weight case of the batch solve a table's weight grid makes.
+the one-row case of the stacked solve a table's weight grid makes, whose
+weights are arrays with one weight triple per row.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Geometry:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)  # cheaper than setting a.flags.writeable
     return a
 
 
@@ -320,10 +321,13 @@ def full_interval_energy(symbols: SymbolSet, case: str = "scalar") -> float:
     return float(np.sum(_energy_scale(case, symbols.n_max) * symbols.values**2))
 
 
-def _check_dimensions(g: Geometry, w: PenaltyWeights) -> None:
-    if w.alpha.shape != (g.N + 1,):
+def _check_dimensions(g: Geometry, alpha: np.ndarray, alpha_tilde: np.ndarray,
+                      rows: tuple[int, ...] = ()) -> None:
+    """Weights of one triple, or rows = (k,) stacked triples, must have
+    N+1 and kN+1 entries each."""
+    if alpha.shape != rows + (g.N + 1,):
         raise ValueError(f"alpha must have length N+1 = {g.N + 1}")
-    if w.alpha_tilde.shape != (g.kN + 1,):
+    if alpha_tilde.shape != rows + (g.kN + 1,):
         raise ValueError(f"alpha_tilde must have length kN+1 = {g.kN + 1}")
 
 
@@ -346,7 +350,7 @@ def functional_value(pair: KernelPair, w: PenaltyWeights,
     wavelet energy outside the cap, in the geometry's Gram.
     """
     g = pair.geometry
-    _check_dimensions(g, w)
+    _check_dimensions(g, w.alpha, w.alpha_tilde)
     tgt = _resolve_targets(g, targets)
     x = pair.phi.values * g.sigmas(g.N)
     y = pair.phi_tilde.values
@@ -368,7 +372,7 @@ def stationarity_residual(pair: KernelPair, w: PenaltyWeights,
     x_n = phi(n) sigma(n) and y_n = phi_tilde(n).
     """
     g = pair.geometry
-    _check_dimensions(g, w)
+    _check_dimensions(g, w.alpha, w.alpha_tilde)
     tgt = _resolve_targets(g, targets)
     sig = g.sigmas(g.N)
     x = pair.phi.values * sig
@@ -397,6 +401,14 @@ def _system_for(case: str, N: int, kN: int, rho: float) -> np.ndarray:
     return _read_only(M)
 
 
+@functools.lru_cache(maxsize=4)
+def _continuation(geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_n and sigma_n^2 for n = 0..N, read-only and memoized for the
+    last 4 geometries, so repeated solves of one geometry share them."""
+    sig = _read_only(geometry.sigmas(geometry.N))
+    return sig, _read_only(sig**2)
+
+
 def _frozen(cls, **attrs):
     """An instance of a frozen dataclass holding already-checked attributes,
     built without running __post_init__ again."""
@@ -405,50 +417,100 @@ def _frozen(cls, **attrs):
     return obj
 
 
-def _optimize_all(geometry: Geometry, weights: list[PenaltyWeights],
-                  targets: SymbolSet | None = None) -> list[KernelPair | NumericalFailure]:
-    """optimize for each of the weights, in order: its pair, or the
-    NumericalFailure its solve raised.
+def _weight_rows(geometry: Geometry, alpha, alpha_tilde, beta):
+    """Stacked weight triples as float arrays of shapes (k, N+1), (k, kN+1)
+    and (k,), checked with optimize's and PenaltyWeights' messages."""
+    alpha, alpha_tilde, beta = (np.asarray(a, dtype=float) for a in (alpha, alpha_tilde, beta))
+    if beta.ndim != 1:
+        raise ValueError("beta must hold one weight per row")
+    _check_dimensions(geometry, alpha, alpha_tilde, beta.shape)
+    if (alpha <= 0).any() or (alpha_tilde <= 0).any() or (beta <= 0).any():
+        raise ValueError("all weights must be strictly positive")
+    return alpha, alpha_tilde, beta
 
-    Each weight copies the memoized system (_system_for), adds its diagonal
-    and is solved by potrf and potrs. The pair is built from the solver's
-    arrays, made read-only, with psi_tilde formed as KernelPair forms it,
-    so every symbol has optimize's bits. A finiteness check of phi and
-    psi_tilde (which covers phi_tilde) stands in for SymbolSet's, and a
-    non-finite symbol raises its ValueError for the whole call.
+
+def _solved_rows(geometry: Geometry, alpha: np.ndarray, alpha_tilde: np.ndarray,
+                 beta: np.ndarray, targets: SymbolSet | None):
+    """(solved, phi, phi_tilde, psi_tilde) of optimize's system for each
+    row of checked stacked weights (_weight_rows): a bool per row, false
+    where the solve failed, and read-only (k, N+1), (k, kN+1) and (k, kN+1)
+    symbol stacks, zero on the failed rows.
+
+    Row i holds the weights alpha[i], alpha_tilde[i] and beta[i]. Each
+    step that is one elementwise operation per row runs once on the stack:
+    the diagonals alpha + beta / sigma^2, the right-hand sides, phi = x /
+    sigma, phi_tilde, psi_tilde and the finiteness check (of psi_tilde,
+    which covers phi and phi_tilde). Per row remain the copy of the
+    memoized system (_system_for) with its diagonal, potrf and potrs, so
+    every row has optimize's bits. A non-finite symbol raises SymbolSet's
+    ValueError for the whole call.
     """
     n_x = geometry.N + 1
-    tgt = _resolve_targets(geometry, targets)
-    sig = geometry.sigmas(geometry.N)
-    sig2 = sig**2
+    sig, sig2 = _continuation(geometry)
     system = _system_for(geometry.case, geometry.N, geometry.kN, geometry.rho)
-    out = []
-    for w in weights:
-        _check_dimensions(geometry, w)
+    diagonals = np.concatenate([alpha, alpha_tilde], axis=1)  # the weights, so far
+    if targets is None:  # right-hand sides: the weights times all-ones targets
+        sol = diagonals.copy()
+    else:
+        tgt = _resolve_targets(geometry, targets)
+        sol = diagonals * np.concatenate([tgt[:n_x], tgt])
+    diagonals[:, :n_x] += beta[:, None] / sig2
+    diagonals += system.diagonal()
+    solved = []
+    for row, row_diagonal in zip(sol, diagonals):  # each row is solved in place
         M = system.copy(order="F")
-        diagonal = M.reshape(-1, order="F")[:: M.shape[0] + 1]  # a view
-        diagonal[:n_x] += w.alpha + w.beta / sig2
-        diagonal[n_x:] += w.alpha_tilde
-        rhs = np.concatenate([w.alpha * tgt[:n_x], w.alpha_tilde * tgt])
+        M.reshape(-1, order="F")[:: M.shape[0] + 1] = row_diagonal  # through a view
         factor, info = _potrf(M, lower=True, clean=False, overwrite_a=True)
         if info == 0:
-            sol, info = _potrs(factor, rhs, lower=True, overwrite_b=True)
+            row[:], info = _potrs(factor, row, lower=True, overwrite_b=True)
         if info != 0:
-            out.append(NumericalFailure(
-                "kernel optimizer system is numerically singular; "
-                "the weight configuration is pathological"))
+            row[:] = 0.0
+        solved.append(info == 0)
+    phi = sol[:, :n_x] / sig
+    phi_tilde = sol[:, n_x:]
+    psi = phi_tilde.copy()
+    psi[:, :n_x] -= phi * sig
+    if not np.isfinite(psi).all():
+        raise ValueError("symbols must be finite")
+    return solved, _read_only(phi), _read_only(phi_tilde), _read_only(psi)
+
+
+def _frozen_pair(geometry: Geometry, phi, phi_tilde, psi) -> KernelPair:
+    return _frozen(KernelPair, geometry=geometry,
+                   phi=_frozen(SymbolSet, n_max=geometry.N, values=phi),
+                   phi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=phi_tilde),
+                   psi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=psi))
+
+
+_SINGULAR = ("kernel optimizer system is numerically singular; "
+             "the weight configuration is pathological")
+
+
+def _optimize_all(geometry: Geometry, alpha, alpha_tilde, beta,
+                  targets: SymbolSet | None = None
+                  ) -> list[tuple[KernelPair, float | None] | NumericalFailure]:
+    """optimize for each row of stacked weights (see _solved_rows), in
+    order: the pair and its localization ratio, or the NumericalFailure
+    its solve raised.
+
+    The localization denominators are summed for all rows at once and the
+    numerator psi @ G @ psi is taken per row, so every ratio is == to
+    localization_ratio(pair.psi_tilde, geometry.rho, geometry); it is None
+    for a psi_tilde of zero energy, where that raises. Each pair holds
+    read-only rows of the solved stacks.
+    """
+    g = geometry
+    solved, phi, phi_tilde, psi = _solved_rows(
+        g, *_weight_rows(g, alpha, alpha_tilde, beta), targets)
+    G = _gram_for(g.case, g.kN, g.rho)
+    energy = np.sum(_energy_scale(g.case, g.kN) * psi**2, axis=1).tolist()
+    out = []
+    for i, den in enumerate(energy):
+        if not solved[i]:
+            out.append(NumericalFailure(_SINGULAR))
             continue
-        phi = _read_only(sol[:n_x] / sig)
-        phi_tilde = _read_only(sol)[n_x:]
-        psi = phi_tilde.copy()
-        psi[:n_x] -= phi * sig
-        if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
-            raise ValueError("symbols must be finite")
-        out.append(_frozen(
-            KernelPair, geometry=geometry,
-            phi=_frozen(SymbolSet, n_max=geometry.N, values=phi),
-            phi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=phi_tilde),
-            psi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=_read_only(psi))))
+        ratio = min(max(float(psi[i] @ G @ psi[i]) / den, 0.0), 1.0) if den else None
+        out.append((_frozen_pair(g, phi[i], phi_tilde[i], psi[i]), ratio))
     return out
 
 
@@ -471,16 +533,29 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     NumericalFailure, never silently regularized; at uniform weights of
     1e-16 the singular Gram part prevails and it is raised.
 
-    This is the one-weight case of the private batch solve _optimize_all,
-    which a table's weight grid calls once. The Gram blocks of the system
-    are assembled once per geometry and memoized read-only (_system_for,
-    from _gram_for's cap-exterior Gram), so a solve copies them and adds
-    only its weights' diagonal.
+    A solve that passes potrf can still be near-singular, and nothing here
+    measures its conditioning. On the reduced gradient-field geometry (case
+    = vector, N = 30, kN = 40) at alpha_tilde = 1e-16, beta = 1e-3 and
+    alpha = alpha_tilde / 5 factor, while the other 11 triples of the
+    reduced grid at that alpha_tilde fail. The pair's localization ratio
+    reads 3.4e-17, and its one-cell table row (epsilon1 = 0.01, gamma = 2,
+    seed 0) reads relative error 0.984 with status ok, against 0.113 at
+    alpha_tilde = 1e3 with the same beta and ratio. The per-solve pivot
+    report of ROADMAP item 5 is what will flag such a solve.
+
+    This is the one-row case of the private stacked solve (_solved_rows)
+    that a table's weight grid makes once, through _optimize_all. The Gram
+    blocks of the system are assembled once per geometry and memoized
+    read-only (_system_for, from _gram_for's cap-exterior Gram), so a solve
+    copies them and sets only its weights' diagonal.
     """
-    (result,) = _optimize_all(geometry, [w], targets)
-    if isinstance(result, NumericalFailure):
-        raise result
-    return result
+    _check_dimensions(geometry, w.alpha, w.alpha_tilde)
+    solved, phi, phi_tilde, psi = _solved_rows(
+        geometry, w.alpha[None], w.alpha_tilde[None], np.array([w.beta], dtype=float),
+        targets)
+    if not solved[0]:
+        raise NumericalFailure(_SINGULAR)
+    return _frozen_pair(geometry, phi[0], phi_tilde[0], psi[0])
 
 
 # ---------------------------------------------------------------------------

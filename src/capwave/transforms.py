@@ -34,6 +34,7 @@ from .harmonics import (
     _kept_cap_norm,
     _padded,
     _per_coefficient,
+    _synthesize,
     _unit_directions,
     cap_grid,
     sphere_grid,
@@ -109,14 +110,8 @@ class RegionSpec:
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Whether the direction of x, a finite nonzero 3-vector of any
         length, lies in the evaluation region (within tol in t units)."""
-        (d,) = self._distances(x)
+        (d,) = 1.0 - _unit_directions(x) @ self.center_direction
         return self.eval_rho >= 2.0 or bool(d <= self.eval_rho + tol)
-
-    def _distances(self, points) -> np.ndarray:
-        """1 - x.center / |x| of each 3-vector x in points, its direction's
-        distance from the centre in t units; ValueError unless every point
-        is a finite nonzero 3-vector."""
-        return 1.0 - _unit_directions(points) @ self.center_direction
 
     def eval_grid(self, radius: float, exact_degree: int) -> CapGrid:
         """Quadrature rule on the evaluation region."""
@@ -411,20 +406,23 @@ def wavelet_transform_local(pair: KernelPair, f2, x, region: RegionSpec):
     field a 3-vector. Points outside the evaluation region are rejected:
     their caps would leave the data region.
     """
-    _check_evaluation(pair, region, x)
-    out = synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x)
+    units = _check_evaluation(pair, region, x)
+    out = _synthesize(_cap_wavelet_coefficients(pair, f2, region.kernel_rho), x, units)
     return out if f2.case == "vector" else float(out)
 
 
-def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> None:
+def _check_evaluation(pair: KernelPair, region: RegionSpec, points) -> np.ndarray:
     """Reject integration caps wider than the kernel's cap, points that are
     not finite nonzero 3-vectors, and points outside the evaluation region
-    (within 1e-9 in t units)."""
+    (within 1e-9 in t units). Returns the points' unit directions, for
+    _synthesize to use instead of normalizing them again."""
     if region.kernel_rho > pair.geometry.rho + 1e-12:
         raise ValueError("region.kernel_rho exceeds the geometry's cap radius")
-    dist = region._distances(_as_directions(points))
+    units = _unit_directions(_as_directions(points))
+    dist = 1.0 - units @ region.center_direction  # t units from the centre
     if region.eval_rho < 2.0 and np.any(dist > region.eval_rho + 1e-9):
         raise ValueError("an evaluation point lies outside the evaluation region")
+    return units
 
 
 def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
@@ -477,8 +475,8 @@ def approximate(pair: KernelPair, f1, f2, region: RegionSpec, points) -> np.ndar
     approximate_coefficients, synthesized at the points. Exact for
     bandlimited data.
     """
-    _check_evaluation(pair, region, points)
-    return synthesize(approximate_coefficients(pair, f1, f2, region), points)
+    units = _check_evaluation(pair, region, points)
+    return _synthesize(approximate_coefficients(pair, f1, f2, region), points, units)
 
 
 # ---------------------------------------------------------------------------

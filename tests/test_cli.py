@@ -204,9 +204,9 @@ class TestExitCodes:
 
         optimized = []
 
-        def counted_optimize_all(geometry, weights, targets=None):
-            optimized.extend(weights)
-            return real_optimize_all(geometry, weights, targets)
+        def counted_optimize_all(geometry, alpha, alpha_tilde, beta, targets=None):
+            optimized.extend(beta)
+            return real_optimize_all(geometry, alpha, alpha_tilde, beta, targets)
 
         real_optimize_all = experiments._optimize_all
         monkeypatch.setattr(experiments, "build_model", zero_model)
@@ -417,6 +417,29 @@ class TestCommands:
             records = list(csv.reader(fh))
         method_col = records[0].index("method")
         assert records[1][method_col] == "tsvd-6"
+
+    def test_one_parser_and_each_call_sees_its_own_arguments(self, tiny_cfg, tmp_path,
+                                                              monkeypatch):
+        # main builds its parser once per process; back-to-back calls with
+        # other subcommands, --seed and --out keep none of another call's
+        import capwave.cli as cli
+
+        seen = []
+        for name in ("table", "tsvd-table", "gram"):
+            monkeypatch.setitem(cli._COMMANDS, name, lambda config, name=name: seen.append(
+                (name, config.seeds, config.out)) or 0)
+        monkeypatch.chdir(tmp_path)
+        cli._parser.cache_clear()
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["table", str(tiny_cfg), "--seed", "5", "--out", a]) == 0
+        assert main(["tsvd-table", str(tiny_cfg)]) == 0
+        assert main(["gram", str(tiny_cfg), "--out", b]) == 0
+        assert main(["table", str(tiny_cfg), "--seed", "7"]) == 0
+        assert seen == [("table", (5,), a), ("tsvd-table", (0,), "out.csv"),
+                        ("gram", (0,), b), ("table", (7,), "out.csv")]
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command, name", [("table", "run_table"),
                                                ("tsvd-table", "run_tsvd_table")])

@@ -51,11 +51,11 @@ from capwave.vector_field import VectorCoefficients
 from test_kernels import cho_reference
 
 
-def _flaky_optimize_all(geometry, weights, targets=None):
-    """The sweep's batch solve, with a synthetic breakdown for beta = 13."""
-    solved = _optimize_all(geometry, weights, targets)
-    return [NumericalFailure("synthetic breakdown") if w.beta == 13.0 else pair
-            for w, pair in zip(weights, solved)]
+def _flaky_optimize_all(geometry, alpha, alpha_tilde, beta, targets=None):
+    """The sweep's stacked solve, with a synthetic breakdown for beta = 13."""
+    solved = _optimize_all(geometry, alpha, alpha_tilde, beta, targets)
+    return [NumericalFailure("synthetic breakdown") if b == 13.0 else result
+            for b, result in zip(beta, solved)]
 
 
 def tiny_config(**overrides):
@@ -433,8 +433,9 @@ class TestRunTable:
 
 
 class TestOptimizedGrid:
-    """A table's weight grid is solved in one batch against one kept system;
-    each pair must keep the bits of its own block-assembled Cholesky solve."""
+    """A table's weight grid is solved in one stacked call against one kept
+    system; each pair must keep the bits of its own block-assembled Cholesky
+    solve."""
 
     @pytest.mark.parametrize("case", ["scalar", "vector"])
     def test_grid_keeps_each_solve_s_bits(self, case):

@@ -7,6 +7,7 @@ degree, radius, coefficients (through an RNG seed) and geometry.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,17 @@ from capwave.harmonics import (
     synthesize,
     ynk,
 )
-from capwave.kernels import Geometry, KernelPair, PenaltyWeights, SymbolSet, optimize
+from capwave.kernels import (
+    Geometry,
+    KernelPair,
+    NumericalFailure,
+    PenaltyWeights,
+    SymbolSet,
+    _optimize_all,
+    localization_ratio,
+    optimize,
+    raised_cosine_targets,
+)
 from capwave.legendre import gauss_rule, legendre_all
 from capwave.transforms import (
     FieldSamples,
@@ -42,6 +53,8 @@ from capwave.vector_field import (
     vector_relative_error,
     vector_synthesize,
 )
+
+from test_kernels import cho_reference, reduced_geometry
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -391,6 +404,81 @@ class TestCouplingIdentity:
         np.testing.assert_allclose(
             pair.psi_tilde.values, expected, rtol=0.0,
             atol=1e-12 * max(1.0, float(np.max(np.abs(pair.phi_tilde.values)))))
+
+
+# one weight row each: a seed for log-uniform non-uniform weights, and None
+# or the alpha_ratio of a row at alpha_tilde = 1e-16, where the singular
+# Gram part prevails and most solves fail
+weight_rows = st.lists(st.tuples(seeds, st.sampled_from([None, 1.0, 5.0])),
+                       min_size=1, max_size=6)
+
+
+def stacked_weights(geometry, rows):
+    weights = []
+    for seed, tiny_ratio in rows:
+        w = random_weights(geometry, seed)
+        if tiny_ratio is not None:
+            w = PenaltyWeights(np.full(geometry.N + 1, 1e-16 / tiny_ratio),
+                               np.full(geometry.kN + 1, 1e-16), w.beta)
+        weights.append(w)
+    stacks = [np.stack([w.alpha for w in weights]),
+              np.stack([w.alpha_tilde for w in weights]),
+              np.array([w.beta for w in weights])]
+    return weights, stacks
+
+
+class TestStackedSolve:
+    """Each row of _optimize_all's stacked solve is its own Cholesky solve."""
+
+    @PROPERTY
+    @given(case=st.sampled_from(["scalar", "vector"]), filtered=st.booleans(),
+           rows=weight_rows)
+    def test_each_row_is_its_own_solve(self, case, filtered, rows):
+        g = reduced_geometry(case)
+        targets = raised_cosine_targets(g) if filtered else None
+        weights, stacks = stacked_weights(g, rows)
+        solved = _optimize_all(g, *stacks, targets)
+        assert len(solved) == len(weights)
+        for w, result in zip(weights, solved):
+            try:
+                phi, phi_tilde = cho_reference(g, w, targets)
+            except np.linalg.LinAlgError:
+                assert isinstance(result, NumericalFailure)
+                assert str(result) == ("kernel optimizer system is numerically "
+                                       "singular; the weight configuration is "
+                                       "pathological")
+                continue
+            pair, localization = result
+            assert np.array_equal(pair.phi.values, phi)
+            assert np.array_equal(pair.phi_tilde.values, phi_tilde)
+            assert localization == localization_ratio(pair.psi_tilde, g.rho, g)
+            for symbols in (pair.phi, pair.phi_tilde, pair.psi_tilde):
+                assert not symbols.values.flags.writeable
+
+    @PROPERTY
+    @given(case=st.sampled_from(["scalar", "vector"]), rows=weight_rows,
+           flaw=st.sampled_from(["alpha short", "alpha_tilde long", "alpha",
+                                 "alpha_tilde", "beta"]),
+           where=st.integers(0, 10**6), bad=st.sampled_from([0.0, -1.0, -1e-300]))
+    def test_bad_row_raises_the_one_weight_message(self, case, rows, flaw, where, bad):
+        g = reduced_geometry(case)
+        _, stacks = stacked_weights(g, rows)
+        i = where % len(rows)
+        if flaw == "alpha short":
+            stacks[0] = stacks[0][:, 1:]
+            message = f"alpha must have length N\\+1 = {g.N + 1}$"
+        elif flaw == "alpha_tilde long":
+            stacks[1] = np.concatenate([stacks[1], stacks[1][:, :1]], axis=1)
+            message = f"alpha_tilde must have length kN\\+1 = {g.kN + 1}$"
+        else:
+            k = ["alpha", "alpha_tilde", "beta"].index(flaw)
+            if k == 2:
+                stacks[2][i] = bad
+            else:
+                stacks[k][i, where % stacks[k].shape[1]] = bad
+            message = "^all weights must be strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            _optimize_all(g, *stacks)
 
 
 class TestZonalCapIntegral:

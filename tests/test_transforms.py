@@ -376,6 +376,40 @@ class TestApproximate:
         spec = approximate(pair, f1, u_plus, region, pts)
         assert np.max(np.abs(quad - spec)) < 1e-9 * max(np.max(np.abs(quad)), 1.0)
 
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    def test_points_normalized_once_per_evaluation(self, monkeypatch, case):
+        # the region check's unit directions are the ones synthesis uses:
+        # one _unit_directions call per evaluation, with synthesize's bits
+        # at points that are not unit vectors
+        g = Geometry(R_INNER, R_OUTER, 12, kappa=1.5, rho=0.5, case=case)
+        pair = random_pair(g, 40)
+        region = RegionSpec(NORTH, 0.6, 0.5)
+        rng = np.random.default_rng(41)
+        f1 = field_of_kind(case, R_OUTER, 10, rng)
+        f2 = field_of_kind(case, R_INNER, 10, rng)
+        pts = points_in_region(region, 5, 42) * rng.uniform(0.5, 3.0, (5, 1))
+        calls = []
+        real = harmonics._unit_directions
+
+        def counted(points):
+            calls.append(np.shape(points))
+            return real(points)
+
+        monkeypatch.setattr(harmonics, "_unit_directions", counted)
+        monkeypatch.setattr(transforms, "_unit_directions", counted)
+        for x in (pts, pts[0], pts[1:2]):
+            calls.clear()
+            out = approximate(pair, f1, f2, region, x)
+            assert len(calls) == 1
+            assert np.array_equal(
+                out, synthesize(approximate_coefficients(pair, f1, f2, region), x))
+        calls.clear()
+        out = wavelet_transform_local(pair, f2, pts[2], region)
+        assert len(calls) == 1
+        expected = synthesize(
+            transforms._cap_wavelet_coefficients(pair, f2, region.kernel_rho), pts[2])
+        assert np.array_equal(out, expected)
+
     def test_point_outside_region_rejected(self):
         g = reduced_geometry()
         pair = shannon_reference_pair(g, g.N)
