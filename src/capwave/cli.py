@@ -220,26 +220,24 @@ def _cmd_spectra(config: ExperimentConfig) -> int:
     return 0
 
 
+# Each subcommand's function and help text, in --help order.
 _COMMANDS = {
-    "gram": _cmd_gram,
-    "optimize": _cmd_optimize,
-    "shannon": _cmd_shannon,
-    "tsvd": _cmd_tsvd,
-    "approximate": _cmd_approximate,
-    "table": _cmd_table,
-    "tsvd-table": _cmd_tsvd_table,
-    "spectra": _cmd_spectra,
-}
-
-_HELP = {
-    "gram": "write the cap-exterior Gram matrix of the configured geometry",
-    "optimize": "solve for one optimized kernel pair and write its symbols",
-    "shannon": "write the Shannon reference pair for the configured geometry",
-    "tsvd": "write hard-truncation inversion symbols for one cut-off degree",
-    "approximate": "run one noisy reconstruction and write its coefficients",
-    "table": "sweep noise cells and methods, write the comparison table",
-    "tsvd-table": "sweep satellite-only truncation errors, write the table",
-    "spectra": "optimize one pair and write its degree-wise spectra",
+    "gram": (_cmd_gram,
+             "write the cap-exterior Gram matrix of the configured geometry"),
+    "optimize": (_cmd_optimize,
+                 "solve for one optimized kernel pair and write its symbols"),
+    "shannon": (_cmd_shannon,
+                "write the Shannon reference pair for the configured geometry"),
+    "tsvd": (_cmd_tsvd,
+             "write hard-truncation inversion symbols for one cut-off degree"),
+    "approximate": (_cmd_approximate,
+                    "run one noisy reconstruction and write its coefficients"),
+    "table": (_cmd_table,
+              "sweep noise cells and methods, write the comparison table"),
+    "tsvd-table": (_cmd_tsvd_table,
+                   "sweep satellite-only truncation errors, write the table"),
+    "spectra": (_cmd_spectra,
+                "optimize one pair and write its degree-wise spectra"),
 }
 
 
@@ -253,7 +251,7 @@ def _parser() -> argparse.ArgumentParser:
                     "outer-sphere and cap-local data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _HELP.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a `key = value` config file")
         p.add_argument("--seed", type=int, default=None,
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _check_writable(config.out)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,28 +17,30 @@ carries a wall-clock time, in memory or in the file.
 
 Both tables run one sweep (_sweep): it builds once the model, its
 upward-continued outer data and each method's row columns and per-degree
-factors (phi and the kernel pair, or the truncation symbols), then loops
-over the cells, for scalar and gradient fields alike (config.case). A
-cell's candidates a * f1 + b * f2 (b the pair's cap multipliers, none for
-truncation) are formed in runs of at most _RUN_WIDTH methods by the
-helper of approximate_coefficients (transforms._formed) and normed by
-that of relative_errors (transforms._run_errors), so at most one run is
-alive and every error is == to relative_error of the method's
-approximate_coefficients, or of _tsvd_apply. The weight grid goes to
-one stacked solve (kernels._optimize_all) as arrays with one weight triple
-per row, and each pair comes back with optimize's bits and its
-localization ratio. Process memos keep what the chain rebuilds from
-unchanged arguments: the cap-exterior Gram (kernels._gram_for, zero for a
-full-sphere kernel cap), the optimizer's system of Gram blocks
-(kernels._system_for) and its sigma_n table (kernels._continuation), the
-localization ratio's degree weights (kernels._energy_scale), the cap
-multipliers' Gauss rule and Legendre rows (transforms._cap_rule), each
-method's read-only table of cap multipliers, kept by its pair's content
-in one lru_cache (transforms._multipliers_by_content), each cap's norm
-operator (harmonics._cap_factor) and the model's norm on each cap, kept
-by the model's content (harmonics._kept_cap_norm). A run's first cell
-builds them and a repeated run in one process finds them built. None of
-this reuse changes a bit of any error.
+factors (phi and the wavelet symbols psi_tilde, or the truncation
+symbols), then loops over the cells, for scalar and gradient fields alike
+(config.case). A cell's candidates a * f1 + b * f2 (b the cap multipliers
+of psi_tilde, none for truncation) are formed in runs of at most
+_RUN_WIDTH methods by the helper of approximate_coefficients
+(transforms._formed) and normed by that of relative_errors
+(transforms._run_errors), so at most one run is alive and every error is
+== to relative_error of the method's approximate_coefficients, or of
+_tsvd_apply. The weight grid goes to one stacked solve
+(kernels._optimize_all) as arrays with one weight triple per row and comes
+back as arrays, with no kernel pair: each row's phi and psi_tilde with
+optimize's bits, and their localization ratios from one stacked call
+(kernels._localization_ratios). Process memos keep what the chain
+rebuilds from unchanged arguments: the cap-exterior Gram
+(kernels._gram_for, zero for a full-sphere kernel cap), the optimizer's
+system of Gram blocks (kernels._system_for), the localization ratio's
+degree weights (kernels._energy_scale), the cap multipliers' Gauss rule
+and Legendre rows (transforms._cap_rule), each method's read-only table
+of cap multipliers, kept by its psi_tilde's content in one lru_cache
+(transforms._multipliers_by_content), each cap's norm operator
+(harmonics._cap_factor) and the model's norm on each cap, kept by the
+model's content (harmonics._kept_cap_norm). A run's first cell builds
+them and a repeated run in one process finds them built. None of this
+reuse changes a bit of any error.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ from .harmonics import (
     load_coefficients,
 )
 from .kernels import (
+    _SINGULAR,
     Geometry,
     KernelPair,
-    NumericalFailure,
+    _localization_ratios,
     _optimize_all,
     localization_ratio,
     shannon_reference_pair,
@@ -68,9 +71,9 @@ from .transforms import (
     _RUN_WIDTH,
     NoiseSpec,
     RegionSpec,
-    _cap_multipliers,
     _downward,
     _formed,
+    _multipliers_by_content,
     _noise_generator,
     _normal_field,
     _run_errors,
@@ -316,12 +319,12 @@ def _tsvd_apply(geometry: Geometry, f1: HarmonicCoefficients,
 class _Method:
     """One method's row columns and its per-degree factors: scaling on a
     cell's outer data (phi, or the truncation symbols; None for a failed
-    optimization) and pair's cap multipliers on its ground data (none for
-    a truncation)."""
+    optimization) and the cap multipliers of the wavelet symbols psi on its
+    ground data (none for a truncation or a failed optimization)."""
 
     tag: str
     scaling: np.ndarray | None
-    pair: KernelPair | None = None
+    psi: np.ndarray | None = None
     localization: float | None = None
     status: str = "ok"
     beta: float | None = None
@@ -331,29 +334,30 @@ class _Method:
 
 def _pair_method(tag: str, pair: KernelPair) -> _Method:
     g = pair.geometry
-    return _Method(tag, pair.phi.values, pair, localization_ratio(pair.psi_tilde, g.rho, g))
+    return _Method(tag, pair.phi.values, pair.psi_tilde.values,
+                   localization_ratio(pair.psi_tilde, g.rho, g))
 
 
 def _optimized_methods(config: ExperimentConfig) -> list[_Method]:
     """One method per weight triple (beta, alpha_tilde, alpha_ratio), in
-    itertools.product order, all solved by one stacked _optimize_all call."""
+    itertools.product order: its row of one stacked _optimize_all call."""
     geometry = config.geometry
     grid = list(itertools.product(config.beta, config.alpha_tilde, config.alpha_ratio))
     beta, alpha_tilde, ratio = np.array(grid, dtype=float).T
-    solved = _optimize_all(
+    solved, phi, _, psi = _optimize_all(
         geometry,
         np.broadcast_to((alpha_tilde / ratio)[:, None], (len(grid), geometry.N + 1)),
         np.broadcast_to(alpha_tilde[:, None], (len(grid), geometry.kN + 1)),
         beta)
+    ratios = _localization_ratios(psi, geometry.case, geometry.rho)
     out = []
-    for (b, at, r), result in zip(grid, solved):
+    for i, (b, at, r) in enumerate(grid):
         weights = dict(beta=b, alpha_tilde=at, alpha_ratio=r)
-        if isinstance(result, NumericalFailure):
-            out.append(_Method("optimized", None, status=f"numerical-failure: {result}",
-                               **weights))
+        if solved[i]:
+            out.append(_Method("optimized", phi[i], psi[i], ratios[i], **weights))
         else:
-            pair, localization = result
-            out.append(_Method("optimized", pair.phi.values, pair, localization, **weights))
+            out.append(_Method("optimized", None, status=f"numerical-failure: {_SINGULAR}",
+                               **weights))
     return out
 
 
@@ -436,8 +440,9 @@ def _score_cell(model, region: RegionSpec, methods: list[_Method],
     errors = []
     for lo in range(0, len(scored), _RUN_WIDTH):
         run = scored[lo : lo + _RUN_WIDTH]
-        tables = [_cap_multipliers(m.pair, region.kernel_rho, f2.n_max)
-                  for m in run if m.pair is not None] or None
+        tables = [_multipliers_by_content(m.psi.tobytes(), f2.case, region.kernel_rho,
+                                          f2.n_max)
+                  for m in run if m.psi is not None] or None
         stack = _formed(degree, f1, [m.scaling for m in run], f2, tables)
         errors += _run_errors(model, stack, region)
     kept = iter(errors)

@@ -12,7 +12,8 @@ positive-definite linear system.
 Systems of one geometry differ only in their diagonal weights: the Gram
 blocks are assembled once per geometry and kept read-only, and optimize is
 the one-row case of the stacked solve a table's weight grid makes, whose
-weights are arrays with one weight triple per row.
+weights are arrays with one weight triple per row. That solve returns
+arrays; only optimize builds a kernel pair.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ class KernelPair:
 
 @dataclass(frozen=True, eq=False)
 class PenaltyWeights:
-    """Strictly positive weights of the minimization functional.
+    """Finite, strictly positive weights of the minimization functional.
 
     Immutable: alpha and alpha_tilde are private read-only copies, so the
-    positivity check holds for the weights' whole life.
+    weight check holds for the weights' whole life.
     """
 
     alpha: np.ndarray        # length N+1, outer-sphere fidelity
@@ -189,8 +190,7 @@ class PenaltyWeights:
     def __post_init__(self):
         alpha = _read_only(np.array(self.alpha, dtype=float))
         alpha_tilde = _read_only(np.array(self.alpha_tilde, dtype=float))
-        if (alpha <= 0).any() or (alpha_tilde <= 0).any() or self.beta <= 0:
-            raise ValueError("all weights must be strictly positive")
+        _check_weights(alpha, alpha_tilde, self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_tilde", alpha_tilde)
 
@@ -331,6 +331,13 @@ def _check_dimensions(g: Geometry, alpha: np.ndarray, alpha_tilde: np.ndarray,
         raise ValueError(f"alpha_tilde must have length kN+1 = {g.kN + 1}")
 
 
+def _check_weights(*weights) -> None:
+    """Every entry of the weights, one triple's or stacked rows', must be
+    finite and > 0. A NaN fails both comparisons."""
+    if not all(((0 < w) & (w < np.inf)).all() for w in map(np.asarray, weights)):
+        raise ValueError("all weights must be finite and strictly positive")
+
+
 def _resolve_targets(geometry: Geometry, targets: SymbolSet | None) -> np.ndarray:
     if targets is None:
         return np.ones(geometry.kN + 1)
@@ -401,60 +408,40 @@ def _system_for(case: str, N: int, kN: int, rho: float) -> np.ndarray:
     return _read_only(M)
 
 
-@functools.lru_cache(maxsize=4)
-def _continuation(geometry: Geometry) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_n and sigma_n^2 for n = 0..N, read-only and memoized for the
-    last 4 geometries, so repeated solves of one geometry share them."""
-    sig = _read_only(geometry.sigmas(geometry.N))
-    return sig, _read_only(sig**2)
+_SINGULAR = ("kernel optimizer system is numerically singular; "
+             "the weight configuration is pathological")
 
 
-def _frozen(cls, **attrs):
-    """An instance of a frozen dataclass holding already-checked attributes,
-    built without running __post_init__ again."""
-    obj = object.__new__(cls)
-    vars(obj).update(attrs)
-    return obj
+def _optimize_all(geometry: Geometry, alpha, alpha_tilde, beta,
+                  targets: SymbolSet | None = None):
+    """optimize for each row of stacked weights alpha (k, N+1), alpha_tilde
+    (k, kN+1) and beta (k,), checked with optimize's and PenaltyWeights'
+    messages, as arrays: (solved, phi, phi_tilde, psi_tilde), a bool per
+    row and read-only symbol stacks, zero on the rows whose solve failed.
 
-
-def _weight_rows(geometry: Geometry, alpha, alpha_tilde, beta):
-    """Stacked weight triples as float arrays of shapes (k, N+1), (k, kN+1)
-    and (k,), checked with optimize's and PenaltyWeights' messages."""
+    Each step that is one elementwise operation per row runs once on the
+    stack: the diagonals alpha + beta / sigma^2, the right-hand sides, the
+    symbols and their finiteness check, which raises SymbolSet's
+    ValueError for the whole call. Per row remain the copy of the memoized
+    system (_system_for) with its diagonal, potrf and potrs, so every row
+    has optimize's bits.
+    """
+    g = geometry
     alpha, alpha_tilde, beta = (np.asarray(a, dtype=float) for a in (alpha, alpha_tilde, beta))
     if beta.ndim != 1:
         raise ValueError("beta must hold one weight per row")
-    _check_dimensions(geometry, alpha, alpha_tilde, beta.shape)
-    if (alpha <= 0).any() or (alpha_tilde <= 0).any() or (beta <= 0).any():
-        raise ValueError("all weights must be strictly positive")
-    return alpha, alpha_tilde, beta
-
-
-def _solved_rows(geometry: Geometry, alpha: np.ndarray, alpha_tilde: np.ndarray,
-                 beta: np.ndarray, targets: SymbolSet | None):
-    """(solved, phi, phi_tilde, psi_tilde) of optimize's system for each
-    row of checked stacked weights (_weight_rows): a bool per row, false
-    where the solve failed, and read-only (k, N+1), (k, kN+1) and (k, kN+1)
-    symbol stacks, zero on the failed rows.
-
-    Row i holds the weights alpha[i], alpha_tilde[i] and beta[i]. Each
-    step that is one elementwise operation per row runs once on the stack:
-    the diagonals alpha + beta / sigma^2, the right-hand sides, phi = x /
-    sigma, phi_tilde, psi_tilde and the finiteness check (of psi_tilde,
-    which covers phi and phi_tilde). Per row remain the copy of the
-    memoized system (_system_for) with its diagonal, potrf and potrs, so
-    every row has optimize's bits. A non-finite symbol raises SymbolSet's
-    ValueError for the whole call.
-    """
-    n_x = geometry.N + 1
-    sig, sig2 = _continuation(geometry)
-    system = _system_for(geometry.case, geometry.N, geometry.kN, geometry.rho)
+    _check_dimensions(g, alpha, alpha_tilde, beta.shape)
+    _check_weights(alpha, alpha_tilde, beta)
+    n_x = g.N + 1
+    sig = g.sigmas(g.N)
+    system = _system_for(g.case, g.N, g.kN, g.rho)
     diagonals = np.concatenate([alpha, alpha_tilde], axis=1)  # the weights, so far
     if targets is None:  # right-hand sides: the weights times all-ones targets
         sol = diagonals.copy()
     else:
-        tgt = _resolve_targets(geometry, targets)
+        tgt = _resolve_targets(g, targets)
         sol = diagonals * np.concatenate([tgt[:n_x], tgt])
-    diagonals[:, :n_x] += beta[:, None] / sig2
+    diagonals[:, :n_x] += beta[:, None] / sig**2
     diagonals += system.diagonal()
     solved = []
     for row, row_diagonal in zip(sol, diagonals):  # each row is solved in place
@@ -473,45 +460,6 @@ def _solved_rows(geometry: Geometry, alpha: np.ndarray, alpha_tilde: np.ndarray,
     if not np.isfinite(psi).all():
         raise ValueError("symbols must be finite")
     return solved, _read_only(phi), _read_only(phi_tilde), _read_only(psi)
-
-
-def _frozen_pair(geometry: Geometry, phi, phi_tilde, psi) -> KernelPair:
-    return _frozen(KernelPair, geometry=geometry,
-                   phi=_frozen(SymbolSet, n_max=geometry.N, values=phi),
-                   phi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=phi_tilde),
-                   psi_tilde=_frozen(SymbolSet, n_max=geometry.kN, values=psi))
-
-
-_SINGULAR = ("kernel optimizer system is numerically singular; "
-             "the weight configuration is pathological")
-
-
-def _optimize_all(geometry: Geometry, alpha, alpha_tilde, beta,
-                  targets: SymbolSet | None = None
-                  ) -> list[tuple[KernelPair, float | None] | NumericalFailure]:
-    """optimize for each row of stacked weights (see _solved_rows), in
-    order: the pair and its localization ratio, or the NumericalFailure
-    its solve raised.
-
-    The localization denominators are summed for all rows at once and the
-    numerator psi @ G @ psi is taken per row, so every ratio is == to
-    localization_ratio(pair.psi_tilde, geometry.rho, geometry); it is None
-    for a psi_tilde of zero energy, where that raises. Each pair holds
-    read-only rows of the solved stacks.
-    """
-    g = geometry
-    solved, phi, phi_tilde, psi = _solved_rows(
-        g, *_weight_rows(g, alpha, alpha_tilde, beta), targets)
-    G = _gram_for(g.case, g.kN, g.rho)
-    energy = np.sum(_energy_scale(g.case, g.kN) * psi**2, axis=1).tolist()
-    out = []
-    for i, den in enumerate(energy):
-        if not solved[i]:
-            out.append(NumericalFailure(_SINGULAR))
-            continue
-        ratio = min(max(float(psi[i] @ G @ psi[i]) / den, 0.0), 1.0) if den else None
-        out.append((_frozen_pair(g, phi[i], phi_tilde[i], psi[i]), ratio))
-    return out
 
 
 def optimize(geometry: Geometry, w: PenaltyWeights,
@@ -543,19 +491,18 @@ def optimize(geometry: Geometry, w: PenaltyWeights,
     alpha_tilde = 1e3 with the same beta and ratio. The per-solve pivot
     report of ROADMAP item 5 is what will flag such a solve.
 
-    This is the one-row case of the private stacked solve (_solved_rows)
-    that a table's weight grid makes once, through _optimize_all. The Gram
-    blocks of the system are assembled once per geometry and memoized
-    read-only (_system_for, from _gram_for's cap-exterior Gram), so a solve
-    copies them and sets only its weights' diagonal.
+    This is the one-row case of the stacked solve (_optimize_all) that a
+    table's weight grid makes once. That solve returns arrays; only
+    optimize builds a pair, whose constructor derives psi_tilde with the
+    solve's operations. Each solve copies the system's Gram blocks, kept
+    read-only per geometry (_system_for), and sets its diagonal.
     """
-    _check_dimensions(geometry, w.alpha, w.alpha_tilde)
-    solved, phi, phi_tilde, psi = _solved_rows(
-        geometry, w.alpha[None], w.alpha_tilde[None], np.array([w.beta], dtype=float),
-        targets)
+    solved, phi, phi_tilde, _ = _optimize_all(
+        geometry, w.alpha[None], w.alpha_tilde[None], [w.beta], targets)
     if not solved[0]:
         raise NumericalFailure(_SINGULAR)
-    return _frozen_pair(geometry, phi[0], phi_tilde[0], psi[0])
+    return KernelPair(geometry, SymbolSet(geometry.N, phi[0]),
+                      SymbolSet(geometry.kN, phi_tilde[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +578,24 @@ def localization_ratio(psi_tilde: SymbolSet, rho: float, geometry: Geometry) -> 
     kernel, near 1 as rho shrinks to nothing, and 0 for the full-sphere cap
     rho = 2. The exterior Gram of the geometry's case at psi_tilde's degree
     and rho comes from _gram_for's memo, so many symbol sets share one.
+    This is the one-row case of _localization_ratios.
     """
-    if not psi_tilde.values.any():
-        raise ValueError("localization ratio of an all-zero symbol set is undefined")
-    psi = psi_tilde.values
-    num = float(psi @ _gram_for(geometry.case, psi_tilde.n_max, rho) @ psi)
-    den = full_interval_energy(psi_tilde, geometry.case)
-    return float(min(max(num / den, 0.0), 1.0))
+    (ratio,) = _localization_ratios(psi_tilde.values[None], geometry.case, rho)
+    if ratio is None:
+        raise ValueError("localization ratio of a symbol set of zero energy is undefined")
+    return ratio
+
+
+def _localization_ratios(psi: np.ndarray, case: str, rho: float) -> list[float | None]:
+    """localization_ratio of each row of a (k, n_max+1) symbol stack, None
+    for a row of zero energy. The denominators, full_interval_energy of
+    each row, are summed for all rows at once; the numerator psi @ G @ psi
+    is taken per row."""
+    n_max = psi.shape[1] - 1
+    G = _gram_for(case, n_max, rho)
+    energy = np.sum(_energy_scale(case, n_max) * psi**2, axis=1).tolist()
+    return [min(max(float(row @ G @ row) / den, 0.0), 1.0) if den else None
+            for row, den in zip(psi, energy)]
 
 
 def save_pair_csv(pair: KernelPair, path) -> None:

@@ -320,23 +320,15 @@ def wavelet_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.n
     """lambda_n for n = 0..n_max, the scalar (and type-1) cap multipliers
     of _multipliers_by_content: row 0 of the pair's table, read-only.
     kernel_rho must lie in (0, 2], as in RegionSpec."""
-    return _cap_multipliers(pair, kernel_rho, n_max)[0]
-
-
-def _cap_multipliers(pair: KernelPair, kernel_rho: float, n_max: int) -> np.ndarray:
-    """The pair's cap multiplier table from _multipliers_by_content, kept by
-    what it reads: psi_tilde's bytes and the field kind, with kernel_rho
-    and n_max. A pair's symbols are read-only, but every optimize call
-    returns a new pair, so a key by the pair itself would miss a repeated
-    solve's equal symbols."""
     return _multipliers_by_content(pair.psi_tilde.values.tobytes(), pair.geometry.case,
-                                   kernel_rho, n_max)
+                                   kernel_rho, n_max)[0]
 
 
-# A table scores every method of a cell before the next cell, so the memo
-# must hold one cell's methods (100 in both shipped configs), or each row
-# would evict the entry the next cell needs; 256 degree-110 gradient-field
-# tables take about 0.7 MB with their keys.
+# Kept by what the table reads, not by a pair: a sweep holds only symbols,
+# and equal symbols of repeated solves share one table. A table scores
+# every method of a cell before the next cell, so the memo must hold one
+# cell's methods (100 in both shipped configs); 256 degree-110
+# gradient-field tables take about 0.7 MB with their keys.
 @functools.lru_cache(maxsize=256)
 def _multipliers_by_content(psi_tilde: bytes, case: str, kernel_rho: float,
                             n_max: int) -> np.ndarray:
@@ -366,6 +358,15 @@ def _multipliers_by_content(psi_tilde: bytes, case: str, kernel_rho: float,
     the node-wise cap integral. On the full-sphere cap lambda_n and mu_n
     equal psi_tilde(n). kernel_rho must lie in (0, 2]; past 2 the rule
     would run below t = -1.
+
+    Measured accuracy: for configs/full.cfg's geometry optimized at alpha =
+    20, alpha_tilde = 100, beta = 10, with kernel_rho = 0.5 and n_max =
+    110, lambda_n is off by 3.0e-13 of the largest lambda_n from a 32-digit
+    mpmath integral. The complement psi_n - (G psi)_n / (2n+1) of the
+    cap-exterior Gram G = gram_scalar(max(kN, n_max), kernel_rho) is off by
+    2.3e-15, but taking it moves reduced-table errors by up to 1.6e-13
+    relative and fails 2 recon-offcenter checks of perfbench/reference.json,
+    so it waits for that reference's re-recording (ROADMAP item 6).
     """
     if not (0.0 < kernel_rho <= 2.0):
         raise ValueError("kernel_rho must lie in (0, 2]")
@@ -391,9 +392,10 @@ def _multipliers_by_content(psi_tilde: bytes, case: str, kernel_rho: float,
 def _cap_wavelet_coefficients(pair: KernelPair, f2, kernel_rho: float):
     """Coefficient-space action of the cap-restricted wavelet convolution:
     each degree (and type, for a gradient field) of f2 times its cap
-    multiplier from _cap_multipliers."""
+    multiplier from _multipliers_by_content."""
     _check_data(pair, f2, outer=False)
-    table = _cap_multipliers(pair, kernel_rho, f2.n_max)
+    table = _multipliers_by_content(pair.psi_tilde.values.tobytes(), f2.case,
+                                    kernel_rho, f2.n_max)
     return f2.scaled_by_degree(table[0] if f2.case == "scalar" else table)
 
 
@@ -441,7 +443,8 @@ def approximate_coefficients(pair: KernelPair, f1, f2, region: RegionSpec):
     f1 = _outer_coefficients(f1, pair.geometry.N)
     _check_data(pair, f2, outer=False)
     _check_data(pair, f1, outer=True)
-    table = _cap_multipliers(pair, region.kernel_rho, f2.n_max)
+    table = _multipliers_by_content(pair.psi_tilde.values.tobytes(), f2.case,
+                                    region.kernel_rho, f2.n_max)
     n_out = max(f1.n_max, f2.n_max)
     return type(f2)(pair.geometry.r, n_out,
                     _formed(n_out, f1, [pair.phi.values], f2, [table])[0])

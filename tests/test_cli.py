@@ -426,8 +426,8 @@ class TestCommands:
 
         seen = []
         for name in ("table", "tsvd-table", "gram"):
-            monkeypatch.setitem(cli._COMMANDS, name, lambda config, name=name: seen.append(
-                (name, config.seeds, config.out)) or 0)
+            monkeypatch.setitem(cli._COMMANDS, name, (lambda config, name=name: seen.append(
+                (name, config.seeds, config.out)) or 0, cli._COMMANDS[name][1]))
         monkeypatch.chdir(tmp_path)
         cli._parser.cache_clear()
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

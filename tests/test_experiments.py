@@ -30,8 +30,9 @@ from capwave.harmonics import (
 )
 from capwave.kernels import (
     Geometry,
-    NumericalFailure,
+    KernelPair,
     PenaltyWeights,
+    SymbolSet,
     _gram_for,
     _optimize_all,
     _system_for,
@@ -53,9 +54,8 @@ from test_kernels import cho_reference
 
 def _flaky_optimize_all(geometry, alpha, alpha_tilde, beta, targets=None):
     """The sweep's stacked solve, with a synthetic breakdown for beta = 13."""
-    solved = _optimize_all(geometry, alpha, alpha_tilde, beta, targets)
-    return [NumericalFailure("synthetic breakdown") if b == 13.0 else result
-            for b, result in zip(beta, solved)]
+    solved, *stacks = _optimize_all(geometry, alpha, alpha_tilde, beta, targets)
+    return [ok and b != 13.0 for ok, b in zip(solved, beta)], *stacks
 
 
 def tiny_config(**overrides):
@@ -455,19 +455,17 @@ class TestOptimizedGrid:
                 assert m.status == ("numerical-failure: kernel optimizer system is "
                                     "numerically singular; the weight configuration "
                                     "is pathological")
-                assert m.scaling is m.pair is m.localization is None
+                assert m.scaling is m.psi is m.localization is None
                 with pytest.raises(np.linalg.LinAlgError):
                     cho_reference(g, w)
                 failed.add((m.beta, m.alpha_tilde, m.alpha_ratio))
                 continue
-            pair = m.pair
             phi, phi_tilde = cho_reference(g, w)
-            assert np.array_equal(pair.phi.values, phi)
-            assert np.array_equal(pair.phi_tilde.values, phi_tilde)
-            assert m.scaling is pair.phi.values
-            assert m.localization == localization_ratio(pair.psi_tilde, g.rho, g)
-            for symbols in (pair.phi, pair.phi_tilde, pair.psi_tilde):
-                assert not symbols.values.flags.writeable
+            reference = KernelPair(g, SymbolSet(g.N, phi), SymbolSet(g.kN, phi_tilde))
+            assert np.array_equal(m.scaling, phi)
+            assert np.array_equal(m.psi, reference.psi_tilde.values)
+            assert m.localization == localization_ratio(reference.psi_tilde, g.rho, g)
+            assert not m.scaling.flags.writeable and not m.psi.flags.writeable
         # only the tiny ground weight breaks a solve, and it breaks most
         assert {at for _, at, _ in failed} == {1e-16}
         assert len(failed) >= 6 * 2 - 1

@@ -13,6 +13,7 @@ from capwave.kernels import (
     PenaltyWeights,
     SymbolSet,
     _gram_for,
+    _optimize_all,
     _system_for,
     full_interval_energy,
     functional_value,
@@ -472,6 +473,24 @@ class TestOptimize:
             PenaltyWeights.uniform(g, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             PenaltyWeights.uniform(g, 1.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize("flaw", ["nan alpha", "inf alpha_tilde", "nan beta"])
+    def test_non_finite_weight_rejected_at_both_entry_points(self, flaw):
+        # NaN passes a `<= 0` test, so it used to surface only later, as
+        # "symbols must be finite"
+        g = reduced_geometry()
+        alpha, alpha_tilde, beta = np.ones(g.N + 1), np.ones(g.kN + 1), 1.0
+        if flaw == "nan alpha":
+            alpha[3] = np.nan
+        elif flaw == "inf alpha_tilde":
+            alpha_tilde[-1] = np.inf
+        else:
+            beta = np.nan
+        message = "^all weights must be finite and strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            PenaltyWeights(alpha, alpha_tilde, beta)
+        with pytest.raises(ValueError, match=message):
+            _optimize_all(g, alpha[None], alpha_tilde[None], [beta])
 
 
 def cho_reference(geometry, w, targets=None):

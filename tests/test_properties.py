@@ -29,6 +29,7 @@ from capwave.kernels import (
     NumericalFailure,
     PenaltyWeights,
     SymbolSet,
+    _localization_ratios,
     _optimize_all,
     localization_ratio,
     optimize,
@@ -437,29 +438,35 @@ class TestStackedSolve:
         g = reduced_geometry(case)
         targets = raised_cosine_targets(g) if filtered else None
         weights, stacks = stacked_weights(g, rows)
-        solved = _optimize_all(g, *stacks, targets)
-        assert len(solved) == len(weights)
-        for w, result in zip(weights, solved):
+        solved, phi, phi_tilde, psi = _optimize_all(g, *stacks, targets)
+        ratios = _localization_ratios(psi, g.case, g.rho)
+        assert len(solved) == len(ratios) == len(weights)
+        for i, w in enumerate(weights):
             try:
-                phi, phi_tilde = cho_reference(g, w, targets)
+                ref_phi, ref_phi_tilde = cho_reference(g, w, targets)
             except np.linalg.LinAlgError:
-                assert isinstance(result, NumericalFailure)
-                assert str(result) == ("kernel optimizer system is numerically "
-                                       "singular; the weight configuration is "
-                                       "pathological")
+                assert not solved[i] and ratios[i] is None and not psi[i].any()
+                with pytest.raises(NumericalFailure) as failure:
+                    optimize(g, w, targets)
+                assert str(failure.value) == ("kernel optimizer system is numerically "
+                                              "singular; the weight configuration is "
+                                              "pathological")
                 continue
-            pair, localization = result
-            assert np.array_equal(pair.phi.values, phi)
-            assert np.array_equal(pair.phi_tilde.values, phi_tilde)
-            assert localization == localization_ratio(pair.psi_tilde, g.rho, g)
-            for symbols in (pair.phi, pair.phi_tilde, pair.psi_tilde):
-                assert not symbols.values.flags.writeable
+            pair = optimize(g, w, targets)
+            assert solved[i]
+            assert np.array_equal(phi[i], ref_phi)
+            assert np.array_equal(phi_tilde[i], ref_phi_tilde)
+            assert np.array_equal(psi[i], pair.psi_tilde.values)
+            assert ratios[i] == localization_ratio(pair.psi_tilde, g.rho, g)
+        for stack in (phi, phi_tilde, psi):
+            assert not stack.flags.writeable
 
     @PROPERTY
     @given(case=st.sampled_from(["scalar", "vector"]), rows=weight_rows,
            flaw=st.sampled_from(["alpha short", "alpha_tilde long", "alpha",
                                  "alpha_tilde", "beta"]),
-           where=st.integers(0, 10**6), bad=st.sampled_from([0.0, -1.0, -1e-300]))
+           where=st.integers(0, 10**6),
+           bad=st.sampled_from([0.0, -1.0, -1e-300, np.nan, np.inf, -np.inf]))
     def test_bad_row_raises_the_one_weight_message(self, case, rows, flaw, where, bad):
         g = reduced_geometry(case)
         _, stacks = stacked_weights(g, rows)
@@ -476,7 +483,7 @@ class TestStackedSolve:
                 stacks[2][i] = bad
             else:
                 stacks[k][i, where % stacks[k].shape[1]] = bad
-            message = "^all weights must be strictly positive$"
+            message = "^all weights must be finite and strictly positive$"
         with pytest.raises(ValueError, match=message):
             _optimize_all(g, *stacks)
 

@@ -21,6 +21,7 @@ from capwave.kernels import (
     PenaltyWeights,
     SymbolSet,
     gram_scalar,
+    gram_vector,
     optimize,
     shannon_reference_pair,
 )
@@ -337,6 +338,50 @@ class TestWaveletTransformLocal:
             )
             bound = math.sqrt(2.0 * math.pi) * g.r * tail_norm * f2.l2_norm()
             assert abs(cap_value - full_value) <= bound * (1.0 + 1e-9) + 1e-12
+
+
+def gram_complement(psi, case, kernel_rho, n_max):
+    """The cap multiplier table from the cap-exterior Gram instead of the cap
+    rule: the whole-sphere multiplier psi_n less the exterior part,
+    lambda_n = psi_n - (G psi)_n / (2n+1) with G = gram_scalar, and for a
+    gradient field mu_n the same with gram_vector - gram_scalar, whose row
+    and column 0 are taken as zero (type 2 starts at degree 1)."""
+    d = max(psi.size - 1, n_max)
+    p = np.zeros(d + 1)
+    p[: psi.size] = psi
+    scale = np.arange(1, 2 * d + 2, 2, dtype=float)
+    G = gram_scalar(d, kernel_rho)
+    rows = [p - G @ p / scale]
+    if case == "vector":
+        tangential = gram_vector(d, kernel_rho) - G
+        tangential[0, :] = tangential[:, 0] = 0.0
+        rows.append(p - tangential @ p / scale)
+        rows[1][0] = 0.0
+    return np.stack(rows)[:, : n_max + 1]
+
+
+class TestMultipliersAgainstGram:
+    """Two quadratures of one cap: the multipliers integrate over the cap
+    with its own Gauss rule, the Gram complement over the cap exterior.
+    Both form each multiplier from terms of the size of the symbols, so
+    they agree to 1e-12 of the largest symbol: a localized kernel's
+    low-degree multipliers are far smaller than that."""
+
+    @pytest.mark.parametrize("case", ["scalar", "vector"])
+    @pytest.mark.parametrize("kernel_rho", [0.2, 0.5, 1.0, 1.7])
+    def test_multipliers_are_the_exterior_gram_complement(self, case, kernel_rho):
+        g = Geometry(R_INNER, R_OUTER, 30, kappa=4.0 / 3.0, rho=kernel_rho, case=case)
+        pairs = [optimize(g, PenaltyWeights.uniform(g, 2.0, 10.0, 1.0)),
+                 shannon_reference_pair(g, 20), random_pair(g, 23)]
+        for pair in pairs:
+            for n_max in (10, g.kN, 44):
+                psi = pair.psi_tilde.values
+                table = transforms._multipliers_by_content(psi.tobytes(), case,
+                                                           kernel_rho, n_max)
+                expected = gram_complement(psi, case, kernel_rho, n_max)
+                assert table.shape == expected.shape
+                np.testing.assert_allclose(table, expected, rtol=0.0,
+                                           atol=1e-12 * np.max(np.abs(psi)))
 
 
 class TestApproximate:
